@@ -22,6 +22,7 @@ from .algebraic import (
     bint_pow,
     bint_sub,
     frac_beta_power,
+    frac_beta_powers,
     make_pisot,
     qbeta_add,
     qbeta_div,

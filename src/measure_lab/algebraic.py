@@ -7,10 +7,15 @@ enclosures (midpoint plus radius), with automatic precision escalation up
 to a configurable cap, so that boundary comparisons can never silently
 misclassify.
 
+Root enclosures are certified once per (minimal polynomial, precision,
+precision cap) and reused by every later embedding and comparison.
+
 The fractional part of z*beta^k is computed through the trace identity:
 z*beta^k plus the sum of its Galois conjugates is a rational integer, and
 the conjugate sum is tiny because all conjugates of a Pisot number have
-modulus below one.
+modulus below one.  ``frac_beta_powers`` walks z*beta^j for j = 0..k with
+one exact multiplication by beta per step, so a head of k terms costs O(k)
+ring operations.
 """
 
 from __future__ import annotations
@@ -296,11 +301,19 @@ def _classified_disks(minpoly: tuple[int, ...], target_prec: int):
 
     Returns (beta: Ball, conjugates: tuple[CBall], is_real: tuple[bool]).
     Raises NotPisot when the root-modulus condition is certifiably
-    violated, PrecisionExhausted past the cap.
+    violated, PrecisionExhausted past the cap.  Results are memoised per
+    (minpoly, target_prec, cap); the cap is read on every call and is part
+    of the key, so lowering it can never be bypassed by an earlier, wider
+    certification.  Exceptions are not memoised.
     """
+    return _classified_disks_capped(minpoly, target_prec, precision_cap())
+
+
+@lru_cache(maxsize=None)
+def _classified_disks_capped(minpoly: tuple[int, ...], target_prec: int, cap: int):
     width_goal = mpf(2) ** -(target_prec // 2)
     prec = max(64, target_prec)
-    cap = max(precision_cap(), prec)
+    cap = max(cap, prec)
     while True:
         disks = _root_disks(minpoly, prec)
         if disks is not None:
@@ -381,7 +394,8 @@ def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
 
 @_serialized
 def refined_enclosures(p: PisotNumber, prec: int):
-    """Root enclosures of p.minpoly recomputed at >= prec bits."""
+    """Root enclosures of p.minpoly at >= prec bits, certified once per
+    (minpoly, prec, precision cap) and reused afterwards."""
     if p.degree == 1:
         return p.root_beta, ()
     beta, conj, _ = _classified_disks(p.minpoly, prec)
@@ -536,13 +550,39 @@ def frac_beta_power(z: BetaInt, k: int, p: PisotNumber, max_err: float = 2.0**-6
     differs from it by a rational integer), which stays stable for large k
     where direct floating evaluation of beta^k has no fractional precision
     left.  Small k falls back to direct embedding.  Exactly-integer values
-    return 0 with bound 0.
+    return 0 with bound 0.  Root enclosures come from the per-base
+    certification memo, so repeated calls do not re-certify; use
+    ``frac_beta_powers`` for a whole range of k.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     w = z
     for _ in range(k):
         w = bint_mul_beta(w, p)
+    return _certified_frac(z, k, w, p, max_err)
+
+
+@_serialized
+def frac_beta_powers(
+    z: BetaInt, k_max: int, p: PisotNumber, max_err: float = 2.0**-60
+) -> list[FracPart]:
+    """[frac_beta_power(z, k, p, max_err) for k in 0..k_max], equal value
+    for value, from one walk over z*beta^k with one exact multiplication by
+    beta per step (O(k_max) ring operations instead of O(k_max^2))."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    out = []
+    w = z
+    for k in range(k_max + 1):
+        if k:
+            w = bint_mul_beta(w, p)
+        out.append(_certified_frac(z, k, w, p, max_err))
+    return out
+
+
+def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber, max_err: float) -> FracPart:
+    """frac(w) for the exact element w = z*beta^k, escalating precision
+    until the enclosure is within max_err and clear of every integer."""
     if w.is_rational_int:
         return FracPart(0.0, 0.0)
 

@@ -137,9 +137,18 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     return FiniteImageResult(ok=True, c_map=c_map, witness=None)
 
 
-def atoms(a: LabeledAutomaton, p: PisotNumber, pd: PerronData) -> tuple[Atom, ...]:
-    """Atom values and masses; requires a successful finite-image test."""
-    result = finite_image_test(a, p)
+def atoms(
+    a: LabeledAutomaton,
+    p: PisotNumber,
+    pd: PerronData,
+    image: FiniteImageResult | None = None,
+) -> tuple[Atom, ...]:
+    """Atom values and masses; requires a successful finite-image test.
+
+    ``image`` is that test's result when the caller already ran it on
+    (a, p); otherwise the test runs here.
+    """
+    result = image if image is not None else finite_image_test(a, p)
     if not result.ok:
         raise ValueError("image is not finite; no atoms to compute")
     pi = start_distribution(pd)
@@ -178,7 +187,7 @@ def classify(
     pd = perron(a)
     fi = finite_image_test(a, p)
     if fi.ok:
-        atom_list = atoms(a, p, pd)
+        atom_list = atoms(a, p, pd, fi)
         return Verdict(
             kind="atomic",
             atoms=atom_list,

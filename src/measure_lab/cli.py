@@ -140,7 +140,7 @@ def _cmd_atoms(args) -> dict:
         raise ValidationError(
             f"measure is continuous (witness edge {fi.witness}); no atoms"
         )
-    atom_list = atoms(a, p, pd)
+    atom_list = atoms(a, p, pd, fi)
     return {
         "file": args.automaton,
         "atoms": [

@@ -10,7 +10,8 @@ fixed; the committed error is bounded through |W(t)-W(0)| <= 2 pi max|a|
 norms of all partial row vectors.  Limit coefficients psi-hat(z) pick up a
 finite head of factors W(frac(z beta^j)) whose arguments decay like the
 conjugate powers of beta (Pisot property); fractional parts come from the
-exact trace-identity evaluation, never from floating beta powers.
+exact trace-identity evaluation, never from floating beta powers, in one
+O(J) pass over the J head terms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import BetaInt, PisotNumber, bint_embed, frac_beta_power
+from .algebraic import BetaInt, PisotNumber, bint_embed, frac_beta_powers
 from .automaton import LabeledAutomaton, TransitionMatrices, transition_matrices
 from .errors import EmptyInitialSet
 from .parry import PerronData
@@ -231,8 +232,7 @@ def psi_hat(
 
     row = cache.v_l.copy()
     arg_err = 0.0
-    for j in range(head_terms, -1, -1):
-        fr = frac_beta_power(zint, j, p)
+    for fr in reversed(frac_beta_powers(zint, head_terms, p)):
         row = cache.apply(row, fr.value)
         arg_err += fr.bound
     for n in range(1, tail_terms + 1):

@@ -16,6 +16,7 @@ from measure_lab.algebraic import (
     bint_pow_beta,
     bint_sub,
     frac_beta_power,
+    frac_beta_powers,
     make_pisot,
     qbeta_div,
     qbeta_embed,
@@ -267,6 +268,23 @@ def test_frac_matches_direct_high_precision(golden, tribonacci):
                 assert abs(fr.value - direct_frac) <= fr.bound + 1e-12, (p.minpoly, k)
 
 
+@pytest.mark.parametrize(
+    "minpoly",
+    [(-1, -1, 1), (-1, -1, -1, 1), (-1, -1, 0, 1), (-1, 0, 0, -1, 1), (-2, 1)],
+    ids=["golden", "tribonacci", "plastic", "quartic", "two"],
+)
+def test_frac_powers_equal_per_power(minpoly):
+    # The one-pass head must reproduce the per-power evaluation bit for bit,
+    # on both sides of the direct-embedding / trace-identity switch at k = 8.
+    p = make_pisot(list(minpoly))
+    r = p.degree
+    generic = BetaInt(tuple((3, -2, 5, -1)[:r]))
+    for z in (BetaInt((0,) * r), bint_from_int(-3, p), generic):
+        assert frac_beta_powers(z, 60, p) == [frac_beta_power(z, k, p) for k in range(61)]
+    with pytest.raises(ValueError):
+        frac_beta_powers(generic, -1, p)
+
+
 # ---------------------------------------------------------------- Q(beta)
 
 def test_qbeta_div_self(golden):
@@ -301,6 +319,11 @@ def test_qbeta_embed_rational(golden):
 def test_precision_cap_env(golden, monkeypatch):
     from measure_lab.errors import PrecisionExhausted
 
+    # Warm the certification memo at high precision under the default cap
+    # first: the memo must never widen a cap lowered afterwards.
+    monkeypatch.delenv("MEASURE_LAB_PRECISION_CAP", raising=False)
+    fr = frac_beta_power(bint_from_int(1, golden), 12, golden, max_err=2.0**-1000)
+    assert 0 < fr.value < 1
     monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "256")
     with pytest.raises(PrecisionExhausted):
         frac_beta_power(bint_from_int(1, golden), 12, golden, max_err=2.0**-1000)
