@@ -563,12 +563,10 @@ def frac_beta_power(z: BetaInt, k: int, p: PisotNumber, max_err: float = 2.0**-6
 
 
 @_serialized
-def frac_beta_powers(
-    z: BetaInt, k_max: int, p: PisotNumber, max_err: float = 2.0**-60
-) -> list[FracPart]:
-    """[frac_beta_power(z, k, p, max_err) for k in 0..k_max], equal value
-    for value, from one walk over z*beta^k with one exact multiplication by
-    beta per step (O(k_max) ring operations instead of O(k_max^2))."""
+def frac_beta_powers(z: BetaInt, k_max: int, p: PisotNumber) -> list[FracPart]:
+    """[frac_beta_power(z, k, p) for k in 0..k_max], equal value for value,
+    from one walk over z*beta^k with one exact multiplication by beta per
+    step (O(k_max) ring operations instead of O(k_max^2))."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     out = []
@@ -576,7 +574,7 @@ def frac_beta_powers(
     for k in range(k_max + 1):
         if k:
             w = bint_mul_beta(w, p)
-        out.append(_certified_frac(z, k, w, p, max_err))
+        out.append(_certified_frac(z, k, w, p, 2.0**-60))
     return out
 
 

@@ -327,3 +327,30 @@ def test_precision_cap_env(golden, monkeypatch):
     monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "256")
     with pytest.raises(PrecisionExhausted):
         frac_beta_power(bint_from_int(1, golden), 12, golden, max_err=2.0**-1000)
+
+
+def test_certification_memo_keyed_by_cap(monkeypatch):
+    # Force _classified_disks to escalate internally to 512 bits, memoise
+    # that success under the default cap, then lower the cap below 512: the
+    # memoised certification must not be returned past the lower cap.
+    from measure_lab import algebraic
+    from measure_lab.errors import PrecisionExhausted
+
+    real = algebraic._root_disks
+    monkeypatch.setattr(
+        algebraic, "_root_disks",
+        lambda minpoly, prec: None if prec < 512 else real(minpoly, prec),
+    )
+    minpoly = (-1, -1, 1)
+    algebraic._classified_disks_capped.cache_clear()
+    try:
+        monkeypatch.delenv("MEASURE_LAB_PRECISION_CAP", raising=False)
+        beta, _, _ = algebraic._classified_disks(minpoly, 64)
+        assert abs(float(beta.mid) - (1 + math.sqrt(5)) / 2) < 1e-15
+        monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "256")
+        with pytest.raises(PrecisionExhausted):
+            algebraic._classified_disks(minpoly, 64)
+    finally:
+        # Entries certified through the stub are sharper than the real
+        # ones; drop them so later tests see the usual enclosures.
+        algebraic._classified_disks_capped.cache_clear()

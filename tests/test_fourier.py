@@ -202,21 +202,12 @@ def test_fig3_limit_head_matches_per_power_product(automata, pisots, perron_data
     # psi_hat's one-pass head gives the same value and bound, bit for bit,
     # as the head built from one frac_beta_power call per factor.
     from measure_lab import fourier
-    from measure_lab.algebraic import BetaInt, bint_embed, frac_beta_power
+    from measure_lab.algebraic import frac_beta_power
 
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
     cache = build_weight_cache(a, pd)
     fast = {z: psi_hat(a, p, pd, z, 1e-8, cache) for z in ((1, 0), (2, -1))}
-    for z, res in fast.items():
-        assert res.head_terms > 8
-        zint = BetaInt(z)
-        row = cache.v_l.copy()
-        for j in range(res.head_terms, -1, -1):
-            row = cache.apply(row, frac_beta_power(zint, j, p).value)
-        z_val = float(bint_embed(zint, 1, p).mid)
-        for n in range(1, res.tail_terms + 1):
-            row = cache.apply(row, z_val * p.beta_float**-n)
-        assert res.value == complex(row @ cache.v_r)
+    assert all(res.head_terms > 8 for res in fast.values())
     monkeypatch.setattr(
         fourier, "frac_beta_powers",
         lambda z, k_max, p: [frac_beta_power(z, k, p) for k in range(k_max + 1)],
