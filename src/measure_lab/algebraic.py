@@ -31,8 +31,8 @@ from typing import NamedTuple
 from mpmath import mp, mpc, mpf
 
 # mpmath's working precision is process-global state; every public entry
-# point that touches it holds this lock so concurrent callers (the scan
-# thread pool) cannot race each other's precision escalations.
+# point that touches it holds this lock so library callers that share the
+# process across threads cannot race each other's precision escalations.
 _MP_LOCK = threading.RLock()
 
 from ._ball import Ball, CBall, ball_horner

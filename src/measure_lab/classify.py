@@ -30,10 +30,10 @@ from .algebraic import (
 )
 from .automaton import LabeledAutomaton, primitivity_check
 from .errors import NotPrimitive, NotStronglyConnected
+from .fourier import DEFAULT_TOL as DEFAULT_FOURIER_TOL, rajchman_scan
 from .parry import PerronData, perron, start_distribution
 
 DEFAULT_SCAN_HEIGHT = 3
-DEFAULT_FOURIER_TOL = 1e-8
 EVIDENCE_FLOOR = 1e-4
 
 
@@ -214,8 +214,6 @@ def classify(
         }
         return Verdict(kind="continuous", atoms=None, evidence=evidence,
                    witness=witness, diagnostics=diagnostics)
-
-    from .fourier import rajchman_scan
 
     scan = rajchman_scan(a, p, pd, height=scan_height, tol=tol)
     threshold = max(10 * tol, EVIDENCE_FLOOR)

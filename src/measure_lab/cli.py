@@ -220,7 +220,7 @@ def _cmd_scan(args) -> dict:
     a = _load(args.automaton)
     p = _pisot_for(a, args)
     pd = perron(a)
-    result = rajchman_scan(a, p, pd, height=args.height, tol=args.tol, jobs=args.jobs)
+    result = rajchman_scan(a, p, pd, height=args.height, tol=args.tol)
     rows = [
         {
             "z": list(e.z_coords),
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     sp = sub.add_parser("validate", help="parse and validate an automaton document")

@@ -2,30 +2,35 @@
 products, limit coefficients along beta-power sequences, and the lattice
 scan for nonvanishing limits.
 
-The transform at t is the left-to-right product v_L W(t/beta) W(t/beta^2)
-... v_R with W(t) = (1/lambda) sum_a e(-at) M_a.  Truncation after N
-factors replaces the remainder by W(0)-factors, which leave v_L (and v_R)
-fixed; the committed error is bounded through |W(t)-W(0)| <= 2 pi max|a|
-|t| ||M|| / lambda together with a computed uniform bound K on the l1
-norms of all partial row vectors.  Limit coefficients psi-hat(z) pick up a
-finite head of factors W(frac(z beta^j)) whose arguments decay like the
-conjugate powers of beta (Pisot property); fractional parts come from the
-exact trace-identity evaluation, never from floating beta powers, in one
-O(J) pass over the J head terms.
+Every value here is one product row0 W(x_1) W(x_2) ... v_R with W(t) =
+(1/lambda) sum_a e(-at) M_a.  The transform at t starts at row0 = v_L with
+the tail arguments t/beta, t/beta^2, ...; the initial-state transform
+starts at the normalised indicator row of the initial states; the limit
+coefficient psi-hat(z) puts a finite head of factors W(frac(z beta^j)) in
+front of the tail at t = z.  Truncation after N tail factors replaces the
+remainder by W(0)-factors, which leave v_L (and v_R) fixed; the committed
+error is bounded through |W(t)-W(0)| <= 2 pi max|a| |t| ||M|| / lambda
+together with a bound K on the l1 norms of all partial rows.  K is exact:
+W(0) >= 0 and |W(t)| <= W(0) entrywise, so a start row with row0 <= c v_L
+keeps every partial row below c v_L W(0)^n = c v_L, and K = c ||v_L||_1
+(c = 1 for v_L itself).  Head arguments decay like the conjugate powers of
+beta (Pisot property); fractional parts come from the exact
+trace-identity evaluation, never from floating beta powers, in one O(J)
+pass over the J head terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebraic import BetaInt, PisotNumber, bint_embed, frac_beta_powers
 from .automaton import LabeledAutomaton, TransitionMatrices, transition_matrices
-from .errors import EmptyInitialSet
-from .parry import PerronData
+from .parry import PerronData, initial_row
 
 DEFAULT_TOL = 1e-8
 _FP_EPS = 1e-14
@@ -95,6 +100,43 @@ def _eig_slack(pd: PerronData, k_row: float, n_factors: int) -> float:
     return (pd.res_L + pd.res_R) * k_row * (n_factors + 2) + _FP_EPS * k_row * (n_factors + 1)
 
 
+def _product(
+    cache: WeightMatrixCache,
+    pd: PerronData,
+    beta: float,
+    row: np.ndarray,
+    k_row: float,
+    t: float,
+    n_tail: int,
+    head: Sequence[float] = (),
+) -> tuple[complex, float, float]:
+    """row W(head[0]) ... W(head[-1]) W(t/beta) ... W(t/beta^n_tail) v_R.
+
+    k_row bounds the l1 norm of every partial row started at row.  Returns
+    the value, the tail term of its bound (the factors after n_tail) and
+    the eigenvector and rounding slack over all factors.
+    """
+    args = [*head, *(t * beta**-k for k in range(1, n_tail + 1))]
+    for x in args:
+        row = cache.apply(row, x)
+    tail = _tail_constant(cache, k_row) * abs(t) * beta**-n_tail / (1 - 1 / beta)
+    return complex(row @ cache.v_r), tail, _eig_slack(pd, k_row, len(args))
+
+
+def _transform(
+    cache: WeightMatrixCache,
+    pd: PerronData,
+    beta: float,
+    row: np.ndarray,
+    k_row: float,
+    t: float,
+    tol: float,
+) -> tuple[complex, float]:
+    n = _tail_length(_tail_constant(cache, k_row), abs(t), beta, tol)
+    value, tail, slack = _product(cache, pd, beta, row, k_row, t, n)
+    return value, tail + slack
+
+
 def nu_hat(
     a: LabeledAutomaton,
     p: PisotNumber,
@@ -107,39 +149,7 @@ def nu_hat(
     if t == 0:
         return 1.0 + 0j, abs(float(pd.v_L @ pd.v_R) - 1.0) + 1e-15
     cache = cache or build_weight_cache(a, pd)
-    beta = p.beta_float
-    c = _tail_constant(cache, cache.k_left)
-    n = _tail_length(c, abs(t), beta, tol)
-    row = cache.v_l.copy()
-    for k in range(1, n + 1):
-        row = cache.apply(row, t * beta**-k)
-    value = complex(row @ cache.v_r)
-    tail = c * abs(t) * beta ** -n / (1 - 1 / beta)
-    return value, tail + _eig_slack(pd, cache.k_left, n)
-
-
-def _initial_row(a: LabeledAutomaton, pd: PerronData) -> tuple[np.ndarray, float]:
-    if not a.initial:
-        raise EmptyInitialSet("automaton has no initial states")
-    idx = a.state_index()
-    v_i = np.zeros(pd.n_states)
-    for s in a.initial:
-        v_i[idx[s]] = 1.0
-    denom = float(v_i @ pd.v_R)
-    return v_i / denom, denom
-
-
-def _k_initial(cache: WeightMatrixCache, row0: np.ndarray) -> float:
-    # The initial row is not left-invariant under W(0); bound all partial
-    # rows by iterating W(0) = M/lambda and taking the running l1 maximum
-    # (the iterates converge to a multiple of v_L, so the max stabilises).
-    w0 = sum(cache.mats.values()).real / cache.lam
-    row = np.abs(row0.copy())
-    best = row.sum()
-    for _ in range(200):
-        row = row @ w0
-        best = max(best, row.sum())
-    return float(best) * (1 + 1e-9) + 1e-12
+    return _transform(cache, pd, p.beta_float, cache.v_l, cache.k_left, t, tol)
 
 
 def nu_hat_initial(
@@ -151,20 +161,14 @@ def nu_hat_initial(
     cache: WeightMatrixCache | None = None,
 ) -> tuple[complex, float]:
     """Transform of the initial-state measure at t."""
-    row0, _ = _initial_row(a, pd)
+    v_i, denom = initial_row(pd, a)
     if t == 0:
         return 1.0 + 0j, 1e-15
     cache = cache or build_weight_cache(a, pd)
-    beta = p.beta_float
-    k_row = _k_initial(cache, row0)
-    c = _tail_constant(cache, k_row)
-    n = _tail_length(c, abs(t), beta, tol)
-    row = row0.astype(complex)
-    for k in range(1, n + 1):
-        row = cache.apply(row, t * beta**-k)
-    value = complex(row @ cache.v_r)
-    tail = c * abs(t) * beta ** -n / (1 - 1 / beta)
-    return value, tail + _eig_slack(pd, k_row, n)
+    row0 = v_i / denom
+    # row0 <= c v_L entrywise, so every partial row stays below c ||v_L||_1.
+    c = float((row0 / pd.v_L).max())
+    return _transform(cache, pd, p.beta_float, row0, c * cache.k_left, t, tol)
 
 
 @dataclass(frozen=True)
@@ -230,21 +234,12 @@ def psi_hat(
     if tail_terms is None:
         tail_terms = _tail_length(c, abs(z_val), beta, tol / 2)
 
-    row = cache.v_l.copy()
-    arg_err = 0.0
-    for fr in reversed(frac_beta_powers(zint, head_terms, p)):
-        row = cache.apply(row, fr.value)
-        arg_err += fr.bound
-    for n in range(1, tail_terms + 1):
-        row = cache.apply(row, z_val * beta**-n)
-    value = complex(row @ cache.v_r)
-
-    bound = (
-        c * head_residual(head_terms)
-        + c * abs(z_val) * beta**-tail_terms / (1 - 1 / beta)
-        + c * arg_err
-        + _eig_slack(pd, cache.k_left, head_terms + tail_terms + 1)
+    fracs = frac_beta_powers(zint, head_terms, p)[::-1]
+    value, tail, slack = _product(
+        cache, pd, beta, cache.v_l, cache.k_left, z_val, tail_terms, [fr.value for fr in fracs]
     )
+    arg_err = sum(fr.bound for fr in fracs)
+    bound = c * head_residual(head_terms) + tail + c * arg_err + slack
     return PsiValue(value, bound, head_terms, tail_terms)
 
 
@@ -270,7 +265,6 @@ def rajchman_scan(
     height: int,
     tol: float = DEFAULT_TOL,
     cache: WeightMatrixCache | None = None,
-    jobs: int = 1,
 ) -> ScanResult:
     """Evaluate psi-hat over all nonzero z with coordinates in [-H, H].
 
@@ -290,17 +284,10 @@ def rajchman_scan(
     ]
     candidates.sort()
 
-    def evaluate(coords):
+    entries = []
+    for coords in candidates:
         res = psi_hat(a, p, pd, coords, tol, cache)
-        return ScanEntry(z_coords=coords, value=res.value, bound=res.bound)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(evaluate, candidates))
-    else:
-        entries = [evaluate(c) for c in candidates]
+        entries.append(ScanEntry(z_coords=coords, value=res.value, bound=res.bound))
 
     best = max(range(len(entries)), key=lambda i: abs(entries[i].value))
     return ScanResult(

@@ -114,19 +114,24 @@ def cylinder_measure(pd: PerronData, a: LabeledAutomaton, word, tm: TransitionMa
     return float(row @ pd.v_R) * pd.lam ** -len(word)
 
 
-def cylinder_measure_initial(
-    pd: PerronData, a: LabeledAutomaton, word, tm: TransitionMatrices | None = None
-) -> float:
-    """Cylinder mass under the initial-state measure (paths started in I)."""
+def initial_row(pd: PerronData, a: LabeledAutomaton) -> tuple[np.ndarray, float]:
+    """Indicator row v_I of the initial states and its normaliser v_I . v_R."""
     if not a.initial:
         raise EmptyInitialSet("automaton has no initial states")
-    word = tuple(word)
-    tm = tm or transition_matrices(a)
     idx = a.state_index()
     v_i = np.zeros(pd.n_states)
     for s in a.initial:
         v_i[idx[s]] = 1.0
-    denom = float(v_i @ pd.v_R)
+    return v_i, float(v_i @ pd.v_R)
+
+
+def cylinder_measure_initial(
+    pd: PerronData, a: LabeledAutomaton, word, tm: TransitionMatrices | None = None
+) -> float:
+    """Cylinder mass under the initial-state measure (paths started in I)."""
+    v_i, denom = initial_row(pd, a)
+    word = tuple(word)
+    tm = tm or transition_matrices(a)
     row = _word_row(v_i, tm, word)
     return float(row @ pd.v_R) * pd.lam ** -len(word) / denom
 

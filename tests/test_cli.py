@@ -162,8 +162,7 @@ def test_reports_byte_stable(capsys, fixture_dir):
     _, first = run(capsys, "classify", str(fixture_dir / "fig3.json"), "--height", "1")
     _, second = run(capsys, "classify", str(fixture_dir / "fig3.json"), "--height", "1")
     assert first == second
-    _, first = run(capsys, "scan", str(fixture_dir / "fibonacci.json"), "--height", "1",
-                   "--jobs", "2")
+    _, first = run(capsys, "scan", str(fixture_dir / "fibonacci.json"), "--height", "1")
     _, second = run(capsys, "scan", str(fixture_dir / "fibonacci.json"), "--height", "1")
     assert first == second
 

@@ -15,6 +15,7 @@ from measure_lab.fourier import (
     rajchman_scan,
 )
 from measure_lab.distribution import depth_cloud
+from measure_lab.fixtures import FIXTURE_NAMES
 from measure_lab.parry import perron
 
 
@@ -165,6 +166,43 @@ def test_initial_transform_point_mass(automata, pisots, perron_data):
         assert abs(value - 1) <= bound + 1e-6
 
 
+def test_initial_row_bound_holds_for_long_products(automata, pisots, perron_data, monkeypatch):
+    # The l1 bound K that nu_hat_initial hands the product must cover
+    # |row0| W(0)^n, which dominates every partial row, far past the tail
+    # lengths the transform uses.
+    from measure_lab import fourier
+
+    product = fourier._product
+    seen = []
+
+    def recording_product(cache, pd, beta, row, k_row, *rest):
+        seen.append((cache, row, k_row))
+        return product(cache, pd, beta, row, k_row, *rest)
+
+    monkeypatch.setattr(fourier, "_product", recording_product)
+    for name in FIXTURE_NAMES:
+        a, p, pd = automata[name], pisots[name], perron_data[name]
+        if not a.initial:
+            continue
+        seen.clear()
+        nu_hat_initial(a, p, pd, 0.5, 1e-8)
+        (cache, row, k_row), = seen
+        w0 = cache.weight(0.0).real
+        x = np.abs(row)
+        for _ in range(1000):
+            assert x.sum() <= k_row, name
+            x = x @ w0
+
+
+def test_initial_transform_is_nu_hat_on_full_shift(automata, pisots, perron_data):
+    # fullshift4's one state is initial, so the initial row is v_L itself
+    # and both transforms run the same product bit for bit.
+    a, p, pd = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
+    cache = build_weight_cache(a, pd)
+    for t in (0.3, -1.7, 2.5, 13.1, 250.0):
+        assert nu_hat_initial(a, p, pd, t, 1e-8, cache) == nu_hat(a, p, pd, t, 1e-8, cache)
+
+
 # ---------------------------------------------------------------- psi_hat
 
 def test_limit_at_zero(automata, pisots, perron_data):
@@ -234,13 +272,6 @@ def test_scan_symmetry_canonical_half(automata, pisots, perron_data):
     coords = [e.z_coords for e in scan.entries]
     assert all(next(c for c in z if c) > 0 for z in coords)
     assert coords == sorted(coords)
-
-
-def test_scan_jobs_deterministic(automata, pisots, perron_data):
-    a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
-    serial = rajchman_scan(a, p, pd, height=1, tol=1e-8, jobs=1)
-    threaded = rajchman_scan(a, p, pd, height=1, tol=1e-8, jobs=4)
-    assert serial == threaded
 
 
 def test_consistency_limit_vs_large_argument(automata, pisots, perron_data):
