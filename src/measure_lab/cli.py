@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .algebraic import DEFAULT_PRECISION, make_pisot
@@ -23,7 +24,7 @@ from .automaton import (
 )
 from .classify import atoms, classify, verdict_to_dict
 from .distribution import cdf_bracket, depth_cloud
-from .errors import MeasureLabError, PrecisionExhausted, ValidationError
+from .errors import MeasureLabError, PrecisionExhausted, SchemaError, ValidationError
 from .fixtures import run_all
 from .fourier import build_weight_cache, nu_hat, nu_hat_initial, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
@@ -31,11 +32,21 @@ from .zero_automaton import build_zero_automaton, verify_zero_language
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise SchemaError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    message = f"not a comma-separated list of finite numbers: {text!r}"
+    try:
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise SchemaError(message) from None
+    if not all(map(math.isfinite, values)):
+        raise SchemaError(message)
+    return values
 
 
 def _load(path: str):

@@ -1,15 +1,16 @@
 """Depth-n discretisations of the push-forward measure.
 
-A depth cloud has one entry per admissible label word of length n: the
-truncated value sum(eps_k beta^-k), the cylinder mass, and certified
-bounds [lo, hi] on the full digit-map value over the whole cylinder,
-obtained from per-state value ranges (a Bellman fixed point with
-contraction 1/beta).  CDF brackets follow by summing masses of entries
-entirely below (lower) or not entirely above (upper) the query point.
-
-``cdf_bracket`` computes brackets without materialising per-word entries:
-words with equal truncated value and equal reachable-state support are
-merged, which keeps the base-2 fixtures feasible at depth 12.
+One level-synchronous refinement builds both views.  Level 0 is a single
+bucket holding v_L; each level expands every bucket by each label and
+merges the children under a key the caller chooses.  ``depth_cloud``
+keys on the label word, so nothing merges and each admissible word of
+length n becomes an entry: its truncated value sum(eps_k beta^-k), its
+cylinder mass, and certified bounds [lo, hi] on the full digit-map value
+over the cylinder, obtained from per-state value ranges (a Bellman fixed
+point with contraction 1/beta).  ``cdf_bracket`` keys on the truncated
+value and the reachable-state support, which keeps the base-2 fixtures
+feasible at depth 12.  CDF brackets sum the masses of buckets entirely
+below (lower) or not entirely above (upper) the query point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .algebraic import PisotNumber
 from .automaton import LabeledAutomaton, transition_matrices
-from .errors import CapExceeded, DeadState
+from .errors import CapExceeded, DeadState, ValidationError
 from .parry import PerronData
 
 CLOUD_CAP = 1_000_000
@@ -88,10 +89,71 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dic
     }
 
 
-def _bound_arrays(a: LabeledAutomaton, bounds: dict[str, tuple[float, float]]):
-    lo = np.array([bounds[s][0] for s in a.states])
-    hi = np.array([bounds[s][1] for s in a.states])
-    return lo, hi
+def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap: int, key_of):
+    """Level-synchronous depth-``depth`` refinement shared by clouds and brackets.
+
+    Level 0 is one bucket, keyed (), holding v_L.  Level k expands every
+    bucket by each label in alphabet order (``row @ per_label[label]``),
+    drops children whose row is zero, and adds each child's row into the
+    bucket named by ``key_of(parent_key, value, label, row)``; buckets keep
+    first-seen order.  The cap is checked as each bucket is inserted, so
+    the level stops growing at cap + 1 buckets.  Returns the last level's
+    keys and arrays of its truncated values, masses and certified [lo, hi],
+    plus the per-state value bounds.
+    """
+    if depth < 0:
+        raise ValidationError(f"refinement depth must be >= 0, got {depth}")
+    per_label = transition_matrices(a).per_label
+    bounds = value_bounds(a, p)
+    beta = p.beta_float
+
+    keys, values, rows = [()], [0.0], np.array([pd.v_L])
+    for k in range(1, depth + 1):
+        pow_k = beta ** -k
+        index: dict = {}
+        next_values = []
+        # One row per bucket; a level has at most |alphabet| times as many
+        # buckets as the one before.
+        next_rows = np.empty((len(keys) * len(a.alphabet), a.n_states))
+        for parent, value, row in zip(keys, values, rows):
+            for label in a.alphabet:
+                child = row @ per_label[label]
+                if child.max() <= 0:
+                    continue
+                child_value = value + label * pow_k
+                key = key_of(parent, child_value, label, child)
+                i = index.get(key)
+                if i is not None:
+                    next_rows[i] += child
+                elif len(index) == cap:
+                    raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
+                else:
+                    next_rows[len(index)] = child
+                    index[key] = len(index)
+                    next_values.append(child_value)
+        keys, values, rows = list(index), next_values, next_rows[: len(index)]
+        del index  # free the last level's index before finalisation
+
+    # Masses stay per-row dot products: a stacked matrix-vector product
+    # may sum in another order and move the last bits.
+    tail = beta ** -depth
+    value = np.array(values)
+    mass = pd.lam ** -depth * np.fromiter((row @ pd.v_R for row in rows), float, len(rows))
+    support = rows > 0
+    blo = np.array([bounds[s][0] for s in a.states])
+    bhi = np.array([bounds[s][1] for s in a.states])
+    lo = value + tail * np.where(support, blo, np.inf).min(axis=1)
+    hi = value + tail * np.where(support, bhi, -np.inf).max(axis=1)
+    return keys, value, mass, lo, hi, bounds
+
+
+def _bracket(lo: np.ndarray, hi: np.ndarray, mass: np.ndarray, x: float) -> tuple[float, float]:
+    """Bracket of the measure of (-inf, x]: buckets with hi <= x certainly
+    lie below, buckets with lo <= x possibly do.  The sums run left to
+    right in bucket order (cumsum, not np.sum's pairwise order)."""
+    lower = np.cumsum(np.where(hi <= x, mass, 0.0))
+    upper = np.cumsum(np.where(lo <= x, mass, 0.0))
+    return float(lower[-1]), float(upper[-1])
 
 
 def depth_cloud(
@@ -101,52 +163,25 @@ def depth_cloud(
     n: int,
     cap: int = CLOUD_CAP,
 ) -> DepthCloud:
-    """One entry per admissible word of length n (words deduplicated; the
-    matrix product already accounts for multiple runs)."""
-    tm = transition_matrices(a)
-    bounds = value_bounds(a, p)
-    blo, bhi = _bound_arrays(a, bounds)
-    beta = p.beta_float
-    pows = [beta ** -(k + 1) for k in range(n)]
-    tail = beta ** -n
-    lam_pow = pd.lam ** -n
-
-    entries: list[CloudEntry] = []
-    word: list[int] = []
-
-    def walk(row: np.ndarray, depth: int, value: float) -> None:
-        if depth == n:
-            support = row > 0
-            mass = lam_pow * float(row @ pd.v_R)
-            entries.append(
-                CloudEntry(
-                    word=tuple(word),
-                    value=value,
-                    mass=mass,
-                    lo=value + tail * float(blo[support].min()),
-                    hi=value + tail * float(bhi[support].max()),
-                )
-            )
-            if len(entries) > cap:
-                raise CapExceeded(f"cloud exceeds {cap} entries at depth {n}")
-            return
-        for label in a.alphabet:
-            nxt = row @ tm.per_label[label]
-            if nxt.max() > 0:
-                word.append(label)
-                walk(nxt, depth + 1, value + label * pows[depth])
-                word.pop()
-
-    walk(pd.v_L.copy(), 0, 0.0)
-    return DepthCloud(depth=n, entries=tuple(entries), state_bounds=bounds)
+    """One entry per admissible word of length n, in lexicographic order
+    (words deduplicated; the matrix product already accounts for multiple
+    runs)."""
+    words, value, mass, lo, hi, bounds = _refine(
+        a, p, pd, n, cap, lambda word, value, label, row: word + (label,)
+    )
+    entries = tuple(
+        CloudEntry(word, float(v), float(m), float(l), float(h))
+        for word, v, m, l, h in zip(words, value, mass, lo, hi)
+    )
+    return DepthCloud(depth=n, entries=entries, state_bounds=bounds)
 
 
 def cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
-    """Bracket of the measure of (-inf, x]: entries with hi <= x certainly
-    lie below, entries with lo <= x possibly do."""
-    lower = sum(e.mass for e in cloud.entries if e.hi <= x)
-    upper = sum(e.mass for e in cloud.entries if e.lo <= x)
-    return float(lower), float(upper)
+    """Bracket of the measure of (-inf, x] from a depth cloud."""
+    lo = np.array([e.lo for e in cloud.entries])
+    hi = np.array([e.hi for e in cloud.entries])
+    mass = np.array([e.mass for e in cloud.entries])
+    return _bracket(lo, hi, mass, x)
 
 
 def cdf_bracket(
@@ -157,58 +192,12 @@ def cdf_bracket(
     points,
     cap: int = CLOUD_CAP,
 ) -> list[tuple[float, float]]:
-    """CDF brackets at the given points from a depth-``depth`` refinement,
-    merging equal (value, support) prefixes instead of storing words."""
-    tm = transition_matrices(a)
-    bounds = value_bounds(a, p)
-    blo, bhi = _bound_arrays(a, bounds)
-    beta = p.beta_float
-
-    level: dict[tuple[float, int], np.ndarray] = {}
-    full_support = sum(1 << i for i in range(a.n_states) if pd.v_L[i] > 0)
-    level[(0.0, full_support)] = pd.v_L.copy()
-    for k in range(1, depth + 1):
-        pow_k = beta ** -k
-        nxt: dict[tuple[float, int], np.ndarray] = {}
-        for (value, _), row in level.items():
-            for label in a.alphabet:
-                new_row = row @ tm.per_label[label]
-                if new_row.max() <= 0:
-                    continue
-                support = 0
-                for i in range(a.n_states):
-                    if new_row[i] > 0:
-                        support |= 1 << i
-                key = (value + label * pow_k, support)
-                if key in nxt:
-                    nxt[key] += new_row
-                else:
-                    nxt[key] = new_row
-        if len(nxt) > cap:
-            raise CapExceeded(f"bracket refinement exceeds {cap} buckets at depth {k}")
-        level = nxt
-
-    tail = beta ** -depth
-    lam_pow = pd.lam ** -depth
-    points = list(points)
-    lower = [0.0] * len(points)
-    upper = [0.0] * len(points)
-    for (value, support), row in level.items():
-        mask = [support >> i & 1 for i in range(a.n_states)]
-        sel = np.array(mask, dtype=bool)
-        lo = value + tail * float(blo[sel].min())
-        hi = value + tail * float(bhi[sel].max())
-        mass = lam_pow * float(row @ pd.v_R)
-        for i, x in enumerate(points):
-            if hi <= x:
-                lower[i] += mass
-            if lo <= x:
-                upper[i] += mass
-    return list(zip(lower, upper))
-
-
-def empirical_cdf(values: np.ndarray, x: float) -> float:
-    return float(np.mean(values <= x))
+    """CDF brackets at the given points from a depth-``depth`` refinement
+    whose buckets merge words of equal truncated value and equal support."""
+    _, _, mass, lo, hi, _ = _refine(
+        a, p, pd, depth, cap, lambda key, value, label, row: (value, (row > 0).tobytes())
+    )
+    return [_bracket(lo, hi, mass, x) for x in points]
 
 
 def push_samples(labels: np.ndarray, p: PisotNumber) -> np.ndarray:

@@ -231,6 +231,20 @@ def _mass_comparison(atoms, reference: dict[str, float], beta: float) -> dict:
     }
 
 
+def _cdf_comparison(a: LabeledAutomaton, p, pd, depth: int, ref: dict, note: str | None) -> dict:
+    """Reference CDF values against certified brackets (1e-9 slack);
+    ``note`` is reported when some point disagrees."""
+    points = ref["cdf_points"]
+    brackets = cdf_bracket(a, p, pd, depth, points)
+    rows = []
+    reconciled = True
+    for x, target, (lo, hi) in zip(points, ref["cdf_values"], brackets):
+        agrees = lo - 1e-9 <= target <= hi + 1e-9
+        reconciled = reconciled and agrees
+        rows.append({"x": x, "reference_cdf": target, "bracket": [lo, hi], "agrees": agrees})
+    return {"rows": rows, "reconciled": reconciled, "note": None if reconciled else note}
+
+
 def fixture_report(name: str, seed: int = 0) -> dict:
     """Analysis report plus reference cross-checks for one fixture."""
     a = fixture_automaton(name)
@@ -258,24 +272,11 @@ def fixture_report(name: str, seed: int = 0) -> dict:
         report["verdict"] = verdict_to_dict(verdict)
         scan = rajchman_scan(a, p, pd, height=2)
         report["scan_max_abs"] = scan.max_abs
-        points = ref["cdf_points"]
-        brackets = cdf_bracket(a, p, pd, 14, points)
-        rows = []
-        reconciled = True
-        for x, target, (lo, hi) in zip(points, ref["cdf_values"], brackets):
-            agrees = lo - 1e-9 <= target <= hi + 1e-9
-            reconciled = reconciled and agrees
-            rows.append(
-                {"x": x, "reference_cdf": target, "bracket": [lo, hi], "agrees": agrees}
-            )
-        report["reference_cdf"] = {
-            "rows": rows,
-            "reconciled": reconciled,
-            "note": None
-            if reconciled
-            else "measured CDF brackets exclude the uniform reference at some "
+        report["reference_cdf"] = _cdf_comparison(
+            a, p, pd, 14, ref,
+            "measured CDF brackets exclude the uniform reference at some "
             "points; the measured invariant-density profile is reported instead",
-        }
+        )
 
     elif name == "fullshift4":
         verdict = classify(a, p)
@@ -290,17 +291,7 @@ def fixture_report(name: str, seed: int = 0) -> dict:
             "closed_form_quarter": closed_quarter,
             "quarter_agrees": abs(abs(vq) - closed_quarter) < 1e-4,
         }
-        points = ref["cdf_points"]
-        brackets = cdf_bracket(a, p, pd, 12, points)
-        rows = []
-        reconciled = True
-        for x, target, (lo, hi) in zip(points, ref["cdf_values"], brackets):
-            agrees = lo - 1e-9 <= target <= hi + 1e-9
-            reconciled = reconciled and agrees
-            rows.append(
-                {"x": x, "reference_cdf": target, "bracket": [lo, hi], "agrees": agrees}
-            )
-        report["reference_cdf"] = {"rows": rows, "reconciled": reconciled, "note": None}
+        report["reference_cdf"] = _cdf_comparison(a, p, pd, 12, ref, None)
 
     elif name == "fig3":
         verdict = classify(a, p, scan_height=1)

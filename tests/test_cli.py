@@ -133,6 +133,30 @@ def test_cdf(capsys, fixture_dir):
     assert brackets[0]["lower"] <= 0.0625 <= brackets[0]["upper"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("cdf", "--depth", "-1", "--points", "0.5"),
+    ("cloud", "--depth", "-1"),
+], ids=["cdf", "cloud"])
+def test_negative_depth_exit_code(capsys, fixture_dir, argv):
+    command, *flags = argv
+    code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), *flags)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("cdf", "--points", "0.5,abc"),
+    ("cdf", "--points", "nan"),
+    ("limit", "--z", "1,x"),
+    ("fourier", "--t", "nan"),
+    ("fourier", "--t", "0.5,1e999"),
+])
+def test_malformed_list_flag_exit_code(capsys, fixture_dir, command, flag, value):
+    code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), flag, value)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
 def test_cloud_csv(capsys, fixture_dir, tmp_path):
     csv_path = tmp_path / "cloud.csv"
     code, out = run(

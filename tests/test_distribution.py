@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from measure_lab.automaton import parse_automaton
+from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.distribution import (
     cdf_bounds,
     cdf_bracket,
@@ -108,10 +108,84 @@ def test_cloud_atomic_values_cluster(automata, pisots, perron_data):
         assert any(e.lo - 1e-9 <= v <= e.hi + 1e-9 for v in atom_values)
 
 
-def test_cloud_cap(automata, pisots, perron_data):
+@pytest.mark.parametrize("refine", [
+    lambda a, p, pd, cap: depth_cloud(a, p, pd, 12, cap=cap),
+    lambda a, p, pd, cap: cdf_bracket(a, p, pd, 12, [1.5], cap=cap),
+], ids=["depth_cloud", "cdf_bracket"])
+def test_cloud_cap(automata, pisots, perron_data, refine):
     with pytest.raises(CapExceeded):
-        depth_cloud(automata["fullshift4"], pisots["fullshift4"],
-                    perron_data["fullshift4"], 12, cap=1000)
+        refine(automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"], 1000)
+
+
+def _reference_cloud(a, p, pd, n):
+    """Per-word recursion the refinement engine replaced."""
+    tm = transition_matrices(a)
+    bounds = value_bounds(a, p)
+    blo = np.array([bounds[s][0] for s in a.states])
+    bhi = np.array([bounds[s][1] for s in a.states])
+    beta = p.beta_float
+    entries = []
+
+    def walk(row, word, value):
+        if len(word) == n:
+            support = row > 0
+            tail = beta ** -n
+            entries.append((word, value, pd.lam ** -n * float(row @ pd.v_R),
+                            value + tail * float(blo[support].min()),
+                            value + tail * float(bhi[support].max())))
+            return
+        for label in a.alphabet:
+            nxt = row @ tm.per_label[label]
+            if nxt.max() > 0:
+                walk(nxt, word + (label,), value + label * beta ** -(len(word) + 1))
+
+    walk(pd.v_L.copy(), (), 0.0)
+    return entries
+
+
+def _reference_brackets(a, p, pd, depth, points):
+    """Bucket loop the refinement engine replaced: merges equal
+    (value, support) prefixes and sums masses bucket by bucket."""
+    tm = transition_matrices(a)
+    bounds = value_bounds(a, p)
+    beta = p.beta_float
+    level = {(0.0, ()): pd.v_L.copy()}
+    for k in range(1, depth + 1):
+        nxt = {}
+        for (value, _), row in level.items():
+            for label in a.alphabet:
+                new_row = row @ tm.per_label[label]
+                if new_row.max() > 0:
+                    key = (value + label * beta ** -k, tuple(new_row > 0))
+                    if key in nxt:
+                        nxt[key] += new_row
+                    else:
+                        nxt[key] = new_row
+        level = nxt
+    out = []
+    for x in points:
+        lower = upper = 0.0
+        for (value, support), row in level.items():
+            states = [s for s, on in zip(a.states, support) if on]
+            lo = value + beta ** -depth * min(bounds[s][0] for s in states)
+            hi = value + beta ** -depth * max(bounds[s][1] for s in states)
+            mass = pd.lam ** -depth * float(row @ pd.v_R)
+            if hi <= x:
+                lower += mass
+            if lo <= x:
+                upper += mass
+        out.append((lower, upper))
+    return out
+
+
+def test_refinement_matches_reference_bit_for_bit(automata, pisots, perron_data):
+    for name in automata:
+        a, p, pd = automata[name], pisots[name], perron_data[name]
+        cloud = depth_cloud(a, p, pd, 6)
+        assert [(e.word, e.value, e.mass, e.lo, e.hi) for e in cloud.entries] == \
+            _reference_cloud(a, p, pd, 6), name
+        points = [-0.5, 0.2, 0.7, 1.4, 2.6]
+        assert cdf_bracket(a, p, pd, 9, points) == _reference_brackets(a, p, pd, 9, points), name
 
 
 def test_cloud_invariants(automata, pisots, perron_data):
