@@ -411,6 +411,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_list_flags(list(argv if argv is not None else sys.argv[1:])))
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValidationError(f"--tol must be a finite number > 0, got {args.tol!r}")
         report = args.fn(args)
     except ValidationError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)

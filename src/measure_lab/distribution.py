@@ -1,16 +1,17 @@
 """Depth-n discretisations of the push-forward measure.
 
 One level-synchronous refinement builds both views.  Level 0 is a single
-bucket holding v_L; each level expands every bucket by each label and
-merges the children under a key the caller chooses.  ``depth_cloud``
-keys on the label word, so nothing merges and each admissible word of
-length n becomes an entry: its truncated value sum(eps_k beta^-k), its
-cylinder mass, and certified bounds [lo, hi] on the full digit-map value
-over the cylinder, obtained from per-state value ranges (a Bellman fixed
-point with contraction 1/beta).  ``cdf_bracket`` keys on the truncated
-value and the reachable-state support, which keeps the base-2 fixtures
-feasible at depth 12.  CDF brackets sum the masses of buckets entirely
-below (lower) or not entirely above (upper) the query point.
+bucket holding v_L; each level expands all its buckets at once, one
+stacked matrix product per label, and either keeps every nonzero child or
+merges the children.  ``depth_cloud`` merges nothing, so each admissible
+word of length n becomes an entry: its truncated value sum(eps_k
+beta^-k), its cylinder mass, and certified bounds [lo, hi] on the full
+digit-map value over the cylinder, obtained from per-state value ranges
+(a Bellman fixed point with contraction 1/beta).  ``cdf_bracket`` merges
+children of equal truncated value and equal reachable-state support,
+which keeps the base-2 fixtures feasible at depth 12.  CDF brackets sum
+the masses of buckets entirely below (lower) or not entirely above
+(upper) the query point.
 """
 
 from __future__ import annotations
@@ -89,62 +90,93 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dic
     }
 
 
-def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap: int, key_of):
+def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap: int, merge: bool):
     """Level-synchronous depth-``depth`` refinement shared by clouds and brackets.
 
-    Level 0 is one bucket, keyed (), holding v_L.  Level k expands every
-    bucket by each label in alphabet order (``row @ per_label[label]``),
-    drops children whose row is zero, and adds each child's row into the
-    bucket named by ``key_of(parent_key, value, label, row)``; buckets keep
-    first-seen order.  The cap is checked as each bucket is inserted, so
-    the level stops growing at cap + 1 buckets.  Returns the last level's
-    keys and arrays of its truncated values, masses and certified [lo, hi],
-    plus the per-state value bounds.
+    Level 0 is one bucket holding v_L.  Level k expands the whole level in
+    one stacked product per label (``rows @ per_label[label]``), with the
+    children in parent-major, label-minor order, and drops children whose
+    row is zero.  Without ``merge`` every child is a bucket, named by its
+    label word; with it, children of equal truncated value and equal
+    support share a bucket, buckets keep first-seen order and each sums
+    its children's rows in child order, which repeats a per-child loop's
+    first-seen bucket order and sequential sums.  The cap is checked once
+    per level, on its bucket count after the merge, so a level of cap + 1
+    buckets raises at that depth.  Returns the last level's words (None
+    when merging) and arrays of its truncated values, masses and certified
+    [lo, hi], plus the per-state value bounds.
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
     per_label = transition_matrices(a).per_label
+    mats = [per_label[label].astype(float) for label in a.alphabet]
+    labels = np.array(a.alphabet, dtype=float)
     bounds = value_bounds(a, p)
     beta = p.beta_float
+    n = a.n_states
 
-    keys, values, rows = [()], [0.0], np.array([pd.v_L])
+    values, rows = np.zeros(1), np.array([pd.v_L])
+    trail = []  # per level: flat (parent, label) index of every kept child
     for k in range(1, depth + 1):
-        pow_k = beta ** -k
-        index: dict = {}
-        next_values = []
-        # One row per bucket; a level has at most |alphabet| times as many
-        # buckets as the one before.
-        next_rows = np.empty((len(keys) * len(a.alphabet), a.n_states))
-        for parent, value, row in zip(keys, values, rows):
-            for label in a.alphabet:
-                child = row @ per_label[label]
-                if child.max() <= 0:
-                    continue
-                child_value = value + label * pow_k
-                key = key_of(parent, child_value, label, child)
-                i = index.get(key)
-                if i is not None:
-                    next_rows[i] += child
-                elif len(index) == cap:
-                    raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
-                else:
-                    next_rows[len(index)] = child
-                    index[key] = len(index)
-                    next_values.append(child_value)
-        keys, values, rows = list(index), next_values, next_rows[: len(index)]
-        del index  # free the last level's index before finalisation
+        # A level has at most |alphabet| times as many buckets as the one
+        # before, so this is the level's largest allocation.
+        children = np.empty((len(rows), len(mats), n))
+        for j, m in enumerate(mats):
+            children[:, j] = rows @ m
+        children = children.reshape(-1, n)
+        kept = np.flatnonzero(children.max(axis=1) > 0)
+        child_values = (values[:, None] + labels * beta ** -k).ravel()[kept]
+        children = children[kept]
+        if merge:
+            first, group = _first_seen_groups(child_values, children > 0)
+            if len(first) > cap:
+                raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
+            values, rows = child_values[first], np.zeros((len(first), n))
+            np.add.at(rows, group, children)
+        else:
+            if len(kept) > cap:
+                raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
+            values, rows = child_values, children
+            trail.append(kept)
+        del children  # free this level's children before the next level's
 
+    words = None if merge else _words(trail, a.alphabet)
     # Masses stay per-row dot products: a stacked matrix-vector product
     # may sum in another order and move the last bits.
     tail = beta ** -depth
-    value = np.array(values)
     mass = pd.lam ** -depth * np.fromiter((row @ pd.v_R for row in rows), float, len(rows))
     support = rows > 0
     blo = np.array([bounds[s][0] for s in a.states])
     bhi = np.array([bounds[s][1] for s in a.states])
-    lo = value + tail * np.where(support, blo, np.inf).min(axis=1)
-    hi = value + tail * np.where(support, bhi, -np.inf).max(axis=1)
-    return keys, value, mass, lo, hi, bounds
+    lo = values + tail * np.where(support, blo, np.inf).min(axis=1)
+    hi = values + tail * np.where(support, bhi, -np.inf).max(axis=1)
+    return words, values, mass, lo, hi, bounds
+
+
+def _first_seen_groups(values: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows on (value, support): the index of each group's first
+    member, groups in first-seen order, and each row's group number.
+    Adding 0.0 turns -0.0 into 0.0, so values group on float equality."""
+    key = np.concatenate(
+        [(values + 0.0).view(np.uint8).reshape(-1, 8), np.packbits(support, axis=1)], axis=1
+    )
+    key = np.ascontiguousarray(key).view(np.dtype((np.void, key.shape[1]))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+def _words(trail: list[np.ndarray], alphabet) -> list[tuple[int, ...]]:
+    """Label words of the last level's buckets, built once after the last
+    level from each level's kept (parent, label) indices.  Extending the
+    words level by level keeps at most two levels of tuples alive."""
+    words = [()]
+    for kept in trail:
+        parent, label = np.divmod(kept, len(alphabet))
+        words = [words[i] + (alphabet[j],) for i, j in zip(parent.tolist(), label.tolist())]
+    return words
 
 
 def _bracket(lo: np.ndarray, hi: np.ndarray, mass: np.ndarray, x: float) -> tuple[float, float]:
@@ -166,9 +198,7 @@ def depth_cloud(
     """One entry per admissible word of length n, in lexicographic order
     (words deduplicated; the matrix product already accounts for multiple
     runs)."""
-    words, value, mass, lo, hi, bounds = _refine(
-        a, p, pd, n, cap, lambda word, value, label, row: word + (label,)
-    )
+    words, value, mass, lo, hi, bounds = _refine(a, p, pd, n, cap, merge=False)
     entries = tuple(
         CloudEntry(word, float(v), float(m), float(l), float(h))
         for word, v, m, l, h in zip(words, value, mass, lo, hi)
@@ -194,9 +224,7 @@ def cdf_bracket(
 ) -> list[tuple[float, float]]:
     """CDF brackets at the given points from a depth-``depth`` refinement
     whose buckets merge words of equal truncated value and equal support."""
-    _, _, mass, lo, hi, _ = _refine(
-        a, p, pd, depth, cap, lambda key, value, label, row: (value, (row > 0).tobytes())
-    )
+    _, _, mass, lo, hi, _ = _refine(a, p, pd, depth, cap, merge=True)
     return [_bracket(lo, hi, mass, x) for x in points]
 
 

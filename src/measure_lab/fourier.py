@@ -30,6 +30,7 @@ import numpy as np
 
 from .algebraic import BetaInt, PisotNumber, bint_embed, frac_beta_powers
 from .automaton import LabeledAutomaton, TransitionMatrices, transition_matrices
+from .errors import ValidationError
 from .parry import PerronData, initial_row
 
 DEFAULT_TOL = 1e-8
@@ -88,11 +89,11 @@ def _tail_constant(cache: WeightMatrixCache, k_row: float) -> float:
 
 
 def _tail_length(c: float, t_abs: float, beta: float, tol: float) -> int:
-    # c * |t| * beta^-N / (1 - 1/beta) <= tol
-    geo = 1 - 1 / beta
-    if t_abs == 0:
+    # c * |t| * beta^-N / (1 - 1/beta) <= tol, solved in logarithms so that
+    # no product overflows: every finite t gets a finite N.
+    if t_abs == 0 or c == 0:
         return 1
-    n = math.log(c * t_abs / (tol * geo)) / math.log(beta) if c * t_abs > tol * geo else 0
+    n = (math.log(c) + math.log(t_abs) - math.log(tol * (1 - 1 / beta))) / math.log(beta)
     return max(1, math.ceil(n))
 
 
@@ -274,7 +275,7 @@ def rajchman_scan(
     towards the earlier z.
     """
     if height < 1:
-        raise ValueError("height must be >= 1")
+        raise ValidationError(f"scan height must be >= 1, got {height}")
     cache = cache or build_weight_cache(a, pd)
     r = p.degree
     candidates = [

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -155,6 +156,34 @@ def test_malformed_list_flag_exit_code(capsys, fixture_dir, command, flag, value
     code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), flag, value)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "--z", "1", "--tol", "-1"),
+    ("fourier", "--t", "1", "--tol", "0"),
+    ("cdf", "--points", "0.5", "--tol", "nan"),
+    ("scan", "--height", "1", "--tol", "inf"),
+    ("cloud", "--depth", "2", "--tol=-inf"),
+], ids=["negative", "zero", "nan", "inf", "minus-inf"])
+def test_bad_tol_exit_code(capsys, fixture_dir, argv):
+    command, *flags = argv
+    code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), *flags)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+def test_fourier_huge_t(capsys, fixture_dir):
+    code, out = run(capsys, "fourier", str(fixture_dir / "fibonacci.json"), "--t", "1e300,-1e300")
+    assert code == 0
+    for row in json.loads(out)["values"]:
+        assert math.isfinite(row["bound"]) and row["bound"] <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["scan", "classify"])
+def test_bad_height_exit_code(capsys, fixture_dir, command):
+    code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), "--height", "0")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
 def test_cloud_csv(capsys, fixture_dir, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.distribution import (
@@ -186,6 +187,65 @@ def test_refinement_matches_reference_bit_for_bit(automata, pisots, perron_data)
             _reference_cloud(a, p, pd, 6), name
         points = [-0.5, 0.2, 0.7, 1.4, 2.6]
         assert cdf_bracket(a, p, pd, 9, points) == _reference_brackets(a, p, pd, 9, points), name
+    # fig3 at depth 12 merges its 3^12 words into 6,984 buckets
+    a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
+    points = [0.1, 0.5, 1.0, 1.5, 2.2, 3.0]
+    assert cdf_bracket(a, p, pd, 12, points) == _reference_brackets(a, p, pd, 12, points)
+
+
+@pytest.mark.parametrize("refine, buckets", [
+    (lambda a, p, pd, cap: depth_cloud(a, p, pd, 5, cap=cap), 4**5),
+    (lambda a, p, pd, cap: cdf_bracket(a, p, pd, 5, [1.5], cap=cap), 3 * 2**5 - 2),
+], ids=["depth_cloud", "cdf_bracket"])
+def test_cap_boundary(automata, pisots, perron_data, refine, buckets):
+    # fullshift4 at depth 5: 4^5 words, and 3 * 2^5 - 2 distinct values m / 2^5
+    args = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
+    refine(*args, buckets)
+    with pytest.raises(CapExceeded) as info:
+        refine(*args, buckets - 1)
+    assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth 5"
+
+
+@st.composite
+def signed_automata(draw):
+    """Primitive automata whose label matrices have three or more in-edges
+    per column, so a level's stacked product sums three or more terms per
+    entry.  The first label has every edge, which makes the total matrix
+    positive; labels are signed."""
+    n = draw(st.integers(3, 5))
+    alphabet = sorted(draw(st.sets(st.integers(-3, 3), min_size=2, max_size=4)
+                           .filter(lambda labels: min(labels) < 0)))
+    edges = []
+    for i, label in enumerate(alphabet):
+        for dst in range(n):
+            sources = range(n) if i == 0 else draw(st.sets(st.integers(0, n - 1), min_size=3))
+            edges += [{"from": f"s{src}", "to": f"s{dst}", "label": label} for src in sources]
+    return parse_automaton(
+        {"alphabet": alphabet, "states": [f"s{i}" for i in range(n)], "edges": edges}
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=signed_automata(), integer_base=st.booleans(), depth=st.integers(1, 5))
+def test_refinement_matches_reference_on_random_automata(golden, base_two, a, integer_base, depth):
+    p = base_two if integer_base else golden
+    pd = perron(a)
+    cloud = depth_cloud(a, p, pd, depth)
+    reference = _reference_cloud(a, p, pd, depth)
+    assert [(e.word, e.value, e.lo, e.hi) for e in cloud.entries] == \
+        [(word, value, lo, hi) for word, value, _, lo, hi in reference]
+    # Each entry of a level is a sum of at most n nonnegative products, so
+    # any two summation orders agree to (n - 1) half-ulps per level and the
+    # two masses to (depth + 1) * n ulps.  The brackets also sum up to one
+    # term per word in the same order on both sides.
+    eps = np.finfo(float).eps
+    rtol = (depth + 1) * a.n_states * eps
+    np.testing.assert_allclose([e.mass for e in cloud.entries],
+                               [entry[2] for entry in reference], rtol=rtol, atol=0)
+    points = [-1.0, 0.2, 0.7, 1.5]
+    np.testing.assert_allclose(cdf_bracket(a, p, pd, depth, points),
+                               _reference_brackets(a, p, pd, depth, points),
+                               rtol=rtol + 2 * len(reference) * eps, atol=0)
 
 
 def test_cloud_invariants(automata, pisots, perron_data):
