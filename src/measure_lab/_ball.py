@@ -3,9 +3,11 @@
 A small self-contained layer for certified evaluation of algebraic
 numbers: every operation returns a ball guaranteed to contain the exact
 result, with the radius inflated to absorb floating-point rounding of the
-midpoint.  Callers control the working precision through ``mp.workprec``;
-radii are kept as nonnegative ``mpf`` values so they survive down to
-exponents far below double range.
+midpoint.  Real balls and complex disks share one arithmetic.  Callers
+set the working precision through ``mp.workprec`` and escalate it through
+``algebraic._escalate``; radii are nonnegative ``mpf`` values so they
+survive down to exponents far below double range.  An int enters exactly,
+a Fraction rounded (radius |mid|*eps, even for denominator 1).
 """
 
 from __future__ import annotations
@@ -28,38 +30,29 @@ def _to_mpf_exact(n: int) -> mpf:
         return mpf(n)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Real ball [mid - rad, mid + rad]."""
+class _Arith:
+    """The arithmetic shared by Ball and CBall; results keep the type."""
 
-    mid: mpf
-    rad: mpf
+    @classmethod
+    def enclose(cls, c: int | Fraction):
+        """Ball around an int (exact) or a Fraction (rounded)."""
+        if isinstance(c, Fraction):
+            mid = _to_mpf_exact(c.numerator) / _to_mpf_exact(c.denominator)
+            rad = abs(mid) * _eps()
+        else:
+            mid, rad = _to_mpf_exact(c), mpf(0)
+        return cls(cls._lift(mid), rad)
 
-    @staticmethod
-    def from_int(n: int) -> "Ball":
-        return Ball(_to_mpf_exact(n), mpf(0))
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "Ball":
-        num = _to_mpf_exact(q.numerator)
-        den = _to_mpf_exact(q.denominator)
-        e = _eps()
-        mid = num / den
-        return Ball(mid, abs(mid) * e)
-
-    def __add__(self, other: "Ball") -> "Ball":
+    def __add__(self, other):
         e = _eps()
         mid = self.mid + other.mid
         rad = (self.rad + other.rad) * (1 + e) + abs(mid) * e
-        return Ball(mid, rad)
+        return type(self)(mid, rad)
 
-    def __sub__(self, other: "Ball") -> "Ball":
-        return self + (-other)
+    def __neg__(self):
+        return type(self)(-self.mid, self.rad)
 
-    def __neg__(self) -> "Ball":
-        return Ball(-self.mid, self.rad)
-
-    def __mul__(self, other: "Ball") -> "Ball":
+    def __mul__(self, other):
         e = _eps()
         mid = self.mid * other.mid
         rad = (
@@ -67,52 +60,30 @@ class Ball:
             + abs(other.mid) * self.rad
             + self.rad * other.rad
         ) * (1 + 4 * e) + abs(mid) * e
-        return Ball(mid, rad)
+        return type(self)(mid, rad)
 
-    def scale_int(self, n: int) -> "Ball":
-        e = _eps()
-        m = _to_mpf_exact(n)
-        mid = self.mid * m
-        return Ball(mid, self.rad * abs(m) * (1 + e) + abs(mid) * e)
-
-    def add_int(self, n: int) -> "Ball":
+    def add_int(self, n: int):
         e = _eps()
         mid = self.mid + _to_mpf_exact(n)
-        return Ball(mid, self.rad * (1 + e) + abs(mid) * e)
-
-    def __truediv__(self, other: "Ball") -> "Ball":
-        if other.lower() <= 0 <= other.upper():
-            raise ZeroDivisionError("ball division by interval containing 0")
-        e = _eps()
-        mid = self.mid / other.mid
-        denom_low = abs(other.mid) - other.rad
-        rad = ((self.rad + abs(mid) * other.rad) / denom_low) * (1 + 4 * e) + abs(mid) * e
-        return Ball(mid, rad)
-
-    def abs_ball(self) -> "Ball":
-        return Ball(abs(self.mid), self.rad)
-
-    def pow_int(self, k: int) -> "Ball":
-        if k < 0:
-            raise ValueError("negative exponent")
-        result = Ball.from_int(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def upper(self) -> mpf:
-        return self.mid + self.rad
-
-    def lower(self) -> mpf:
-        return self.mid - self.rad
+        return type(self)(mid, self.rad * (1 + e) + abs(mid) * e)
 
     def mag(self) -> mpf:
         """Upper bound for |value|."""
         return abs(self.mid) + self.rad
+
+
+@dataclass(frozen=True)
+class Ball(_Arith):
+    """Real ball [mid - rad, mid + rad]."""
+
+    mid: mpf
+    rad: mpf
+
+    # Identity, not mpf(): that would round an exact big integer.
+    _lift = staticmethod(lambda x: x)
+
+    def lower(self) -> mpf:
+        return self.mid - self.rad
 
     def mig(self) -> mpf:
         """Lower bound for |value|."""
@@ -121,64 +92,13 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class CBall:
+class CBall(_Arith):
     """Complex ball: disk of radius rad around mid."""
 
     mid: mpc
     rad: mpf
 
-    @staticmethod
-    def from_int(n: int) -> "CBall":
-        return CBall(mpc(_to_mpf_exact(n)), mpf(0))
-
-    @staticmethod
-    def from_ball(b: Ball) -> "CBall":
-        return CBall(mpc(b.mid), b.rad)
-
-    def __add__(self, other: "CBall") -> "CBall":
-        e = _eps()
-        mid = self.mid + other.mid
-        rad = (self.rad + other.rad) * (1 + e) + abs(mid) * e
-        return CBall(mid, rad)
-
-    def __neg__(self) -> "CBall":
-        return CBall(-self.mid, self.rad)
-
-    def __sub__(self, other: "CBall") -> "CBall":
-        return self + (-other)
-
-    def __mul__(self, other: "CBall") -> "CBall":
-        e = _eps()
-        mid = self.mid * other.mid
-        rad = (
-            abs(self.mid) * other.rad
-            + abs(other.mid) * self.rad
-            + self.rad * other.rad
-        ) * (1 + 4 * e) + abs(mid) * e
-        return CBall(mid, rad)
-
-    def scale_int(self, n: int) -> "CBall":
-        e = _eps()
-        m = _to_mpf_exact(n)
-        mid = self.mid * m
-        return CBall(mid, self.rad * abs(m) * (1 + e) + abs(mid) * e)
-
-    def add_int(self, n: int) -> "CBall":
-        e = _eps()
-        mid = self.mid + _to_mpf_exact(n)
-        return CBall(mid, self.rad * (1 + e) + abs(mid) * e)
-
-    def pow_int(self, k: int) -> "CBall":
-        if k < 0:
-            raise ValueError("negative exponent")
-        result = CBall.from_int(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    _lift = staticmethod(mpc)
 
     def abs_ball(self) -> Ball:
         """Real ball containing |value|."""
@@ -190,16 +110,14 @@ class CBall:
         """Real ball containing the value, valid when the value is known real."""
         return Ball(self.mid.real, self.rad)
 
-    def mag(self) -> mpf:
-        return abs(self.mid) + self.rad
-
 
 def ball_horner(coeffs, point):
-    """Evaluate sum(coeffs[i] * point**i) as a ball; coeffs are ints.
+    """Evaluate sum(coeffs[i] * point**i) as a ball of point's type.
 
-    ``point`` may be a Ball or CBall; the result has the same type.
+    Coefficients are ints or Fractions, entering as ``enclose`` does.
     """
-    acc = point.from_int(coeffs[-1]) if coeffs else point.from_int(0)
+    acc = point.enclose(coeffs[-1] if coeffs else 0)
     for c in reversed(coeffs[:-1]):
-        acc = (acc * point).add_int(c)
+        acc = acc * point
+        acc = acc + point.enclose(c) if isinstance(c, Fraction) else acc.add_int(c)
     return acc

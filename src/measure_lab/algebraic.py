@@ -2,10 +2,14 @@
 
 Elements are coordinate vectors in the power basis 1, beta, ..., beta^(r-1)
 with arbitrary-size integer (BetaInt) or exact rational (QBeta)
-coordinates.  Numeric values are only ever produced as certified
-enclosures (midpoint plus radius), with automatic precision escalation up
-to a configurable cap, so that boundary comparisons can never silently
-misclassify.
+coordinates, sharing one coordinate arithmetic.  Numeric values are only
+ever produced as certified enclosures (midpoint plus radius), so that
+boundary comparisons can never silently misclassify.  Every enclosure
+follows one precision policy, ``_escalate``: start at ``p.precision``,
+double until the decision is certified, and raise ``PrecisionExhausted``
+past ``MEASURE_LAB_PRECISION_CAP``.  Embeddings of both element types are
+one ``ball_horner`` evaluation: int coordinates enter exactly, Fraction
+coordinates rounded to the working precision.
 
 Root enclosures are certified once per (minimal polynomial, precision,
 precision cap) and reused by every later embedding and comparison.
@@ -53,6 +57,21 @@ def _serialized(fn):
             return fn(*args, **kwargs)
 
     return wrapper
+
+
+def _escalate(start: int, attempt, failure, cap: int | None = None):
+    """The one precision policy: attempt(prec) at start, 2*start, ... while
+    prec stays within the cap (the precision cap unless given, never below
+    start); the first result that is not None wins.  Past the cap raises
+    PrecisionExhausted(failure(cap))."""
+    cap = max(precision_cap() if cap is None else cap, start)
+    prec = start
+    while prec <= cap:
+        result = attempt(prec)
+        if result is not None:
+            return result
+        prec *= 2
+    raise PrecisionExhausted(failure(cap))
 
 
 class FracPart(NamedTuple):
@@ -312,48 +331,45 @@ def _classified_disks(minpoly: tuple[int, ...], target_prec: int):
 @lru_cache(maxsize=None)
 def _classified_disks_capped(minpoly: tuple[int, ...], target_prec: int, cap: int):
     width_goal = mpf(2) ** -(target_prec // 2)
-    prec = max(64, target_prec)
-    cap = max(cap, prec)
-    while True:
+
+    def attempt(prec: int):
         disks = _root_disks(minpoly, prec)
-        if disks is not None:
-            with mp.workprec(prec + 64):
-                big = [d for d in disks if abs(d[0]) - d[1] > 1]
-                small = [d for d in disks if abs(d[0]) + d[1] < 1]
-                if len(big) >= 2:
-                    z = big[1][0]
-                    raise NotPisot(
-                        f"root {complex(z):.6g} has modulus > 1 besides the dominant root"
-                    )
-                if len(big) + len(small) == len(disks) and len(big) == 0:
-                    raise NotPisot("no root with modulus > 1")
-                sharp = all(d[1] <= width_goal for d in disks)
-                if sharp and len(big) == 1 and len(small) == len(disks) - 1:
-                    dom = disks[0]
-                    # Exactly one root outside the unit circle: complex roots
-                    # pair with their conjugates, so this one is real.
-                    if dom[0].real < 0:
-                        raise NotPisot(
-                            f"dominant root {complex(dom[0]):.6g} is negative"
-                        )
-                    conj = []
-                    is_real = []
-                    ok = True
-                    for mid, rad in disks[1:]:
-                        verdict = _certify_real_root(minpoly, mid, rad)
-                        if verdict is None:
-                            ok = False
-                            break
-                        conj.append(CBall(mid, rad))
-                        is_real.append(verdict)
-                    if ok:
-                        beta = Ball(dom[0].real, dom[1])
-                        return beta, tuple(conj), tuple(is_real)
-        prec *= 2
-        if prec > cap:
-            raise PrecisionExhausted(
-                f"cannot certify root enclosures of {minpoly} within {cap} bits"
-            )
+        if disks is None:
+            return None
+        with mp.workprec(prec + 64):
+            big = [d for d in disks if abs(d[0]) - d[1] > 1]
+            small = [d for d in disks if abs(d[0]) + d[1] < 1]
+            if len(big) >= 2:
+                z = big[1][0]
+                raise NotPisot(
+                    f"root {complex(z):.6g} has modulus > 1 besides the dominant root"
+                )
+            if len(big) + len(small) == len(disks) and len(big) == 0:
+                raise NotPisot("no root with modulus > 1")
+            sharp = all(d[1] <= width_goal for d in disks)
+            if not (sharp and len(big) == 1 and len(small) == len(disks) - 1):
+                return None
+            dom = disks[0]
+            # Exactly one root outside the unit circle: complex roots
+            # pair with their conjugates, so this one is real.
+            if dom[0].real < 0:
+                raise NotPisot(f"dominant root {complex(dom[0]):.6g} is negative")
+            conj = []
+            is_real = []
+            for mid, rad in disks[1:]:
+                verdict = _certify_real_root(minpoly, mid, rad)
+                if verdict is None:
+                    return None
+                conj.append(CBall(mid, rad))
+                is_real.append(verdict)
+            return Ball(dom[0].real, dom[1]), tuple(conj), tuple(is_real)
+
+    return _escalate(
+        max(64, target_prec),
+        attempt,
+        lambda cap: f"cannot certify root enclosures of {minpoly} within {cap} bits",
+        cap,
+    )
 
 
 @_serialized
@@ -376,7 +392,7 @@ def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
         root = -coeffs[0]
         if root < 2:
             raise NotPisot(f"root {root} is not a real algebraic integer > 1")
-        beta = Ball.from_int(root)
+        beta = Ball.enclose(root)
         return PisotNumber(coeffs, precision, beta, (), (), True)
 
     if _gcd_degree(coeffs, _poly_derivative(coeffs)) > 0:
@@ -411,16 +427,16 @@ def bint_from_int(n: int, p: PisotNumber) -> BetaInt:
     return BetaInt((n,) + (0,) * (p.degree - 1))
 
 
-def bint_add(x: BetaInt, y: BetaInt) -> BetaInt:
-    return BetaInt(tuple(a + b for a, b in zip(x.coords, y.coords)))
+# Shared by Z[beta] and Q(beta) on coordinate tuples; ``zero`` keeps Q(beta)
+# results in Fractions even where no term lands.
 
 
-def bint_sub(x: BetaInt, y: BetaInt) -> BetaInt:
-    return BetaInt(tuple(a - b for a, b in zip(x.coords, y.coords)))
+def _coords_add(x: tuple, y: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
 
 
-def bint_neg(x: BetaInt) -> BetaInt:
-    return BetaInt(tuple(-a for a in x.coords))
+def _coords_sub(x: tuple, y: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def _reduce_mod_minpoly(prod: list, minpoly: tuple[int, ...]) -> None:
@@ -433,21 +449,41 @@ def _reduce_mod_minpoly(prod: list, minpoly: tuple[int, ...]) -> None:
                 prod[i - r + j] -= c * minpoly[j]
 
 
-def bint_mul(x: BetaInt, y: BetaInt, p: PisotNumber) -> BetaInt:
-    r = p.degree
-    prod = [0] * (2 * r - 1)
-    for i, a in enumerate(x.coords):
+def _coords_mul(x: tuple, y: tuple, minpoly: tuple[int, ...], zero) -> tuple:
+    r = len(minpoly) - 1
+    prod = [zero] * (2 * r - 1)
+    for i, a in enumerate(x):
         if a:
-            for j, b in enumerate(y.coords):
+            for j, b in enumerate(y):
                 prod[i + j] += a * b
-    _reduce_mod_minpoly(prod, p.minpoly)
-    return BetaInt(tuple(prod[:r]))
+    _reduce_mod_minpoly(prod, minpoly)
+    return tuple(prod[:r])
+
+
+def _coords_mul_beta(x: tuple, minpoly: tuple[int, ...], zero) -> tuple:
+    prod = [zero] + list(x)
+    _reduce_mod_minpoly(prod, minpoly)
+    return tuple(prod[: len(minpoly) - 1])
+
+
+def bint_add(x: BetaInt, y: BetaInt) -> BetaInt:
+    return BetaInt(_coords_add(x.coords, y.coords))
+
+
+def bint_sub(x: BetaInt, y: BetaInt) -> BetaInt:
+    return BetaInt(_coords_sub(x.coords, y.coords))
+
+
+def bint_neg(x: BetaInt) -> BetaInt:
+    return BetaInt(tuple(-a for a in x.coords))
+
+
+def bint_mul(x: BetaInt, y: BetaInt, p: PisotNumber) -> BetaInt:
+    return BetaInt(_coords_mul(x.coords, y.coords, p.minpoly, 0))
 
 
 def bint_mul_beta(x: BetaInt, p: PisotNumber) -> BetaInt:
-    prod = [0] + list(x.coords)
-    _reduce_mod_minpoly(prod, p.minpoly)
-    return BetaInt(tuple(prod[: p.degree]))
+    return BetaInt(_coords_mul_beta(x.coords, p.minpoly, 0))
 
 
 def bint_pow_beta(k: int, p: PisotNumber) -> BetaInt:
@@ -474,12 +510,18 @@ def bint_pow(x: BetaInt, k: int, p: PisotNumber) -> BetaInt:
 # ----------------------------------------------------------------------
 
 
-def _embed_once(coords, q: int, p: PisotNumber, prec: int):
-    beta, conj = refined_enclosures(p, prec)
-    with mp.workprec(prec + 64):
-        if q == 1:
-            return ball_horner(coords, beta)
-        return ball_horner(coords, conj[q - 2])
+def _embed(x, q: int, p: PisotNumber):
+    if not 1 <= q <= p.degree:
+        raise ValueError(f"embedding index {q} outside 1..{p.degree}")
+    target = mpf(2) ** -(p.precision // 2)
+
+    def attempt(prec: int):
+        beta, conj = refined_enclosures(p, prec)
+        with mp.workprec(prec + 64):
+            ball = ball_horner(x.coords, beta if q == 1 else conj[q - 2])
+        return ball if ball.rad <= target else None
+
+    return _escalate(p.precision, attempt, lambda cap: f"embedding of {x} at index {q}")
 
 
 @_serialized
@@ -489,56 +531,28 @@ def bint_embed(x: BetaInt, q: int, p: PisotNumber):
     Returns a Ball for q=1 and a CBall otherwise; width is at most
     2^(-precision/2), escalating internally as needed.
     """
-    if not 1 <= q <= p.degree:
-        raise ValueError(f"embedding index {q} outside 1..{p.degree}")
-    target = mpf(2) ** -(p.precision // 2)
-    prec = p.precision
-    cap = max(precision_cap(), prec)
-    while True:
-        ball = _embed_once(x.coords, q, p, prec)
-        if ball.rad <= target:
-            return ball
-        prec *= 2
-        if prec > cap:
-            raise PrecisionExhausted(f"embedding of {x} at index {q}")
+    return _embed(x, q, p)
 
 
 @_serialized
 def qbeta_embed(x: QBeta, q: int, p: PisotNumber):
-    """Certified enclosure of a Q(beta) element; Ball for q=1, CBall else."""
-    if not 1 <= q <= p.degree:
-        raise ValueError(f"embedding index {q} outside 1..{p.degree}")
-    target = mpf(2) ** -(p.precision // 2)
-    prec = p.precision
-    cap = max(precision_cap(), prec)
-    while True:
-        beta, conj = refined_enclosures(p, prec)
-        with mp.workprec(prec + 64):
-            point = beta if q == 1 else conj[q - 2]
-            if q == 1:
-                acc = Ball.from_fraction(x.coords[-1])
-            else:
-                acc = CBall.from_ball(Ball.from_fraction(x.coords[-1]))
-            for c in reversed(x.coords[:-1]):
-                fb = Ball.from_fraction(c)
-                step = fb if q == 1 else CBall.from_ball(fb)
-                acc = acc * point + step
-        if acc.rad <= target:
-            return acc
-        prec *= 2
-        if prec > cap:
-            raise PrecisionExhausted(f"embedding of {x} at index {q}")
+    """Certified enclosure of a Q(beta) element; Ball for q=1, CBall else.
+
+    Same evaluation and width as ``bint_embed``, with each rational
+    coordinate rounded to the working precision.
+    """
+    return _embed(x, q, p)
 
 
-def _frac_of_real_ball(ball: Ball):
-    """Split a real ball into integer part and fractional ball, or None when
-    the ball straddles an integer."""
+def _frac_of_real_ball(ball: Ball) -> FracPart | None:
+    """Fractional part of a real ball, or None when the ball straddles an
+    integer."""
     with mp.workprec(max(mp.prec, 64)):
         n = int(mp.floor(ball.mid))
         lo_gap = ball.mid - n
         hi_gap = (n + 1) - ball.mid
         if lo_gap > ball.rad and hi_gap > ball.rad:
-            return float(lo_gap), float(ball.rad * (1 + mpf(2) ** -20)) + 1e-300
+            return FracPart(float(lo_gap), float(ball.rad * (1 + mpf(2) ** -20)) + 1e-300)
     return None
 
 
@@ -584,29 +598,27 @@ def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber, max_err: flo
     if w.is_rational_int:
         return FracPart(0.0, 0.0)
 
-    prec = p.precision
-    cap = max(precision_cap(), prec)
-    while True:
-        if k <= 8:
-            ball = _embed_once(w.coords, 1, p, prec)
-        else:
-            beta, conj = refined_enclosures(p, prec)
-            with mp.workprec(prec + 64):
-                total = CBall.from_int(0)
+    balls = []
+
+    def attempt(prec: int):
+        beta, conj = refined_enclosures(p, prec)
+        with mp.workprec(prec + 64):
+            if k <= 8:
+                ball = ball_horner(w.coords, beta)
+            else:
+                total = CBall.enclose(0)
                 for point in conj:
                     total = total + ball_horner(w.coords, point)
                 ball = (-total).real_ball()
-        with mp.workprec(prec + 64):
-            if ball.rad <= max_err:
-                split = _frac_of_real_ball(ball)
-                if split is not None:
-                    return FracPart(*split)
-        prec *= 2
-        if prec > cap:
-            raise PrecisionExhausted(
-                f"frac({z}*beta^{k}) enclosure {float(ball.mid)!r} +- {float(ball.rad)!r} "
-                "cannot be separated from an integer"
-            )
+            balls.append(ball)
+            return _frac_of_real_ball(ball) if ball.rad <= max_err else None
+
+    return _escalate(
+        p.precision,
+        attempt,
+        lambda cap: f"frac({z}*beta^{k}) enclosure {float(balls[-1].mid)!r} "
+        f"+- {float(balls[-1].rad)!r} cannot be separated from an integer",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -623,32 +635,19 @@ def qbeta_from_int(n: int, p: PisotNumber) -> QBeta:
 
 
 def qbeta_add(x: QBeta, y: QBeta) -> QBeta:
-    return QBeta(tuple(a + b for a, b in zip(x.coords, y.coords)))
+    return QBeta(_coords_add(x.coords, y.coords))
 
 
 def qbeta_sub(x: QBeta, y: QBeta) -> QBeta:
-    return QBeta(tuple(a - b for a, b in zip(x.coords, y.coords)))
-
-
-def qbeta_neg(x: QBeta) -> QBeta:
-    return QBeta(tuple(-a for a in x.coords))
+    return QBeta(_coords_sub(x.coords, y.coords))
 
 
 def qbeta_mul(x: QBeta, y: QBeta, p: PisotNumber) -> QBeta:
-    r = p.degree
-    prod = [Fraction(0)] * (2 * r - 1)
-    for i, a in enumerate(x.coords):
-        if a:
-            for j, b in enumerate(y.coords):
-                prod[i + j] += a * b
-    _reduce_mod_minpoly(prod, p.minpoly)
-    return QBeta(tuple(prod[:r]))
+    return QBeta(_coords_mul(x.coords, y.coords, p.minpoly, Fraction(0)))
 
 
 def qbeta_mul_beta(x: QBeta, p: PisotNumber) -> QBeta:
-    prod = [Fraction(0)] + list(x.coords)
-    _reduce_mod_minpoly(prod, p.minpoly)
-    return QBeta(tuple(prod[: p.degree]))
+    return QBeta(_coords_mul_beta(x.coords, p.minpoly, Fraction(0)))
 
 
 def qbeta_div(num: QBeta, den: QBeta, p: PisotNumber) -> QBeta:

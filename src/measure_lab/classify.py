@@ -30,7 +30,7 @@ from .algebraic import (
 )
 from .automaton import LabeledAutomaton, primitivity_check
 from .errors import NotPrimitive, NotStronglyConnected
-from .fourier import DEFAULT_TOL as DEFAULT_FOURIER_TOL, rajchman_scan
+from .fourier import DEFAULT_TOL as DEFAULT_FOURIER_TOL, check_scan_height, rajchman_scan
 from .parry import PerronData, perron, start_distribution
 
 DEFAULT_SCAN_HEIGHT = 3
@@ -178,10 +178,13 @@ def classify(
     Continuity evidence, in order: beta certifiably above lambda (the
     image then has Hausdorff dimension below one, so the measure is
     singular); otherwise a lattice scan of limit Fourier coefficients up
-    to the given height, singular when some |psi-hat| clears
-    max(10*tol, 1e-4); otherwise inconclusive (consistent with absolute
-    continuity, which a finite scan can never certify).
+    to the given height, singular when the largest |psi-hat| clears both
+    max(10*tol, 1e-4) and its own error bound, which certifies that the
+    coefficient is nonzero; otherwise inconclusive (consistent with
+    absolute continuity, which a finite scan can never certify).  The
+    height is checked before any other work.
     """
+    check_scan_height(scan_height)
     if not primitivity_check(a)["primitive"]:
         raise NotPrimitive("classification requires a primitive automaton")
     pd = perron(a)
@@ -219,7 +222,8 @@ def classify(
     threshold = max(10 * tol, EVIDENCE_FLOOR)
     diagnostics["scan_max_abs"] = scan.max_abs
     diagnostics["scan_height"] = scan_height
-    if scan.max_abs > threshold:
+    best = next(e for e in scan.entries if e.z_coords == scan.argmax)
+    if scan.max_abs > threshold and scan.max_abs > best.bound:
         evidence = {
             "type": "singular_by_fourier",
             "z_coords": list(scan.argmax),
@@ -232,24 +236,32 @@ def classify(
             "scan_max_abs": scan.max_abs,
             "threshold": threshold,
             "note": "all scanned limit coefficients vanish within tolerance; "
-            "absolute continuity is consistent but not certified",
+            "absolute continuity is consistent but not certified"
+            if scan.max_abs <= threshold
+            else "the largest scanned limit coefficient does not exceed its "
+            "error bound, so it is not certified nonzero",
         }
     return Verdict(kind="continuous", atoms=None, evidence=evidence,
                    witness=witness, diagnostics=diagnostics)
 
 
+def atoms_to_dicts(atom_list) -> list[dict]:
+    """The report form of atoms, shared by the classify and atoms reports."""
+    return [
+        {
+            "value_coords": [str(c) for c in at.value.coords],
+            "value_decimal": at.value_decimal,
+            "mass": at.mass,
+            "states": list(at.states),
+        }
+        for at in atom_list
+    ]
+
+
 def verdict_to_dict(v: Verdict) -> dict:
     out: dict = {"kind": v.kind, "witness": v.witness, "diagnostics": v.diagnostics}
     if v.atoms is not None:
-        out["atoms"] = [
-            {
-                "value_coords": [str(c) for c in at.value.coords],
-                "value_decimal": at.value_decimal,
-                "mass": at.mass,
-                "states": list(at.states),
-            }
-            for at in v.atoms
-        ]
+        out["atoms"] = atoms_to_dicts(v.atoms)
     if v.evidence is not None:
         out["evidence"] = v.evidence
     return out

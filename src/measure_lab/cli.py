@@ -22,7 +22,7 @@ from .automaton import (
     serialize_automaton,
     transition_matrices,
 )
-from .classify import atoms, classify, verdict_to_dict
+from .classify import atoms, atoms_to_dicts, classify, finite_image_test, verdict_to_dict
 from .distribution import cdf_bracket, depth_cloud
 from .errors import MeasureLabError, PrecisionExhausted, SchemaError, ValidationError
 from .fixtures import run_all
@@ -144,8 +144,6 @@ def _cmd_atoms(args) -> dict:
     a = _load(args.automaton)
     p = _pisot_for(a, args)
     pd = perron(a)
-    from .classify import finite_image_test
-
     fi = finite_image_test(a, p)
     if not fi.ok:
         raise ValidationError(
@@ -154,15 +152,7 @@ def _cmd_atoms(args) -> dict:
     atom_list = atoms(a, p, pd, fi)
     return {
         "file": args.automaton,
-        "atoms": [
-            {
-                "value_coords": [str(c) for c in at.value.coords],
-                "value_decimal": at.value_decimal,
-                "mass": at.mass,
-                "states": list(at.states),
-            }
-            for at in atom_list
-        ],
+        "atoms": atoms_to_dicts(atom_list),
         "mass_total": float(sum(at.mass for at in atom_list)),
     }
 

@@ -259,6 +259,11 @@ class ScanResult:
     argmax: tuple[int, ...]
 
 
+def check_scan_height(height: int) -> None:
+    if height < 1:
+        raise ValidationError(f"scan height must be >= 1, got {height}")
+
+
 def rajchman_scan(
     a: LabeledAutomaton,
     p: PisotNumber,
@@ -274,8 +279,7 @@ def rajchman_scan(
     come back in lexicographic coordinate order; the maximum breaks ties
     towards the earlier z.
     """
-    if height < 1:
-        raise ValidationError(f"scan height must be >= 1, got {height}")
+    check_scan_height(height)
     cache = cache or build_weight_cache(a, pd)
     r = p.degree
     candidates = [

@@ -22,15 +22,15 @@ from ._ball import ball_horner
 from .algebraic import (
     BetaInt,
     PisotNumber,
+    _escalate,
     bint_from_int,
     bint_mul,
     bint_mul_beta,
     bint_neg,
-    precision_cap,
     refined_enclosures,
 )
 from .automaton import LabeledAutomaton
-from .errors import CapExceeded, PrecisionExhausted
+from .errors import CapExceeded
 
 _BOX_CAP = 1_000_000
 
@@ -90,13 +90,11 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
 
     t_real = bint_mul(y, BetaInt((-1, 1) + (0,) * (p.degree - 2)), p)  # y*(beta-1)
     m_unit = bint_from_int(m_abs, p)
-    real_boundary = t_real == m_unit or t_real == bint_neg(m_unit)
-
-    prec = p.precision
-    cap = max(precision_cap(), prec)
-    real_done = real_boundary
+    real_done = t_real == m_unit or t_real == bint_neg(m_unit)  # exact boundary
     conj_done = [False] * (p.degree - 1)
-    while True:
+
+    def attempt(prec: int) -> bool | None:
+        nonlocal real_done
         beta, conj = refined_enclosures(p, prec)
         with mp.workprec(prec + 64):
             if not real_done:
@@ -119,13 +117,13 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
                     tie = _conj_tie_is_boundary(y, p, qi + 2, m_abs, prec)
                     if tie is True:
                         conj_done[qi] = True
-        if real_done and all(conj_done):
-            return True
-        prec *= 2
-        if prec > cap:
-            raise PrecisionExhausted(
-                f"cannot resolve bound membership of state {y} at {cap} bits"
-            )
+        return True if real_done and all(conj_done) else None
+
+    return _escalate(
+        p.precision,
+        attempt,
+        lambda cap: f"cannot resolve bound membership of state {y} at {cap} bits",
+    )
 
 
 def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from measure_lab.classify import (
     verdict_to_dict,
 )
 from measure_lab.errors import NotPrimitive, NotStronglyConnected
+from measure_lab.fourier import ScanEntry, ScanResult
 from measure_lab.parry import perron, sample_many
 from measure_lab.zero_automaton import beta_int_from_name, build_zero_automaton
 
@@ -136,6 +138,20 @@ def test_two_loops_golden_singular_by_fourier(golden):
     assert verdict.kind == "continuous"
     assert verdict.evidence["type"] == "singular_by_fourier"
     assert verdict.evidence["psi_hat_abs"] > 1e-4
+
+
+@pytest.mark.parametrize("bound, expected", [(0.6, "inconclusive"), (0.4, "singular_by_fourier")])
+def test_fourier_evidence_needs_its_bound(golden, monkeypatch, bound, expected):
+    # |psi-hat| = 0.5 clears the 1e-4 threshold; only a bound below it
+    # certifies the coefficient nonzero.
+    entry = ScanEntry(z_coords=(1, 0), value=0.5 + 0j, bound=bound)
+    monkeypatch.setattr(
+        importlib.import_module("measure_lab.classify"), "rajchman_scan",
+        lambda *args, **kwargs: ScanResult(1, (entry,), 0.5, (1, 0)),
+    )
+    verdict = classify(two_loop_automaton(), golden, scan_height=1)
+    assert verdict.evidence["type"] == expected
+    assert verdict.evidence.get("psi_hat_abs", verdict.evidence.get("scan_max_abs")) == 0.5
 
 
 def test_fig3_singular_by_fourier(automata, pisots):

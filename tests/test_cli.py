@@ -179,9 +179,17 @@ def test_fourier_huge_t(capsys, fixture_dir):
         assert math.isfinite(row["bound"]) and row["bound"] <= 1e-8
 
 
-@pytest.mark.parametrize("command", ["scan", "classify"])
-def test_bad_height_exit_code(capsys, fixture_dir, command):
-    code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), "--height", "0")
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        pytest.param("scan", "fibonacci", id="scan"),
+        pytest.param("classify", "fibonacci", id="classify"),
+        # atomic: the height must be checked before the finite-image test
+        pytest.param("classify", "example1-7edge", id="classify-example1-7edge"),
+    ],
+)
+def test_bad_height_exit_code(capsys, fixture_dir, command, name):
+    code, out = run(capsys, command, str(fixture_dir / f"{name}.json"), "--height", "0")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
