@@ -23,6 +23,7 @@ from .algebraic import (
     bint_sub,
     frac_beta_power,
     frac_beta_powers,
+    frac_inverse_beta_powers,
     make_pisot,
     qbeta_add,
     qbeta_div,
@@ -77,6 +78,7 @@ from .fourier import (
     WeightMatrixCache,
     build_weight_cache,
     nu_hat,
+    nu_hat_grid,
     nu_hat_initial,
     psi_hat,
     rajchman_scan,

@@ -90,6 +90,15 @@ class Ball(_Arith):
         low = abs(self.mid) - self.rad
         return low if low > 0 else mpf(0)
 
+    def inv(self) -> Ball:
+        """Ball containing 1/value; the ball must exclude zero."""
+        e = _eps()
+        low = self.mig()
+        if low == 0:
+            raise ZeroDivisionError("ball contains zero")
+        mid = 1 / self.mid
+        return Ball(mid, self.rad / (low * abs(self.mid)) * (1 + 4 * e) + abs(mid) * e)
+
 
 @dataclass(frozen=True)
 class CBall(_Arith):

@@ -19,7 +19,8 @@ z*beta^k plus the sum of its Galois conjugates is a rational integer, and
 the conjugate sum is tiny because all conjugates of a Pisot number have
 modulus below one.  ``frac_beta_powers`` walks z*beta^j for j = 0..k with
 one exact multiplication by beta per step, so a head of k terms costs O(k)
-ring operations.
+ring operations.  ``frac_inverse_beta_powers`` gives x*beta^-k mod 1 from
+the enclosure of beta, for transform arguments too large for floats.
 """
 
 from __future__ import annotations
@@ -544,16 +545,69 @@ def qbeta_embed(x: QBeta, q: int, p: PisotNumber):
     return _embed(x, q, p)
 
 
+# Rounding a value in [0, 1) to the nearest float moves it by at most half
+# an ulp of [1/2, 1).
+_FLOAT_ROUNDING = 2.0**-54
+
+
+def _rad_float(rad: mpf) -> float:
+    # Upper bound for a radius as a float; the inflation absorbs the
+    # conversion's rounding.
+    return float(rad * (1 + mpf(2) ** -20)) + 1e-300
+
+
 def _frac_of_real_ball(ball: Ball) -> FracPart | None:
     """Fractional part of a real ball, or None when the ball straddles an
-    integer."""
+    integer.  The bound covers the radius and the float conversion."""
     with mp.workprec(max(mp.prec, 64)):
         n = int(mp.floor(ball.mid))
         lo_gap = ball.mid - n
         hi_gap = (n + 1) - ball.mid
         if lo_gap > ball.rad and hi_gap > ball.rad:
-            return FracPart(float(lo_gap), float(ball.rad * (1 + mpf(2) ** -20)) + 1e-300)
+            return FracPart(float(lo_gap), _rad_float(ball.rad) + _FLOAT_ROUNDING)
     return None
+
+
+@_serialized
+def float_with_error(ball: Ball) -> tuple[float, float]:
+    """The float nearest a real ball's midpoint, and an upper bound on its
+    distance from every point of the ball."""
+    x = float(ball.mid)
+    with mp.workprec(max(mp.prec, 64)):
+        return x, _rad_float(abs(ball.mid - mpf(x)) + ball.rad)
+
+
+@_serialized
+def frac_inverse_beta_powers(x: float | BetaInt, n: int, p: PisotNumber) -> list[FracPart]:
+    """x * beta^-k mod 1 for k = 1..n, from the certified enclosure of beta.
+
+    x is a float, taken exactly, or an element of Z[beta].  A value is a
+    residue on the circle: it lies within its bound of x * beta^-k plus
+    some integer, possibly at the other end of [0, 1) when x * beta^-k is
+    near an integer, which is all a 1-periodic function of the argument
+    needs.  Precision escalates until every enclosure is narrower than the
+    float conversion's rounding, which each bound adds; the precision
+    needed grows with log2|x| (1,024 bits for |x| = 1e300).
+    """
+    def attempt(prec: int):
+        beta, _ = refined_enclosures(p, prec)
+        with mp.workprec(prec + 64):
+            ball = ball_horner(x.coords, beta) if isinstance(x, BetaInt) else Ball(mpf(x), mpf(0))
+            inv = beta.inv()
+            out = []
+            for _ in range(n):
+                ball = ball * inv
+                if ball.rad > _FLOAT_ROUNDING:
+                    return None
+                residue = ball.mid - mp.floor(ball.mid)  # exact
+                out.append(FracPart(float(residue), _rad_float(ball.rad) + _FLOAT_ROUNDING))
+            return out
+
+    return _escalate(
+        p.precision,
+        attempt,
+        lambda cap: f"{x}*beta^-k for k <= {n} cannot be enclosed to float precision within {cap} bits",
+    )
 
 
 @_serialized

@@ -26,7 +26,7 @@ from .classify import atoms, atoms_to_dicts, classify, finite_image_test, verdic
 from .distribution import cdf_bracket, depth_cloud
 from .errors import MeasureLabError, PrecisionExhausted, SchemaError, ValidationError
 from .fixtures import run_all
-from .fourier import build_weight_cache, nu_hat, nu_hat_initial, psi_hat, rajchman_scan
+from .fourier import nu_hat_grid, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
 from .zero_automaton import build_zero_automaton, verify_zero_language
 
@@ -177,16 +177,11 @@ def _cmd_fourier(args) -> dict:
     a = _load(args.automaton)
     p = _pisot_for(a, args)
     pd = perron(a)
-    cache = build_weight_cache(a, pd)
-    rows = []
-    for t in _float_list(args.t):
-        if args.initial:
-            value, bound = nu_hat_initial(a, p, pd, t, args.tol, cache)
-        else:
-            value, bound = nu_hat(a, p, pd, t, args.tol, cache)
-        rows.append(
-            {"t": t, "re": value.real, "im": value.imag, "abs": abs(value), "bound": bound}
-        )
+    ts = _float_list(args.t)
+    rows = [
+        {"t": t, "re": value.real, "im": value.imag, "abs": abs(value), "bound": bound}
+        for t, (value, bound) in zip(ts, nu_hat_grid(a, p, pd, ts, args.tol, initial=args.initial))
+    ]
     if args.csv:
         _write_csv(
             args.csv,

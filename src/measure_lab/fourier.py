@@ -2,21 +2,46 @@
 products, limit coefficients along beta-power sequences, and the lattice
 scan for nonvanishing limits.
 
-Every value here is one product row0 W(x_1) W(x_2) ... v_R with W(t) =
-(1/lambda) sum_a e(-at) M_a.  The transform at t starts at row0 = v_L with
+Every value here is one product row0 W(x_1) W(x_2) ... v_R with W(x) =
+(1/lambda) sum_a e(-ax) M_a.  The transform at t starts at row0 = v_L with
 the tail arguments t/beta, t/beta^2, ...; the initial-state transform
 starts at the normalised indicator row of the initial states; the limit
 coefficient psi-hat(z) puts a finite head of factors W(frac(z beta^j)) in
-front of the tail at t = z.  Truncation after N tail factors replaces the
-remainder by W(0)-factors, which leave v_L (and v_R) fixed; the committed
-error is bounded through |W(t)-W(0)| <= 2 pi max|a| |t| ||M|| / lambda
-together with a bound K on the l1 norms of all partial rows.  K is exact:
-W(0) >= 0 and |W(t)| <= W(0) entrywise, so a start row with row0 <= c v_L
-keeps every partial row below c v_L W(0)^n = c v_L, and K = c ||v_L||_1
-(c = 1 for v_L itself).  Head arguments decay like the conjugate powers of
-beta (Pisot property); fractional parts come from the exact
-trace-identity evaluation, never from floating beta powers, in one O(J)
-pass over the J head terms.
+front of the tail at t = z.
+
+One batched engine evaluates a whole grid of such products, one row per
+point.  The rows are sorted by their number of factors, longest first, so
+the rows that still have a factor at step k are a prefix, and each step
+is rows <- sum_a e(-a x)[:, None] (rows @ M_a / lambda), one matrix
+product for all labels.  The grid runs in blocks of _BLOCK rows, so memory
+stays O(_BLOCK * states) besides the arguments.
+
+A value's bound adds up these terms:
+- truncation: after N tail factors the remainder is replaced by
+  W(0)-factors, which leave v_L (and v_R) fixed.  With |W(x) - W(y)| <=
+  2 pi max|a| |x - y| ||M|| / lambda and a bound K on the l1 norms of all
+  partial rows this costs c |t| beta^-N / (1 - 1/beta), c =
+  ``_tail_constant``;
+- arguments: by the same estimate a factor whose argument is known to
+  within e_k (mod 1) costs c e_k, so the bound adds c sum e_k.  Tail
+  arguments are float products of t with float powers of 1/beta_float,
+  reduced mod 1 exactly (fmod); e_k covers beta_float's distance from the
+  certified root, the roundings of beta^-k and of t beta^-k, and for
+  psi-hat the error of the float value of z.  Where these float arguments
+  push a bound past tol, the row first takes the longer tail that leaves
+  them their share of tol.  Where no share is left (large |t|), the tail
+  arguments come instead from the certified beta enclosure at escalating
+  precision (``frac_inverse_beta_powers``), which raises
+  PrecisionExhausted past the cap.  Head arguments carry the certified
+  bounds of their fractional parts;
+- psi-hat's discarded head, bounded through the conjugate decay of z
+  beta^j (Pisot property);
+- eigenvector residuals and float rounding, per factor.
+K is exact: W(0) >= 0 and |W(t)| <= W(0) entrywise, so a start row with
+row0 <= c v_L keeps every partial row below c v_L W(0)^n = c v_L, and K =
+c ||v_L||_1 (c = 1 for v_L itself).  Head fractional parts come from the
+exact trace-identity evaluation, never from floating beta powers, in one
+O(J) pass over the J head terms.
 """
 
 from __future__ import annotations
@@ -28,13 +53,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import BetaInt, PisotNumber, bint_embed, frac_beta_powers
+from .algebraic import (
+    BetaInt,
+    FracPart,
+    PisotNumber,
+    bint_embed,
+    float_with_error,
+    frac_beta_powers,
+    frac_inverse_beta_powers,
+)
 from .automaton import LabeledAutomaton, TransitionMatrices, transition_matrices
 from .errors import ValidationError
 from .parry import PerronData, initial_row
 
 DEFAULT_TOL = 1e-8
 _FP_EPS = 1e-14
+_BLOCK = 256  # grid rows per engine pass
+_TINY = np.finfo(float).tiny
+# Largest |log(1 + d)| over the relative errors d of one float64 rounding.
+_LOG_ROUND = -math.log1p(-(2.0**-53))
 
 
 @dataclass
@@ -56,9 +93,6 @@ class WeightMatrixCache:
         for a, m in self.mats.items():
             w += np.exp(-2j * np.pi * a * t) * m
         return w / self.lam
-
-    def apply(self, row: np.ndarray, t: float) -> np.ndarray:
-        return row @ self.weight(t)
 
 
 def build_weight_cache(
@@ -97,45 +131,179 @@ def _tail_length(c: float, t_abs: float, beta: float, tol: float) -> int:
     return max(1, math.ceil(n))
 
 
-def _eig_slack(pd: PerronData, k_row: float, n_factors: int) -> float:
+def _eig_slack(pd: PerronData, k_row: float, n_factors):
     return (pd.res_L + pd.res_R) * k_row * (n_factors + 2) + _FP_EPS * k_row * (n_factors + 1)
 
 
-def _product(
+@dataclass(frozen=True)
+class _Product:
+    """One row of a batch: row0 W(head) W(s/beta) ... W(s/beta^n_tail) v_R."""
+
+    scale: float | BetaInt  # s, exact
+    s_hat: float  # the float nearest s
+    s_err: float  # bound on |s_hat - s|
+    n_tail: int
+    head: Sequence[FracPart] = ()
+    fixed: float = 0.0  # bound terms settled before the product
+
+
+def _float_powers(p: PisotNumber, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """beta^-k for k = 1..n in float, one rounding per step from
+    1/beta_float, and coefficients a_k, b_k such that the float product
+    x_k of a float s with the k-th power is within |s| a_k + d b_k of
+    s' beta^-k for every real s' within d of s (while the power is a
+    normal float)."""
+    beta, beta_err = float_with_error(p.root_beta)
+    k = np.arange(1, n + 1)
+    # |x_k / (s beta^-k) - 1| <= rho_k: 2k roundings (the reciprocal raised
+    # to the k-th power, k - 1 steps, the product with s) and the k-th power
+    # of beta / beta_float.
+    rho = np.expm1(k * (2 * _LOG_ROUND - math.log1p(-beta_err / beta)))
+    pw = np.cumprod(np.full(n, 1 / beta))
+    b = pw / (1 - rho)  # >= beta^-k
+    return pw, b * rho, b
+
+
+def _arguments(
     cache: WeightMatrixCache,
     pd: PerronData,
-    beta: float,
-    row: np.ndarray,
+    p: PisotNumber,
     k_row: float,
-    t: float,
-    n_tail: int,
-    head: Sequence[float] = (),
-) -> tuple[complex, float, float]:
-    """row W(head[0]) ... W(head[-1]) W(t/beta) ... W(t/beta^n_tail) v_R.
-
-    k_row bounds the l1 norm of every partial row started at row.  Returns
-    the value, the tail term of its bound (the factors after n_tail) and
-    the eigenvector and rounding slack over all factors.
-    """
-    args = [*head, *(t * beta**-k for k in range(1, n_tail + 1))]
-    for x in args:
-        row = cache.apply(row, x)
-    tail = _tail_constant(cache, k_row) * abs(t) * beta**-n_tail / (1 - 1 / beta)
-    return complex(row @ cache.v_r), tail, _eig_slack(pd, k_row, len(args))
-
-
-def _transform(
-    cache: WeightMatrixCache,
-    pd: PerronData,
-    beta: float,
-    row: np.ndarray,
-    k_row: float,
-    t: float,
     tol: float,
-) -> tuple[complex, float]:
-    n = _tail_length(_tail_constant(cache, k_row), abs(t), beta, tol)
-    value, tail, slack = _product(cache, pd, beta, row, k_row, t, n)
-    return value, tail + slack
+    block: Sequence[_Product],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arguments of a block of rows (head, then tail, reduced mod 1, zero
+    padded), their errors e_k, the rows' lengths and bounds.
+
+    Tail arguments are floats.  A row whose bound they push past tol first
+    gets the longer tail that leaves them their share of tol; where no
+    share is left (large |s|), its tail arguments come from the certified
+    beta enclosure instead.
+    """
+    c = _tail_constant(cache, k_row)
+    beta = p.beta_float
+    s_hat = np.array([q.s_hat for q in block])
+    s_err = np.array([q.s_err for q in block])
+    s_abs = np.abs(s_hat) + s_err
+    fixed = np.array([q.fixed for q in block])
+    j = np.array([len(q.head) for q in block])
+    n = np.array([q.n_tail for q in block])
+
+    def truncation(n):
+        return c * s_abs * beta ** -n.astype(float) / (1 - 1 / beta)
+
+    def bound(n, errs):
+        return fixed + truncation(n) + _eig_slack(pd, k_row, j + n) + c * errs.sum(axis=1)
+
+    def assemble(n):
+        pw, a, b = _float_powers(p, int(n.max()))
+        steps = np.arange(int((j + n).max())) - j[:, None]  # tail step per column
+        tail = (steps >= 0) & (steps < n[:, None])
+        k = np.clip(steps, 0, len(pw) - 1)
+        err = (np.abs(s_hat)[:, None] * a[k] + s_err[:, None] * b[k]) * (1 + 2.0**-40)
+        args = np.where(tail, s_hat[:, None] * pw[k], 0.0)
+        errs = np.where(tail, np.where(pw[k] >= _TINY, err, np.inf), 0.0)
+        for r in np.flatnonzero(j):
+            args[r, : j[r]] = [fr.value for fr in block[r].head]
+            errs[r, : j[r]] = [fr.bound for fr in block[r].head]
+        return args, errs, tail
+
+    args, errs, tail = assemble(n)
+    bounds = bound(n, errs)
+    share = tol - (bounds - truncation(n))
+    longer = np.flatnonzero((bounds > tol) & (share > 0))
+    for r in longer:
+        n[r] = max(n[r], _tail_length(c, s_abs[r], beta, share[r]))
+    if len(longer):
+        args, errs, tail = assemble(n)
+        bounds = bound(n, errs)
+    exact_tail = bound(n, np.where(tail, 0.0, errs))
+    ball = np.flatnonzero((bounds > tol) & ((exact_tail <= tol) | ~np.isfinite(bounds)))
+    for r in ball:
+        fracs = frac_inverse_beta_powers(block[r].scale, int(n[r]), p)
+        args[r, j[r] : j[r] + n[r]] = [fr.value for fr in fracs]
+        errs[r, j[r] : j[r] + n[r]] = [fr.bound for fr in fracs]
+    if len(ball):
+        bounds = bound(n, errs)
+    return np.fmod(args, 1.0), errs, j + n, bounds
+
+
+def _products(
+    cache: WeightMatrixCache, row0: np.ndarray, args: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """row0 W(args[i, 0]) ... W(args[i, lengths[i] - 1]) v_R for every row i.
+
+    lengths must not increase, so the rows with a factor left at step k
+    are the first active[k]; each step is one product with the labels'
+    matrices side by side.
+    """
+    labels = np.array(list(cache.mats), dtype=float)
+    stack = np.hstack(list(cache.mats.values())) / cache.lam
+    rows = np.tile(np.asarray(row0, dtype=complex), (len(lengths), 1))
+    n = rows.shape[1]
+    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    for k, m in enumerate(active):
+        phases = np.exp(-2j * np.pi * np.outer(args[:m, k], labels))
+        parts = (rows[:m] @ stack).reshape(m, len(labels), n)
+        rows[:m] = np.einsum("ma,man->mn", phases, parts)
+    return rows @ cache.v_r
+
+
+def _transform_batch(
+    cache: WeightMatrixCache,
+    pd: PerronData,
+    p: PisotNumber,
+    row0: np.ndarray,
+    k_row: float,
+    tol: float,
+    products: Sequence[_Product],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, bounds and tail lengths of a batch of products that share
+    row0, in blocks of _BLOCK rows of similar length.  k_row bounds the l1
+    norm of every partial row started at row0."""
+    values = np.empty(len(products), dtype=complex)
+    bounds = np.empty(len(products))
+    n_tail = np.empty(len(products), dtype=int)
+    order = np.argsort([-(len(q.head) + q.n_tail) for q in products], kind="stable")
+    for start in range(0, len(order), _BLOCK):
+        idx = order[start : start + _BLOCK]
+        block = [products[i] for i in idx]
+        args, _, lengths, block_bounds = _arguments(cache, pd, p, k_row, tol, block)
+        bounds[idx] = block_bounds
+        n_tail[idx] = lengths - [len(q.head) for q in block]
+        by_length = np.argsort(-lengths, kind="stable")
+        values[idx[by_length]] = _products(cache, row0, args[by_length], lengths[by_length])
+    return values, bounds, n_tail
+
+
+def nu_hat_grid(
+    a: LabeledAutomaton,
+    p: PisotNumber,
+    pd: PerronData,
+    ts: Sequence[float],
+    tol: float = DEFAULT_TOL,
+    cache: WeightMatrixCache | None = None,
+    initial: bool = False,
+) -> list[tuple[complex, float]]:
+    """Transform (of the initial-state measure if initial) with its
+    certified bound at every t of a grid, from one batched product."""
+    cache = cache or build_weight_cache(a, pd)
+    if initial:
+        v_i, denom = initial_row(pd, a)
+        row0 = v_i / denom
+        # row0 <= c v_L entrywise, so every partial row stays below c ||v_L||_1.
+        k_row = float((row0 / pd.v_L).max()) * cache.k_left
+        at_zero = 1.0 + 0j, 1e-15
+    else:
+        row0, k_row = cache.v_l, cache.k_left
+        at_zero = 1.0 + 0j, abs(float(pd.v_L @ pd.v_R) - 1.0) + 1e-15
+    c = _tail_constant(cache, k_row)
+    products = [
+        _Product(t, t, 0.0, _tail_length(c, abs(t), p.beta_float, tol)) for t in ts if t != 0
+    ]
+    values, bounds, _ = _transform_batch(cache, pd, p, row0, k_row, tol, products)
+    rest = iter(zip(values.tolist(), bounds.tolist()))
+    return [at_zero if t == 0 else next(rest) for t in ts]
 
 
 def nu_hat(
@@ -146,11 +314,8 @@ def nu_hat(
     tol: float = DEFAULT_TOL,
     cache: WeightMatrixCache | None = None,
 ) -> tuple[complex, float]:
-    """Transform of the measure at t, with a certified truncation bound."""
-    if t == 0:
-        return 1.0 + 0j, abs(float(pd.v_L @ pd.v_R) - 1.0) + 1e-15
-    cache = cache or build_weight_cache(a, pd)
-    return _transform(cache, pd, p.beta_float, cache.v_l, cache.k_left, t, tol)
+    """Transform of the measure at t, with a certified bound."""
+    return nu_hat_grid(a, p, pd, [t], tol, cache)[0]
 
 
 def nu_hat_initial(
@@ -162,14 +327,7 @@ def nu_hat_initial(
     cache: WeightMatrixCache | None = None,
 ) -> tuple[complex, float]:
     """Transform of the initial-state measure at t."""
-    v_i, denom = initial_row(pd, a)
-    if t == 0:
-        return 1.0 + 0j, 1e-15
-    cache = cache or build_weight_cache(a, pd)
-    row0 = v_i / denom
-    # row0 <= c v_L entrywise, so every partial row stays below c ||v_L||_1.
-    c = float((row0 / pd.v_L).max())
-    return _transform(cache, pd, p.beta_float, row0, c * cache.k_left, t, tol)
+    return nu_hat_grid(a, p, pd, [t], tol, cache, initial=True)[0]
 
 
 @dataclass(frozen=True)
@@ -198,27 +356,61 @@ def psi_hat(
     both fit inside tol.  For integer beta every head factor is W(0), so
     the value coincides with nu_hat at the integer z.
     """
-    if isinstance(z, BetaInt):
-        zint = z
-    else:
-        zint = BetaInt(tuple(int(c) for c in z))
-    if len(zint.coords) != p.degree:
+    return _psi_grid(a, p, pd, [z], tol, cache, head_terms, tail_terms)[0]
+
+
+def _psi_grid(
+    a: LabeledAutomaton,
+    p: PisotNumber,
+    pd: PerronData,
+    zs: Sequence,
+    tol: float,
+    cache: WeightMatrixCache | None = None,
+    head_terms: int | None = None,
+    tail_terms: int | None = None,
+) -> list[PsiValue]:
+    """psi_hat at every z of a list, from one batched product."""
+    zints = [z if isinstance(z, BetaInt) else BetaInt(tuple(int(c) for c in z)) for z in zs]
+    if any(len(z.coords) != p.degree for z in zints):
         raise ValueError(f"z must have {p.degree} coordinates")
-    if zint.is_zero:
-        return PsiValue(1.0 + 0j, 1e-15, 0, 0)
+    nonzero = [z for z in zints if not z.is_zero]
 
     if p.degree == 1:
-        value, bound = nu_hat(a, p, pd, float(zint.coords[0]), tol, cache)
-        return PsiValue(value, bound, 0, 0)
+        limits = [
+            PsiValue(value, bound, 0, 0)
+            for value, bound in nu_hat_grid(
+                a, p, pd, [float(z.coords[0]) for z in nonzero], tol, cache
+            )
+        ]
+    else:
+        cache = cache or build_weight_cache(a, pd)
+        c = _tail_constant(cache, cache.k_left)
+        products = [_psi_product(z, p, c, tol, head_terms, tail_terms) for z in nonzero]
+        values, bounds, n_tail = _transform_batch(
+            cache, pd, p, cache.v_l, cache.k_left, tol, products
+        )
+        limits = [
+            PsiValue(value, bound, len(q.head) - 1, n)
+            for value, bound, q, n in zip(values.tolist(), bounds.tolist(), products, n_tail.tolist())
+        ]
+    rest = iter(limits)
+    return [PsiValue(1.0 + 0j, 1e-15, 0, 0) if z.is_zero else next(rest) for z in zints]
 
-    cache = cache or build_weight_cache(a, pd)
-    beta = p.beta_float
-    c = _tail_constant(cache, cache.k_left)
 
-    z_val = float(bint_embed(zint, 1, p).mid)
+def _psi_product(
+    z: BetaInt,
+    p: PisotNumber,
+    c: float,
+    tol: float,
+    head_terms: int | None,
+    tail_terms: int | None,
+) -> _Product:
+    """The batch row of psi-hat(z): head length J and tail length N as
+    psi_hat describes, unless given."""
+    z_hat, z_err = float_with_error(bint_embed(z, 1, p))
     conj_mags = []
     for q in range(2, p.degree + 1):
-        zq = bint_embed(zint, q, p).mag()
+        zq = bint_embed(z, q, p).mag()
         bq = p.conjugates[q - 2].mag()
         conj_mags.append((float(zq), float(bq)))
 
@@ -228,20 +420,13 @@ def psi_hat(
 
     if head_terms is None:
         target = tol / (2 * c) if c > 0 else 1.0
-        j = 0
-        while head_residual(j) > target and j < 100_000:
-            j += 1
-        head_terms = j
+        head_terms = 0
+        while head_residual(head_terms) > target and head_terms < 100_000:
+            head_terms += 1
     if tail_terms is None:
-        tail_terms = _tail_length(c, abs(z_val), beta, tol / 2)
-
-    fracs = frac_beta_powers(zint, head_terms, p)[::-1]
-    value, tail, slack = _product(
-        cache, pd, beta, cache.v_l, cache.k_left, z_val, tail_terms, [fr.value for fr in fracs]
-    )
-    arg_err = sum(fr.bound for fr in fracs)
-    bound = c * head_residual(head_terms) + tail + c * arg_err + slack
-    return PsiValue(value, bound, head_terms, tail_terms)
+        tail_terms = _tail_length(c, abs(z_hat), p.beta_float, tol / 2)
+    head = frac_beta_powers(z, head_terms, p)[::-1]
+    return _Product(z, z_hat, z_err, tail_terms, head, c * head_residual(head_terms))
 
 
 @dataclass(frozen=True)
@@ -272,7 +457,8 @@ def rajchman_scan(
     tol: float = DEFAULT_TOL,
     cache: WeightMatrixCache | None = None,
 ) -> ScanResult:
-    """Evaluate psi-hat over all nonzero z with coordinates in [-H, H].
+    """Evaluate psi-hat over all nonzero z with coordinates in [-H, H], as
+    one batch.
 
     Only the canonical half (first nonzero coordinate positive) is
     evaluated since psi-hat(-z) is the conjugate of psi-hat(z).  Entries
@@ -289,10 +475,10 @@ def rajchman_scan(
     ]
     candidates.sort()
 
-    entries = []
-    for coords in candidates:
-        res = psi_hat(a, p, pd, coords, tol, cache)
-        entries.append(ScanEntry(z_coords=coords, value=res.value, bound=res.bound))
+    entries = [
+        ScanEntry(z_coords=coords, value=res.value, bound=res.bound)
+        for coords, res in zip(candidates, _psi_grid(a, p, pd, candidates, tol, cache))
+    ]
 
     best = max(range(len(entries)), key=lambda i: abs(entries[i].value))
     return ScanResult(

@@ -16,6 +16,8 @@ from measure_lab.errors import CapExceeded, DeadState
 from measure_lab.parry import perron, sample_many
 from measure_lab.zero_automaton import build_zero_automaton
 
+from helpers import signed_automata
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
@@ -204,25 +206,6 @@ def test_cap_boundary(automata, pisots, perron_data, refine, buckets):
     with pytest.raises(CapExceeded) as info:
         refine(*args, buckets - 1)
     assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth 5"
-
-
-@st.composite
-def signed_automata(draw):
-    """Primitive automata whose label matrices have three or more in-edges
-    per column, so a level's stacked product sums three or more terms per
-    entry.  The first label has every edge, which makes the total matrix
-    positive; labels are signed."""
-    n = draw(st.integers(3, 5))
-    alphabet = sorted(draw(st.sets(st.integers(-3, 3), min_size=2, max_size=4)
-                           .filter(lambda labels: min(labels) < 0)))
-    edges = []
-    for i, label in enumerate(alphabet):
-        for dst in range(n):
-            sources = range(n) if i == 0 else draw(st.sets(st.integers(0, n - 1), min_size=3))
-            edges += [{"from": f"s{src}", "to": f"s{dst}", "label": label} for src in sources]
-    return parse_automaton(
-        {"alphabet": alphabet, "states": [f"s{i}" for i in range(n)], "edges": edges}
-    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -234,7 +234,11 @@ def test_embeddings_match_reference_bit_for_bit(name):
         for k in range(41):
             walk.append(ref_frac(BetaInt(w), k, p))
             w = ref_mul_beta(w, p.minpoly)
-        assert [tuple(fr) for fr in frac_beta_powers(z, 40, p)] == walk
+        got = frac_beta_powers(z, 40, p)
+        assert [fr.value for fr in got] == [value for value, _ in walk]
+        # The bound adds the float conversion's rounding, 2^-54 for a value
+        # in [0, 1), to the enclosure's radius; exact integers stay exact.
+        assert [fr.bound for fr in got] == [bound + 2.0**-54 if bound else 0.0 for _, bound in walk]
 
 
 # ------------------------------------------------ conjugate embeddings

@@ -1,15 +1,19 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.errors import EmptyInitialSet
 from measure_lab.fourier import (
     build_weight_cache,
     nu_hat,
+    nu_hat_grid,
     nu_hat_initial,
     psi_hat,
     rajchman_scan,
@@ -17,6 +21,8 @@ from measure_lab.fourier import (
 from measure_lab.distribution import depth_cloud
 from measure_lab.fixtures import FIXTURE_NAMES
 from measure_lab.parry import perron
+
+from helpers import signed_automata
 
 
 # ---------------------------------------------------------------- oracles
@@ -129,6 +135,95 @@ def test_atomic_transform_is_almost_periodic_sum(automata, pisots, perron_data):
         assert abs(value - direct) <= bound + 1e-8
 
 
+def cloud_quadrature(cloud, t):
+    """Transform of a depth cloud, and the distance 2 pi |t| (widest cylinder
+    offset) by which it may miss the true transform."""
+    values = np.array([e.value for e in cloud.entries])
+    masses = np.array([e.mass for e in cloud.entries])
+    return np.exp(-2j * np.pi * t * values) @ masses, 2 * np.pi * abs(t) * cloud.max_deviation
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=signed_automata(), integer_base=st.booleans(),
+       ts=st.lists(st.floats(-3, 3).filter(lambda t: t != 0), min_size=1, max_size=5))
+def test_grid_properties_on_random_automata(golden, base_two, a, integer_base, ts):
+    # The grid holds 0, repeated t and both signs of every t.
+    p = base_two if integer_base else golden
+    pd = perron(a)
+    cache = build_weight_cache(a, pd)
+    grid = [0.0, *ts, *ts[:2], *(-t for t in ts)]
+    batch = nu_hat_grid(a, p, pd, grid, 1e-9, cache)
+    at = {}
+    for t, (value, bound) in zip(grid, batch):
+        one, one_bound = nu_hat(a, p, pd, t, 1e-9, cache)
+        assert abs(value - one) <= bound + one_bound, t
+        assert abs(value) <= 1 + bound, t
+        at[t] = value, bound
+    cloud = depth_cloud(a, p, pd, 6)
+    mass_slack = abs(cloud.total_mass - 1) + 1e-12
+    for t, (value, bound) in at.items():
+        mirror, mirror_bound = at[-t]
+        assert abs(mirror - value.conjugate()) <= bound + mirror_bound, t
+        quad, offset = cloud_quadrature(cloud, t)
+        assert abs(value - quad) <= bound + offset + mass_slack, t
+
+
+# ---------------------------------------------------------------- argument error
+
+@lru_cache(maxsize=None)
+def beta_100_digits(minpoly, near):
+    with mp.workdps(100):
+        roots = mp.polyroots([mpf(c) for c in reversed(minpoly)], maxsteps=400, extraprec=800)
+        return min((mp.re(r) for r in roots), key=lambda r: abs(r - near))
+
+
+def mp_transform(a, pd, args):
+    """v_L W(args[0]) ... W(args[-1]) v_R at the working precision, with the
+    float Perron data taken as exact."""
+    tm = transition_matrices(a)
+    n = pd.n_states
+    row = [mpf(x) for x in pd.v_L]
+    for x in args:
+        weights = [(mp.expjpi(-2 * label * x), m) for label, m in tm.per_label.items()]
+        row = [sum(row[i] * phase * int(m[i, j]) for phase, m in weights for i in range(n)) / mpf(pd.lam)
+               for j in range(n)]
+    return complex(sum(r * mpf(v) for r, v in zip(row, pd.v_R)))
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "fig3"])
+@pytest.mark.parametrize("t", [0.37, -64.0, 1e6, -1e6])
+def test_argument_errors_cover_the_arguments(automata, pisots, perron_data, monkeypatch, name, t):
+    # Every factor's argument error e_k covers its distance (mod 1) from
+    # t beta^-k at 100 digits, the bound adds c sum e_k, and the value lies
+    # within the bound of a 60-digit product over a longer tail.  fig3 at
+    # |t| = 10^6 needs the arguments from the certified beta enclosure.
+    from measure_lab import fourier
+
+    a, p, pd = automata[name], pisots[name], perron_data[name]
+    arguments = fourier._arguments
+    seen = []
+
+    def recording_arguments(*args):
+        seen.append(arguments(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(fourier, "_arguments", recording_arguments)
+    cache = build_weight_cache(a, pd)
+    value, bound = nu_hat(a, p, pd, t, 1e-8, cache)
+    (args, errs, (n,), _), = seen
+    assert bound <= 1e-8
+    assert bound >= fourier._tail_constant(cache, cache.k_left) * errs[0, :n].sum()
+
+    beta = beta_100_digits(p.minpoly, float(p.root_beta.mid))
+    with mp.workdps(100):
+        exact = [mpf(t) / beta**k for k in range(1, n + 61)]
+        for k in range(n):
+            miss = mpf(args[0, k]) - exact[k]
+            assert abs(miss - mp.nint(miss)) <= errs[0, k], k
+    with mp.workdps(60):
+        assert abs(value - mp_transform(a, pd, exact)) <= bound
+
+
 # ---------------------------------------------------------------- nu_hat_initial
 
 def test_initial_transform_at_zero(automata, pisots, perron_data):
@@ -167,19 +262,19 @@ def test_initial_transform_point_mass(automata, pisots, perron_data):
 
 
 def test_initial_row_bound_holds_for_long_products(automata, pisots, perron_data, monkeypatch):
-    # The l1 bound K that nu_hat_initial hands the product must cover
+    # The l1 bound K that nu_hat_initial hands the engine must cover
     # |row0| W(0)^n, which dominates every partial row, far past the tail
     # lengths the transform uses.
     from measure_lab import fourier
 
-    product = fourier._product
+    engine = fourier._transform_batch
     seen = []
 
-    def recording_product(cache, pd, beta, row, k_row, *rest):
+    def recording_engine(cache, pd, p, row, k_row, *rest):
         seen.append((cache, row, k_row))
-        return product(cache, pd, beta, row, k_row, *rest)
+        return engine(cache, pd, p, row, k_row, *rest)
 
-    monkeypatch.setattr(fourier, "_product", recording_product)
+    monkeypatch.setattr(fourier, "_transform_batch", recording_engine)
     for name in FIXTURE_NAMES:
         a, p, pd = automata[name], pisots[name], perron_data[name]
         if not a.initial:
@@ -286,10 +381,10 @@ def test_consistency_limit_vs_large_argument(automata, pisots, perron_data):
         z = BetaInt((1, 0))
         row = cache.v_l.copy()
         for j in range(k - 1, -1, -1):
-            row = cache.apply(row, frac_beta_power(z, j, p).value)
+            row = row @ cache.weight(frac_beta_power(z, j, p).value)
         z_val = float(bint_embed(z, 1, p).mid)
         for n in range(1, 60):
-            row = cache.apply(row, z_val * p.beta_float**-n)
+            row = row @ cache.weight(z_val * p.beta_float**-n)
         direct = complex(row @ cache.v_r)
         res = psi_hat(a, p, pd, (1, 0), 1e-8)
         assert abs(res.value - direct) <= res.bound + 1e-6, name
