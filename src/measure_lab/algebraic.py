@@ -64,7 +64,10 @@ def _escalate(start: int, attempt, failure, cap: int | None = None):
     """The one precision policy: attempt(prec) at start, 2*start, ... while
     prec stays within the cap (the precision cap unless given, never below
     start); the first result that is not None wins.  Past the cap raises
-    PrecisionExhausted(failure(cap))."""
+    PrecisionExhausted(failure(cap)).  A start below 1 never doubles
+    towards the cap, so it raises ValueError."""
+    if start < 1:
+        raise ValueError(f"precision must be at least 1 bit, got {start}")
     cap = max(precision_cap() if cap is None else cap, start)
     prec = start
     while prec <= cap:
@@ -569,12 +572,12 @@ def _frac_of_real_ball(ball: Ball) -> FracPart | None:
 
 
 @_serialized
-def float_with_error(ball: Ball) -> tuple[float, float]:
-    """The float nearest a real ball's midpoint, and an upper bound on its
-    distance from every point of the ball."""
-    x = float(ball.mid)
+def float_with_error(ball: Ball | CBall) -> tuple[float | complex, float]:
+    """The float (complex for a CBall) nearest a ball's midpoint, and an
+    upper bound on its distance from every point of the ball."""
+    x = complex(ball.mid) if isinstance(ball, CBall) else float(ball.mid)
     with mp.workprec(max(mp.prec, 64)):
-        return x, _rad_float(abs(ball.mid - mpf(x)) + ball.rad)
+        return x, _rad_float(abs(ball.mid - x) + ball.rad)
 
 
 @_serialized

@@ -398,6 +398,8 @@ def main(argv=None) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ValidationError(f"--tol must be a finite number > 0, got {args.tol!r}")
+        if args.precision < 1:
+            raise ValidationError(f"--precision must be at least 1 bit, got {args.precision}")
         report = args.fn(args)
     except ValidationError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)

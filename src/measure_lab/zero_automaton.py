@@ -4,16 +4,46 @@ beta-value is zero.
 States are exact elements of Z[beta]; from state x the digit a leads to
 y = beta*x - a whenever y survives the closed bounds |y| <= M/(beta-1) and
 |y_q| <= M/(1-|beta_q|) for every conjugate embedding (M the largest digit
-modulus).  Boundary membership is decided exactly through element
-identities such as y*(beta-1) = +-M, everything else through adaptive
-enclosures.  All genuine zero words run from the zero state back to the
+modulus).  All genuine zero words run from the zero state back to the
 zero state, so trimming to the strongly co-reachable part of the zero
 state preserves the recognised language.
+
+Bound membership is decided in two tiers, and both are certified, so the
+automaton does not depend on which tier decided a state.
+
+1. ``float_tier`` evaluates a whole array of candidates in float64 and
+   calls each IN, OUT or UNDECIDED.  It tests |y(beta)|*(beta-1) <= M and
+   |y(beta_q)|*(1-|beta_q|) <= M with the float copies x of beta and of
+   every conjugate (Horner over the coordinates c_i, d = r-1 the
+   polynomial's degree), each within delta of its root, and with float
+   copies of (beta-1) and (1-|beta_q|) within e of theirs; all of these
+   come from the certified enclosures at ``p.precision`` (radius plus the
+   rounding to float).  With u = 2^-53 and X = |x| + delta:
+
+   - Horner rounding: each of the at most 2d roundings is a relative
+     error of at most sqrt(5)*u (complex product) or u (sum), so the
+     computed value is within 8*(d+1)*u * sum |c_i| X^i of y(x);
+   - root error: |y(root) - y(x)| <= delta * sum i*|c_i| X^(i-1);
+   - together E_y bounds |y_float - y(root)|, and a product of y_float
+     (or its modulus, which hypot rounds by at most 2u relative) with a
+     factor f within e of its true value is within
+     E_y*|f| + (|y_float| + E_y)*e + u*|product| of the true product.
+
+   Every error term is a sum and product of nonnegative floats, inflated
+   by 1 + 2^-20 and 2^-1000 to cover its own rounding and underflow.
+   A bound is decided when the computed value clears M by more than its
+   error; since M is a float and rounding is monotone, the float sums in
+   these comparisons never flip a decision.  A row is IN when every bound
+   is decided inside, OUT as soon as one is decided outside.  Rows with a
+   coordinate of modulus >= 2^53 (not a float exactly), and every row
+   when M >= 2^53, are UNDECIDED.
+
+2. ``state_within_bounds`` decides one UNDECIDED state with mpmath balls
+   under ``algebraic._escalate``, and resolves exact boundary states
+   through element identities such as y*(beta-1) = +-M.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from mpmath import mp
@@ -27,12 +57,19 @@ from .algebraic import (
     bint_mul,
     bint_mul_beta,
     bint_neg,
+    float_with_error,
     refined_enclosures,
 )
 from .automaton import LabeledAutomaton
-from .errors import CapExceeded
+from .errors import CapExceeded, ValidationError
 
 _BOX_CAP = 1_000_000
+
+# Decisions of the float tier.
+OUT, IN, UNDECIDED = 0, 1, 2
+
+_U = 2.0**-53
+_EXACT = 2**53  # integers below this modulus are floats exactly
 
 TRIM_NONE = "none"
 TRIM_ACCESSIBLE = "accessible"
@@ -126,6 +163,71 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
     )
 
 
+def _float_constants(p: PisotNumber):
+    """Float copies, each with an error bound: (beta, beta - 1) and, per
+    conjugate, (beta_q, 1 - |beta_q|)."""
+    beta, conj = refined_enclosures(p, p.precision)
+    with mp.workprec(p.precision + 64):
+        return [
+            (float_with_error(root), float_with_error(factor))
+            for root, factor in [(beta, beta.add_int(-1))]
+            + [(c, (-c.abs_ball()).add_int(1)) for c in conj]
+        ]
+
+
+def _padded(err):
+    # Covers the rounding and underflow of the error terms' own arithmetic.
+    return err * (1 + 2.0**-20) + 2.0**-1000
+
+
+def _horner(c: np.ndarray, size: np.ndarray, x, dx: float):
+    """Values of the coordinate rows c at the float x, and bounds on their
+    distance from the values at every point within dx of x."""
+    big_x = abs(x) + dx
+    acc = c[:, -1] + 0 * x  # float or complex, as x
+    mag, deriv = size[:, -1], np.zeros(len(c))
+    for i in range(c.shape[1] - 2, -1, -1):
+        acc = acc * x + c[:, i]
+        deriv = deriv * big_x + mag  # sum i |c_i| X^(i-1)
+        mag = mag * big_x + size[:, i]  # sum |c_i| X^i
+    return acc, _padded(8 * c.shape[1] * _U * mag + dx * deriv)
+
+
+def float_tier(coords: np.ndarray, p: PisotNumber, m_abs: int) -> np.ndarray:
+    """IN, OUT or UNDECIDED for each row of an (n x r) integer array of
+    coordinates, decided in float64 with the certified error bound that
+    the module docstring derives."""
+    coords = np.asarray(coords)
+    decision = np.full(len(coords), UNDECIDED, dtype=np.int8)
+    if m_abs >= _EXACT or not len(coords):
+        return decision
+    exact = (np.abs(coords) < _EXACT).all(axis=1)
+    c = np.where(exact[:, None], coords, 0).astype(np.float64)
+    size = np.abs(c)
+    inside, outside = exact.copy(), np.zeros(len(c), dtype=bool)
+    for q, ((x, dx), (f, df)) in enumerate(_float_constants(p)):
+        y, err = _horner(c, size, x, dx)
+        if q:  # a conjugate: the bound is on the modulus
+            y = np.abs(y)
+            err = _padded(err + 2 * _U * y)
+        value = np.abs(y * f)
+        err = _padded(err * abs(f) + (np.abs(y) + err) * df + _U * value)
+        inside &= value + err < m_abs
+        outside |= value - err > m_abs
+    decision[inside] = IN
+    decision[exact & outside] = OUT
+    return decision
+
+
+def _accept(decision: np.ndarray, state, p: PisotNumber, m_abs: int) -> np.ndarray:
+    """Membership per row: the float tier's decision, or for an UNDECIDED
+    row the certified test of state(row)."""
+    keep = decision == IN
+    for i in np.flatnonzero(decision == UNDECIDED):
+        keep[i] = state_within_bounds(state(i), p, m_abs)
+    return keep
+
+
 def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
     """All elements of Z[beta] inside the closed bounds, zero first then
     lexicographic by coordinates."""
@@ -133,7 +235,7 @@ def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
     if r == 1:
         n = -p.minpoly[0]
         top = m_abs // (n - 1)
-        coords = [(c,) for c in range(-top, top + 1)]
+        coord_bound = [top]
     else:
         beta, conj = refined_enclosures(p, p.precision)
         roots = [complex(beta.mid)] + [complex(c.mid) for c in conj]
@@ -151,10 +253,10 @@ def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
             volume *= 2 * b + 1
         if volume > _BOX_CAP:
             raise CapExceeded(f"candidate box of size {volume} exceeds {_BOX_CAP}")
-        coords = itertools.product(*[range(-b, b + 1) for b in coord_bound])
-    members = [
-        BetaInt(tuple(c)) for c in coords if state_within_bounds(BetaInt(tuple(c)), p, m_abs)
-    ]
+    axes = np.meshgrid(*[np.arange(-b, b + 1) for b in coord_bound], indexing="ij")
+    box = np.stack(axes, axis=-1).reshape(-1, r)
+    keep = _accept(float_tier(box, p, m_abs), lambda i: BetaInt(tuple(box[i].tolist())), p, m_abs)
+    members = [BetaInt(tuple(c)) for c in box[keep].tolist()]
     zero = bint_from_int(0, p)
     members.sort(key=lambda x: x.coords)
     members.remove(zero)
@@ -176,41 +278,35 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = TRIM_BOTH) -> Lab
         raise ValueError(f"unknown trim mode {trim!r}")
     alphabet = tuple(sorted(set(int(a) for a in alphabet)))
     if not alphabet:
-        raise ValueError("alphabet must be nonempty")
+        raise ValidationError("alphabet must be nonempty")
     m_abs = max(abs(a) for a in alphabet)
     zero = bint_from_int(0, p)
 
-    def successor(x: BetaInt, a: int) -> BetaInt:
-        bx = bint_mul_beta(x, p)
-        return BetaInt((bx.coords[0] - a,) + bx.coords[1:])
+    def successors(x: BetaInt) -> list[tuple[BetaInt, int]]:
+        head, *tail = bint_mul_beta(x, p).coords
+        return [(BetaInt((head - a, *tail)), a) for a in alphabet]
 
     if trim == TRIM_NONE:
         states = _candidate_box(p, m_abs)
         member = set(states)
-        edges = []
-        for x in states:
-            for a in alphabet:
-                y = successor(x, a)
-                if y in member:
-                    edges.append((x, y, a))
+        edges = [(x, y, a) for x in states for y, a in successors(x) if y in member]
     else:
-        # BFS from the zero state under y = beta*x - a, bounds-filtered.
+        # BFS from the zero state under y = beta*x - a, bounds-filtered,
+        # one level at a time: the new successors of a whole level go
+        # through the float tier together.
         states = [zero]
-        seen = {zero}
+        member = {zero: True}  # every state tested so far
         edges = []
-        queue = [zero]
-        while queue:
-            x = queue.pop(0)
-            for a in alphabet:
-                y = successor(x, a)
-                if y in seen:
-                    edges.append((x, y, a))
-                    continue
-                if state_within_bounds(y, p, m_abs):
-                    seen.add(y)
-                    states.append(y)
-                    queue.append(y)
-                    edges.append((x, y, a))
+        level = [zero]
+        while level:
+            steps = [(x, y, a) for x in level for y, a in successors(x)]
+            fresh = list(dict.fromkeys(y for _, y, _ in steps if y not in member))
+            coords = np.array([y.coords for y in fresh]).reshape(len(fresh), p.degree)
+            keep = _accept(float_tier(coords, p, m_abs), fresh.__getitem__, p, m_abs)
+            member.update(zip(fresh, keep.tolist()))
+            level = [y for y, k in zip(fresh, keep) if k]
+            states += level
+            edges += [step for step in steps if member[step[1]]]
 
     if trim == TRIM_BOTH:
         # Keep states with a path back to zero.
@@ -251,6 +347,8 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
     """
     if n_max > 14:
         raise CapExceeded("verification depth capped at 14")
+    if n_max < 0:
+        raise ValidationError(f"verification depth must be >= 0, got {n_max}")
     idx = a.state_index()
     zero_name = zero_state_name(p)
     if zero_name not in idx:

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from measure_lab.algebraic import make_pisot
 from measure_lab.fixtures import FIXTURE_NAMES, fixture_automaton, fixture_pisot
 from measure_lab.parry import perron
+
+# CI runs with --hypothesis-profile=ci, so a failure there reproduces; local
+# runs keep the default profile and its random examples.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

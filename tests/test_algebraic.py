@@ -329,6 +329,15 @@ def test_precision_cap_env(golden, monkeypatch):
         frac_beta_power(bint_from_int(1, golden), 12, golden, max_err=2.0**-1000)
 
 
+@pytest.mark.parametrize("start", [0, -3])
+def test_escalate_rejects_start_below_one(start):
+    # doubling 0 stays 0, so this used to loop forever
+    from measure_lab.algebraic import _escalate
+
+    with pytest.raises(ValueError):
+        _escalate(start, lambda prec: None, lambda cap: f"unresolved at {cap} bits")
+
+
 def test_certification_memo_keyed_by_cap(monkeypatch):
     # Force _classified_disks to escalate internally to 512 bits, memoise
     # that success under the default cap, then lower the cap below 512: the

@@ -172,6 +172,22 @@ def test_bad_tol_exit_code(capsys, fixture_dir, argv):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("limit", "fibonacci.json", "--z", "1", "--precision", "0"),
+    ("limit", "fibonacci.json", "--z", "1", "--precision", "-3"),
+    ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--precision", "-5"),
+    ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", ",,,"),
+    ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--verify", "-1"),
+], ids=["precision-zero", "precision-negative", "zero-automaton-precision", "empty-alphabet",
+        "negative-verify"])
+def test_bad_input_exit_code(capsys, fixture_dir, argv):
+    # --precision 0 used to double forever, --verify -1 to recurse without end
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_fourier_huge_t(capsys, fixture_dir):
     code, out = run(capsys, "fourier", str(fixture_dir / "fibonacci.json"), "--t", "1e300,-1e300")
     assert code == 0

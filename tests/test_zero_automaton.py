@@ -1,15 +1,24 @@
+import functools
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from measure_lab.algebraic import BetaInt, bint_from_int
+from measure_lab import zero_automaton as za
+from measure_lab.algebraic import BetaInt, bint_from_int, make_pisot
 from measure_lab.automaton import count_words, primitivity_check
 from measure_lab.errors import CapExceeded
 from measure_lab.parry import perron
 from measure_lab.zero_automaton import (
+    IN,
+    OUT,
+    UNDECIDED,
     beta_int_from_name,
     build_zero_automaton,
+    float_tier,
     state_within_bounds,
     verify_zero_language,
     zero_state_name,
@@ -152,3 +161,124 @@ def test_verification_depth_cap(golden):
     a = build_zero_automaton(golden, [0, 1])
     with pytest.raises(CapExceeded):
         verify_zero_language(a, golden, 15)
+
+
+# ---------------------------------------------------------------- float tier
+
+BASES = {
+    "golden": (-1, -1, 1),
+    "tribonacci": (-1, -1, -1, 1),
+    "x3-x-1": (-1, -1, 0, 1),
+    "x4-x3-1": (-1, 0, 0, -1, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def base(name):
+    return make_pisot(BASES[name])
+
+
+@functools.lru_cache(maxsize=None)
+def seed_states(name):
+    """Coordinates of the states reachable over {-1, 0, 1}, and of those
+    with no way back to zero: for these bases, states on the closed
+    bounds of M = 1, such as beta for golden."""
+    p = base(name)
+    reachable = build_zero_automaton(p, [-1, 0, 1], trim="accessible").states
+    trimmed = set(build_zero_automaton(p, [-1, 0, 1]).states)
+    return tuple(
+        [beta_int_from_name(s, p).coords for s in names]
+        for names in (reachable, [s for s in reachable if s not in trimmed])
+    )
+
+
+def mpmath_only(monkeypatch):
+    """Send every state to the certified test, as before the float tier."""
+    monkeypatch.setattr(
+        za, "float_tier", lambda coords, p, m_abs: np.full(len(coords), UNDECIDED, dtype=np.int8)
+    )
+
+
+def test_boundary_states_take_the_certified_path(golden):
+    # beta = (0,1) lies on the real bound: (beta - 1)*beta = 1.  2 - beta =
+    # (2,-1) lies on the conjugate bound: |2 + 1/beta|*(1 - 1/beta) = 1.
+    rows = [(0, 1), (2, -1)]
+    assert list(float_tier(np.array(rows), golden, 1)) == [UNDECIDED, UNDECIDED]
+    assert all(state_within_bounds(BetaInt(row), golden, 1) for row in rows)
+    box = build_zero_automaton(golden, [-1, 0, 1], trim="none")
+    assert {"(0,1)", "(2,-1)"} <= set(box.states)
+    # clear cases are decided in float64
+    assert list(float_tier(np.array([(0, 0), (1, 0), (2, 0), (0, 2)]), golden, 1)) == [IN, IN, OUT, OUT]
+
+
+def test_tier_declines_coordinates_past_two_to_53(golden):
+    # (2^53, 0) is far outside, but its coordinate is not a float exactly
+    rows = np.array([(2**53, 0), (-(2**53), 1), (2**53 - 1, 0)])
+    assert list(float_tier(rows, golden, 1)) == [UNDECIDED, UNDECIDED, OUT]
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci"])
+def test_huge_digits_match_mpmath_only(monkeypatch, name):
+    p = base(name)
+    digit = 10**18 + 7
+    built = build_zero_automaton(p, [-digit, 0, digit], trim="accessible")
+    coords = [beta_int_from_name(s, p).coords for s in built.states]
+    assert max(abs(c) for row in coords for c in row) >= 2**53
+    assert (float_tier(np.array(coords), p, digit) == UNDECIDED).all()
+    mpmath_only(monkeypatch)
+    assert build_zero_automaton(p, [-digit, 0, digit], trim="accessible") == built
+
+
+@pytest.mark.parametrize("name, alphabet, trim", [
+    ("golden", [-2, -1, 0, 1, 2], "none"),
+    ("tribonacci", [-1, 0, 1], "accessible"),
+])
+def test_tier_builds_the_mpmath_only_automaton(monkeypatch, name, alphabet, trim):
+    built = build_zero_automaton(base(name), alphabet, trim=trim)
+    mpmath_only(monkeypatch)
+    assert build_zero_automaton(base(name), alphabet, trim=trim) == built
+
+
+@st.composite
+def near_bound_rows(draw):
+    """A base, a digit bound M = k and rows k*s + e: s a state of M = 1
+    (often on its closed bounds, which scale with M), e a small offset."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    k = draw(st.integers(1, 3))
+    reachable, on_bound = seed_states(name)
+    seeds = st.sampled_from(reachable)
+    if on_bound:
+        seeds = st.one_of(seeds, st.sampled_from(on_bound))
+    r = len(reachable[0])
+    offset = st.one_of(st.just([0] * r), st.lists(st.sampled_from([0, 1, -1, 2, -2]), min_size=r,
+                                                  max_size=r))
+    rows = draw(st.lists(st.tuples(seeds, offset), min_size=1, max_size=8))
+    return name, k, [tuple(k * c + e for c, e in zip(s, off)) for s, off in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(near_bound_rows())
+def test_float_tier_agrees_with_certified_test(case):
+    name, m_abs, rows = case
+    p = base(name)
+    for row, decision in zip(rows, float_tier(np.array(rows), p, m_abs)):
+        if decision != UNDECIDED:
+            assert (decision == IN) == state_within_bounds(BetaInt(row), p, m_abs), row
+
+
+@st.composite
+def small_languages(draw):
+    name = draw(st.sampled_from(sorted(BASES)))
+    # the quartic's zero automata grow past 7,000 states for M = 2
+    digits = [-1, 0, 1] if name == "x4-x3-1" else [-2, -1, 0, 1, 2]
+    alphabet = draw(st.lists(st.sampled_from(digits), min_size=2, max_size=3, unique=True))
+    return name, sorted(alphabet), draw(st.integers(1, 8))
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_languages())
+def test_built_automata_recognise_exactly_the_zero_words(case):
+    name, alphabet, depth = case
+    p = base(name)
+    report = verify_zero_language(build_zero_automaton(p, alphabet), p, depth)
+    assert report["sound"] and report["complete"], report
