@@ -23,6 +23,7 @@ from .algebraic import (
     bint_sub,
     frac_beta_power,
     frac_beta_powers,
+    frac_beta_powers_float,
     frac_inverse_beta_powers,
     make_pisot,
     qbeta_add,

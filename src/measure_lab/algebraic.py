@@ -17,22 +17,29 @@ precision cap) and reused by every later embedding and comparison.
 The fractional part of z*beta^k is computed through the trace identity:
 z*beta^k plus the sum of its Galois conjugates is a rational integer, and
 the conjugate sum is tiny because all conjugates of a Pisot number have
-modulus below one.  ``frac_beta_powers`` walks z*beta^j for j = 0..k with
-one exact multiplication by beta per step, so a head of k terms costs O(k)
-ring operations.  ``frac_inverse_beta_powers`` gives x*beta^-k mod 1 from
-the enclosure of beta, for transform arguments too large for floats.
+modulus below one.  It comes in two tiers.  ``frac_beta_powers_float``
+runs the conjugate powers z_q*beta_q^k in float64, one complex
+multiplication per step for a whole array of z, with a certified error
+per value; ``frac_beta_powers`` is the exact tier, which walks z*beta^j
+for j = 0..k with one exact multiplication by beta per step (O(k) ring
+operations) and encloses each conjugate sum with mpmath balls.
+``frac_inverse_beta_powers`` gives x*beta^-k mod 1 from the enclosure of
+beta, for transform arguments too large for floats.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import isqrt
 from typing import NamedTuple
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 # mpmath's working precision is process-global state; every public entry
@@ -647,6 +654,75 @@ def frac_beta_powers(z: BetaInt, k_max: int, p: PisotNumber) -> list[FracPart]:
             w = bint_mul_beta(w, p)
         out.append(_certified_frac(z, k, w, p, 2.0**-60))
     return out
+
+
+_U = 2.0**-53
+
+
+def frac_beta_powers_float(
+    zs: Sequence[BetaInt], conj: np.ndarray, conj_err: np.ndarray, k_max: int, p: PisotNumber
+) -> tuple[np.ndarray, np.ndarray]:
+    """frac(z * beta^k) for k = 0..k_max and every z of zs, in float64:
+    arrays of values and of certified errors, one row per z.
+
+    conj[i, q - 2] is a complex float within conj_err[i, q - 2] of the
+    q-th embedding z_q of zs[i] (``float_with_error`` of ``bint_embed``).
+    By the trace identity, which holds for every k >= 0, frac(z beta^k) =
+    -sum_q z_q beta_q^k (mod 1) over the conjugates q = 2..r.  Each term
+    y_k = z_q beta_q^k is run as the float product y^_k of z^ (the float
+    z_q) with the k-th entry of a cumprod of b^, the float copy of beta_q
+    within delta of it (``float_with_error`` of its enclosure).  With u =
+    2^-53 and B = |b^|(1 + 2u) + delta, which bounds |b^| (hypot rounds by
+    at most 2u relative) and |beta_q|:
+
+    - products: a complex multiplication rounds by at most 4u relative,
+      and y^_k takes at most k + 1 of them (the cumprod, then the product
+      with z^), so |y^_k - z^ b^^k| <= |z^| B^k ((1 + 4u)^(k+1) - 1);
+    - root error: |b^^k - beta_q^k| <= k delta B^(k-1), times |z^|;
+    - z error: |z^ - z_q| |beta_q^k| <= conj_err B^k;
+    - the sum s^ of -Re y^ over the r - 1 conjugates rounds by at most
+      (r - 1) u sum_q |y^_k|, and dropping the imaginary parts adds nothing
+      because the exact sum is real;
+    - the value s^ - floor(s^) lies in [0, 1] and rounds by at most u.
+
+    Roundings that underflow add at most 2^-1073 absolute per complex
+    product; they and the underflow of the bound's own arithmetic are
+    covered by 2^-1000 (k + 1)(1 + sum_q |z^| max(1, B^k)).  The sum of
+    the terms is inflated by 1 + 2^-20, which covers its own rounding
+    (with B^k a cumprod, about k u relative).  A value is a residue on
+    the circle, within its error of frac(z beta^k) plus some integer,
+    which is all a 1-periodic function of it needs.  An exact rational
+    integer z keeps (0.0, 0.0) at k = 0.  A non-finite error (a
+    coordinate too large for float) is inf.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    conj = np.asarray(conj, dtype=complex).reshape(len(zs), p.degree - 1)
+    conj_err = np.asarray(conj_err, dtype=float).reshape(conj.shape)
+    k = np.arange(k_max + 1)
+    rounding = np.expm1((k + 1) * math.log1p(4 * _U))  # (1 + 4u)^(k+1) - 1
+    total = np.zeros((len(zs), k_max + 1))
+    err, mags, underflow = np.zeros_like(total), np.zeros_like(total), np.zeros_like(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, point in enumerate(p.conjugates):
+            b_hat, delta = float_with_error(point)
+            big_b = abs(b_hat) * (1 + 2 * _U) + delta
+            b_pow = np.cumprod(np.r_[1.0, np.full(k_max, big_b)])  # B^k
+            b_prev = np.r_[0.0, b_pow[:-1]]  # B^(k-1); k = 0 multiplies it
+            z_hat = conj[:, q, None]
+            z_abs = np.abs(z_hat)
+            y = z_hat * np.cumprod(np.r_[1.0, np.full(k_max, b_hat)])
+            total -= y.real
+            mags += np.abs(y)
+            err += z_abs * (b_pow * rounding + k * delta * b_prev) + conj_err[:, q, None] * b_pow
+            underflow += z_abs * np.maximum(b_pow, 1.0)
+        values = total - np.floor(total)
+        err += (p.degree - 1) * _U * mags + _U
+        errors = err * (1 + 2.0**-20) + 2.0**-1000 * (k + 1) * (1 + underflow)
+    errors[~np.isfinite(errors)] = np.inf
+    integer = np.array([z.is_rational_int for z in zs], dtype=bool)
+    values[integer, 0] = errors[integer, 0] = 0.0
+    return values, errors
 
 
 def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber, max_err: float) -> FracPart:

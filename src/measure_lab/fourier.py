@@ -32,16 +32,22 @@ A value's bound adds up these terms:
   them their share of tol.  Where no share is left (large |t|), the tail
   arguments come instead from the certified beta enclosure at escalating
   precision (``frac_inverse_beta_powers``), which raises
-  PrecisionExhausted past the cap.  Head arguments carry the certified
-  bounds of their fractional parts;
+  PrecisionExhausted past the cap.  Head arguments frac(z beta^j) are
+  float64 conjugate sums -sum_q z_q beta_q^j with a certified error
+  (``frac_beta_powers_float``, O(1) per term for a whole block of z).  A
+  row whose float head pushes its bound past tol, where exact head
+  arguments would bring it back within tol (the tail taken at its best),
+  or whose head errors are not finite, takes the exact head
+  (``frac_beta_powers``) instead;
 - psi-hat's discarded head, bounded through the conjugate decay of z
   beta^j (Pisot property);
 - eigenvector residuals and float rounding, per factor.
 K is exact: W(0) >= 0 and |W(t)| <= W(0) entrywise, so a start row with
 row0 <= c v_L keeps every partial row below c v_L W(0)^n = c v_L, and K =
-c ||v_L||_1 (c = 1 for v_L itself).  Head fractional parts come from the
-exact trace-identity evaluation, never from floating beta powers, in one
-O(J) pass over the J head terms.
+c ||v_L||_1 (c = 1 for v_L itself).  Neither head tier takes a float
+power of beta, which has no fractional precision left for large j: the
+float tier runs the conjugate powers, which shrink with j, and the exact
+tier encloses the exact element z beta^j.
 """
 
 from __future__ import annotations
@@ -55,11 +61,11 @@ import numpy as np
 
 from .algebraic import (
     BetaInt,
-    FracPart,
     PisotNumber,
     bint_embed,
     float_with_error,
     frac_beta_powers,
+    frac_beta_powers_float,
     frac_inverse_beta_powers,
 )
 from .automaton import LabeledAutomaton, TransitionMatrices, transition_matrices
@@ -137,13 +143,16 @@ def _eig_slack(pd: PerronData, k_row: float, n_factors):
 
 @dataclass(frozen=True)
 class _Product:
-    """One row of a batch: row0 W(head) W(s/beta) ... W(s/beta^n_tail) v_R."""
+    """One row of a batch: row0 W(frac(s beta^(n_head-1))) ... W(frac(s))
+    W(s/beta) ... W(s/beta^n_tail) v_R."""
 
     scale: float | BetaInt  # s, exact
     s_hat: float  # the float nearest s
     s_err: float  # bound on |s_hat - s|
     n_tail: int
-    head: Sequence[FracPart] = ()
+    n_head: int = 0
+    conj: tuple[complex, ...] = ()  # float conjugate embeddings of s, for the head
+    conj_err: tuple[float, ...] = ()  # bounds on their errors
     fixed: float = 0.0  # bound terms settled before the product
 
 
@@ -175,10 +184,12 @@ def _arguments(
     """Arguments of a block of rows (head, then tail, reduced mod 1, zero
     padded), their errors e_k, the rows' lengths and bounds.
 
-    Tail arguments are floats.  A row whose bound they push past tol first
-    gets the longer tail that leaves them their share of tol; where no
-    share is left (large |s|), its tail arguments come from the certified
-    beta enclosure instead.
+    Head arguments are the float tier's; a row whose bound they push past
+    tol while exact ones would not (or whose head errors are not finite)
+    takes the exact head.  Tail arguments are floats.  A row whose bound
+    they push past tol first gets the longer tail that leaves them their
+    share of tol; where no share is left (large |s|), its tail arguments
+    come from the certified beta enclosure instead.
     """
     c = _tail_constant(cache, k_row)
     beta = p.beta_float
@@ -186,8 +197,14 @@ def _arguments(
     s_err = np.array([q.s_err for q in block])
     s_abs = np.abs(s_hat) + s_err
     fixed = np.array([q.fixed for q in block])
-    j = np.array([len(q.head) for q in block])
+    j = np.array([q.n_head for q in block])
     n = np.array([q.n_tail for q in block])
+    head_args = head_errs = np.zeros((len(block), 0))
+    if j.any():  # in power order: column i holds frac(s beta^i)
+        head_args, head_errs = frac_beta_powers_float(
+            [q.scale for q in block], [q.conj for q in block], [q.conj_err for q in block],
+            int(j.max()) - 1, p,
+        )
 
     def truncation(n):
         return c * s_abs * beta ** -n.astype(float) / (1 - 1 / beta)
@@ -203,12 +220,26 @@ def _arguments(
         err = (np.abs(s_hat)[:, None] * a[k] + s_err[:, None] * b[k]) * (1 + 2.0**-40)
         args = np.where(tail, s_hat[:, None] * pw[k], 0.0)
         errs = np.where(tail, np.where(pw[k] >= _TINY, err, np.inf), 0.0)
-        for r in np.flatnonzero(j):
-            args[r, : j[r]] = [fr.value for fr in block[r].head]
-            errs[r, : j[r]] = [fr.bound for fr in block[r].head]
+        if j.any():  # head column i of a row holds power j - 1 - i = -1 - steps
+            head = steps < 0
+            power = np.clip(-1 - steps, 0, head_args.shape[1] - 1)
+            args = np.where(head, np.take_along_axis(head_args, power, axis=1), args)
+            errs = np.where(head, np.take_along_axis(head_errs, power, axis=1), errs)
         return args, errs, tail
 
     args, errs, tail = assemble(n)
+    # The tail taken at its best: its errors are the longer or ball tail's job.
+    float_head = bound(n, np.where(tail, 0.0, errs))
+    exact_args = bound(n, np.zeros_like(errs))
+    exact_head = np.flatnonzero(
+        (j > 0) & ~(float_head <= tol) & ((exact_args <= tol) | ~np.isfinite(float_head))
+    )
+    for r in exact_head:
+        fracs = frac_beta_powers(block[r].scale, int(j[r]) - 1, p)
+        head_args[r, : j[r]] = [fr.value for fr in fracs]
+        head_errs[r, : j[r]] = [fr.bound for fr in fracs]
+    if len(exact_head):
+        args, errs, tail = assemble(n)
     bounds = bound(n, errs)
     share = tol - (bounds - truncation(n))
     longer = np.flatnonzero((bounds > tol) & (share > 0))
@@ -264,13 +295,13 @@ def _transform_batch(
     values = np.empty(len(products), dtype=complex)
     bounds = np.empty(len(products))
     n_tail = np.empty(len(products), dtype=int)
-    order = np.argsort([-(len(q.head) + q.n_tail) for q in products], kind="stable")
+    order = np.argsort([-(q.n_head + q.n_tail) for q in products], kind="stable")
     for start in range(0, len(order), _BLOCK):
         idx = order[start : start + _BLOCK]
         block = [products[i] for i in idx]
         args, _, lengths, block_bounds = _arguments(cache, pd, p, k_row, tol, block)
         bounds[idx] = block_bounds
-        n_tail[idx] = lengths - [len(q.head) for q in block]
+        n_tail[idx] = lengths - [q.n_head for q in block]
         by_length = np.argsort(-lengths, kind="stable")
         values[idx[by_length]] = _products(cache, row0, args[by_length], lengths[by_length])
     return values, bounds, n_tail
@@ -353,8 +384,11 @@ def psi_hat(
     The value is v_L [prod_{j=J..0} W(frac(z beta^j))] [prod_{n=1..N}
     W(z beta^-n)] v_R with J chosen so the discarded head arguments
     (bounded by the conjugate decay of z beta^j) and N chosen so the tail
-    both fit inside tol.  For integer beta every head factor is W(0), so
-    the value coincides with nu_hat at the integer z.
+    both fit inside tol.  Head arguments frac(z beta^j) are float64
+    conjugate sums with a certified error; the exact trace-identity walk
+    replaces them where their errors would keep the bound above tol.  For
+    integer beta every head factor is W(0), so the value coincides with
+    nu_hat at the integer z.
     """
     return _psi_grid(a, p, pd, [z], tol, cache, head_terms, tail_terms)[0]
 
@@ -390,7 +424,7 @@ def _psi_grid(
             cache, pd, p, cache.v_l, cache.k_left, tol, products
         )
         limits = [
-            PsiValue(value, bound, len(q.head) - 1, n)
+            PsiValue(value, bound, q.n_head - 1, n)
             for value, bound, q, n in zip(values.tolist(), bounds.tolist(), products, n_tail.tolist())
         ]
     rest = iter(limits)
@@ -408,11 +442,9 @@ def _psi_product(
     """The batch row of psi-hat(z): head length J and tail length N as
     psi_hat describes, unless given."""
     z_hat, z_err = float_with_error(bint_embed(z, 1, p))
-    conj_mags = []
-    for q in range(2, p.degree + 1):
-        zq = bint_embed(z, q, p).mag()
-        bq = p.conjugates[q - 2].mag()
-        conj_mags.append((float(zq), float(bq)))
+    embeds = [bint_embed(z, q, p) for q in range(2, p.degree + 1)]
+    conj_mags = [(float(zq.mag()), float(bq.mag())) for zq, bq in zip(embeds, p.conjugates)]
+    conj, conj_err = zip(*map(float_with_error, embeds))
 
     def head_residual(j: int) -> float:
         # sum_{i > j} dist(z beta^i, Z) <= sum_q |z_q| |beta_q|^(i) ...
@@ -425,8 +457,9 @@ def _psi_product(
             head_terms += 1
     if tail_terms is None:
         tail_terms = _tail_length(c, abs(z_hat), p.beta_float, tol / 2)
-    head = frac_beta_powers(z, head_terms, p)[::-1]
-    return _Product(z, z_hat, z_err, tail_terms, head, c * head_residual(head_terms))
+    return _Product(
+        z, z_hat, z_err, tail_terms, head_terms + 1, conj, conj_err, c * head_residual(head_terms)
+    )
 
 
 @dataclass(frozen=True)

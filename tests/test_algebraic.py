@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from measure_lab.algebraic import (
@@ -15,8 +18,10 @@ from measure_lab.algebraic import (
     bint_pow,
     bint_pow_beta,
     bint_sub,
+    float_with_error,
     frac_beta_power,
     frac_beta_powers,
+    frac_beta_powers_float,
     make_pisot,
     qbeta_div,
     qbeta_embed,
@@ -283,6 +288,56 @@ def test_frac_powers_equal_per_power(minpoly):
         assert frac_beta_powers(z, 60, p) == [frac_beta_power(z, k, p) for k in range(61)]
     with pytest.raises(ValueError):
         frac_beta_powers(generic, -1, p)
+
+
+# x^n - x^(n-1) - ... - 1 for n = 2..5, x^3 - x - 1 and x^4 - x^3 - 1
+FLOAT_HEAD_BASES = [(-1,) * n + (1,) for n in range(2, 6)] + [(-1, -1, 0, 1), (-1, 0, 0, -1, 1)]
+
+
+@lru_cache(maxsize=None)
+def cached_pisot(minpoly):
+    return make_pisot(list(minpoly))
+
+
+def float_head(z, k_max, p):
+    """frac_beta_powers_float for one z, from its conjugate embeddings."""
+    conj = [float_with_error(bint_embed(z, q, p)) for q in range(2, p.degree + 1)]
+    values, errors = frac_beta_powers_float(
+        [z], [[x for x, _ in conj]], [[e for _, e in conj]], k_max, p
+    )
+    return values[0], errors[0]
+
+
+def circle_distance(x, y):
+    d = abs(x - y) % 1.0
+    return min(d, 1.0 - d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_float_head_within_bound_of_exact_head(data):
+    minpoly = data.draw(st.sampled_from(FLOAT_HEAD_BASES))
+    p = cached_pisot(minpoly)
+    coords = st.lists(st.integers(-10**6, 10**6), min_size=p.degree, max_size=p.degree)
+    z = BetaInt(tuple(data.draw(coords)))
+    k_max = data.draw(st.integers(0, 200))
+    values, errors = float_head(z, k_max, p)
+    # frac_beta_powers equals frac_beta_power value for value (test above).
+    for k, exact in enumerate(frac_beta_powers(z, k_max, p)):
+        assert circle_distance(values[k], exact.value) <= errors[k] + exact.bound, (minpoly, z, k)
+        # the bound is a usable one, not a vacuous inf
+        assert errors[k] < 1e-6, (minpoly, z, k)
+
+
+def test_float_head_rational_integer_and_large_coordinates(golden, tribonacci):
+    values, errors = float_head(bint_from_int(-7, tribonacci), 30, tribonacci)
+    assert (values[0], errors[0]) == (0.0, 0.0)
+    assert 0 < errors[1:].max() < 1e-13
+    # past float range the errors are inf, and the head is left to the exact tier
+    _, errors = float_head(BetaInt((10**400, -(10**400))), 5, golden)
+    assert np.isinf(errors).all()
+    with pytest.raises(ValueError):
+        float_head(bint_from_int(1, golden), -1, golden)
 
 
 # ---------------------------------------------------------------- Q(beta)

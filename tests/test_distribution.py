@@ -293,6 +293,24 @@ def test_refinement_nesting(automata, pisots, perron_data):
             assert hi2 <= hi1 + 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    a=signed_automata(),
+    integer_base=st.booleans(),
+    depths=st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True).map(sorted),
+    points=st.lists(st.floats(-5, 5), min_size=1, max_size=6),
+)
+def test_cdf_brackets_nest_on_random_automata(golden, base_two, a, integer_base, depths, points):
+    # A deeper bracket lies inside a coarser one.  The slack is value_bounds'
+    # 1e-12 inflation, fixed before the property was run.
+    p = base_two if integer_base else golden
+    pd = perron(a)
+    coarse, fine = (cdf_bracket(a, p, pd, depth, points) for depth in depths)
+    for x, (lo1, hi1), (lo2, hi2) in zip(points, coarse, fine):
+        assert lo1 <= lo2 + 1e-12, (depths, x)
+        assert hi2 <= hi1 + 1e-12, (depths, x)
+
+
 def test_fibonacci_cdf_matches_invariant_density(automata, pisots, perron_data):
     # measured profile follows the invariant density, not the uniform law
     a, p, pd = automata["fibonacci"], pisots["fibonacci"], perron_data["fibonacci"]

@@ -331,21 +331,67 @@ def test_fig3_limit_nonzero_and_stable(automata, pisots, perron_data):
     assert abs(res.value - (0.0025185487 - 0.0007575007j)) < 1e-8
 
 
+def no_float_head(fourier):
+    """The float head tier with every error inf, which sends every psi-hat
+    row to the exact head."""
+    float_tier = fourier.frac_beta_powers_float
+
+    def stub(*args):
+        values, errors = float_tier(*args)
+        return values, np.full_like(errors, np.inf)
+
+    return stub
+
+
 def test_fig3_limit_head_matches_per_power_product(automata, pisots, perron_data, monkeypatch):
-    # psi_hat's one-pass head gives the same value and bound, bit for bit,
-    # as the head built from one frac_beta_power call per factor.
+    # With the float head ruled out, psi_hat's one-pass exact head gives the
+    # same value and bound, bit for bit, as the head built from one
+    # frac_beta_power call per factor; the float-head values lie within both
+    # bounds of the exact-head ones.
     from measure_lab import fourier
     from measure_lab.algebraic import frac_beta_power
 
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
     cache = build_weight_cache(a, pd)
-    fast = {z: psi_hat(a, p, pd, z, 1e-8, cache) for z in ((1, 0), (2, -1))}
-    assert all(res.head_terms > 8 for res in fast.values())
+    zs = ((1, 0), (2, -1))
+    fast = {z: psi_hat(a, p, pd, z, 1e-8, cache) for z in zs}
+    monkeypatch.setattr(fourier, "frac_beta_powers_float", no_float_head(fourier))
+    exact = {z: psi_hat(a, p, pd, z, 1e-8, cache) for z in zs}
+    assert all(res.head_terms > 8 and res.bound <= 1e-8 for res in exact.values())
     monkeypatch.setattr(
         fourier, "frac_beta_powers",
         lambda z, k_max, p: [frac_beta_power(z, k, p) for k in range(k_max + 1)],
     )
-    assert all(psi_hat(a, p, pd, z, 1e-8, cache) == res for z, res in fast.items())
+    assert all(psi_hat(a, p, pd, z, 1e-8, cache) == res for z, res in exact.items())
+    for z in zs:
+        assert fast[z].head_terms == exact[z].head_terms
+        assert abs(fast[z].value - exact[z].value) <= fast[z].bound + exact[z].bound, z
+
+
+def test_limit_head_falls_back_to_exact_head(automata, pisots, perron_data, monkeypatch):
+    # z = 2^53 + 1 - 2^53 beta: its conjugate embedding is near 1.5e16, so
+    # the float head's first values are not known to within 1, while the
+    # exact head meets tol = 1e-8.  The row takes the exact head and gives the value and bound
+    # of the exact-head engine: the one with the float tier ruled out, and
+    # the figures frozen from the engine before the float tier existed.
+    from measure_lab import fourier
+    from measure_lab.algebraic import BetaInt, bint_embed, float_with_error
+
+    a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
+    z = BetaInt((2**53 + 1, -(2**53)))
+    conj, conj_err = float_with_error(bint_embed(z, 2, p))
+    _, errors = fourier.frac_beta_powers_float([z], [[conj]], [[conj_err]], 124, p)
+    assert errors[0, :5].min() > 1
+    walks = []
+    walk = fourier.frac_beta_powers
+    monkeypatch.setattr(fourier, "frac_beta_powers", lambda *args: walks.append(args) or walk(*args))
+    res = psi_hat(a, p, pd, z.coords, 1e-8)
+    assert walks == [(z, res.head_terms, p)]
+    assert (res.head_terms, res.tail_terms) == (124, 123)
+    assert res.bound == pytest.approx(9.685471284261638e-09, rel=1e-9)
+    assert res.value == pytest.approx(-2.0250508803898102e-53 - 2.7367048763630977e-53j, rel=1e-9)
+    monkeypatch.setattr(fourier, "frac_beta_powers_float", no_float_head(fourier))
+    assert psi_hat(a, p, pd, z.coords, 1e-8) == res
 
 
 def test_erdos_full_shift_nonvanishing(golden):
