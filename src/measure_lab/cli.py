@@ -26,7 +26,7 @@ from .classify import atoms, atoms_to_dicts, classify, finite_image_test, verdic
 from .distribution import cdf_bracket, depth_cloud
 from .errors import MeasureLabError, PrecisionExhausted, SchemaError, ValidationError
 from .fixtures import run_all
-from .fourier import nu_hat_grid, psi_hat, rajchman_scan
+from .fourier import check_z_coords, nu_hat_grid, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
 from .zero_automaton import build_zero_automaton, verify_zero_language
 
@@ -193,9 +193,10 @@ def _cmd_fourier(args) -> dict:
 
 def _cmd_limit(args) -> dict:
     a = _load(args.automaton)
+    z = _int_list(args.z)
+    check_z_coords(z)
     p = _pisot_for(a, args)
     pd = perron(a)
-    z = _int_list(args.z)
     if len(z) > p.degree:
         raise ValidationError(f"--z has {len(z)} coordinates, base degree is {p.degree}")
     z = z + [0] * (p.degree - len(z))

@@ -407,6 +407,7 @@ def _psi_grid(
     zints = [z if isinstance(z, BetaInt) else BetaInt(tuple(int(c) for c in z)) for z in zs]
     if any(len(z.coords) != p.degree for z in zints):
         raise ValueError(f"z must have {p.degree} coordinates")
+    check_z_coords(c for z in zints for c in z.coords)
     nonzero = [z for z in zints if not z.is_zero]
 
     if p.degree == 1:
@@ -475,6 +476,18 @@ class ScanResult:
     entries: tuple[ScanEntry, ...]
     max_abs: float
     argmax: tuple[int, ...]
+
+
+def check_z_coords(coords) -> None:
+    """Reject integer coordinates whose float value is not finite: tail
+    and head lengths are sized from float magnitudes of z."""
+    for c in coords:
+        try:
+            float(c)
+        except OverflowError:
+            raise ValidationError(
+                f"z coordinate of {int(c).bit_length()} bits has no finite float value"
+            ) from None
 
 
 def check_scan_height(height: int) -> None:

@@ -5,20 +5,28 @@ eigenvector pair normalised to v_L . v_R = 1.  The start distribution
 pi(v) = v_L(v) v_R(v) together with edge weights v_R(to)/(lambda v_R(from))
 is the unique Markov lift reproducing those masses, which is what the
 sampler uses.
+
+The Perron triple (lambda, v_L, v_R) comes from one power iteration on
+the automaton's edge list (``perron``): each step costs O(edges), and no
+n x n matrix is built, so automata with thousands of states cost
+milliseconds.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .automaton import LabeledAutomaton, TransitionMatrices, primitivity_check, transition_matrices
-from .errors import EmptyInitialSet, NotPrimitive
+from .errors import EmptyInitialSet, NotPrimitive, PrecisionExhausted
 
 DEFAULT_EIGEN_TOL = 1e-12
-_MAX_ITERATIONS = 500_000
+_CHECK_EVERY = 4  # power steps between Collatz-Wielandt checks
+_PATIENCE = 4  # checks without a smaller spread that end the polish
+_FLOOR_ULPS = 64  # spreads below this many rounding errors per quotient are noise
 
 
 @dataclass(frozen=True)
@@ -42,43 +50,34 @@ class PerronData:
         return len(self.v_R)
 
 
-def _power_iterate(m: np.ndarray, tol: float) -> tuple[np.ndarray, float, float]:
-    """Positive dominant eigenvector of a primitive nonnegative matrix.
-
-    Returns (vector with max entry 1, lambda, quotient spread).  Stops on
-    the Collatz-Wielandt spread: min_i (Mv)_i/v_i <= rho(M) <= max_i.
-    """
-    n = m.shape[0]
-    v = np.ones(n)
-    # A few squarings accelerate tight spectral gaps; certification below
-    # always runs against the original matrix.
-    p = m.astype(float)
-    for _ in range(6):
-        p = p @ p
-        p /= p.max()
-    lam = float(m.sum())
-    for it in range(_MAX_ITERATIONS):
-        w = (p if it < 60 else m) @ v
-        top = w.max()
-        if top == 0:
-            raise NotPrimitive("matrix is nilpotent on the iterate")
-        v = w / top
-        mv = m @ v
-        if (v > 0).all():
-            quotients = mv / v
-            lam_lo, lam_hi = float(quotients.min()), float(quotients.max())
-            lam = 0.5 * (lam_lo + lam_hi)
-            if lam_hi - lam_lo <= tol * lam:
-                spread = (lam_hi - lam_lo) / 2 + 1e-15 * lam
-                return v, lam, spread
-    raise NotPrimitive(
-        f"power iteration did not reach tolerance {tol} in {_MAX_ITERATIONS} steps"
-    )
+def _edge_arrays(a: LabeledAutomaton) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target state indices, one entry per edge, so parallel
+    edges count with their multiplicity as in the total matrix."""
+    idx = a.state_index()
+    src = np.array([idx[s] for s, _, _ in a.edges], dtype=np.intp)
+    dst = np.array([idx[t] for _, t, _ in a.edges], dtype=np.intp)
+    return src, dst
 
 
 def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
-    """Dominant eigendata of the total transition matrix.
+    """Dominant eigendata of the total transition matrix M, by power
+    iteration on the edge list.
 
+    No n x n matrix is built.  The iterate x = [v_R, v_L] has length 2n,
+    and one step is one gather and one bincount over the edges: (M v_R)_i
+    sums v_R over the out-edges of i, (M^T v_L)_j sums v_L over the
+    in-edges of j, parallel edges counting with their multiplicity.  Every
+    _CHECK_EVERY steps the Collatz-Wielandt quotients of each half bound the
+    spectral radius, min_i (Mv)_i/v_i <= rho(M) <= max_i, and x is rescaled.
+
+    Stopping rule: the iteration runs past tol, polishing the residuals to
+    the rounding floor, and keeps the iterate with the smallest quotient
+    spread.  Once that spread is within _FLOOR_ULPS roundings per quotient,
+    _PATIENCE checks without a smaller one end the run.  A larger spread
+    must fall within (n-1)^2 + 1 steps (Wielandt: M^k > 0 from there on),
+    so a stall that long ends it too.  If the best spread is then above
+    tol * lambda, raises PrecisionExhausted.  The run time grows like
+    1/(1 - |lambda_2|/lambda): a nearly periodic automaton needs many steps.
     Requires primitivity; raises NotPrimitive otherwise.
     """
     check = primitivity_check(a)
@@ -87,13 +86,51 @@ def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
             f"automaton is not primitive: strongly_connected={check['strongly_connected']}, "
             f"period={check['period']}"
         )
-    m = transition_matrices(a).total.astype(float)
-    v_r, lam, spread_r = _power_iterate(m, tol)
-    v_l, lam_l, spread_l = _power_iterate(m.T, tol)
-    lam_bound = max(spread_r, spread_l) + abs(lam - lam_l)
-    v_l = v_l / float(v_l @ v_r)
-    res_r = float(np.abs(m @ v_r - lam * v_r).max())
-    res_l = float(np.abs(m.T @ v_l - lam * v_l).max())
+    n = a.n_states
+    src, dst = _edge_arrays(a)
+    into = np.concatenate([src, dst + n])
+    take = np.concatenate([dst, src + n])
+    # A quotient over d edges carries up to d + 1 roundings.
+    degree = max(np.bincount(src).max(), np.bincount(dst).max())
+    floor = _FLOOR_ULPS * (degree + 1) * 2.0**-52
+    # Wielandt: M^k > 0 for k >= (n-1)^2 + 1.
+    stall_checks = max(_PATIENCE, -(-((n - 1) ** 2 + 1) // _CHECK_EVERY))
+    x = np.ones(2 * n)
+    # Every state has an out- and an in-edge, so the first check sees
+    # x >= 1 and sets best: (iterate, quotient minima, quotient maxima).
+    spread, best = math.inf, None
+    stale = steps = 0
+    while True:
+        for _ in range(_CHECK_EVERY - 1):
+            x = np.bincount(into, weights=x[take], minlength=2 * n)
+        w = np.bincount(into, weights=x[take], minlength=2 * n)
+        steps += _CHECK_EVERY
+        stale += 1
+        if x.min() > 0:  # an entry underflows only past a 1e308 ratio
+            q = (w / x).reshape(2, n)
+            lo, hi = q.min(axis=1), q.max(axis=1)
+            width = float((hi - lo).max())
+            if width < spread:
+                spread, best, stale = width, (x, lo, hi), 0
+        settled = spread <= floor * best[2][0]
+        if spread == 0 or stale >= (_PATIENCE if settled else stall_checks):
+            break
+        top = w.max()
+        if top == 0:
+            raise NotPrimitive("matrix is nilpotent on the iterate")
+        x = w / top
+    x, lo, hi = best
+    lam, lam_l = (float(m) for m in (lo + hi) / 2)
+    if spread > tol * lam:
+        raise PrecisionExhausted(
+            f"Perron quotient spread stopped falling at {spread / lam:.3g} * lambda, "
+            f"above tolerance {tol} (after {steps} steps)"
+        )
+    v_r = x[:n] / x[:n].max()
+    v_l = x[n:] / float(x[n:] @ v_r)
+    lam_bound = spread / 2 + 1e-15 * lam + abs(lam - lam_l)
+    res_r = float(np.abs(np.bincount(src, weights=v_r[dst], minlength=n) - lam * v_r).max())
+    res_l = float(np.abs(np.bincount(dst, weights=v_l[src], minlength=n) - lam * v_l).max())
     return PerronData(lam=lam, lam_bound=lam_bound, v_L=v_l, v_R=v_r, res_L=res_l, res_R=res_r)
 
 

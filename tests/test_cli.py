@@ -263,3 +263,23 @@ def test_precision_exhaustion_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "zero-automaton", "--minpoly", lehmer, "--alphabet", "0,1")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "PrecisionExhausted"
+
+
+def test_unreachable_perron_tolerance_exit_code(capsys, fixture_dir):
+    # the automaton is primitive; the spread stops falling near 1e-16
+    # lambda, so a tolerance below it is precision, not primitivity
+    code, out = run(capsys, "validate", str(fixture_dir / "example1-7edge.json"), "--tol", "1e-300")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "PrecisionExhausted"
+    assert "spread" in error["message"]
+
+
+def test_limit_huge_z(capsys, fixture_dir):
+    fig3 = str(fixture_dir / "fig3.json")
+    code, out = run(capsys, "limit", fig3, "--z", f"{10**400},{-10**400}")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+    code, out = run(capsys, "limit", fig3, "--z", f"{10**300},{-10**300}")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["bound"])

@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from measure_lab.automaton import parse_automaton, transition_matrices
+import measure_lab.parry
+from helpers import random_primitive_automata
+from measure_lab.automaton import parse_automaton, primitivity_check, transition_matrices
 from measure_lab.errors import EmptyInitialSet, NotPrimitive
 from measure_lab.parry import (
     cylinder_measure,
@@ -101,6 +105,79 @@ def test_eigen_residuals(automata, perron_data):
         assert np.abs(m.T @ pd.v_L - pd.lam * pd.v_L).max() < 1e-10
         assert abs(pd.v_L @ pd.v_R - 1.0) < 1e-12
         assert pd.v_R.max() == pytest.approx(1.0)
+
+
+@st.composite
+def multigraph_automata(draw):
+    """Primitive automata of 1-40 states: a labelled cycle through every
+    state plus at least n/2 random edges, some of them parallel with another
+    label.  A bare cycle with one chord can mix so slowly (second eigenvalue
+    within 1e-4 of lambda) that power iteration stalls above tol."""
+    n = draw(st.integers(1, 40))
+    labels = [-1, 0, 1]
+    label = st.sampled_from(labels)
+    edges = {(i, (i + 1) % n, draw(label)) for i in range(n)}
+    node = st.integers(0, n - 1)
+    edges |= set(draw(st.lists(st.tuples(node, node, label), min_size=n // 2 + 1, max_size=3 * n)))
+    for i, j, lab in draw(st.lists(st.sampled_from(sorted(edges)), max_size=n)):
+        edges.add((i, j, draw(st.sampled_from([x for x in labels if x != lab]))))
+    a = parse_automaton({
+        "alphabet": labels,
+        "states": [f"s{i}" for i in range(n)],
+        "edges": [{"from": f"s{i}", "to": f"s{j}", "label": lab} for i, j, lab in sorted(edges)],
+    })
+    assume(primitivity_check(a)["primitive"])
+    return a
+
+
+def reference_rho(m):
+    """Spectral radius from the dense eigensolver, refined by the two-sided
+    Rayleigh quotient y M x / y x in exact arithmetic: its error is second
+    order in the eigenvector errors, where the eigenvalue alone can be
+    12 ulps off (x^8 = x^7 + 1)."""
+    def perron_vector(mat):
+        w, vecs = np.linalg.eig(mat)
+        return [Fraction(float(v)) for v in np.abs(vecs[:, int(np.argmax(w.real))].real)]
+
+    x, y = perron_vector(m), perron_vector(m.T)
+    num = sum(y[i] * int(m[i, j]) * x[j] for i, j in zip(*np.nonzero(m)))
+    return float(num / sum(a * b for a, b in zip(y, x)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=multigraph_automata())
+def test_perron_matches_dense_eigensolver(a):
+    pd = perron(a)
+    rho = reference_rho(transition_matrices(a).total)
+    assert abs(pd.lam - rho) <= pd.lam_bound + 4 * 2.0**-52 * rho
+    assert pd.v_R.max() == 1.0
+    assert abs(pd.v_L @ pd.v_R - 1) <= 1e-12
+    assert pd.res_R <= 1e-13 * pd.lam
+    assert pd.res_L <= 1e-13 * pd.lam * pd.v_L.max()
+
+
+def test_perron_5000_states_without_dense_matrix(monkeypatch):
+    # every state has out-degree 2, so lambda = 2 with v_R = 1 exactly; a
+    # dense total matrix would take 200 MB, so building one fails the test
+    n = 5000
+    rng = random.Random(11)
+    edges = [(i, (i + 1) % n, 0) for i in range(n)] + [(i, rng.randrange(n), 1) for i in range(n)]
+    a = parse_automaton({
+        "alphabet": [0, 1],
+        "states": [f"s{i}" for i in range(n)],
+        "edges": [{"from": f"s{i}", "to": f"s{j}", "label": lab} for i, j, lab in edges],
+    })
+    assert primitivity_check(a)["primitive"]
+
+    def no_dense(_):
+        raise AssertionError("perron built a dense matrix")
+
+    monkeypatch.setattr(measure_lab.parry, "transition_matrices", no_dense)
+    pd = perron(a)
+    assert pd.lam == 2.0
+    assert (pd.v_R == 1.0).all()
+    assert pd.lam_bound <= 1e-13
+    assert abs(pd.v_L.sum() - 1) <= 1e-12
 
 
 # ---------------------------------------------------------------- cylinders
@@ -289,35 +366,6 @@ def test_sample_states_follow_pi(automata, perron_data):
 
 
 # ---------------------------------------------------------------- random automata
-
-def random_primitive_automata(count, seed):
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        n_states = rng.randint(1, 5)
-        states = [f"s{i}" for i in range(n_states)]
-        alphabet = sorted(rng.sample([-2, -1, 0, 1, 2], rng.randint(1, 4)))
-        edges = []
-        for i in range(n_states):  # a random cycle encourages connectivity
-            j = (i + 1) % n_states
-            edges.append((states[i], states[j], rng.choice(alphabet)))
-        for src in states:
-            for dst in states:
-                for lab in alphabet:
-                    if rng.random() < 0.25 and (src, dst, lab) not in edges:
-                        edges.append((src, dst, lab))
-        doc = {
-            "alphabet": alphabet,
-            "states": states,
-            "edges": [{"from": s, "to": t, "label": l} for s, t, l in edges],
-        }
-        a = parse_automaton(doc)
-        from measure_lab.automaton import primitivity_check
-
-        if primitivity_check(a)["primitive"]:
-            found.append(a)
-    return found
-
 
 def test_random_primitive_identities_small():
     # the acceptance suite runs the full 200-automata version
