@@ -26,13 +26,9 @@ from .algebraic import (
     frac_beta_powers_float,
     frac_inverse_beta_powers,
     make_pisot,
-    qbeta_add,
     qbeta_div,
     qbeta_embed,
-    qbeta_from_bint,
-    qbeta_from_int,
-    qbeta_mul,
-    qbeta_sub,
+    qbeta_nearest_floats,
 )
 from .automaton import (
     LabeledAutomaton,

@@ -9,7 +9,9 @@ follows one precision policy, ``_escalate``: start at ``p.precision``,
 double until the decision is certified, and raise ``PrecisionExhausted``
 past ``MEASURE_LAB_PRECISION_CAP``.  Embeddings of both element types are
 one ``ball_horner`` evaluation: int coordinates enter exactly, Fraction
-coordinates rounded to the working precision.
+coordinates rounded to the working precision.  The nearest double of a
+Q(beta) value comes from integers alone where it can: beta's powers in
+160-bit fixed point, with an error that follows from beta's enclosure.
 
 Root enclosures are certified once per (minimal polynomial, precision,
 precision cap) and reused by every later embedding and comparison.
@@ -438,8 +440,8 @@ def bint_from_int(n: int, p: PisotNumber) -> BetaInt:
     return BetaInt((n,) + (0,) * (p.degree - 1))
 
 
-# Shared by Z[beta] and Q(beta) on coordinate tuples; ``zero`` keeps Q(beta)
-# results in Fractions even where no term lands.
+# Coordinate routines shared by Z[beta] (int coordinates) and Q(beta)
+# (Fraction coordinates).
 
 
 def _coords_add(x: tuple, y: tuple) -> tuple:
@@ -450,31 +452,28 @@ def _coords_sub(x: tuple, y: tuple) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _reduce_mod_minpoly(prod: list, minpoly: tuple[int, ...]) -> None:
+def _coords_mul(x: tuple, y: tuple, minpoly: tuple[int, ...]) -> tuple:
     r = len(minpoly) - 1
-    for i in range(len(prod) - 1, r - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(r):
-                prod[i - r + j] -= c * minpoly[j]
-
-
-def _coords_mul(x: tuple, y: tuple, minpoly: tuple[int, ...], zero) -> tuple:
-    r = len(minpoly) - 1
-    prod = [zero] * (2 * r - 1)
+    prod = [0] * (2 * r - 1)
     for i, a in enumerate(x):
         if a:
             for j, b in enumerate(y):
                 prod[i + j] += a * b
-    _reduce_mod_minpoly(prod, minpoly)
+    for i in range(2 * r - 2, r - 1, -1):  # beta^i = beta^(i-r) * beta^r
+        c = prod[i]
+        if c:
+            for j in range(r):
+                prod[i - r + j] -= c * minpoly[j]
     return tuple(prod[:r])
 
 
-def _coords_mul_beta(x: tuple, minpoly: tuple[int, ...], zero) -> tuple:
-    prod = [zero] + list(x)
-    _reduce_mod_minpoly(prod, minpoly)
-    return tuple(prod[: len(minpoly) - 1])
+def _coords_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
+    # beta*x + add by one companion step:
+    # beta^r = -(minpoly[0] + ... + minpoly[r-1] beta^(r-1)).
+    top = x[-1]
+    return (add - top * minpoly[0],) + tuple(
+        low - top * m for low, m in zip(x[:-1], minpoly[1:])
+    )
 
 
 def bint_add(x: BetaInt, y: BetaInt) -> BetaInt:
@@ -490,11 +489,11 @@ def bint_neg(x: BetaInt) -> BetaInt:
 
 
 def bint_mul(x: BetaInt, y: BetaInt, p: PisotNumber) -> BetaInt:
-    return BetaInt(_coords_mul(x.coords, y.coords, p.minpoly, 0))
+    return BetaInt(_coords_mul(x.coords, y.coords, p.minpoly))
 
 
 def bint_mul_beta(x: BetaInt, p: PisotNumber) -> BetaInt:
-    return BetaInt(_coords_mul_beta(x.coords, p.minpoly, 0))
+    return BetaInt(_coords_mul_beta(x.coords, p.minpoly))
 
 
 def bint_pow_beta(k: int, p: PisotNumber) -> BetaInt:
@@ -553,6 +552,46 @@ def qbeta_embed(x: QBeta, q: int, p: PisotNumber):
     coordinate rounded to the working precision.
     """
     return _embed(x, q, p)
+
+
+# Fixed-point scale of qbeta_nearest_floats.
+_FIXED_BITS = 160
+
+
+def qbeta_nearest_floats(xs: Sequence[QBeta], p: PisotNumber) -> list[float | None]:
+    """The double nearest the value of each x (its embedding at beta
+    itself), or None where 160-bit fixed point leaves it undecided.
+
+    With K = _FIXED_BITS, b = floor(mid * 2^K) is within e = ceil(rad *
+    2^K) + 1 of beta * 2^K for every beta in the enclosure.  B_0 = 2^K and
+    B_(i+1) = floor(B_i b / 2^K) are within e_0 = 0 and e_(i+1) =
+    ceil((B_i e + e_i (b + e)) / 2^K) + 1 of beta^i 2^K: with beta^i 2^K =
+    B_i + d_i and beta 2^K = b + d, the product misses by (B_i d + d_i b +
+    d_i d) / 2^K, and the floor by less than 1.  With x = sum n_i beta^i / D
+    over one denominator D > 0, x D 2^K lies in [S - E, S + E] for S = sum
+    n_i B_i and E = sum |n_i| e_i.  Int true division rounds correctly to
+    nearest, so when both ends round to the same double, so does x.
+    """
+    k = _FIXED_BITS
+    man, exp = p.root_beta.mid.man_exp
+    b = man << (exp + k) if exp + k >= 0 else man >> -(exp + k)
+    man, exp = p.root_beta.rad.man_exp
+    e = (man << (exp + k) if exp + k >= 0 else -(-man >> -(exp + k))) + 1
+    powers = [(1 << k, 0)]
+    for _ in range(p.degree - 1):
+        big, err = powers[-1]
+        powers.append((big * b >> k, -(-(big * e + err * (b + e)) >> k) + 1))
+    out = []
+    for x in xs:
+        den = math.lcm(*(c.denominator for c in x.coords))
+        total = err = 0
+        for c, (big, e_i) in zip(x.coords, powers):
+            n = c.numerator * (den // c.denominator)
+            total += n * big
+            err += abs(n) * e_i
+        low = (total - err) / (den << k)
+        out.append(low if low == (total + err) / (den << k) else None)
+    return out
 
 
 # Rounding a value in [0, 1) to the nearest float moves it by at most half
@@ -755,44 +794,21 @@ def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber, max_err: flo
 
 
 # ----------------------------------------------------------------------
-# Field operations in Q(beta)
+# Division in Q(beta)
 # ----------------------------------------------------------------------
 
 
-def qbeta_from_bint(x: BetaInt) -> QBeta:
-    return QBeta(tuple(Fraction(c) for c in x.coords))
-
-
-def qbeta_from_int(n: int, p: PisotNumber) -> QBeta:
-    return QBeta((Fraction(n),) + (Fraction(0),) * (p.degree - 1))
-
-
-def qbeta_add(x: QBeta, y: QBeta) -> QBeta:
-    return QBeta(_coords_add(x.coords, y.coords))
-
-
-def qbeta_sub(x: QBeta, y: QBeta) -> QBeta:
-    return QBeta(_coords_sub(x.coords, y.coords))
-
-
-def qbeta_mul(x: QBeta, y: QBeta, p: PisotNumber) -> QBeta:
-    return QBeta(_coords_mul(x.coords, y.coords, p.minpoly, Fraction(0)))
-
-
-def qbeta_mul_beta(x: QBeta, p: PisotNumber) -> QBeta:
-    return QBeta(_coords_mul_beta(x.coords, p.minpoly, Fraction(0)))
-
-
 def qbeta_div(num: QBeta, den: QBeta, p: PisotNumber) -> QBeta:
-    """Exact quotient via the r x r linear system of multiplication by den."""
+    """Exact quotient via the r x r linear system of multiplication by den;
+    int coordinates are taken as exact rationals."""
     if den.is_zero:
         raise ZeroDivisionError("division by zero in Q(beta)")
     r = p.degree
     cols = []
-    power = den
+    power = den.coords
     for _ in range(r):
-        cols.append(list(power.coords))
-        power = qbeta_mul_beta(power, p)
+        cols.append(power)
+        power = _coords_mul_beta(power, p.minpoly)
     # A[i][j] = coefficient of beta^i in den * beta^j
     a = [[cols[j][i] for j in range(r)] + [num.coords[i]] for i in range(r)]
     for col in range(r):
@@ -803,7 +819,7 @@ def qbeta_div(num: QBeta, den: QBeta, p: PisotNumber) -> QBeta:
                 "must be reducible"
             )
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
+        inv = Fraction(1) / a[col][col]
         a[col] = [v * inv for v in a[col]]
         for row in range(r):
             if row != col and a[row][col]:

@@ -9,7 +9,7 @@ so counts never overflow).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -48,9 +48,6 @@ class LabeledAutomaton:
 
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
-
-    def with_initial_terminal(self, initial, terminal) -> "LabeledAutomaton":
-        return replace(self, initial=tuple(initial), terminal=tuple(terminal))
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,13 @@ from fractions import Fraction
 from .algebraic import (
     PisotNumber,
     QBeta,
+    _coords_mul,
+    _coords_mul_beta,
+    _coords_sub,
     bint_pow_beta,
-    qbeta_add,
     qbeta_div,
     qbeta_embed,
-    qbeta_from_bint,
-    qbeta_from_int,
-    qbeta_mul_beta,
-    qbeta_sub,
+    qbeta_nearest_floats,
 )
 from .automaton import LabeledAutomaton, primitivity_check
 from .errors import NotPrimitive, NotStronglyConnected
@@ -63,77 +62,66 @@ class Verdict:
     diagnostics: dict
 
 
-def _first_cycle_through_root(a: LabeledAutomaton) -> list[tuple[str, int, str]]:
-    """A cycle through states[0], found by BFS over edges in document order."""
-    root = a.states[0]
-    out: dict[str, list[tuple[str, int, str]]] = {s: [] for s in a.states}
-    for src, dst, label in a.edges:
-        out[src].append((src, label, dst))
-    parent: dict[str, tuple[str, int, str]] = {}
-    queue = [root]
-    seen = {root}
-    while queue:
-        u = queue.pop(0)
-        for edge in out[u]:
-            dst = edge[2]
-            if dst == root:
-                cycle = [edge]
-                while edge[0] != root:
-                    edge = parent[edge[0]]
-                    cycle.append(edge)
-                return cycle[::-1]
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = edge
-                queue.append(dst)
-    raise NotStronglyConnected(f"no cycle through state {root!r}")
-
-
 def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     """Decide whether the digit map has finite image over the automaton.
 
-    Picks one cycle through the first state, solves its value exactly in
-    Q(beta), propagates candidate values c(w) = beta*c(u) - label along a
-    spanning tree, then verifies the relation on every edge.  Success
-    returns the full value map; failure returns the first violated edge.
+    One BFS from the first state over edges in document order gives a
+    spanning tree and the first edge back to the first state, which closes
+    a cycle whose value is num/den with num and den = beta^n - 1 in
+    Z[beta].  den^-1 = adj/D, with adj in Z[beta] and D a positive
+    integer, is found once.  Every candidate value c(w) = beta*c(u) - label
+    is then N_w/D with N_w = beta*N_u - label*D in Z[beta], propagated
+    along the tree from N_root = num*adj; every edge is checked as that
+    identity in integers, in document order.  Success returns the full
+    value map; failure returns the first violated edge.
     """
     if not a.edges:
         raise NotStronglyConnected("automaton has no edges")
     if not primitivity_check(a)["strongly_connected"]:
         raise NotStronglyConnected("automaton is not strongly connected")
 
-    cycle = _first_cycle_through_root(a)
-    n = len(cycle)
-    num = qbeta_from_int(0, p)
-    for _, label, _ in cycle:
-        num = qbeta_mul_beta(num, p)
-        num = qbeta_add(num, qbeta_from_int(label, p))
-    den = qbeta_sub(
-        qbeta_from_bint(bint_pow_beta(n, p)), qbeta_from_int(1, p)
-    )
-    c_root = qbeta_div(num, den, p)
-
     root = a.states[0]
-    c_map: dict[str, QBeta] = {root: c_root}
     out: dict[str, list[tuple[int, str]]] = {s: [] for s in a.states}
     for src, dst, label in a.edges:
         out[src].append((label, dst))
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
+    tree: dict[str, tuple[str, int]] = {}  # state -> (BFS parent, label)
+    order = [root]  # grows while it is walked: the BFS queue
+    closing = None
+    for u in order:
         for label, w in out[u]:
-            if w not in c_map:
-                c_map[w] = qbeta_sub(
-                    qbeta_mul_beta(c_map[u], p), qbeta_from_int(label, p)
-                )
-                queue.append(w)
-    if len(c_map) != a.n_states:
-        raise NotStronglyConnected("some states unreachable from the first state")
+            if w == root and closing is None:
+                closing = (u, label)
+            elif w != root and w not in tree:
+                tree[w] = (u, label)
+                order.append(w)
+    if closing is None or len(order) != a.n_states:
+        raise NotStronglyConnected(f"not every state is on a cycle through {root!r}")
 
+    minpoly = p.minpoly
+    u, label = closing
+    labels = [label]
+    while u != root:
+        u, label = tree[u]
+        labels.append(label)
+    zero = (0,) * p.degree
+    num = zero
+    for label in reversed(labels):
+        num = _coords_mul_beta(num, minpoly, label)
+    one = (1,) + zero[1:]
+    den = _coords_sub(bint_pow_beta(len(labels), p).coords, one)
+    inverse = qbeta_div(QBeta(one), QBeta(den), p)
+    d = math.lcm(*(c.denominator for c in inverse.coords))
+    adj = tuple(c.numerator * (d // c.denominator) for c in inverse.coords)
+
+    # Python ints: the coordinates grow like beta^n, past int64.
+    numer = {root: _coords_mul(num, adj, minpoly)}
+    for w in order[1:]:
+        u, label = tree[w]
+        numer[w] = _coords_mul_beta(numer[u], minpoly, -label * d)
     for src, dst, label in a.edges:
-        expected = qbeta_sub(qbeta_mul_beta(c_map[src], p), qbeta_from_int(label, p))
-        if expected != c_map[dst]:
+        if _coords_mul_beta(numer[src], minpoly, -label * d) != numer[dst]:
             return FiniteImageResult(ok=False, c_map=None, witness=(src, label, dst))
+    c_map = {s: QBeta(tuple(Fraction(n, d) for n in x)) for s, x in numer.items()}
     return FiniteImageResult(ok=True, c_map=c_map, witness=None)
 
 
@@ -146,7 +134,10 @@ def atoms(
     """Atom values and masses; requires a successful finite-image test.
 
     ``image`` is that test's result when the caller already ran it on
-    (a, p); otherwise the test runs here.
+    (a, p); otherwise the test runs here.  ``value_decimal`` is the double
+    nearest the exact value (``qbeta_nearest_floats``); the rare value that
+    fixed point leaves undecided takes the midpoint of its certified
+    enclosure.
     """
     result = image if image is not None else finite_image_test(a, p)
     if not result.ok:
@@ -156,11 +147,12 @@ def atoms(
     groups: dict[tuple[Fraction, ...], list[str]] = {}
     for state, value in result.c_map.items():
         groups.setdefault(value.coords, []).append(state)
+    values = [QBeta(coords) for coords in groups]
     collected = []
-    for coords, states in groups.items():
-        value = QBeta(coords)
+    for value, decimal, states in zip(values, qbeta_nearest_floats(values, p), groups.values()):
+        if decimal is None:
+            decimal = float(qbeta_embed(value, 1, p).mid)
         mass = float(sum(pi[idx[s]] for s in states))
-        decimal = float(qbeta_embed(value, 1, p).mid)
         collected.append(Atom(value=value, mass=mass, value_decimal=decimal,
                               states=tuple(sorted(states))))
     collected.sort(key=lambda at: (at.value_decimal, at.value.coords))

@@ -52,6 +52,7 @@ from ._ball import ball_horner
 from .algebraic import (
     BetaInt,
     PisotNumber,
+    _coords_mul_beta,
     _escalate,
     bint_from_int,
     bint_mul,
@@ -367,15 +368,6 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
     missed: list[tuple[int, ...]] = []
     spurious: list[tuple[int, ...]] = []
 
-    def mul_beta_coords(c: tuple[int, ...]) -> tuple[int, ...]:
-        top = c[-1]
-        if r == 1:
-            return (-top * minpoly[0],)
-        shifted = (0,) + c[:-1]
-        if top == 0:
-            return shifted
-        return tuple(s - top * minpoly[i] for i, s in enumerate(shifted))
-
     def advance_mask(mask: int, label: int) -> int:
         out = 0
         table = step_masks[label]
@@ -392,7 +384,7 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
     def walk(coords: tuple[int, ...], mask: int, depth: int) -> None:
         if depth == n_max:
             return
-        base = mul_beta_coords(coords)
+        base = _coords_mul_beta(coords, minpoly)
         for a_ in alphabet:
             nxt = (base[0] + a_,) + base[1:]
             nmask = advance_mask(mask, a_)

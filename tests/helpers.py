@@ -1,10 +1,17 @@
 """Shared generators and oracles for the test suite."""
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
-from measure_lab.automaton import parse_automaton, primitivity_check
+from measure_lab.algebraic import BetaInt, PisotNumber, QBeta, make_pisot, qbeta_div
+from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity_check
+from measure_lab.classify import FiniteImageResult
+from measure_lab.errors import NotStronglyConnected
+from measure_lab.zero_automaton import build_zero_automaton, zero_state_name
 
 
 def random_primitive_automata(count, seed, max_states=5):
@@ -52,3 +59,204 @@ def signed_automata(draw):
     return parse_automaton(
         {"alphabet": alphabet, "states": [f"s{i}" for i in range(n)], "edges": edges}
     )
+
+
+# ---------------------------------------------------------------- Q(beta)
+# Reference field arithmetic on Fraction coordinates, and the finite-image
+# test written with it, as the oracle for the package's integer version.
+
+
+def qbeta_from_int(n: int, p: PisotNumber) -> QBeta:
+    return QBeta((Fraction(n),) + (Fraction(0),) * (p.degree - 1))
+
+
+def qbeta_from_bint(x: BetaInt) -> QBeta:
+    return QBeta(tuple(Fraction(c) for c in x.coords))
+
+
+def qbeta_add(x: QBeta, y: QBeta) -> QBeta:
+    return QBeta(tuple(a + b for a, b in zip(x.coords, y.coords)))
+
+
+def qbeta_sub(x: QBeta, y: QBeta) -> QBeta:
+    return QBeta(tuple(a - b for a, b in zip(x.coords, y.coords)))
+
+
+def qbeta_mul_beta(x: QBeta, p: PisotNumber) -> QBeta:
+    """beta * x, reducing beta^r = -(minpoly[0] + ... + minpoly[r-1] beta^(r-1))."""
+    top = x.coords[-1]
+    shifted = (Fraction(0),) + x.coords[:-1]
+    return QBeta(tuple(c - top * m for c, m in zip(shifted, p.minpoly)))
+
+
+def qbeta_mul(x: QBeta, y: QBeta, p: PisotNumber) -> QBeta:
+    """x * y by Horner in beta over the coordinates of x."""
+    acc = qbeta_from_int(0, p)
+    for c in reversed(x.coords):
+        acc = qbeta_add(qbeta_mul_beta(acc, p), QBeta(tuple(c * b for b in y.coords)))
+    return acc
+
+
+def first_cycle_through_root(a: LabeledAutomaton) -> list[tuple[str, int, str]]:
+    """A cycle through states[0], found by BFS over edges in document order."""
+    root = a.states[0]
+    out: dict[str, list[tuple[str, int, str]]] = {s: [] for s in a.states}
+    for src, dst, label in a.edges:
+        out[src].append((src, label, dst))
+    parent: dict[str, tuple[str, int, str]] = {}
+    queue = [root]
+    seen = {root}
+    while queue:
+        u = queue.pop(0)
+        for edge in out[u]:
+            dst = edge[2]
+            if dst == root:
+                cycle = [edge]
+                while edge[0] != root:
+                    edge = parent[edge[0]]
+                    cycle.append(edge)
+                return cycle[::-1]
+            if dst not in seen:
+                seen.add(dst)
+                parent[dst] = edge
+                queue.append(dst)
+    raise NotStronglyConnected(f"no cycle through state {root!r}")
+
+
+def ref_finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
+    """The finite-image test in Q(beta) Fractions: the cycle value through
+    the first state, c(w) = beta*c(u) - label along the BFS tree, then
+    every edge in document order."""
+    cycle = first_cycle_through_root(a)
+    num = qbeta_from_int(0, p)
+    for _, label, _ in cycle:
+        num = qbeta_add(qbeta_mul_beta(num, p), qbeta_from_int(label, p))
+    power = qbeta_from_int(1, p)
+    for _ in cycle:
+        power = qbeta_mul_beta(power, p)
+    c_map = {a.states[0]: qbeta_div(num, qbeta_sub(power, qbeta_from_int(1, p)), p)}
+    out = {s: [] for s in a.states}
+    for src, dst, label in a.edges:
+        out[src].append((label, dst))
+    queue = [a.states[0]]
+    while queue:
+        u = queue.pop(0)
+        for label, w in out[u]:
+            if w not in c_map:
+                c_map[w] = qbeta_sub(qbeta_mul_beta(c_map[u], p), qbeta_from_int(label, p))
+                queue.append(w)
+    if len(c_map) != a.n_states:
+        raise NotStronglyConnected("some states unreachable from the first state")
+    for src, dst, label in a.edges:
+        if qbeta_sub(qbeta_mul_beta(c_map[src], p), qbeta_from_int(label, p)) != c_map[dst]:
+            return FiniteImageResult(ok=False, c_map=None, witness=(src, label, dst))
+    return FiniteImageResult(ok=True, c_map=c_map, witness=None)
+
+
+# ---------------------------------------------------------------- random bases
+# (minpoly, alphabet) pairs of degree 1 to 4 whose zero automata have 3 to
+# 179 states.
+
+ZERO_BASES = (
+    ((-2, 1), (-2, -1, 0, 1, 2)),
+    ((-1, -1, 1), (-1, 0, 1)),
+    ((-1, -1, 1), (-2, -1, 0, 1, 2)),
+    ((1, -3, 1), (-2, -1, 0, 1, 2)),
+    ((-1, -2, 1), (-2, -1, 0, 1, 2)),
+    ((-1, -1, -1, 1), (-1, 0, 1)),
+    ((-1, -1, -1, 1), (-2, -1, 0, 1, 2)),
+    ((-1, -1, 0, 1), (-1, 0, 1)),
+    ((-1, 0, -1, 1), (-1, 0, 1)),
+    ((-1, -2, -1, 1), (-2, -1, 0, 1, 2)),
+    ((-1, -1, -1, -1, 1), (-1, 0, 1)),
+    ((-1, -2, -2, -1, 1), (-2, -1, 0, 1, 2)),
+)
+PISOT_BASES = sorted({minpoly for minpoly, _ in ZERO_BASES} | {(-3, 1), (-2, -2, -2, 1)})
+
+
+@lru_cache(maxsize=None)
+def pisot(minpoly: tuple[int, ...]) -> PisotNumber:
+    return make_pisot(minpoly)
+
+
+@lru_cache(maxsize=None)
+def zero_automaton(minpoly: tuple[int, ...], alphabet: tuple[int, ...]) -> LabeledAutomaton:
+    return build_zero_automaton(pisot(minpoly), list(alphabet))
+
+
+def _reach(start: str, edges, forward: bool) -> set[str]:
+    succ: dict[str, list[str]] = {}
+    for src, dst, _ in edges:
+        a, b = (src, dst) if forward else (dst, src)
+        succ.setdefault(a, []).append(b)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in succ.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _document(states, edges, alphabet) -> LabeledAutomaton:
+    edges = list(dict.fromkeys(edges))  # parallel edges need distinct labels
+    return parse_automaton({
+        "alphabet": sorted(alphabet),
+        "states": list(states),
+        "edges": [{"from": s, "to": t, "label": l} for s, t, l in edges],
+    })
+
+
+@st.composite
+def zero_subautomata(draw):
+    """(automaton, base, edited): the strongly connected part through the
+    zero state of a random edge subset of a zero automaton, which keeps the
+    zero state's 0-loop and so is primitive with every c(v) = v.  States
+    and edges are shuffled, so the first state is random.  ``edited`` adds
+    one random edge, which usually breaks the finite image."""
+    minpoly, alphabet = draw(st.sampled_from(ZERO_BASES))
+    p = pisot(minpoly)
+    za = zero_automaton(minpoly, alphabet)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    zero = zero_state_name(p)
+    keep = rng.uniform(0.7, 1.0)
+    edges = [e for e in za.edges if e == (zero, zero, 0) or rng.random() < keep]
+    states = _reach(zero, edges, True) & _reach(zero, edges, False)
+    edges = [e for e in edges if e[0] in states and e[1] in states]
+    order = sorted(states)
+    edited = draw(st.booleans())
+    if edited:
+        edges.append((rng.choice(order), rng.choice(order), rng.choice(alphabet)))
+    rng.shuffle(order)
+    rng.shuffle(edges)
+    return _document(order, edges, alphabet), p, edited
+
+
+@st.composite
+def strongly_connected_automata(draw):
+    """(automaton, base): a labelled cycle through 1 to 8 states plus up to
+    2n random edges, labels in -3..3, over a random base from the pool."""
+    p = pisot(draw(st.sampled_from(PISOT_BASES)))
+    n = draw(st.integers(1, 8))
+    label = st.integers(-3, 3)
+    node = st.integers(0, n - 1)
+    edges = [(i, (i + 1) % n, draw(label)) for i in range(n)]
+    edges += draw(st.lists(st.tuples(node, node, label), max_size=2 * n))
+    edges = [(f"s{i}", f"s{j}", lab) for i, j, lab in edges]
+    return _document([f"s{i}" for i in range(n)], edges, {lab for _, _, lab in edges}), p
+
+
+@lru_cache(maxsize=None)
+def beta_reference(minpoly: tuple[int, ...]) -> mpf:
+    """beta to about 460 bits, by Newton's method from the float root."""
+    with mp.workprec(460):
+        return mp.findroot(lambda x: mp.polyval(list(reversed(minpoly)), x),
+                           mpf(pisot(minpoly).beta_float))
+
+
+def nearest_double_reference(x: QBeta, minpoly: tuple[int, ...]) -> float:
+    """The double nearest the value of x, from a 400-bit evaluation."""
+    beta = beta_reference(minpoly)
+    with mp.workprec(400):
+        value = sum(mpf(c.numerator) / c.denominator * beta**i for i, c in enumerate(x.coords))
+        return float(value)

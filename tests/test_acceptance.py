@@ -109,7 +109,7 @@ def test_criterion_4_example1(automata, pisots, perron_data):
         (Fraction(1), Fraction(-1)),
     }
     assert values == expected
-    from measure_lab.algebraic import qbeta_mul
+    from helpers import qbeta_mul
 
     inv = QBeta((Fraction(-1), Fraction(1)))
     beta = QBeta((Fraction(0), Fraction(1)))

@@ -25,11 +25,10 @@ from measure_lab.algebraic import (
     make_pisot,
     qbeta_div,
     qbeta_embed,
-    qbeta_from_bint,
-    qbeta_from_int,
-    qbeta_mul,
 )
 from measure_lab.errors import NotMonic, NotPisot, Reducible
+
+from helpers import qbeta_from_int, qbeta_mul
 
 
 # ---------------------------------------------------------------- oracles
@@ -345,6 +344,12 @@ def test_float_head_rational_integer_and_large_coordinates(golden, tribonacci):
 def test_qbeta_div_self(golden):
     beta = QBeta((Fraction(0), Fraction(1)))
     assert qbeta_div(beta, beta, golden) == qbeta_from_int(1, golden)
+
+
+def test_qbeta_div_takes_int_coordinates_exactly(golden):
+    quotient = qbeta_div(QBeta((1, 0)), QBeta((3, 0)), golden)
+    assert quotient == QBeta((Fraction(1, 3), Fraction(0)))
+    assert all(type(c) is Fraction for c in quotient.coords)
 
 
 def test_qbeta_div_inverse_products(golden):

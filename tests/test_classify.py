@@ -1,14 +1,18 @@
+import hashlib
 import importlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from measure_lab.algebraic import QBeta
+from measure_lab.algebraic import QBeta, make_pisot, qbeta_embed, qbeta_nearest_floats
 from measure_lab.automaton import LabeledAutomaton, parse_automaton
 from measure_lab.classify import (
+    FiniteImageResult,
     atoms,
     classify,
     finite_image_test,
@@ -18,6 +22,15 @@ from measure_lab.errors import NotPrimitive, NotStronglyConnected
 from measure_lab.fourier import ScanEntry, ScanResult
 from measure_lab.parry import perron, sample_many
 from measure_lab.zero_automaton import beta_int_from_name, build_zero_automaton
+
+from helpers import (
+    PISOT_BASES,
+    nearest_double_reference,
+    pisot,
+    ref_finite_image_test,
+    strongly_connected_automata,
+    zero_subautomata,
+)
 
 
 def gamma_7edge():
@@ -230,3 +243,125 @@ def test_monte_carlo_matches_atom_masses(automata, pisots, perron_data):
         freq = float(np.isin(states[:, 0], hit_states).mean())
         sigma = math.sqrt(at.mass * (1 - at.mass) / 20000)
         assert abs(freq - at.mass) < 4 * sigma + 1e-3
+
+
+# ------------------------------------------------ integer finite-image test
+
+@settings(max_examples=60, deadline=None)
+@given(case=zero_subautomata())
+def test_integer_test_matches_fraction_oracle_on_zero_subautomata(case):
+    a, p, edited = case
+    got = finite_image_test(a, p)
+    assert got == ref_finite_image_test(a, p)
+    assert got.ok or edited
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=strongly_connected_automata())
+def test_integer_test_matches_fraction_oracle_on_random_automata(case):
+    a, p = case
+    assert finite_image_test(a, p) == ref_finite_image_test(a, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=zero_subautomata())
+def test_atom_masses_sum_to_one(case):
+    a, p, _ = case
+    image = finite_image_test(a, p)
+    if not image.ok:
+        return
+    atom_list = atoms(a, p, perron(a), image)
+    assert abs(sum(at.mass for at in atom_list) - 1) <= 1e-12
+    assert sorted(s for at in atom_list for s in at.states) == sorted(a.states)
+
+
+# ------------------------------------------------ value_decimal
+
+@settings(max_examples=40, deadline=None)
+@given(case=zero_subautomata())
+def test_atom_value_decimal_is_nearest_double(case):
+    a, p, _ = case
+    image = finite_image_test(a, p)
+    if not image.ok:
+        return
+    atom_list = atoms(a, p, perron(a), image)
+    decided = qbeta_nearest_floats([at.value for at in atom_list], p)
+    for at, value in zip(atom_list, decided):
+        assert value is not None, at.value
+        assert at.value_decimal == value == nearest_double_reference(at.value, p.minpoly)
+
+
+coordinate = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decided_nearest_floats_match_400_bit_reference(data):
+    minpoly = data.draw(st.sampled_from(PISOT_BASES))
+    p = pisot(minpoly)
+    r = p.degree
+    xs = [QBeta(tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))))
+          for _ in range(4)]
+    for x, value in zip(xs, qbeta_nearest_floats(xs, p)):
+        if value is not None:
+            assert value == nearest_double_reference(x, minpoly), x
+
+
+def fibonacci_pair(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b  # F_n, F_(n+1)
+
+
+def test_undecided_value_takes_the_enclosure_midpoint(golden):
+    # F_151 - F_150 beta = (-1/beta)^150 is about 1e-31, far below the
+    # fixed-point error of coordinates near 2^104, so it is undecided.
+    f_n, f_next = fibonacci_pair(150)
+    tiny = QBeta((Fraction(f_next), Fraction(-f_n)))
+    ordinary = QBeta((Fraction(1, 3), Fraction(2, 7)))
+    assert qbeta_nearest_floats([tiny, ordinary], golden) == [
+        None, nearest_double_reference(ordinary, golden.minpoly)
+    ]
+    single = parse_automaton(
+        {"alphabet": [0], "states": ["s"], "edges": [{"from": "s", "to": "s", "label": 0}]}
+    )
+    image = FiniteImageResult(ok=True, c_map={"s": tiny}, witness=None)
+    (atom,) = atoms(single, golden, perron(single), image)
+    ball = qbeta_embed(tiny, 1, golden)
+    assert atom.value_decimal == float(ball.mid)
+    with mp.workprec(200):
+        assert abs(mp.mpf(atom.value_decimal) - (-1 / mp.mpf(golden.beta_float)) ** 150) <= ball.rad
+
+
+# Captured from the Fraction-based atoms of earlier releases: a digest of
+# [value_coords, repr(value_decimal)] in report order, plus sample rows.
+ZERO_AUTOMATON_ATOMS = {
+    (-1, -1, 0, 1): (179, "6c436e4bf7cd8fce67b6d69fb52606d7b8dfb2d1c3913b9638bd700353e4d3a1", {
+        0: (["-3", "0", "0"], -3.0),
+        1: (["1", "-3", "0"], -2.974153871734238),
+        44: (["-2", "-1", "1"], -1.5698402909980533),
+        89: (["0", "0", "0"], 0.0),
+        177: (["-1", "3", "0"], 2.974153871734238),
+    }),
+    (-1, 0, 0, -1, 1): (1253, "d6741368147550f43d781969e464db30aeab4b71a46b7001f882b24ce1123999", {
+        0: (["0", "-4", "-4", "4"], -2.623142440388394),
+        1: (["5", "0", "-4", "0"], -2.6206646710160757),
+        313: (["1", "0", "-4", "2"], -1.3613484175070065),
+        626: (["0", "0", "0", "0"], 0.0),
+        1252: (["0", "4", "4", "-4"], 2.623142440388394),
+    }),
+}
+
+
+@pytest.mark.parametrize("minpoly", list(ZERO_AUTOMATON_ATOMS))
+def test_zero_automaton_atoms_golden(minpoly):
+    count, digest, samples = ZERO_AUTOMATON_ATOMS[minpoly]
+    p = make_pisot(minpoly)
+    a = build_zero_automaton(p, [-1, 0, 1])
+    assert a.n_states == count
+    rows = [[[str(c) for c in at.value.coords], repr(at.value_decimal)]
+            for at in atoms(a, p, perron(a))]
+    for i, (coords, decimal) in samples.items():
+        assert rows[i] == [coords, repr(decimal)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest

@@ -23,16 +23,12 @@ from measure_lab.algebraic import (
     frac_beta_powers,
     make_pisot,
     precision_cap,
-    qbeta_add,
     qbeta_div,
     qbeta_embed,
-    qbeta_from_bint,
-    qbeta_from_int,
-    qbeta_mul,
-    qbeta_mul_beta,
-    qbeta_sub,
     refined_enclosures,
 )
+
+from helpers import qbeta_add, qbeta_from_bint, qbeta_from_int, qbeta_mul, qbeta_mul_beta, qbeta_sub
 
 BASES = {
     "golden": (-1, -1, 1),
