@@ -10,8 +10,9 @@ double until the decision is certified, and raise ``PrecisionExhausted``
 past ``MEASURE_LAB_PRECISION_CAP``.  Embeddings of both element types are
 one ``ball_horner`` evaluation: int coordinates enter exactly, Fraction
 coordinates rounded to the working precision.  The nearest double of a
-Q(beta) value comes from integers alone where it can: beta's powers in
-160-bit fixed point, with an error that follows from beta's enclosure.
+Q(beta) value comes from integers alone: beta's powers in fixed point,
+with an error that follows from beta's enclosure, under the same
+doubling policy.
 
 Root enclosures are certified once per (minimal polynomial, precision,
 precision cap) and reused by every later embedding and comparison.
@@ -554,44 +555,53 @@ def qbeta_embed(x: QBeta, q: int, p: PisotNumber):
     return _embed(x, q, p)
 
 
-# Fixed-point scale of qbeta_nearest_floats.
+# First fixed-point scale of qbeta_nearest_floats.
 _FIXED_BITS = 160
 
 
-def qbeta_nearest_floats(xs: Sequence[QBeta], p: PisotNumber) -> list[float | None]:
+def qbeta_nearest_floats(xs: Sequence[QBeta], p: PisotNumber) -> list[float]:
     """The double nearest the value of each x (its embedding at beta
-    itself), or None where 160-bit fixed point leaves it undecided.
+    itself), decided in fixed point under ``_escalate``: K = 160 bits on
+    ``p.root_beta`` first, then the values still undecided at K = 320,
+    640, ... bits on ``refined_enclosures(p, K)``.
 
-    With K = _FIXED_BITS, b = floor(mid * 2^K) is within e = ceil(rad *
-    2^K) + 1 of beta * 2^K for every beta in the enclosure.  B_0 = 2^K and
-    B_(i+1) = floor(B_i b / 2^K) are within e_0 = 0 and e_(i+1) =
-    ceil((B_i e + e_i (b + e)) / 2^K) + 1 of beta^i 2^K: with beta^i 2^K =
-    B_i + d_i and beta 2^K = b + d, the product misses by (B_i d + d_i b +
-    d_i d) / 2^K, and the floor by less than 1.  With x = sum n_i beta^i / D
-    over one denominator D > 0, x D 2^K lies in [S - E, S + E] for S = sum
-    n_i B_i and E = sum |n_i| e_i.  Int true division rounds correctly to
-    nearest, so when both ends round to the same double, so does x.
+    With b = floor(mid * 2^K), b is within e = ceil(rad * 2^K) + 1 of
+    beta * 2^K for every beta in the enclosure.  B_0 = 2^K and B_(i+1) =
+    floor(B_i b / 2^K) are within e_0 = 0 and e_(i+1) = ceil((B_i e + e_i
+    (b + e)) / 2^K) + 1 of beta^i 2^K: with beta^i 2^K = B_i + d_i and
+    beta 2^K = b + d, the product misses by (B_i d + d_i b + d_i d) / 2^K,
+    and the floor by less than 1.  With x = sum n_i beta^i / D over one
+    denominator D > 0, x D 2^K lies in [S - E, S + E] for S = sum n_i B_i
+    and E = sum |n_i| e_i.  Int true division rounds correctly to nearest,
+    so when both ends round to the same double, so does x.
     """
-    k = _FIXED_BITS
-    man, exp = p.root_beta.mid.man_exp
-    b = man << (exp + k) if exp + k >= 0 else man >> -(exp + k)
-    man, exp = p.root_beta.rad.man_exp
-    e = (man << (exp + k) if exp + k >= 0 else -(-man >> -(exp + k))) + 1
-    powers = [(1 << k, 0)]
-    for _ in range(p.degree - 1):
-        big, err = powers[-1]
-        powers.append((big * b >> k, -(-(big * e + err * (b + e)) >> k) + 1))
-    out = []
-    for x in xs:
-        den = math.lcm(*(c.denominator for c in x.coords))
-        total = err = 0
-        for c, (big, e_i) in zip(x.coords, powers):
-            n = c.numerator * (den // c.denominator)
-            total += n * big
-            err += abs(n) * e_i
-        low = (total - err) / (den << k)
-        out.append(low if low == (total + err) / (den << k) else None)
-    return out
+    out: list[float | None] = [None] * len(xs)
+
+    def attempt(k: int) -> list[float] | None:
+        beta = p.root_beta if k == _FIXED_BITS else refined_enclosures(p, k)[0]
+        man, exp = beta.mid.man_exp
+        b = man << (exp + k) if exp + k >= 0 else man >> -(exp + k)
+        man, exp = beta.rad.man_exp
+        e = (man << (exp + k) if exp + k >= 0 else -(-man >> -(exp + k))) + 1
+        powers = [(1 << k, 0)]
+        for _ in range(p.degree - 1):
+            big, err = powers[-1]
+            powers.append((big * b >> k, -(-(big * e + err * (b + e)) >> k) + 1))
+        for i in [i for i, value in enumerate(out) if value is None]:
+            den = math.lcm(*(c.denominator for c in xs[i].coords))
+            total = err = 0
+            for c, (big, e_i) in zip(xs[i].coords, powers):
+                n = c.numerator * (den // c.denominator)
+                total += n * big
+                err += abs(n) * e_i
+            low = (total - err) / (den << k)
+            if low == (total + err) / (den << k):
+                out[i] = low
+        return None if None in out else out
+
+    return _escalate(
+        _FIXED_BITS, attempt, lambda cap: f"cannot round a Q(beta) value to a double at {cap} bits"
+    )
 
 
 # Rounding a value in [0, 1) to the nearest float moves it by at most half

@@ -9,6 +9,7 @@ so counts never overflow).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -178,42 +179,6 @@ def transition_matrices(a: LabeledAutomaton) -> TransitionMatrices:
     return TransitionMatrices(labels=a.alphabet, per_label=per, total=total)
 
 
-def _adjacency_exact(a: LabeledAutomaton) -> list[list[int]]:
-    n = a.n_states
-    idx = a.state_index()
-    m = [[0] * n for _ in range(n)]
-    for src, dst, _ in a.edges:
-        m[idx[src]][idx[dst]] += 1
-    return m
-
-
-def _int_matmul(x, y):
-    n, k, m = len(x), len(y), len(y[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        oi = out[i]
-        for j in range(k):
-            v = xi[j]
-            if v:
-                yj = y[j]
-                for l in range(m):
-                    oi[l] += v * yj[l]
-    return out
-
-
-def _int_matpow(m, n):
-    size = len(m)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [row[:] for row in m]
-    while n:
-        if n & 1:
-            result = _int_matmul(result, base)
-        base = _int_matmul(base, base)
-        n >>= 1
-    return result
-
-
 # ----------------------------------------------------------------------
 # Connectivity and primitivity
 # ----------------------------------------------------------------------
@@ -327,13 +292,19 @@ def count_words(a: LabeledAutomaton, n: int, use_initial_terminal: bool = False)
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    m = _int_matpow(_adjacency_exact(a), n)
     idx = a.state_index()
-    if use_initial_terminal:
-        rows = [idx[s] for s in a.initial]
-        cols = [idx[s] for s in a.terminal]
-        return sum(m[i][j] for i in rows for j in cols)
-    return sum(sum(row) for row in m)
+    edges = [(idx[src], idx[dst]) for src, dst, _ in a.edges]
+    start, end = (a.initial, a.terminal) if use_initial_terminal else (a.states, a.states)
+    # runs[j]: paths of the current length that end in state j
+    runs = [0] * a.n_states
+    for s in start:
+        runs[idx[s]] = 1
+    for _ in range(n):
+        nxt = [0] * a.n_states
+        for i, j in edges:
+            nxt[j] += runs[i]
+        runs = nxt
+    return sum(runs[idx[s]] for s in end)
 
 
 def enumerate_paths(a: LabeledAutomaton, n: int, from_set, to_set, cap: int = ENUMERATION_CAP):
@@ -369,34 +340,29 @@ def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:
     """Number of words of length <= n_max realised by more than one run.
 
     Run counts are taken over all start states; a positive value warns
-    that path counts and distinct-word counts diverge.
+    that path counts and distinct-word counts diverge.  Words with the
+    same run-count vector extend alike, so each level keeps one bucket
+    per vector with its number of words.
     """
     idx = a.state_index()
-    step: dict[int, list[list[int]]] = {}
-    n = a.n_states
-    for label in a.alphabet:
-        m = [[0] * n for _ in range(n)]
-        step[label] = m
+    by_label: dict[int, list[tuple[int, int]]] = {label: [] for label in a.alphabet}
     for src, dst, label in a.edges:
-        step[label][idx[src]][idx[dst]] += 1
+        by_label[label].append((idx[src], idx[dst]))
 
     ambiguous = 0
-    # counts vector: number of runs of the current word ending in each state
-    level: list[tuple[int, ...]] = [tuple([1] * n)]
+    # run-count vector (runs of the word ending in each state) -> words
+    level = Counter({(1,) * a.n_states: 1})
     for _ in range(n_max):
-        nxt: list[tuple[int, ...]] = []
-        for counts in level:
-            for label in a.alphabet:
-                m = step[label]
-                new = tuple(
-                    sum(counts[i] * m[i][j] for i in range(n) if counts[i])
-                    for j in range(n)
-                )
+        nxt: Counter = Counter()
+        for counts, words in level.items():
+            for edges in by_label.values():
+                new = [0] * a.n_states
+                for i, j in edges:
+                    new[j] += counts[i]
                 total = sum(new)
-                if total == 0:
-                    continue
                 if total > 1:
-                    ambiguous += 1
-                nxt.append(new)
+                    ambiguous += words
+                if total:
+                    nxt[tuple(new)] += words
         level = nxt
     return ambiguous

@@ -24,7 +24,6 @@ from .algebraic import (
     _coords_sub,
     bint_pow_beta,
     qbeta_div,
-    qbeta_embed,
     qbeta_nearest_floats,
 )
 from .automaton import LabeledAutomaton, primitivity_check
@@ -135,9 +134,7 @@ def atoms(
 
     ``image`` is that test's result when the caller already ran it on
     (a, p); otherwise the test runs here.  ``value_decimal`` is the double
-    nearest the exact value (``qbeta_nearest_floats``); the rare value that
-    fixed point leaves undecided takes the midpoint of its certified
-    enclosure.
+    nearest the exact value (``qbeta_nearest_floats``).
     """
     result = image if image is not None else finite_image_test(a, p)
     if not result.ok:
@@ -150,8 +147,6 @@ def atoms(
     values = [QBeta(coords) for coords in groups]
     collected = []
     for value, decimal, states in zip(values, qbeta_nearest_floats(values, p), groups.values()):
-        if decimal is None:
-            decimal = float(qbeta_embed(value, 1, p).mid)
         mass = float(sum(pi[idx[s]] for s in states))
         collected.append(Atom(value=value, mass=mass, value_decimal=decimal,
                               states=tuple(sorted(states))))

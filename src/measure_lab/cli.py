@@ -2,7 +2,7 @@
 
 Every subcommand emits a JSON report (stdout or --out) and returns exit
 code 0 on success, 2 on validation errors, 3 when adaptive precision hit
-its cap.  Reports are byte-stable for identical inputs and --seed.
+its cap.  Reports are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def _cmd_cloud(args) -> dict:
 
 
 def _cmd_examples(args) -> dict:
-    return run_all(args.dir, seed=args.seed)
+    return run_all(args.dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("automaton", help="automaton JSON file")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     sp = sub.add_parser("validate", help="parse and validate an automaton document")

@@ -245,7 +245,7 @@ def _cdf_comparison(a: LabeledAutomaton, p, pd, depth: int, ref: dict, note: str
     return {"rows": rows, "reconciled": reconciled, "note": None if reconciled else note}
 
 
-def fixture_report(name: str, seed: int = 0) -> dict:
+def fixture_report(name: str) -> dict:
     """Analysis report plus reference cross-checks for one fixture."""
     a = fixture_automaton(name)
     p = fixture_pisot(name)
@@ -327,11 +327,11 @@ def fixture_report(name: str, seed: int = 0) -> dict:
     return report
 
 
-def run_all(directory=None, seed: int = 0) -> dict:
+def run_all(directory=None) -> dict:
     """Materialise fixtures (optionally) and run every fixture report."""
     out: dict = {"fixtures": {}}
     if directory is not None:
         out["written"] = materialize(directory)
     for name in FIXTURE_NAMES:
-        out["fixtures"][name] = fixture_report(name, seed=seed)
+        out["fixtures"][name] = fixture_report(name)
     return out

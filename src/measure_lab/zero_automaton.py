@@ -341,10 +341,15 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = TRIM_BOTH) -> Lab
 def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dict:
     """Exhaustive soundness/completeness check of the recognised language.
 
-    Walks the full digit tree up to depth n_max carrying the exact value
-    sum(x_k beta^(n-k)) in Z[beta] (independent of the automaton), and
-    simultaneously the subset of automaton states reachable from the zero
-    state, comparing exact zeroness against acceptance at every length.
+    Walks the digit tree up to depth n_max one length at a time, carrying
+    each word's exact value sum(x_k beta^(n-k)) in Z[beta] (independent
+    of the automaton) and the set of automaton states it reaches from the
+    zero state, and compares exact zeroness against acceptance at every
+    length.  Words that share both extend alike, so each length keeps one
+    bucket per (value, state set) with its number of words and its
+    lexicographically first word.  ``missed`` and ``spurious`` name up to
+    20 wrong classes each, once, by their shortest and then lexicographically
+    first word, in (length, lexicographic) order.
     """
     if n_max > 14:
         raise CapExceeded("verification depth capped at 14")
@@ -354,59 +359,54 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
     zero_name = zero_state_name(p)
     if zero_name not in idx:
         raise ValueError(f"automaton has no zero state {zero_name!r}")
-    n_states = a.n_states
-    step_masks: dict[int, list[int]] = {lab: [0] * n_states for lab in a.alphabet}
+    step_masks: dict[int, list[int]] = {lab: [0] * a.n_states for lab in a.alphabet}
     for src, dst, label in a.edges:
         step_masks[label][idx[src]] |= 1 << idx[dst]
-
-    zero_bit = 1 << idx[zero_name]
-    r = p.degree
-    minpoly = p.minpoly
-    alphabet = a.alphabet
-    zero_counts = [0] * (n_max + 1)
-    accepted_counts = [0] * (n_max + 1)
-    missed: list[tuple[int, ...]] = []
-    spurious: list[tuple[int, ...]] = []
 
     def advance_mask(mask: int, label: int) -> int:
         out = 0
         table = step_masks[label]
-        m = mask
-        while m:
-            low = m & -m
+        while mask:
+            low = mask & -mask
             out |= table[low.bit_length() - 1]
-            m ^= low
+            mask ^= low
         return out
 
-    zero_coords = (0,) * r
-    word: list[int] = []
-
-    def walk(coords: tuple[int, ...], mask: int, depth: int) -> None:
-        if depth == n_max:
-            return
-        base = _coords_mul_beta(coords, minpoly)
-        for a_ in alphabet:
-            nxt = (base[0] + a_,) + base[1:]
-            nmask = advance_mask(mask, a_)
-            word.append(a_)
-            is_zero = nxt == zero_coords
-            accepted = bool(nmask & zero_bit)
-            if is_zero:
-                zero_counts[depth + 1] += 1
-            if accepted:
-                accepted_counts[depth + 1] += 1
-            if is_zero and not accepted and len(missed) < 20:
-                missed.append(tuple(word))
-            if accepted and not is_zero and len(spurious) < 20:
-                spurious.append(tuple(word))
-            walk(nxt, nmask, depth + 1)
-            word.pop()
-
-    walk(zero_coords, 1 << idx[zero_name], 0)
+    zero_bit = 1 << idx[zero_name]
+    zero_coords = (0,) * p.degree
+    zero_counts, accepted_counts = [], []
+    missed: list[tuple[int, ...]] = []
+    spurious: list[tuple[int, ...]] = []
+    listed = set()
+    # (coordinates, state mask) -> [words, first word]; a dict keeps the
+    # buckets in the order of their first words
+    level = {(zero_coords, zero_bit): [1, ()]}
+    for _ in range(n_max):
+        nxt: dict = {}
+        for (coords, mask), (words, word) in level.items():
+            base = _coords_mul_beta(coords, p.minpoly)
+            for digit in a.alphabet:
+                key = ((base[0] + digit,) + base[1:], advance_mask(mask, digit))
+                if key in nxt:
+                    nxt[key][0] += words
+                else:
+                    nxt[key] = [words, word + (digit,)]
+        zero_counts.append(0)
+        accepted_counts.append(0)
+        for key, (words, word) in nxt.items():
+            is_zero = key[0] == zero_coords
+            accepted = bool(key[1] & zero_bit)
+            zero_counts[-1] += words * is_zero
+            accepted_counts[-1] += words * accepted
+            wrong = spurious if accepted else missed
+            if is_zero != accepted and key not in listed and len(wrong) < 20:
+                listed.add(key)
+                wrong.append(word)
+        level = nxt
     return {
         "max_length": n_max,
-        "zero_word_counts": zero_counts[1:],
-        "accepted_counts": accepted_counts[1:],
+        "zero_word_counts": zero_counts,
+        "accepted_counts": accepted_counts,
         "sound": not spurious,
         "complete": not missed,
         "missed": [list(w) for w in missed],

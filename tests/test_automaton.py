@@ -1,9 +1,11 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from mpmath import mp
 
 from measure_lab.automaton import (
@@ -25,6 +27,8 @@ from measure_lab.errors import (
     UnknownState,
 )
 from measure_lab.fixtures import fixture_document
+
+from helpers import strongly_connected_automata, zero_automaton
 
 
 # ---------------------------------------------------------------- oracles
@@ -221,11 +225,16 @@ def test_count_matches_enumeration_random():
                         edges.append({"from": src, "to": dst, "label": lab})
         if not edges:
             continue
-        a = parse_automaton({"alphabet": alphabet, "states": states, "edges": edges})
+        initial = [s for s in states if rng.random() < 0.5]
+        terminal = [s for s in states if rng.random() < 0.5]
+        a = parse_automaton({"alphabet": alphabet, "states": states, "edges": edges,
+                             "initial": initial, "terminal": terminal})
         built += 1
-        for n in (0, 1, 2, 4):
+        for n in (0, 1, 2, 4, 6):
             words = enumerate_paths(a, n, a.states, a.states)
             assert count_words(a, n) == len(words)
+            words = enumerate_paths(a, n, a.initial, a.terminal)
+            assert count_words(a, n, use_initial_terminal=True) == len(words)
 
 
 def test_enumerate_fibonacci(automata):
@@ -245,7 +254,22 @@ def test_enumerate_cap(automata):
 
 
 def test_ambiguity_diagnostic(automata):
-    # "0" has runs from both states of the fibonacci automaton
-    assert ambiguous_word_count(automata["fibonacci"]) > 0
-    # single-state automata have exactly one run per word
-    assert ambiguous_word_count(automata["fullshift4"]) == 0
+    # "0" has runs from both states of the fibonacci automaton, and
+    # single-state automata (fullshift4) have exactly one run per word
+    pinned = {"fibonacci": 87, "example1-9edge": 15, "example1-7edge": 8,
+              "fullshift4": 0, "fig3": 2583}
+    assert {name: ambiguous_word_count(automata[name]) for name in pinned} == pinned
+    # x^3 - x - 1 over {-1,0,1}: 179 states, and every one of the
+    # 3 + 9 + ... + 3^8 = 9,840 words has several runs
+    assert ambiguous_word_count(zero_automaton((-1, -1, 0, 1), (-1, 0, 1))) == 9840
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=strongly_connected_automata())
+def test_ambiguity_count_matches_run_enumeration(case):
+    a, _ = case
+    ambiguous = 0
+    for n in range(1, 9):
+        runs = Counter(enumerate_paths(a, n, a.states, a.states))
+        ambiguous += sum(1 for count in runs.values() if count > 1)
+        assert ambiguous_word_count(a, n) == ambiguous

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from measure_lab.algebraic import QBeta, make_pisot, qbeta_embed, qbeta_nearest_floats
+from measure_lab.algebraic import QBeta, make_pisot, qbeta_nearest_floats
 from measure_lab.automaton import LabeledAutomaton, parse_automaton
 from measure_lab.classify import (
     FiniteImageResult,
@@ -18,7 +18,7 @@ from measure_lab.classify import (
     finite_image_test,
     verdict_to_dict,
 )
-from measure_lab.errors import NotPrimitive, NotStronglyConnected
+from measure_lab.errors import NotPrimitive, NotStronglyConnected, PrecisionExhausted
 from measure_lab.fourier import ScanEntry, ScanResult
 from measure_lab.parry import perron, sample_many
 from measure_lab.zero_automaton import beta_int_from_name, build_zero_automaton
@@ -287,7 +287,6 @@ def test_atom_value_decimal_is_nearest_double(case):
     atom_list = atoms(a, p, perron(a), image)
     decided = qbeta_nearest_floats([at.value for at in atom_list], p)
     for at, value in zip(atom_list, decided):
-        assert value is not None, at.value
         assert at.value_decimal == value == nearest_double_reference(at.value, p.minpoly)
 
 
@@ -303,8 +302,7 @@ def test_decided_nearest_floats_match_400_bit_reference(data):
     xs = [QBeta(tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))))
           for _ in range(4)]
     for x, value in zip(xs, qbeta_nearest_floats(xs, p)):
-        if value is not None:
-            assert value == nearest_double_reference(x, minpoly), x
+        assert value == nearest_double_reference(x, minpoly), x
 
 
 def fibonacci_pair(n):
@@ -314,24 +312,28 @@ def fibonacci_pair(n):
     return a, b  # F_n, F_(n+1)
 
 
-def test_undecided_value_takes_the_enclosure_midpoint(golden):
-    # F_151 - F_150 beta = (-1/beta)^150 is about 1e-31, far below the
-    # fixed-point error of coordinates near 2^104, so it is undecided.
+def test_undecided_value_escalates_to_the_nearest_double(golden, monkeypatch):
+    # F_151 - F_150 beta = (-1/beta)^150 is about 4.5e-32, far below the
+    # 160-bit fixed-point error of coordinates near 2^104, so only a finer
+    # enclosure decides it.
     f_n, f_next = fibonacci_pair(150)
     tiny = QBeta((Fraction(f_next), Fraction(-f_n)))
     ordinary = QBeta((Fraction(1, 3), Fraction(2, 7)))
-    assert qbeta_nearest_floats([tiny, ordinary], golden) == [
-        None, nearest_double_reference(ordinary, golden.minpoly)
-    ]
+    expected = [nearest_double_reference(x, golden.minpoly) for x in (tiny, ordinary)]
+    with mp.workprec(200):
+        assert expected[0] == float((2 / (1 + mp.sqrt(5))) ** 150) != 0
+    assert qbeta_nearest_floats([tiny, ordinary], golden) == expected
     single = parse_automaton(
         {"alphabet": [0], "states": ["s"], "edges": [{"from": "s", "to": "s", "label": 0}]}
     )
     image = FiniteImageResult(ok=True, c_map={"s": tiny}, witness=None)
     (atom,) = atoms(single, golden, perron(single), image)
-    ball = qbeta_embed(tiny, 1, golden)
-    assert atom.value_decimal == float(ball.mid)
-    with mp.workprec(200):
-        assert abs(mp.mpf(atom.value_decimal) - (-1 / mp.mpf(golden.beta_float)) ** 150) <= ball.rad
+    assert atom.value_decimal == expected[0]
+    # 160 bits leave it undecided, so a cap there exhausts the precision
+    monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "160")
+    assert qbeta_nearest_floats([ordinary], golden) == expected[1:]
+    with pytest.raises(PrecisionExhausted):
+        qbeta_nearest_floats([tiny], golden)
 
 
 # Captured from the Fraction-based atoms of earlier releases: a digest of

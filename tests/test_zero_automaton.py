@@ -9,7 +9,7 @@ from mpmath import mp
 
 from measure_lab import zero_automaton as za
 from measure_lab.algebraic import BetaInt, bint_from_int, make_pisot
-from measure_lab.automaton import count_words, primitivity_check
+from measure_lab.automaton import count_words, parse_automaton, primitivity_check
 from measure_lab.errors import CapExceeded
 from measure_lab.parry import perron
 from measure_lab.zero_automaton import (
@@ -23,6 +23,8 @@ from measure_lab.zero_automaton import (
     verify_zero_language,
     zero_state_name,
 )
+
+from helpers import zero_subautomata
 
 
 def value_of_word(word, minpoly):
@@ -100,10 +102,14 @@ def test_verify_language_golden_depth8(golden):
 
 
 def test_incomplete_automaton_detected(golden, automata):
-    report = verify_zero_language(automata["example1-7edge"], golden, 6)
+    report = verify_zero_language(automata["example1-7edge"], golden, 8)
     assert report["sound"]
     assert not report["complete"]
-    assert [-1, 1, 0, 1, 1] in report["missed"]
+    # all 34 missed zero words reach no state: one class, listed once
+    assert [z - a for z, a in zip(report["zero_word_counts"], report["accepted_counts"])] == [
+        0, 0, 0, 0, 2, 4, 8, 20
+    ]
+    assert report["missed"] == [[-1, 1, 0, 1, 1]]
 
 
 def test_specific_zero_word(golden):
@@ -161,6 +167,85 @@ def test_verification_depth_cap(golden):
     a = build_zero_automaton(golden, [0, 1])
     with pytest.raises(CapExceeded):
         verify_zero_language(a, golden, 15)
+
+
+def word_classes(a, p, n_max):
+    """Per-word oracle: (word, value, states) for every digit word of
+    length 1..n_max in (length, lexicographic) order.  The value is the
+    word's polynomial sum x_k X^(n-k) reduced modulo the monic minpoly,
+    which is its Z[beta] coordinate vector; states is the set of states
+    its runs from the zero state reach."""
+    step = {}
+    for src, dst, label in a.edges:
+        step.setdefault((src, label), set()).add(dst)
+    r = p.degree
+    for n in range(1, n_max + 1):
+        for word in itertools.product(a.alphabet, repeat=n):
+            poly = list(reversed(word)) + [0] * r  # constant term first
+            for top in range(n - 1, r - 1, -1):  # cancel X^top
+                c = poly[top]
+                for i, m in enumerate(p.minpoly):
+                    poly[top - r + i] -= c * m
+            states = {zero_state_name(p)}
+            for digit in word:
+                states = set().union(*(step.get((s, digit), ()) for s in states))
+            yield word, tuple(poly[:r]), frozenset(states)
+
+
+def check_verification_against_oracle(a, p, n_max):
+    report = verify_zero_language(a, p, n_max)
+    zero, zero_state = (0,) * p.degree, zero_state_name(p)
+    zero_counts, accepted_counts = [0] * n_max, [0] * n_max
+    classes, seen = {}, set()
+    expected = {"missed": [], "spurious": []}
+    for word, value, states in word_classes(a, p, n_max):
+        is_zero, accepted = value == zero, zero_state in states
+        zero_counts[len(word) - 1] += is_zero
+        accepted_counts[len(word) - 1] += accepted
+        # list the first word of each wrong class, up to 20 per list
+        wrong = expected["spurious" if accepted else "missed"]
+        if is_zero != accepted and (value, states) not in seen and len(wrong) < 20:
+            wrong.append(list(word))
+        classes[word] = (value, states)
+        seen.add((value, states))
+    assert report["zero_word_counts"] == zero_counts
+    assert report["accepted_counts"] == accepted_counts
+    assert report["missed"] == expected["missed"]
+    assert report["spurious"] == expected["spurious"]
+    assert report["sound"] == (not expected["spurious"])
+    assert report["complete"] == (not expected["missed"])
+    # the listing rule, stated on its own
+    for word in report["missed"]:
+        value, states = classes[tuple(word)]
+        assert value == zero and zero_state not in states
+    for word in report["spurious"]:
+        value, states = classes[tuple(word)]
+        assert value != zero and zero_state in states
+    listed = report["missed"] + report["spurious"]
+    assert len({classes[tuple(w)] for w in listed}) == len(listed)
+    for key in ("missed", "spurious"):
+        assert report[key] == sorted(report[key], key=lambda w: (len(w), w))
+    return report
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=zero_subautomata())
+def test_verification_matches_per_word_oracle(case):
+    a, p, _ = case
+    check_verification_against_oracle(a, p, 6 if len(a.alphabet) <= 3 else 4)
+
+
+def test_spurious_list_stops_at_twenty_classes(golden):
+    # one zero state with a loop per digit accepts every word
+    a = parse_automaton({
+        "alphabet": [-1, 0, 1],
+        "states": [zero_state_name(golden)],
+        "edges": [{"from": zero_state_name(golden), "to": zero_state_name(golden), "label": d}
+                  for d in (-1, 0, 1)],
+    })
+    report = check_verification_against_oracle(a, golden, 5)
+    assert len(report["spurious"]) == 20
+    assert report["spurious"][:3] == [[-1], [1], [-1, -1]]
 
 
 # ---------------------------------------------------------------- float tier
