@@ -9,6 +9,7 @@ so counts never overflow).
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
@@ -96,6 +97,9 @@ def parse_automaton(document) -> LabeledAutomaton:
         "'alphabet' must be a list of integers",
     )
     _require(len(set(alphabet)) == len(alphabet), "duplicate alphabet letters")
+    # Transforms, clouds and brackets take the letters as floats.
+    _require(all(abs(a) <= sys.float_info.max for a in alphabet),
+             "alphabet letters must lie within the float range")
 
     states = document["states"]
     _require(
@@ -115,6 +119,7 @@ def parse_automaton(document) -> LabeledAutomaton:
             f"edge must have exactly keys from/to/label: {e}",
         )
         src, dst, label = e["from"], e["to"], e["label"]
+        _require(isinstance(src, str) and isinstance(dst, str), f"edge states must be strings: {e}")
         if src not in state_set:
             raise UnknownState(f"edge source '{src}' not declared")
         if dst not in state_set:
@@ -129,7 +134,8 @@ def parse_automaton(document) -> LabeledAutomaton:
 
     def _state_subset(key: str) -> tuple[str, ...]:
         value = document.get(key, [])
-        _require(isinstance(value, list), f"'{key}' must be a list")
+        _require(isinstance(value, list) and all(isinstance(s, str) for s in value),
+                 f"'{key}' must be a list of strings")
         for s in value:
             if s not in state_set:
                 raise UnknownState(f"{key} state '{s}' not declared")
@@ -342,7 +348,8 @@ def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:
     Run counts are taken over all start states; a positive value warns
     that path counts and distinct-word counts diverge.  Words with the
     same run-count vector extend alike, so each level keeps one bucket
-    per vector with its number of words.
+    per vector with its number of words; nothing extends the last level,
+    so it is counted but not kept.
     """
     idx = a.state_index()
     by_label: dict[int, list[tuple[int, int]]] = {label: [] for label in a.alphabet}
@@ -352,7 +359,7 @@ def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:
     ambiguous = 0
     # run-count vector (runs of the word ending in each state) -> words
     level = Counter({(1,) * a.n_states: 1})
-    for _ in range(n_max):
+    for step in range(1, n_max + 1):
         nxt: Counter = Counter()
         for counts, words in level.items():
             for edges in by_label.values():
@@ -362,7 +369,7 @@ def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:
                 total = sum(new)
                 if total > 1:
                     ambiguous += words
-                if total:
+                if total and step < n_max:
                     nxt[tuple(new)] += words
         level = nxt
     return ambiguous

@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .algebraic import DEFAULT_PRECISION, make_pisot
 from .automaton import (
     ambiguous_word_count,
@@ -264,29 +266,33 @@ def _cmd_cloud(args) -> dict:
     p = _pisot_for(a, args)
     pd = perron(a)
     cloud = depth_cloud(a, p, pd, args.depth)
-    entries = sorted(cloud.entries, key=lambda e: (e.value, e.mass))
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["word", "value", "mass", "lo", "hi"],
-            [[";".join(str(x) for x in e.word), e.value, e.mass, e.lo, e.hi]
-             for e in entries],
-        )
+    # lexsort is stable, so rows of equal (value, mass) keep word order.
+    order = np.lexsort((cloud.masses, cloud.values))
+    columns = [c[order].tolist() for c in (cloud.values, cloud.masses, cloud.lo, cloud.hi)]
     report = {
         "file": args.automaton,
         "depth": args.depth,
-        "entries": len(entries),
+        "entries": len(order),
         "total_mass": cloud.total_mass,
         "max_radius": cloud.max_radius,
     }
-    if not args.csv:
-        report["cloud"] = [
-            {"word": list(e.word), "value": e.value, "mass": e.mass, "lo": e.lo, "hi": e.hi}
-            for e in entries
-        ]
-    else:
+    if args.csv:
+        _write_cloud_csv(args.csv, cloud.words(order, [str(x) for x in cloud.alphabet]), columns)
         report["written"] = args.csv
+    else:
+        report["cloud"] = [
+            {"word": w, "value": v, "mass": m, "lo": l, "hi": h}
+            for w, v, m, l, h in zip(cloud.words(order), *columns)
+        ]
     return report
+
+
+def _write_cloud_csv(path: str, words, columns: list[list[float]]) -> None:
+    """The bytes ``csv.writer`` writes for these rows (CRLF, floats by
+    repr, no field needs quoting), streamed line by line."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("word,value,mass,lo,hi\r\n")
+        handle.writelines(map("{},{!r},{!r},{!r},{!r}\r\n".format, map(";".join, words), *columns))
 
 
 def _cmd_examples(args) -> dict:

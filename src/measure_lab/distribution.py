@@ -16,7 +16,9 @@ the masses of buckets entirely below (lower) or not entirely above
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -37,24 +39,51 @@ class CloudEntry:
     hi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthCloud:
+    """One row per admissible word of length ``depth``, in lexicographic
+    word order.  ``labels`` holds each word as indices into ``alphabet``
+    (entries x depth); ``values``, ``masses``, ``lo`` and ``hi`` are
+    float64 arrays over the same rows."""
+
     depth: int
-    entries: tuple[CloudEntry, ...]
+    alphabet: tuple[int, ...]
+    labels: np.ndarray
+    values: np.ndarray
+    masses: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     state_bounds: dict[str, tuple[float, float]]
+
+    def words(self, rows, letters=None) -> Iterator[tuple]:
+        """Label words of the given rows, as tuples of alphabet letters, or
+        of ``letters[i]`` for the i-th letter when given."""
+        labels = self.labels[rows]
+        if not self.depth:
+            return repeat((), len(labels))
+        table = np.array(self.alphabet if letters is None else letters, dtype=object)
+        return zip(*(table[column] for column in labels.T))
+
+    @property
+    def entries(self) -> tuple[CloudEntry, ...]:
+        """The rows as ``CloudEntry`` objects, built on each access."""
+        columns = (self.values.tolist(), self.masses.tolist(), self.lo.tolist(), self.hi.tolist())
+        return tuple(map(CloudEntry, self.words(slice(None)), *columns))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(e.mass for e in self.entries))
+        # Python's sum in word order keeps the reported bits on every Python
+        # version (3.12's sum is compensated); np.sum adds pairwise.
+        return float(sum(self.masses.tolist()))
 
     @property
     def max_radius(self) -> float:
-        return max((e.hi - e.lo) for e in self.entries)
+        return float((self.hi - self.lo).max())
 
     @property
     def max_deviation(self) -> float:
         """Largest distance from a truncated value to its cylinder range."""
-        return max(max(e.hi - e.value, e.value - e.lo) for e in self.entries)
+        return float(np.maximum(self.hi - self.values, self.values - self.lo).max())
 
 
 def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dict[str, tuple[float, float]]:
@@ -102,9 +131,10 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
     its children's rows in child order, which repeats a per-child loop's
     first-seen bucket order and sequential sums.  The cap is checked once
     per level, on its bucket count after the merge, so a level of cap + 1
-    buckets raises at that depth.  Returns the last level's words (None
-    when merging) and arrays of its truncated values, masses and certified
-    [lo, hi], plus the per-state value bounds.
+    buckets raises at that depth.  Returns the last level's words as an
+    (entries x depth) array of alphabet indices (None when merging) and
+    arrays of its truncated values, masses and certified [lo, hi], plus
+    the per-state value bounds.
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
@@ -140,7 +170,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
             trail.append(kept)
         del children  # free this level's children before the next level's
 
-    words = None if merge else _words(trail, a.alphabet)
+    words = None if merge else _label_indices(trail, len(a.alphabet), len(rows))
     # Masses stay per-row dot products: a stacked matrix-vector product
     # may sum in another order and move the last bits.
     tail = beta ** -depth
@@ -168,14 +198,13 @@ def _first_seen_groups(values: np.ndarray, support: np.ndarray) -> tuple[np.ndar
     return first[order], rank[inverse.ravel()]
 
 
-def _words(trail: list[np.ndarray], alphabet) -> list[tuple[int, ...]]:
-    """Label words of the last level's buckets, built once after the last
-    level from each level's kept (parent, label) indices.  Extending the
-    words level by level keeps at most two levels of tuples alive."""
-    words = [()]
-    for kept in trail:
-        parent, label = np.divmod(kept, len(alphabet))
-        words = [words[i] + (alphabet[j],) for i, j in zip(parent.tolist(), label.tolist())]
+def _label_indices(trail: list[np.ndarray], n_labels: int, n_rows: int) -> np.ndarray:
+    """Label words of the last level's rows as alphabet indices, read back
+    from each level's kept (parent, label) indices, last level first."""
+    words = np.empty((n_rows, len(trail)), np.min_scalar_type(n_labels - 1))
+    rows = np.arange(n_rows)
+    for k in range(len(trail) - 1, -1, -1):
+        rows, words[:, k] = np.divmod(trail[k][rows], n_labels)
     return words
 
 
@@ -199,19 +228,12 @@ def depth_cloud(
     (words deduplicated; the matrix product already accounts for multiple
     runs)."""
     words, value, mass, lo, hi, bounds = _refine(a, p, pd, n, cap, merge=False)
-    entries = tuple(
-        CloudEntry(word, float(v), float(m), float(l), float(h))
-        for word, v, m, l, h in zip(words, value, mass, lo, hi)
-    )
-    return DepthCloud(depth=n, entries=entries, state_bounds=bounds)
+    return DepthCloud(n, a.alphabet, words, value, mass, lo, hi, bounds)
 
 
 def cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
     """Bracket of the measure of (-inf, x] from a depth cloud."""
-    lo = np.array([e.lo for e in cloud.entries])
-    hi = np.array([e.hi for e in cloud.entries])
-    mass = np.array([e.mass for e in cloud.entries])
-    return _bracket(lo, hi, mass, x)
+    return _bracket(cloud.lo, cloud.hi, cloud.masses, x)
 
 
 def cdf_bracket(

@@ -1,5 +1,8 @@
 """Shared generators and oracles for the test suite."""
 
+import csv
+import io
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,6 +13,7 @@ from mpmath import mp, mpf
 from measure_lab.algebraic import BetaInt, PisotNumber, QBeta, make_pisot, qbeta_div
 from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity_check
 from measure_lab.classify import FiniteImageResult
+from measure_lab.distribution import DepthCloud
 from measure_lab.errors import NotStronglyConnected
 from measure_lab.zero_automaton import build_zero_automaton, zero_state_name
 
@@ -260,3 +264,50 @@ def nearest_double_reference(x: QBeta, minpoly: tuple[int, ...]) -> float:
     with mp.workprec(400):
         value = sum(mpf(c.numerator) / c.denominator * beta**i for i, c in enumerate(x.coords))
         return float(value)
+
+
+def _sorted_cloud_entries(cloud: DepthCloud):
+    return sorted(cloud.entries, key=lambda e: (e.value, e.mass))
+
+
+def reference_cloud_csv(cloud: DepthCloud) -> bytes:
+    """The `cloud --csv` file as csv.writer writes it from the entries
+    sorted by (value, mass)."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["word", "value", "mass", "lo", "hi"])
+    writer.writerows([";".join(str(x) for x in e.word), e.value, e.mass, e.lo, e.hi]
+                     for e in _sorted_cloud_entries(cloud))
+    return buffer.getvalue().encode("utf-8")
+
+
+def reference_cloud_report(cloud: DepthCloud, file: str, written: str | None = None) -> str:
+    """The `cloud` JSON report built as dicts from the entries sorted by
+    (value, mass); with ``written`` it is the report of a `--csv` run."""
+    entries = _sorted_cloud_entries(cloud)
+    report = {
+        "file": file,
+        "depth": cloud.depth,
+        "entries": len(entries),
+        "total_mass": float(sum(e.mass for e in cloud.entries)),
+        "max_radius": max((e.hi - e.lo) for e in cloud.entries),
+    }
+    if written is None:
+        report["cloud"] = [
+            {"word": list(e.word), "value": e.value, "mass": e.mass, "lo": e.lo, "hi": e.hi}
+            for e in entries
+        ]
+    else:
+        report["written"] = written
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def reference_cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
+    """CDF bracket summed entry by entry, left to right in word order."""
+    lower = upper = 0.0
+    for e in cloud.entries:
+        if e.hi <= x:
+            lower += e.mass
+        if e.lo <= x:
+            upper += e.mass
+    return lower, upper

@@ -108,6 +108,15 @@ def test_schema_errors():
         parse_automaton({"alphabet": [0], "states": ["s"], "edges": [], "extra": 1})
     with pytest.raises(SchemaError):
         parse_automaton({"alphabet": [0], "states": []})
+    with pytest.raises(SchemaError, match="float range"):
+        # such a letter used to end cdf, cloud and fourier in an OverflowError
+        parse_automaton({"alphabet": [0, -10**400], "states": ["s"], "edges": []})
+    # unhashable state names used to raise TypeError
+    with pytest.raises(SchemaError):
+        parse_automaton({"alphabet": [0], "states": ["s"],
+                         "edges": [{"from": [], "to": "s", "label": 0}]})
+    with pytest.raises(SchemaError):
+        parse_automaton({"alphabet": [0], "states": ["s"], "edges": [], "initial": [{}]})
 
 
 def test_round_trip_all_fixtures(automata):

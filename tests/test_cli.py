@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from measure_lab.algebraic import make_pisot
 from measure_lab.automaton import parse_automaton
-from measure_lab.cli import main
+from measure_lab.cli import _load, main
+from measure_lab.distribution import depth_cloud
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
+from measure_lab.parry import perron
+
+from helpers import reference_cloud_csv, reference_cloud_report
 
 
 @pytest.fixture()
@@ -210,18 +218,36 @@ def test_bad_height_exit_code(capsys, fixture_dir, command, name):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+SIGNED_TIES = {
+    # parse_automaton sorts the alphabet; over base 2 the words (0, 1) and
+    # (1, -1) have equal values and masses, so the sort must be stable.
+    "beta": {"minpoly": [-2, 1]},
+    "alphabet": [1, -1, 0],
+    "states": ["s"],
+    "edges": [{"from": "s", "to": "s", "label": label} for label in (1, -1, 0)],
+}
+
+
 def test_cloud_csv(capsys, fixture_dir, tmp_path):
+    # The reports and the CSV file are the bytes the entry-by-entry writers
+    # give: on every fixture, at depth 0, and on an alphabet with ties.
+    (fixture_dir / "signed-ties.json").write_text(json.dumps(SIGNED_TIES))
+    cases = [(name, 6 if name == "fullshift4" else 8) for name in FIXTURE_NAMES]
     csv_path = tmp_path / "cloud.csv"
-    code, out = run(
-        capsys, "cloud", str(fixture_dir / "fibonacci.json"),
-        "--depth", "6", "--csv", str(csv_path),
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert abs(report["total_mass"] - 1) < 1e-10
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "word,value,mass,lo,hi"
-    assert len(lines) == report["entries"] + 1
+    for name, depth in cases + [("fig3", 0), ("signed-ties", 5)]:
+        doc = str(fixture_dir / f"{name}.json")
+        a = _load(doc)
+        cloud = depth_cloud(a, make_pisot(a.beta_minpoly), perron(a), depth)
+
+        code, out = run(capsys, "cloud", doc, "--depth", str(depth), "--csv", str(csv_path))
+        assert code == 0
+        assert out == reference_cloud_report(cloud, doc, written=str(csv_path)), name
+        assert abs(json.loads(out)["total_mass"] - 1) < 1e-10
+        assert csv_path.read_bytes() == reference_cloud_csv(cloud), name
+
+        code, out = run(capsys, "cloud", doc, "--depth", str(depth))
+        assert code == 0
+        assert out == reference_cloud_report(cloud, doc), name
 
 
 def test_examples_command(capsys, tmp_path):
@@ -283,3 +309,71 @@ def test_limit_huge_z(capsys, fixture_dir):
     code, out = run(capsys, "limit", fig3, "--z", f"{10**300},{-10**300}")
     assert code == 0
     assert math.isfinite(json.loads(out)["bound"])
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _odd_documents(draw):
+    """Automaton documents near the schema: small strongly connected
+    automata, some over non-Pisot or huge bases, with up to three parts
+    dropped, replaced by other JSON values or made odd (unknown states,
+    labels outside the alphabet, huge labels, unknown keys), and some
+    texts that are not JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "{", "[1, 2]", "null", '{"alphabet": [0]'])
+                    | st.text(max_size=20))
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    alphabet = draw(st.lists(st.integers(-3, 3) | st.sampled_from([10**20, -(10**400)]),
+                             min_size=1, max_size=3, unique=True))
+    state, label = st.sampled_from(states), st.sampled_from(alphabet)
+    cycle = [(src, dst, draw(label)) for src, dst in zip(states, states[1:] + states[:1])]
+    extra = draw(st.lists(st.tuples(state, state, label), max_size=4))
+    edges = [{"from": a, "to": b, "label": c} for a, b, c in dict.fromkeys(cycle + extra)]
+    doc = {
+        "beta": {"minpoly": draw(st.sampled_from([[-1, -1, 1], [-2, 1], [1, -3, 1], [-1, 0, 1], [0, 1],
+                                                  [1], [-1, -1, -1, 1], [-(10**20), 1]]))},
+        "alphabet": alphabet,
+        "states": states,
+        "edges": edges,
+        "initial": draw(st.lists(state, max_size=2, unique=True)),
+        "terminal": draw(st.lists(state, max_size=2, unique=True)),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        target = doc
+        if key == "edges" and edges and draw(st.booleans()):
+            target, key = draw(st.sampled_from(edges)), draw(st.sampled_from(["from", "to", "label"]))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_json_values | st.sampled_from(["x", 7, True, 2.5]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_odd_documents(), command=st.sampled_from([
+    ("validate",),
+    ("cdf", "--depth", "4", "--points", "0.25,1"),
+    ("cloud", "--depth", "3", "--csv", "{csv}"),
+]))
+def test_odd_documents_exit_cleanly(text, command):
+    # Every document ends in a report or a JSON error, never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, out, csv_path = (os.path.join(tmp, name) for name in ("doc.json", "out.json", "cloud.csv"))
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        head, *flags = command
+        code = main([head, doc, *(f.format(csv=csv_path) for f in flags), "--out", out])
+        with open(out, encoding="utf-8") as handle:
+            report = json.load(handle)
+    assert code in (0, 2, 3)
+    assert ("error" in report) == (code != 0)

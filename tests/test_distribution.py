@@ -16,7 +16,7 @@ from measure_lab.errors import CapExceeded, DeadState
 from measure_lab.parry import perron, sample_many
 from measure_lab.zero_automaton import build_zero_automaton
 
-from helpers import signed_automata
+from helpers import reference_cdf_bounds, signed_automata
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -248,6 +248,13 @@ def test_cdf_bounds_edges(automata, pisots, perron_data):
     assert abs(lo - 1) < 1e-10 and abs(hi - 1) < 1e-10
     lo, hi = cdf_bounds(cloud, 0.5)
     assert 0 < lo <= hi < 1
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "fig3", "example1-9edge"])
+def test_cdf_bounds_equal_entry_sums(automata, pisots, perron_data, name):
+    cloud = depth_cloud(automata[name], pisots[name], perron_data[name], 8)
+    for x in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.7, 2.5, 4.0):
+        assert cdf_bounds(cloud, x) == reference_cdf_bounds(cloud, x)
 
 
 def test_cdf_monotone(automata, pisots, perron_data):
