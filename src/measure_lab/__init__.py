@@ -86,7 +86,6 @@ from .parry import (
     cylinder_measure_initial,
     perron,
     sample_many,
-    sample_run,
     start_distribution,
 )
 from .zero_automaton import (

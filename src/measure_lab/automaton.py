@@ -1,7 +1,8 @@
 """Labelled automata over integer alphabets.
 
 Parsing and validation of the JSON document format, per-label 0/1
-transition matrices, strong connectivity and primitivity, and exact
+transition matrices, the edge index (``edge_arrays``) and the BFS
+(``reachable``) behind strong connectivity and primitivity, and exact
 path/word counting and enumeration oracles (Python integers throughout,
 so counts never overflow).
 """
@@ -10,9 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -51,6 +51,14 @@ class LabeledAutomaton:
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and target state indices, one entry per edge in document
+        order, so parallel edges count with their multiplicity."""
+        idx = self.state_index()
+        src = np.array([idx[s] for s, _, _ in self.edges], dtype=np.intp)
+        dst = np.array([idx[t] for _, t, _ in self.edges], dtype=np.intp)
+        return src, dst
+
 
 @dataclass(frozen=True)
 class TransitionMatrices:
@@ -64,6 +72,11 @@ class TransitionMatrices:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise SchemaError(msg)
+
+
+def _is_int(x) -> bool:
+    # JSON true/false parse to bool, which is a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_automaton(document) -> LabeledAutomaton:
@@ -86,14 +99,14 @@ def parse_automaton(document) -> LabeledAutomaton:
         _require(isinstance(beta, dict) and "minpoly" in beta, "'beta' must be {'minpoly': [...]}")
         mp_ = beta["minpoly"]
         _require(
-            isinstance(mp_, list) and mp_ and all(isinstance(c, int) for c in mp_),
+            isinstance(mp_, list) and mp_ and all(_is_int(c) for c in mp_),
             "'beta.minpoly' must be a nonempty integer list",
         )
         beta_minpoly = tuple(mp_)
 
     alphabet = document["alphabet"]
     _require(
-        isinstance(alphabet, list) and all(isinstance(a, int) for a in alphabet),
+        isinstance(alphabet, list) and all(_is_int(a) for a in alphabet),
         "'alphabet' must be a list of integers",
     )
     _require(len(set(alphabet)) == len(alphabet), "duplicate alphabet letters")
@@ -124,6 +137,7 @@ def parse_automaton(document) -> LabeledAutomaton:
             raise UnknownState(f"edge source '{src}' not declared")
         if dst not in state_set:
             raise UnknownState(f"edge target '{dst}' not declared")
+        _require(not isinstance(label, bool), f"edge label must be an integer: {e}")
         if not isinstance(label, int) or label not in alpha_set:
             raise LabelOutsideAlphabet(f"label {label!r} outside alphabet {sorted(alpha_set)}")
         triple = (src, dst, label)
@@ -190,93 +204,40 @@ def transition_matrices(a: LabeledAutomaton) -> TransitionMatrices:
 # ----------------------------------------------------------------------
 
 
-def _successors(a: LabeledAutomaton) -> list[list[int]]:
-    idx = a.state_index()
-    succ = [[] for _ in a.states]
-    seen = set()
-    for src, dst, _ in a.edges:
-        pair = (idx[src], idx[dst])
-        if pair not in seen:
-            seen.add(pair)
-            succ[pair[0]].append(pair[1])
-    return succ
-
-
-def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
-    # Tarjan, iterative.
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
+def reachable(succ: list[list[int]], start: int) -> list[int]:
+    """BFS level of every state from ``start`` over the adjacency lists
+    ``succ``: the length of a shortest path, or -1 where none leads."""
+    level = [-1] * len(succ)
+    level[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
 
 def primitivity_check(a: LabeledAutomaton) -> dict:
     """Strong connectivity, period (gcd of cycle lengths), primitivity.
 
     Period is 0 when there is no cycle or the graph is not strongly
-    connected; primitive means strongly connected with period 1.
+    connected; primitive means strongly connected with period 1.  The graph
+    is strongly connected when BFS from state 0 reaches every state both
+    forward and backward.  Every edge u->v then contributes
+    level[u] + 1 - level[v], and the gcd of these over the edges is the
+    period whichever BFS tree the levels come from.
     """
-    succ = _successors(a)
-    comps = _strongly_connected_components(succ)
-    strongly_connected = len(comps) == 1
-    period = 0
-    if strongly_connected:
-        # BFS levels; every edge u->v contributes level[u]+1-level[v].
-        n = a.n_states
-        level = [-1] * n
-        level[0] = 0
-        queue = [0]
-        while queue:
-            u = queue.pop()
-            for v in succ[u]:
-                if level[v] == -1:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        g = 0
-        for u in range(n):
-            for v in succ[u]:
-                g = gcd(g, level[u] + 1 - level[v])
-        period = abs(g)
+    src, dst = a.edge_arrays()
+    succ: list[list[int]] = [[] for _ in a.states]
+    pred: list[list[int]] = [[] for _ in a.states]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        succ[u].append(v)
+        pred[v].append(u)
+    level = np.array(reachable(succ, 0))
+    strongly_connected = bool(level.min() >= 0 and min(reachable(pred, 0)) >= 0)
+    period = int(np.gcd.reduce(level[src] + 1 - level[dst])) if strongly_connected else 0
     return {
         "strongly_connected": strongly_connected,
         "period": period,
@@ -299,16 +260,15 @@ def count_words(a: LabeledAutomaton, n: int, use_initial_terminal: bool = False)
     if n < 0:
         raise ValueError("n must be >= 0")
     idx = a.state_index()
-    edges = [(idx[src], idx[dst]) for src, dst, _ in a.edges]
+    src, dst = a.edge_arrays()
     start, end = (a.initial, a.terminal) if use_initial_terminal else (a.states, a.states)
-    # runs[j]: paths of the current length that end in state j
-    runs = [0] * a.n_states
-    for s in start:
-        runs[idx[s]] = 1
+    # runs[j]: paths of the current length that end in state j, held as
+    # Python ints (object dtype) so counts never overflow
+    runs = np.zeros(a.n_states, dtype=object)
+    runs[[idx[s] for s in start]] = 1
     for _ in range(n):
-        nxt = [0] * a.n_states
-        for i, j in edges:
-            nxt[j] += runs[i]
+        nxt = np.zeros(a.n_states, dtype=object)
+        np.add.at(nxt, dst, runs[src])
         runs = nxt
     return sum(runs[idx[s]] for s in end)
 

@@ -94,29 +94,28 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dic
     outward by the fixed-point gap, so they are genuine outer bounds.
     """
     beta = p.beta_float
-    idx = a.state_index()
-    out: list[list[tuple[int, int]]] = [[] for _ in a.states]
-    for src, dst, label in a.edges:
-        out[idx[src]].append((label, idx[dst]))
-    for name, lst in zip(a.states, out):
-        if not lst:
-            raise DeadState(f"state {name!r} has no outgoing edge")
-
+    src, dst = a.edge_arrays()
     n = a.n_states
+    dead = np.flatnonzero(np.bincount(src, minlength=n) == 0)
+    if dead.size:
+        raise DeadState(f"state {a.states[dead[0]]!r} has no outgoing edge")
+    labels = np.array([float(label) for _, _, label in a.edges])
+
     lo = np.zeros(n)
     hi = np.zeros(n)
     gap_target = tol * (1 - 1 / beta)
     for _ in range(100_000):
-        new_lo = np.array([min((lab + lo[j]) / beta for lab, j in out[i]) for i in range(n)])
-        new_hi = np.array([max((lab + hi[j]) / beta for lab, j in out[i]) for i in range(n)])
+        # Each candidate is the float64 (label + m(target)) / beta; min and
+        # max are exact, so the order of the edges does not matter.
+        new_lo = np.full(n, np.inf)
+        np.minimum.at(new_lo, src, (labels + lo[dst]) / beta)
+        new_hi = np.full(n, -np.inf)
+        np.maximum.at(new_hi, src, (labels + hi[dst]) / beta)
         change = max(np.abs(new_lo - lo).max(), np.abs(new_hi - hi).max())
         lo, hi = new_lo, new_hi
         if change <= gap_target:
             break
-    return {
-        name: (float(lo[i] - tol), float(hi[i] + tol))
-        for name, i in ((s, idx[s]) for s in a.states)
-    }
+    return {name: (float(l - tol), float(h + tol)) for name, l, h in zip(a.states, lo, hi)}
 
 
 def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap: int, merge: bool):

@@ -15,7 +15,6 @@ milliseconds.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +49,6 @@ class PerronData:
         return len(self.v_R)
 
 
-def _edge_arrays(a: LabeledAutomaton) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target state indices, one entry per edge, so parallel
-    edges count with their multiplicity as in the total matrix."""
-    idx = a.state_index()
-    src = np.array([idx[s] for s, _, _ in a.edges], dtype=np.intp)
-    dst = np.array([idx[t] for _, t, _ in a.edges], dtype=np.intp)
-    return src, dst
-
-
 def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
     """Dominant eigendata of the total transition matrix M, by power
     iteration on the edge list.
@@ -87,7 +77,7 @@ def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
             f"period={check['period']}"
         )
     n = a.n_states
-    src, dst = _edge_arrays(a)
+    src, dst = a.edge_arrays()
     into = np.concatenate([src, dst + n])
     take = np.concatenate([dst, src + n])
     # A quotient over d edges carries up to d + 1 roundings.
@@ -197,43 +187,9 @@ def _edge_chain(pd: PerronData, a: LabeledAutomaton):
     return cumulative
 
 
-def sample_run(pd: PerronData, a: LabeledAutomaton, length: int, seed: int):
-    """One stationary sample path: (state names, label word), deterministic
-    in the seed."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = random.Random(seed)
-    pi = start_distribution(pd)
-    chain = _edge_chain(pd, a)
-
-    u = rng.random()
-    state = 0
-    acc = 0.0
-    for i, mass in enumerate(pi):
-        acc += mass
-        if u <= acc:
-            state = i
-            break
-
-    states = [state]
-    labels = []
-    for _ in range(length):
-        u = rng.random()
-        rows = chain[state]
-        nxt = rows[-1]
-        for row in rows:
-            if u <= row[0]:
-                nxt = row
-                break
-        state = nxt[1]
-        states.append(state)
-        labels.append(nxt[2])
-    return [a.states[i] for i in states], labels
-
-
 def sample_many(pd: PerronData, a: LabeledAutomaton, n_runs: int, length: int, seed: int):
-    """Vectorised sampler: arrays (n_runs, length+1) of state indices and
-    (n_runs, length) of labels."""
+    """Stationary sample paths, deterministic in the seed: arrays
+    (n_runs, length+1) of state indices and (n_runs, length) of labels."""
     rng = np.random.default_rng(seed)
     pi = start_distribution(pd)
     pi = pi / pi.sum()

@@ -61,7 +61,7 @@ from .algebraic import (
     float_with_error,
     refined_enclosures,
 )
-from .automaton import LabeledAutomaton
+from .automaton import LabeledAutomaton, reachable
 from .errors import CapExceeded, ValidationError
 
 _BOX_CAP = 1_000_000
@@ -310,18 +310,12 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = TRIM_BOTH) -> Lab
             edges += [step for step in steps if member[step[1]]]
 
     if trim == TRIM_BOTH:
-        # Keep states with a path back to zero.
-        reverse: dict[BetaInt, set[BetaInt]] = {s: set() for s in states}
+        # Keep states with a path back to zero (states[0]).
+        order = {s: i for i, s in enumerate(states)}
+        pred: list[list[int]] = [[] for _ in states]
         for x, y, _ in edges:
-            reverse[y].add(x)
-        co = {zero}
-        queue = [zero]
-        while queue:
-            y = queue.pop(0)
-            for x in reverse[y]:
-                if x not in co:
-                    co.add(x)
-                    queue.append(x)
+            pred[order[y]].append(order[x])
+        co = {s for s, level in zip(states, reachable(pred, 0)) if level >= 0}
         states = [s for s in states if s in co]
         edges = [(x, y, a) for x, y, a in edges if x in co and y in co]
 

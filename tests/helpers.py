@@ -3,18 +3,20 @@
 import csv
 import io
 import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from measure_lab.algebraic import BetaInt, PisotNumber, QBeta, make_pisot, qbeta_div
-from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity_check
+from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity_check, transition_matrices
 from measure_lab.classify import FiniteImageResult
 from measure_lab.distribution import DepthCloud
-from measure_lab.errors import NotStronglyConnected
+from measure_lab.errors import DeadState, NotStronglyConnected
 from measure_lab.zero_automaton import build_zero_automaton, zero_state_name
 
 
@@ -250,6 +252,27 @@ def strongly_connected_automata(draw):
     return _document([f"s{i}" for i in range(n)], edges, {lab for _, _, lab in edges}), p
 
 
+@st.composite
+def small_graphs(draw):
+    """Labelled graphs of 1 to 9 states, labels in -2..2.  With step p in
+    {2, 3} every edge runs from class i % p to the next class, so the graph
+    is periodic when connected; a forced cycle through all states in order
+    (n a multiple of p) usually makes it strongly connected.  Self-loops,
+    parallel edges with different labels, graphs that are not strongly
+    connected and a single state with no edge are all drawn."""
+    step = draw(st.sampled_from([1, 2, 3]))
+    n = step * draw(st.integers(1, 9 // step))
+    node = st.integers(0, n - 1)
+    label = st.integers(-2, 2)
+    edges = [(i, (i + 1) % n, draw(label)) for i in range(n)] if draw(st.booleans()) else []
+    edges += [(i, j, lab) for i, j, lab in draw(st.lists(st.tuples(node, node, label), max_size=2 * n))
+              if (j - i - 1) % step == 0]
+    if edges:  # parallel copies with a different label
+        edges += [(i, j, (lab + 3) % 5 - 2) for i, j, lab in draw(st.lists(st.sampled_from(edges), max_size=3))]
+    edges = [(f"s{i}", f"s{j}", lab) for i, j, lab in edges]
+    return _document([f"s{i}" for i in range(n)], edges, {0} | {lab for _, _, lab in edges})
+
+
 @lru_cache(maxsize=None)
 def beta_reference(minpoly: tuple[int, ...]) -> mpf:
     """beta to about 460 bits, by Newton's method from the float root."""
@@ -311,3 +334,71 @@ def reference_cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
         if e.lo <= x:
             upper += e.mass
     return lower, upper
+
+
+# ---------------------------------------------------------------- graph oracles
+
+
+def _boolean_power(m: np.ndarray, k: int) -> np.ndarray:
+    """m^k > 0 for a 0/1 matrix m, one Boolean product per step."""
+    power = np.eye(len(m), dtype=bool)
+    for _ in range(k):
+        power = (power.astype(np.int64) @ m) > 0
+    return power
+
+
+def dense_primitivity(a: LabeledAutomaton) -> dict:
+    """primitivity_check's answer from the dense adjacency matrix A.
+
+    Strongly connected: the reflexive-transitive closure (I + A)^(n-1) is
+    all true, so a single state with no edge counts as connected.  Period:
+    gcd{k <= n : trace(A^k) > 0} when strongly connected, else 0.
+    """
+    n = a.n_states
+    adj = (transition_matrices(a).total > 0).astype(np.int64)
+    strongly_connected = bool(_boolean_power(adj | np.eye(n, dtype=np.int64), n - 1).all())
+    period = 0
+    if strongly_connected:
+        for k in range(1, n + 1):
+            if _boolean_power(adj, k).diagonal().any():
+                period = math.gcd(period, k)
+    return {
+        "strongly_connected": strongly_connected,
+        "period": period,
+        "primitive": strongly_connected and period == 1,
+    }
+
+
+def wielandt_positive(a: LabeledAutomaton) -> bool:
+    """A^((n-1)^2 + 1) > 0, which holds exactly when A is primitive."""
+    adj = (transition_matrices(a).total > 0).astype(np.int64)
+    return bool(_boolean_power(adj, (a.n_states - 1) ** 2 + 1).all())
+
+
+def reference_value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12):
+    """value_bounds as a per-state Bellman loop: min/max over each state's
+    out-edges in Python, one state at a time."""
+    beta = p.beta_float
+    idx = a.state_index()
+    out: list[list[tuple[int, int]]] = [[] for _ in a.states]
+    for src, dst, label in a.edges:
+        out[idx[src]].append((label, idx[dst]))
+    for name, lst in zip(a.states, out):
+        if not lst:
+            raise DeadState(f"state {name!r} has no outgoing edge")
+
+    n = a.n_states
+    lo = np.zeros(n)
+    hi = np.zeros(n)
+    gap_target = tol * (1 - 1 / beta)
+    for _ in range(100_000):
+        new_lo = np.array([min((lab + lo[j]) / beta for lab, j in out[i]) for i in range(n)])
+        new_hi = np.array([max((lab + hi[j]) / beta for lab, j in out[i]) for i in range(n)])
+        change = max(np.abs(new_lo - lo).max(), np.abs(new_hi - hi).max())
+        lo, hi = new_lo, new_hi
+        if change <= gap_target:
+            break
+    return {
+        name: (float(lo[i] - tol), float(hi[i] + tol))
+        for name, i in ((s, idx[s]) for s in a.states)
+    }

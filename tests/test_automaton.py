@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from mpmath import mp
 
 from measure_lab.automaton import (
@@ -28,7 +28,13 @@ from measure_lab.errors import (
 )
 from measure_lab.fixtures import fixture_document
 
-from helpers import strongly_connected_automata, zero_automaton
+from helpers import (
+    dense_primitivity,
+    small_graphs,
+    strongly_connected_automata,
+    wielandt_positive,
+    zero_automaton,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -117,6 +123,18 @@ def test_schema_errors():
                          "edges": [{"from": [], "to": "s", "label": 0}]})
     with pytest.raises(SchemaError):
         parse_automaton({"alphabet": [0], "states": ["s"], "edges": [], "initial": [{}]})
+    # JSON true/false parse to bool, a subclass of int, and used to pass as 1/0
+    with pytest.raises(SchemaError):
+        parse_automaton({"alphabet": [True, 0], "states": ["s"], "edges": []})
+    with pytest.raises(SchemaError):
+        parse_automaton({"alphabet": [0, 1], "states": ["s"],
+                         "edges": [{"from": "s", "to": "s", "label": True}]})
+    with pytest.raises(SchemaError):
+        parse_automaton({"alphabet": [0, 1], "states": ["s"],
+                         "edges": [{"from": "s", "to": "s", "label": False}]})
+    with pytest.raises(SchemaError):
+        parse_automaton({"beta": {"minpoly": [-2, True]}, "alphabet": [0],
+                         "states": ["s"], "edges": []})
 
 
 def test_round_trip_all_fixtures(automata):
@@ -196,6 +214,18 @@ def test_period_divides_sampled_cycles(automata):
     for n in (2, 4, 6):
         assert count_words(a, n) > 0
         assert n % period == 0
+
+
+_LONE_STATE = parse_automaton({"alphabet": [0], "states": ["s"], "edges": []})
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=small_graphs())
+@example(a=_LONE_STATE)
+def test_primitivity_matches_dense_oracle(a):
+    check = primitivity_check(a)
+    assert check == dense_primitivity(a)
+    assert check["primitive"] == wielandt_positive(a)
 
 
 # ---------------------------------------------------------------- counting

@@ -16,7 +16,12 @@ from measure_lab.errors import CapExceeded, DeadState
 from measure_lab.parry import perron, sample_many
 from measure_lab.zero_automaton import build_zero_automaton
 
-from helpers import reference_cdf_bounds, signed_automata
+from helpers import (
+    random_primitive_automata,
+    reference_cdf_bounds,
+    reference_value_bounds,
+    signed_automata,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -75,12 +80,32 @@ def test_value_bounds_zero_automaton_symmetric(golden):
 
 
 def test_dead_state_rejected(golden):
+    # r and q are both dead: the message names the first in state order, as
+    # the per-state reference loop does
     a = parse_automaton(
-        {"alphabet": [0], "states": ["p", "q"],
-         "edges": [{"from": "p", "to": "q", "label": 0}]}
+        {"alphabet": [-1, 1], "states": ["p", "r", "q"],
+         "edges": [{"from": "p", "to": "q", "label": 1},
+                   {"from": "p", "to": "r", "label": -1}]}
     )
-    with pytest.raises(DeadState):
-        value_bounds(a, golden)
+    for bounds in (value_bounds, reference_value_bounds):
+        with pytest.raises(DeadState, match="^state 'r' has no outgoing edge$"):
+            bounds(a, golden)
+
+
+def test_value_bounds_match_reference_loop(automata, pisots, golden, base_two, tribonacci):
+    # repr tells every double apart, -0.0 from 0.0 included
+    for name, a in automata.items():
+        assert repr(value_bounds(a, pisots[name])) == repr(reference_value_bounds(a, pisots[name]))
+    huge = parse_automaton(
+        {"alphabet": [-(2**64) - 7, -1, 2**63 + 1], "states": ["p", "q"],
+         "edges": [{"from": "p", "to": "p", "label": -1},
+                   {"from": "p", "to": "q", "label": 2**63 + 1},
+                   {"from": "q", "to": "p", "label": -(2**64) - 7},
+                   {"from": "q", "to": "p", "label": -1}]}
+    )
+    for p in (golden, base_two, tribonacci):
+        for a in random_primitive_automata(25, seed=31) + [huge]:
+            assert repr(value_bounds(a, p)) == repr(reference_value_bounds(a, p))
 
 
 # ---------------------------------------------------------------- clouds

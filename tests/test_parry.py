@@ -17,7 +17,6 @@ from measure_lab.parry import (
     cylinder_measure_initial,
     perron,
     sample_many,
-    sample_run,
     start_distribution,
 )
 
@@ -335,10 +334,11 @@ def test_out_edge_weights_sum_to_one(automata, perron_data):
 
 # ---------------------------------------------------------------- sampling
 
-def test_sample_run_deterministic(automata, perron_data):
+def test_sample_many_deterministic(automata, perron_data):
     fib, pd = automata["fibonacci"], perron_data["fibonacci"]
-    assert sample_run(pd, fib, 50, seed=123) == sample_run(pd, fib, 50, seed=123)
-    assert sample_run(pd, fib, 50, seed=123) != sample_run(pd, fib, 50, seed=124)
+    runs = [sample_many(pd, fib, n_runs=4, length=50, seed=seed) for seed in (123, 123, 124)]
+    assert all(np.array_equal(x, y) for x, y in zip(runs[0], runs[1]))
+    assert not all(np.array_equal(x, y) for x, y in zip(runs[0], runs[2]))
 
 
 def test_sample_digit_frequencies(automata, perron_data):
