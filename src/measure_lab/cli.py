@@ -8,10 +8,10 @@ its cap.  Reports are byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
+from itertools import starmap
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .automaton import (
     parse_automaton,
     primitivity_check,
     serialize_automaton,
-    transition_matrices,
 )
 from .classify import atoms, atoms_to_dicts, classify, finite_image_test, verdict_to_dict
 from .distribution import cdf_bracket, depth_cloud
@@ -69,11 +68,17 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+_TABLE_HEADER = "t_or_z,re,im,abs,bound"
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """The bytes ``csv.writer`` writes for these rows (CRLF, floats by
+    repr, no field needs quoting), streamed line by line.  A row is a key
+    (t, z or word), written by str, which for a float is its repr, and
+    four floats."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(header + "\r\n")
+        handle.writelines(starmap("{},{!r},{!r},{!r},{!r}\r\n".format, rows))
 
 
 def _cmd_validate(args) -> dict:
@@ -162,16 +167,15 @@ def _cmd_atoms(args) -> dict:
 def _cmd_cylinder(args) -> dict:
     a = _load(args.automaton)
     pd = perron(a)
-    tm = transition_matrices(a)
     word = _int_list(args.word)
     report = {
         "file": args.automaton,
         "word": word,
-        "measure": cylinder_measure(pd, a, word, tm),
+        "measure": cylinder_measure(pd, a, word),
         "lambda": pd.lam,
     }
     if a.initial:
-        report["measure_initial"] = cylinder_measure_initial(pd, a, word, tm)
+        report["measure_initial"] = cylinder_measure_initial(pd, a, word)
     return report
 
 
@@ -187,8 +191,8 @@ def _cmd_fourier(args) -> dict:
     if args.csv:
         _write_csv(
             args.csv,
-            ["t_or_z", "re", "im", "abs", "bound"],
-            [[r["t"], r["re"], r["im"], r["abs"], r["bound"]] for r in rows],
+            _TABLE_HEADER,
+            ((r["t"], r["re"], r["im"], r["abs"], r["bound"]) for r in rows),
         )
     return {"file": args.automaton, "tol": args.tol, "values": rows}
 
@@ -233,9 +237,8 @@ def _cmd_scan(args) -> dict:
     if args.csv:
         _write_csv(
             args.csv,
-            ["t_or_z", "re", "im", "abs", "bound"],
-            [[";".join(str(c) for c in e.z_coords), e.value.real, e.value.imag,
-              abs(e.value), e.bound] for e in result.entries],
+            _TABLE_HEADER,
+            ((";".join(map(str, r["z"])), r["re"], r["im"], r["abs"], r["bound"]) for r in rows),
         )
     return {
         "file": args.automaton,
@@ -277,7 +280,8 @@ def _cmd_cloud(args) -> dict:
         "max_radius": cloud.max_radius,
     }
     if args.csv:
-        _write_cloud_csv(args.csv, cloud.words(order, [str(x) for x in cloud.alphabet]), columns)
+        words = map(";".join, cloud.words(order, [str(x) for x in cloud.alphabet]))
+        _write_csv(args.csv, "word,value,mass,lo,hi", zip(words, *columns))
         report["written"] = args.csv
     else:
         report["cloud"] = [
@@ -285,14 +289,6 @@ def _cmd_cloud(args) -> dict:
             for w, v, m, l, h in zip(cloud.words(order), *columns)
         ]
     return report
-
-
-def _write_cloud_csv(path: str, words, columns: list[list[float]]) -> None:
-    """The bytes ``csv.writer`` writes for these rows (CRLF, floats by
-    repr, no field needs quoting), streamed line by line."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("word,value,mass,lo,hi\r\n")
-        handle.writelines(map("{},{!r},{!r},{!r},{!r}\r\n".format, map(";".join, words), *columns))
 
 
 def _cmd_examples(args) -> dict:
@@ -307,15 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, automaton=True):
+    def common(sp, reads=(), automaton=True):
+        # Each subcommand declares only the numeric flags it reads.
         if automaton:
             sp.add_argument("automaton", help="automaton JSON file")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        if "tol" in reads:
+            sp.add_argument("--tol", type=float, default=1e-8)
+        if "precision" in reads:
+            sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     sp = sub.add_parser("validate", help="parse and validate an automaton document")
-    common(sp)
+    common(sp, ("tol",))
     sp.set_defaults(fn=_cmd_validate)
 
     sp = sub.add_parser("zero-automaton", help="build the zero-value digit automaton")
@@ -323,16 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet", required=True, help="e.g. -1,0,1")
     sp.add_argument("--trim", choices=["both", "accessible", "none"], default="both")
     sp.add_argument("--verify", type=int, default=0, help="verify language up to this length")
-    common(sp, automaton=False)
+    common(sp, ("precision",), automaton=False)
     sp.set_defaults(fn=_cmd_zero_automaton)
 
     sp = sub.add_parser("classify", help="atomic vs continuous verdict")
     sp.add_argument("--height", type=int, default=3)
-    common(sp)
+    common(sp, ("tol", "precision"))
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("atoms", help="exact atom values and masses")
-    common(sp)
+    common(sp, ("precision",))
     sp.set_defaults(fn=_cmd_atoms)
 
     sp = sub.add_parser("cylinder", help="cylinder masses of a label word")
@@ -344,30 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", required=True, help="comma-separated t values")
     sp.add_argument("--initial", action="store_true", help="use the initial-state measure")
     sp.add_argument("--csv", help="write a CSV table here")
-    common(sp)
+    common(sp, ("tol", "precision"))
     sp.set_defaults(fn=_cmd_fourier)
 
     sp = sub.add_parser("limit", help="limit coefficient along z*beta^k")
     sp.add_argument("--z", required=True, help="integer coordinates, e.g. 1,0")
-    common(sp)
+    common(sp, ("tol", "precision"))
     sp.set_defaults(fn=_cmd_limit)
 
     sp = sub.add_parser("scan", help="scan limit coefficients up to a height")
     sp.add_argument("--height", type=int, default=3)
     sp.add_argument("--csv", help="write a CSV table here")
-    common(sp)
+    common(sp, ("tol", "precision"))
     sp.set_defaults(fn=_cmd_scan)
 
     sp = sub.add_parser("cdf", help="certified CDF brackets")
     sp.add_argument("--depth", type=int, default=12)
     sp.add_argument("--points", required=True, help="e.g. 0.5,1.0,1.5")
-    common(sp)
+    common(sp, ("precision",))
     sp.set_defaults(fn=_cmd_cdf)
 
     sp = sub.add_parser("cloud", help="depth-n weighted point cloud")
     sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--csv", help="write the cloud as CSV here")
-    common(sp)
+    common(sp, ("precision",))
     sp.set_defaults(fn=_cmd_cloud)
 
     sp = sub.add_parser("examples", help="materialize bundled fixtures and run their checks")
@@ -402,9 +401,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_list_flags(list(argv if argv is not None else sys.argv[1:])))
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValidationError(f"--tol must be a finite number > 0, got {args.tol!r}")
-        if args.precision < 1:
+        if "precision" in args and args.precision < 1:
             raise ValidationError(f"--precision must be at least 1 bit, got {args.precision}")
         report = args.fn(args)
     except ValidationError as exc:

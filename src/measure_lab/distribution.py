@@ -28,6 +28,7 @@ from .errors import CapExceeded, DeadState, ValidationError
 from .parry import PerronData
 
 CLOUD_CAP = 1_000_000
+_BOUND_TOL = 1e-12  # fixed-point gap and outward inflation of value_bounds
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class DepthCloud:
         return float(np.maximum(self.hi - self.values, self.values - self.lo).max())
 
 
-def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dict[str, tuple[float, float]]:
+def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, float]]:
     """Per-state min/max of the digit-map value over infinite paths.
 
     Bellman iteration m(v) <- min/max over edges (label + m(target))/beta;
@@ -103,7 +104,7 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dic
 
     lo = np.zeros(n)
     hi = np.zeros(n)
-    gap_target = tol * (1 - 1 / beta)
+    gap_target = _BOUND_TOL * (1 - 1 / beta)
     for _ in range(100_000):
         # Each candidate is the float64 (label + m(target)) / beta; min and
         # max are exact, so the order of the edges does not matter.
@@ -115,7 +116,9 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-12) -> dic
         lo, hi = new_lo, new_hi
         if change <= gap_target:
             break
-    return {name: (float(l - tol), float(h + tol)) for name, l, h in zip(a.states, lo, hi)}
+    return {
+        name: (float(l - _BOUND_TOL), float(h + _BOUND_TOL)) for name, l, h in zip(a.states, lo, hi)
+    }
 
 
 def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap: int, merge: bool):

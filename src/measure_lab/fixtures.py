@@ -37,7 +37,7 @@ from .automaton import (
 )
 from .classify import classify, verdict_to_dict
 from .distribution import cdf_bracket
-from .fourier import build_weight_cache, nu_hat, psi_hat, rajchman_scan
+from .fourier import nu_hat, psi_hat, rajchman_scan
 from .parry import perron
 from .zero_automaton import verify_zero_language
 
@@ -281,9 +281,8 @@ def fixture_report(name: str) -> dict:
     elif name == "fullshift4":
         verdict = classify(a, p)
         report["verdict"] = verdict_to_dict(verdict)
-        cache = build_weight_cache(a, pd)
-        v1, b1 = nu_hat(a, p, pd, 1.0, 1e-8, cache)
-        vq, bq = nu_hat(a, p, pd, 0.25, 1e-8, cache)
+        v1, b1 = nu_hat(a, p, pd, 1.0, 1e-8)
+        vq, bq = nu_hat(a, p, pd, 0.25, 1e-8)
         closed_quarter = 4 * math.sqrt(2) / math.pi**2
         report["transform_checks"] = {
             "abs_nu_at_1": abs(v1),

@@ -68,7 +68,7 @@ from .algebraic import (
     frac_beta_powers_float,
     frac_inverse_beta_powers,
 )
-from .automaton import LabeledAutomaton, TransitionMatrices, transition_matrices
+from .automaton import LabeledAutomaton, transition_matrices
 from .errors import ValidationError
 from .parry import PerronData, initial_row
 
@@ -82,11 +82,12 @@ _LOG_ROUND = -math.log1p(-(2.0**-53))
 
 @dataclass
 class WeightMatrixCache:
-    """Shared read-only data for repeated transform evaluations."""
+    """Shared read-only data for the products of one transform grid."""
 
     lam: float
-    labels: tuple[int, ...]
     mats: dict[int, np.ndarray]
+    stack: np.ndarray  # the labels' matrices side by side, over lambda
+    stack_labels: np.ndarray  # the label of each block of stack, as floats
     max_abs_label: int
     norm_m: float  # max row sum of the total matrix
     k_left: float  # uniform l1 bound on partial rows started at v_L
@@ -101,10 +102,8 @@ class WeightMatrixCache:
         return w / self.lam
 
 
-def build_weight_cache(
-    a: LabeledAutomaton, pd: PerronData, tm: TransitionMatrices | None = None
-) -> WeightMatrixCache:
-    tm = tm or transition_matrices(a)
+def build_weight_cache(a: LabeledAutomaton, pd: PerronData) -> WeightMatrixCache:
+    tm = transition_matrices(a)
     mats = {label: m.astype(complex) for label, m in tm.per_label.items()}
     norm_m = float(np.abs(tm.total).sum(axis=1).max())
     # |v_L W(t_1)...W(t_n)| <= v_L W(0)^n = v_L entrywise, so the l1 norms
@@ -112,8 +111,9 @@ def build_weight_cache(
     k_left = float(np.abs(pd.v_L).sum()) * (1 + 1e-9) + 1e-12
     return WeightMatrixCache(
         lam=pd.lam,
-        labels=a.alphabet,
         mats=mats,
+        stack=np.hstack(list(mats.values())) / pd.lam,
+        stack_labels=np.array(list(mats), dtype=float),
         max_abs_label=max(abs(x) for x in a.alphabet),
         norm_m=norm_m,
         k_left=k_left,
@@ -266,16 +266,15 @@ def _products(
 
     lengths must not increase, so the rows with a factor left at step k
     are the first active[k]; each step is one product with the labels'
-    matrices side by side.
+    matrices side by side (``cache.stack``).
     """
-    labels = np.array(list(cache.mats), dtype=float)
-    stack = np.hstack(list(cache.mats.values())) / cache.lam
     rows = np.tile(np.asarray(row0, dtype=complex), (len(lengths), 1))
     n = rows.shape[1]
+    labels = cache.stack_labels
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     for k, m in enumerate(active):
         phases = np.exp(-2j * np.pi * np.outer(args[:m, k], labels))
-        parts = (rows[:m] @ stack).reshape(m, len(labels), n)
+        parts = (rows[:m] @ cache.stack).reshape(m, len(labels), n)
         rows[:m] = np.einsum("ma,man->mn", phases, parts)
     return rows @ cache.v_r
 
@@ -313,12 +312,11 @@ def nu_hat_grid(
     pd: PerronData,
     ts: Sequence[float],
     tol: float = DEFAULT_TOL,
-    cache: WeightMatrixCache | None = None,
     initial: bool = False,
 ) -> list[tuple[complex, float]]:
     """Transform (of the initial-state measure if initial) with its
     certified bound at every t of a grid, from one batched product."""
-    cache = cache or build_weight_cache(a, pd)
+    cache = build_weight_cache(a, pd)
     if initial:
         v_i, denom = initial_row(pd, a)
         row0 = v_i / denom
@@ -343,10 +341,9 @@ def nu_hat(
     pd: PerronData,
     t: float,
     tol: float = DEFAULT_TOL,
-    cache: WeightMatrixCache | None = None,
 ) -> tuple[complex, float]:
     """Transform of the measure at t, with a certified bound."""
-    return nu_hat_grid(a, p, pd, [t], tol, cache)[0]
+    return nu_hat_grid(a, p, pd, [t], tol)[0]
 
 
 def nu_hat_initial(
@@ -355,10 +352,9 @@ def nu_hat_initial(
     pd: PerronData,
     t: float,
     tol: float = DEFAULT_TOL,
-    cache: WeightMatrixCache | None = None,
 ) -> tuple[complex, float]:
     """Transform of the initial-state measure at t."""
-    return nu_hat_grid(a, p, pd, [t], tol, cache, initial=True)[0]
+    return nu_hat_grid(a, p, pd, [t], tol, initial=True)[0]
 
 
 @dataclass(frozen=True)
@@ -375,7 +371,6 @@ def psi_hat(
     pd: PerronData,
     z,
     tol: float = DEFAULT_TOL,
-    cache: WeightMatrixCache | None = None,
     head_terms: int | None = None,
     tail_terms: int | None = None,
 ) -> PsiValue:
@@ -390,7 +385,7 @@ def psi_hat(
     integer beta every head factor is W(0), so the value coincides with
     nu_hat at the integer z.
     """
-    return _psi_grid(a, p, pd, [z], tol, cache, head_terms, tail_terms)[0]
+    return _psi_grid(a, p, pd, [z], tol, head_terms, tail_terms)[0]
 
 
 def _psi_grid(
@@ -399,7 +394,6 @@ def _psi_grid(
     pd: PerronData,
     zs: Sequence,
     tol: float,
-    cache: WeightMatrixCache | None = None,
     head_terms: int | None = None,
     tail_terms: int | None = None,
 ) -> list[PsiValue]:
@@ -414,11 +408,11 @@ def _psi_grid(
         limits = [
             PsiValue(value, bound, 0, 0)
             for value, bound in nu_hat_grid(
-                a, p, pd, [float(z.coords[0]) for z in nonzero], tol, cache
+                a, p, pd, [float(z.coords[0]) for z in nonzero], tol
             )
         ]
     else:
-        cache = cache or build_weight_cache(a, pd)
+        cache = build_weight_cache(a, pd)
         c = _tail_constant(cache, cache.k_left)
         products = [_psi_product(z, p, c, tol, head_terms, tail_terms) for z in nonzero]
         values, bounds, n_tail = _transform_batch(
@@ -501,7 +495,6 @@ def rajchman_scan(
     pd: PerronData,
     height: int,
     tol: float = DEFAULT_TOL,
-    cache: WeightMatrixCache | None = None,
 ) -> ScanResult:
     """Evaluate psi-hat over all nonzero z with coordinates in [-H, H], as
     one batch.
@@ -512,7 +505,6 @@ def rajchman_scan(
     towards the earlier z.
     """
     check_scan_height(height)
-    cache = cache or build_weight_cache(a, pd)
     r = p.degree
     candidates = [
         coords
@@ -523,7 +515,7 @@ def rajchman_scan(
 
     entries = [
         ScanEntry(z_coords=coords, value=res.value, bound=res.bound)
-        for coords, res in zip(candidates, _psi_grid(a, p, pd, candidates, tol, cache))
+        for coords, res in zip(candidates, _psi_grid(a, p, pd, candidates, tol))
     ]
 
     best = max(range(len(entries)), key=lambda i: abs(entries[i].value))

@@ -133,11 +133,10 @@ def _word_row(start: np.ndarray, tm: TransitionMatrices, word) -> np.ndarray:
     return row
 
 
-def cylinder_measure(pd: PerronData, a: LabeledAutomaton, word, tm: TransitionMatrices | None = None) -> float:
+def cylinder_measure(pd: PerronData, a: LabeledAutomaton, word) -> float:
     """Mass of the cylinder of the given label word; 0 if not admissible."""
     word = tuple(word)
-    tm = tm or transition_matrices(a)
-    row = _word_row(pd.v_L, tm, word)
+    row = _word_row(pd.v_L, transition_matrices(a), word)
     return float(row @ pd.v_R) * pd.lam ** -len(word)
 
 
@@ -152,14 +151,11 @@ def initial_row(pd: PerronData, a: LabeledAutomaton) -> tuple[np.ndarray, float]
     return v_i, float(v_i @ pd.v_R)
 
 
-def cylinder_measure_initial(
-    pd: PerronData, a: LabeledAutomaton, word, tm: TransitionMatrices | None = None
-) -> float:
+def cylinder_measure_initial(pd: PerronData, a: LabeledAutomaton, word) -> float:
     """Cylinder mass under the initial-state measure (paths started in I)."""
     v_i, denom = initial_row(pd, a)
     word = tuple(word)
-    tm = tm or transition_matrices(a)
-    row = _word_row(v_i, tm, word)
+    row = _word_row(v_i, transition_matrices(a), word)
     return float(row @ pd.v_R) * pd.lam ** -len(word) / denom
 
 
@@ -168,46 +164,35 @@ def start_distribution(pd: PerronData) -> np.ndarray:
     return pd.v_L * pd.v_R
 
 
-def _edge_chain(pd: PerronData, a: LabeledAutomaton):
-    """Per-state cumulative out-edge distribution of the Markov lift."""
-    idx = a.state_index()
-    chain: list[list[tuple[float, int, int]]] = [[] for _ in a.states]
-    for src, dst, label in a.edges:
-        i, j = idx[src], idx[dst]
-        weight = pd.v_R[j] / (pd.lam * pd.v_R[i])
-        chain[i].append((weight, j, label))
-    cumulative = []
-    for entries in chain:
-        entries.sort(key=lambda e: (e[1], e[2]))
-        acc, rows = 0.0, []
-        for weight, j, label in entries:
-            acc += weight
-            rows.append((acc, j, label))
-        cumulative.append(rows)
-    return cumulative
-
-
 def sample_many(pd: PerronData, a: LabeledAutomaton, n_runs: int, length: int, seed: int):
     """Stationary sample paths, deterministic in the seed: arrays
-    (n_runs, length+1) of state indices and (n_runs, length) of labels."""
+    (n_runs, length+1) of state indices and (n_runs, length) of labels.
+
+    Each state's out-edges are ordered by (target, label), ties in document
+    order, and a step picks the first edge whose cumulative weight
+    v_R(to)/(lambda v_R(from)) reaches a uniform draw."""
     rng = np.random.default_rng(seed)
     pi = start_distribution(pd)
     pi = pi / pi.sum()
-    chain = _edge_chain(pd, a)
-    max_deg = max(len(rows) for rows in chain)
-    cum = np.ones((len(chain), max_deg))
-    to_state = np.zeros((len(chain), max_deg), dtype=np.int64)
-    to_label = np.zeros((len(chain), max_deg), dtype=np.int64)
-    for i, rows in enumerate(chain):
-        for k, (acc, j, label) in enumerate(rows):
-            cum[i, k] = acc
-            to_state[i, k] = j
-            to_label[i, k] = label
-        for k in range(len(rows), max_deg):
-            cum[i, k] = 2.0
-            to_state[i, k] = rows[-1][1]
-            to_label[i, k] = rows[-1][2]
-    cum[:, -1] = 2.0  # guard against rounding in the last cumulative weight
+    src, dst = a.edge_arrays()
+    label = np.array([x for _, _, x in a.edges], dtype=np.int64)
+    order = np.lexsort((label, dst, src))  # stable: ties keep document order
+    src, dst, label = src[order], dst[order], label[order]
+    degree = np.bincount(src, minlength=a.n_states)
+    width = degree.max()
+    end = np.cumsum(degree)
+    col = np.arange(len(src)) - (end - degree)[src]
+    # Short rows are padded with their last edge at cumulative weight 2, and
+    # the last column is 2, so rounding in a row's total cannot skip it.
+    weights = np.zeros((a.n_states, width))
+    weights[src, col] = pd.v_R[dst] / (pd.lam * pd.v_R[src])
+    cum = np.cumsum(weights, axis=1)  # sequential, as a running sum
+    cum[np.arange(width) >= degree[:, None]] = 2.0
+    cum[:, -1] = 2.0
+    to_state = np.repeat(dst[end - 1, None], width, axis=1)
+    to_label = np.repeat(label[end - 1, None], width, axis=1)
+    to_state[src, col] = dst
+    to_label[src, col] = label
 
     states = np.zeros((n_runs, length + 1), dtype=np.int64)
     labels = np.zeros((n_runs, length), dtype=np.int64)

@@ -54,6 +54,7 @@ from .algebraic import (
     PisotNumber,
     _coords_mul_beta,
     _escalate,
+    _serialized,
     bint_from_int,
     bint_mul,
     bint_mul_beta,
@@ -120,6 +121,7 @@ def _conj_tie_is_boundary(y: BetaInt, p: PisotNumber, q: int, m_abs: int, prec: 
     return elem == m_unit or elem == bint_neg(m_unit)
 
 
+@_serialized
 def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
     """Closed-bound membership test with exact boundary resolution."""
     if p.degree == 1:
@@ -164,6 +166,7 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
     )
 
 
+@_serialized
 def _float_constants(p: PisotNumber):
     """Float copies, each with an error bound: (beta, beta - 1) and, per
     conjugate, (beta_q, 1 - |beta_q|)."""

@@ -17,6 +17,7 @@ from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity
 from measure_lab.classify import FiniteImageResult
 from measure_lab.distribution import DepthCloud
 from measure_lab.errors import DeadState, NotStronglyConnected
+from measure_lab.parry import PerronData
 from measure_lab.zero_automaton import build_zero_automaton, zero_state_name
 
 
@@ -304,6 +305,19 @@ def reference_cloud_csv(cloud: DepthCloud) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def reference_table_csv(report: dict) -> bytes:
+    """The `fourier --csv` or `scan --csv` file as csv.writer writes it
+    from the rows of the command's JSON report (floats survive JSON bit
+    for bit)."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["t_or_z", "re", "im", "abs", "bound"])
+    for r in report["values"] if "values" in report else report["table"]:
+        key = r["t"] if "t" in r else ";".join(str(c) for c in r["z"])
+        writer.writerow([key, r["re"], r["im"], r["abs"], r["bound"]])
+    return buffer.getvalue().encode("utf-8")
+
+
 def reference_cloud_report(cloud: DepthCloud, file: str, written: str | None = None) -> str:
     """The `cloud` JSON report built as dicts from the entries sorted by
     (value, mass); with ``written`` it is the report of a `--csv` run."""
@@ -402,3 +416,56 @@ def reference_value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-
         name: (float(lo[i] - tol), float(hi[i] + tol))
         for name, i in ((s, idx[s]) for s in a.states)
     }
+
+
+def _reference_edge_chain(pd: PerronData, a: LabeledAutomaton):
+    """Per-state cumulative out-edge distribution of the Markov lift."""
+    idx = a.state_index()
+    chain: list[list[tuple[float, int, int]]] = [[] for _ in a.states]
+    for src, dst, label in a.edges:
+        i, j = idx[src], idx[dst]
+        weight = pd.v_R[j] / (pd.lam * pd.v_R[i])
+        chain[i].append((weight, j, label))
+    cumulative = []
+    for entries in chain:
+        entries.sort(key=lambda e: (e[1], e[2]))
+        acc, rows = 0.0, []
+        for weight, j, label in entries:
+            acc += weight
+            rows.append((acc, j, label))
+        cumulative.append(rows)
+    return cumulative
+
+
+def reference_sample_many(pd: PerronData, a: LabeledAutomaton, n_runs: int, length: int, seed: int):
+    """`parry.sample_many` as per-state Python lists of cumulative out-edge
+    weights, padded into arrays state by state."""
+    rng = np.random.default_rng(seed)
+    pi = pd.v_L * pd.v_R
+    pi = pi / pi.sum()
+    chain = _reference_edge_chain(pd, a)
+    max_deg = max(len(rows) for rows in chain)
+    cum = np.ones((len(chain), max_deg))
+    to_state = np.zeros((len(chain), max_deg), dtype=np.int64)
+    to_label = np.zeros((len(chain), max_deg), dtype=np.int64)
+    for i, rows in enumerate(chain):
+        for k, (acc, j, label) in enumerate(rows):
+            cum[i, k] = acc
+            to_state[i, k] = j
+            to_label[i, k] = label
+        for k in range(len(rows), max_deg):
+            cum[i, k] = 2.0
+            to_state[i, k] = rows[-1][1]
+            to_label[i, k] = rows[-1][2]
+    cum[:, -1] = 2.0  # guard against rounding in the last cumulative weight
+
+    states = np.zeros((n_runs, length + 1), dtype=np.int64)
+    labels = np.zeros((n_runs, length), dtype=np.int64)
+    states[:, 0] = rng.choice(len(pi), size=n_runs, p=pi)
+    for step in range(length):
+        u = rng.random(n_runs)
+        current = states[:, step]
+        pick = (cum[current] < u[:, None]).sum(axis=1)
+        states[:, step + 1] = to_state[current, pick]
+        labels[:, step] = to_label[current, pick]
+    return states, labels

@@ -19,7 +19,7 @@ from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.classify import atoms, classify, finite_image_test
 from measure_lab.distribution import cdf_bracket, depth_cloud, push_samples
 from measure_lab.fixtures import fixture_report
-from measure_lab.fourier import build_weight_cache, nu_hat, psi_hat, rajchman_scan
+from measure_lab.fourier import nu_hat, psi_hat, rajchman_scan
 from measure_lab.parry import cylinder_measure, perron, sample_many
 from measure_lab.zero_automaton import build_zero_automaton, verify_zero_language
 
@@ -53,9 +53,9 @@ def test_criterion_2_parry_identities():
             itertools.product(a.alphabet, repeat=2)
         )
         for word in words:
-            base = cylinder_measure(pd, a, word, tm)
-            extend = sum(cylinder_measure(pd, a, list(word) + [x], tm) for x in a.alphabet)
-            prepend = sum(cylinder_measure(pd, a, [x] + list(word), tm) for x in a.alphabet)
+            base = cylinder_measure(pd, a, word)
+            extend = sum(cylinder_measure(pd, a, list(word) + [x]) for x in a.alphabet)
+            prepend = sum(cylinder_measure(pd, a, [x] + list(word)) for x in a.alphabet)
             worst_consistency = max(
                 worst_consistency, abs(extend - base), abs(prepend - base)
             )
@@ -206,17 +206,16 @@ def test_criterion_9_fourier_rigor(automata, pisots, perron_data):
     worst_gap = 0.0
     for name in automata:
         a, p, pd = automata[name], pisots[name], perron_data[name]
-        cache = build_weight_cache(a, pd)
         ts = [rng.uniform(-10, 10) for _ in range(20)]
         for t in ts:
-            v6, _ = nu_hat(a, p, pd, t, 1e-6, cache)
-            v10, _ = nu_hat(a, p, pd, t, 1e-10, cache)
+            v6, _ = nu_hat(a, p, pd, t, 1e-6)
+            v10, _ = nu_hat(a, p, pd, t, 1e-10)
             worst_gap = max(worst_gap, abs(v6 - v10))
         cloud = depth_cloud(a, p, pd, 8)
         values = np.array([e.value for e in cloud.entries])
         masses = np.array([e.mass for e in cloud.entries])
         for t in ts[:5]:
-            v, bound = nu_hat(a, p, pd, t, 1e-8, cache)
+            v, bound = nu_hat(a, p, pd, t, 1e-8)
             quad = complex(masses @ np.exp(-2j * np.pi * t * values))
             tolerance = cloud.max_deviation * 2 * math.pi * abs(t) + bound + 1e-9
             assert abs(v - quad) <= tolerance, (name, t)

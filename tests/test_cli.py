@@ -13,7 +13,7 @@ from measure_lab.distribution import depth_cloud
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
 from measure_lab.parry import perron
 
-from helpers import reference_cloud_csv, reference_cloud_report
+from helpers import reference_cloud_csv, reference_cloud_report, reference_table_csv
 
 
 @pytest.fixture()
@@ -169,15 +169,36 @@ def test_malformed_list_flag_exit_code(capsys, fixture_dir, command, flag, value
 @pytest.mark.parametrize("argv", [
     ("limit", "--z", "1", "--tol", "-1"),
     ("fourier", "--t", "1", "--tol", "0"),
-    ("cdf", "--points", "0.5", "--tol", "nan"),
+    ("validate", "--tol", "nan"),
     ("scan", "--height", "1", "--tol", "inf"),
-    ("cloud", "--depth", "2", "--tol=-inf"),
+    ("classify", "--height", "1", "--tol=-inf"),
 ], ids=["negative", "zero", "nan", "inf", "minus-inf"])
 def test_bad_tol_exit_code(capsys, fixture_dir, argv):
     command, *flags = argv
     code, out = run(capsys, command, str(fixture_dir / "fibonacci.json"), *flags)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "fibonacci.json", "--precision", "64"),
+    ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--tol", "1e-8"),
+    ("atoms", "example1-7edge.json", "--tol", "1e-8"),
+    ("cdf", "fibonacci.json", "--points", "0.5", "--tol", "1e-8"),
+    ("cloud", "fibonacci.json", "--depth", "2", "--tol", "1e-8"),
+    ("cylinder", "fibonacci.json", "--word", "1", "--tol", "1e-8"),
+    ("cylinder", "fibonacci.json", "--word", "1", "--precision", "64"),
+    ("examples", "--dir", "fx", "--tol", "1e-8"),
+    ("examples", "--dir", "fx", "--precision", "64"),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_a_subcommand_does_not_read_exit_code(capsys, fixture_dir, argv):
+    # A subcommand declares only the --tol/--precision it reads; any other
+    # is an unknown flag, which argparse rejects before the command runs.
+    argv = [str(fixture_dir / a) if a.endswith(".json") or a == "fx" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -248,6 +269,22 @@ def test_cloud_csv(capsys, fixture_dir, tmp_path):
         code, out = run(capsys, "cloud", doc, "--depth", str(depth))
         assert code == 0
         assert out == reference_cloud_report(cloud, doc), name
+
+
+def test_table_csv(capsys, fixture_dir, tmp_path):
+    # fourier (of both measures) and scan write the bytes csv.writer gives
+    # for their reports' rows.
+    csv_path = tmp_path / "table.csv"
+    for name in FIXTURE_NAMES:
+        doc = str(fixture_dir / f"{name}.json")
+        for argv in (
+            ("fourier", doc, "--t", "0,0.25,-1.7,1e5"),
+            ("fourier", doc, "--t", "0,0.25,-1.7", "--initial"),
+            ("scan", doc, "--height", "1"),
+        ):
+            code, out = run(capsys, *argv, "--csv", str(csv_path))
+            assert code == 0, argv
+            assert csv_path.read_bytes() == reference_table_csv(json.loads(out)), argv
 
 
 def test_examples_command(capsys, tmp_path):

@@ -72,11 +72,10 @@ def test_transform_at_zero_is_one(automata, pisots, perron_data):
 
 def test_fullshift4_matches_closed_form(automata, pisots, perron_data):
     a, p, pd = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
-    cache = build_weight_cache(a, pd)
     rng = random.Random(1)
     for _ in range(12):
         t = rng.uniform(-8, 8)
-        value, bound = nu_hat(a, p, pd, t, 1e-9, cache)
+        value, bound = nu_hat(a, p, pd, t, 1e-9)
         assert abs(value - fullshift4_closed_form(t)) <= bound + 1e-9
 
 
@@ -92,10 +91,9 @@ def test_fullshift4_quarter_and_integer(automata, pisots, perron_data):
 def test_conjugate_symmetry_and_size(automata, pisots, perron_data):
     for name in ("fibonacci", "fig3", "example1-7edge"):
         a, p, pd = automata[name], pisots[name], perron_data[name]
-        cache = build_weight_cache(a, pd)
         for t in (0.3, 1.7, 5.2):
-            v_pos, b = nu_hat(a, p, pd, t, 1e-9, cache)
-            v_neg, _ = nu_hat(a, p, pd, -t, 1e-9, cache)
+            v_pos, b = nu_hat(a, p, pd, t, 1e-9)
+            v_neg, _ = nu_hat(a, p, pd, -t, 1e-9)
             assert abs(v_neg - v_pos.conjugate()) < 2e-9
             assert abs(v_pos) <= 1 + b + 1e-12
 
@@ -150,12 +148,11 @@ def test_grid_properties_on_random_automata(golden, base_two, a, integer_base, t
     # The grid holds 0, repeated t and both signs of every t.
     p = base_two if integer_base else golden
     pd = perron(a)
-    cache = build_weight_cache(a, pd)
     grid = [0.0, *ts, *ts[:2], *(-t for t in ts)]
-    batch = nu_hat_grid(a, p, pd, grid, 1e-9, cache)
+    batch = nu_hat_grid(a, p, pd, grid, 1e-9)
     at = {}
     for t, (value, bound) in zip(grid, batch):
-        one, one_bound = nu_hat(a, p, pd, t, 1e-9, cache)
+        one, one_bound = nu_hat(a, p, pd, t, 1e-9)
         assert abs(value - one) <= bound + one_bound, t
         assert abs(value) <= 1 + bound, t
         at[t] = value, bound
@@ -208,9 +205,9 @@ def test_argument_errors_cover_the_arguments(automata, pisots, perron_data, monk
         return seen[-1]
 
     monkeypatch.setattr(fourier, "_arguments", recording_arguments)
-    cache = build_weight_cache(a, pd)
-    value, bound = nu_hat(a, p, pd, t, 1e-8, cache)
+    value, bound = nu_hat(a, p, pd, t, 1e-8)
     (args, errs, (n,), _), = seen
+    cache = build_weight_cache(a, pd)
     assert bound <= 1e-8
     assert bound >= fourier._tail_constant(cache, cache.k_left) * errs[0, :n].sum()
 
@@ -293,9 +290,8 @@ def test_initial_transform_is_nu_hat_on_full_shift(automata, pisots, perron_data
     # fullshift4's one state is initial, so the initial row is v_L itself
     # and both transforms run the same product bit for bit.
     a, p, pd = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
-    cache = build_weight_cache(a, pd)
     for t in (0.3, -1.7, 2.5, 13.1, 250.0):
-        assert nu_hat_initial(a, p, pd, t, 1e-8, cache) == nu_hat(a, p, pd, t, 1e-8, cache)
+        assert nu_hat_initial(a, p, pd, t, 1e-8) == nu_hat(a, p, pd, t, 1e-8)
 
 
 # ---------------------------------------------------------------- psi_hat
@@ -352,17 +348,16 @@ def test_fig3_limit_head_matches_per_power_product(automata, pisots, perron_data
     from measure_lab.algebraic import frac_beta_power
 
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
-    cache = build_weight_cache(a, pd)
     zs = ((1, 0), (2, -1))
-    fast = {z: psi_hat(a, p, pd, z, 1e-8, cache) for z in zs}
+    fast = {z: psi_hat(a, p, pd, z, 1e-8) for z in zs}
     monkeypatch.setattr(fourier, "frac_beta_powers_float", no_float_head(fourier))
-    exact = {z: psi_hat(a, p, pd, z, 1e-8, cache) for z in zs}
+    exact = {z: psi_hat(a, p, pd, z, 1e-8) for z in zs}
     assert all(res.head_terms > 8 and res.bound <= 1e-8 for res in exact.values())
     monkeypatch.setattr(
         fourier, "frac_beta_powers",
         lambda z, k_max, p: [frac_beta_power(z, k, p) for k in range(k_max + 1)],
     )
-    assert all(psi_hat(a, p, pd, z, 1e-8, cache) == res for z, res in exact.items())
+    assert all(psi_hat(a, p, pd, z, 1e-8) == res for z, res in exact.items())
     for z in zs:
         assert fast[z].head_terms == exact[z].head_terms
         assert abs(fast[z].value - exact[z].value) <= fast[z].bound + exact[z].bound, z

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import measure_lab.parry
-from helpers import random_primitive_automata
+from helpers import random_primitive_automata, reference_sample_many
 from measure_lab.automaton import parse_automaton, primitivity_check, transition_matrices
 from measure_lab.errors import EmptyInitialSet, NotPrimitive
 from measure_lab.parry import (
@@ -251,15 +251,14 @@ def _all_words(alphabet, k):
 def test_kolmogorov_and_shift_invariance_fixtures(automata, perron_data):
     for name, a in automata.items():
         pd = perron_data[name]
-        tm = transition_matrices(a)
         for k in (1, 2):
             for word in _all_words(a.alphabet, k):
-                base = cylinder_measure(pd, a, word, tm)
+                base = cylinder_measure(pd, a, word)
                 extend = sum(
-                    cylinder_measure(pd, a, list(word) + [x], tm) for x in a.alphabet
+                    cylinder_measure(pd, a, list(word) + [x]) for x in a.alphabet
                 )
                 prepend = sum(
-                    cylinder_measure(pd, a, [x] + list(word), tm) for x in a.alphabet
+                    cylinder_measure(pd, a, [x] + list(word)) for x in a.alphabet
                 )
                 assert abs(extend - base) < 1e-12, name
                 assert abs(prepend - base) < 1e-12, name
@@ -282,8 +281,8 @@ def test_mixing_identity_decay(automata, perron_data):
         tm = transition_matrices(a)
         u = [a.alphabet[-1]]
         w = [a.alphabet[0]]
-        mu_u = cylinder_measure(pd, a, u, tm)
-        mu_w = cylinder_measure(pd, a, w, tm)
+        mu_u = cylinder_measure(pd, a, u)
+        mu_w = cylinder_measure(pd, a, w)
         total = tm.total.astype(float)
 
         def joint(n):
@@ -306,7 +305,6 @@ def test_edge_chain_reproduces_cylinder_masses(automata, perron_data):
     for name in ("fibonacci", "example1-9edge", "fig3"):
         a, pd = automata[name], perron_data[name]
         idx = a.state_index()
-        tm = transition_matrices(a)
         pi = start_distribution(pd)
         for word in itertools.chain(
             _all_words(a.alphabet, 1), _all_words(a.alphabet, 3)
@@ -319,7 +317,7 @@ def test_edge_chain_reproduces_cylinder_masses(automata, perron_data):
                         i, j = idx[s], idx[t]
                         nxt[j] += rho[i] * pd.v_R[j] / (pd.lam * pd.v_R[i])
                 rho = nxt
-            assert abs(float(rho.sum()) - cylinder_measure(pd, a, word, tm)) < 1e-12
+            assert abs(float(rho.sum()) - cylinder_measure(pd, a, word)) < 1e-12
 
 
 def test_out_edge_weights_sum_to_one(automata, perron_data):
@@ -339,6 +337,18 @@ def test_sample_many_deterministic(automata, perron_data):
     runs = [sample_many(pd, fib, n_runs=4, length=50, seed=seed) for seed in (123, 123, 124)]
     assert all(np.array_equal(x, y) for x, y in zip(runs[0], runs[1]))
     assert not all(np.array_equal(x, y) for x, y in zip(runs[0], runs[2]))
+
+
+def test_sample_many_matches_reference(automata, perron_data):
+    # The edge-index sampler draws the same paths as the per-state list
+    # sampler: same edge order, same cumulative weights bit for bit.
+    cases = [(a, perron_data[name]) for name, a in automata.items()]
+    cases += [(a, perron(a)) for a in random_primitive_automata(20, seed=77)]
+    for a, pd in cases:
+        for seed in (0, 1, 2):
+            got = sample_many(pd, a, n_runs=300, length=12, seed=seed)
+            want = reference_sample_many(pd, a, n_runs=300, length=12, seed=seed)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), (a.states, seed)
 
 
 def test_sample_digit_frequencies(automata, perron_data):
@@ -371,10 +381,9 @@ def test_random_primitive_identities_small():
     # the acceptance suite runs the full 200-automata version
     for a in random_primitive_automata(25, seed=42):
         pd = perron(a, tol=1e-13)
-        tm = transition_matrices(a)
         for word in ([a.alphabet[0]], [a.alphabet[-1], a.alphabet[0]]):
-            base = cylinder_measure(pd, a, word, tm)
-            extend = sum(cylinder_measure(pd, a, list(word) + [x], tm) for x in a.alphabet)
-            prepend = sum(cylinder_measure(pd, a, [x] + list(word), tm) for x in a.alphabet)
+            base = cylinder_measure(pd, a, word)
+            extend = sum(cylinder_measure(pd, a, list(word) + [x]) for x in a.alphabet)
+            prepend = sum(cylinder_measure(pd, a, [x] + list(word)) for x in a.alphabet)
             assert abs(extend - base) < 1e-12
             assert abs(prepend - base) < 1e-12

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from measure_lab import zero_automaton as za
+from measure_lab import algebraic, zero_automaton as za
 from measure_lab.algebraic import BetaInt, bint_from_int, make_pisot
 from measure_lab.automaton import count_words, parse_automaton, primitivity_check
 from measure_lab.errors import CapExceeded
@@ -367,3 +368,23 @@ def test_built_automata_recognise_exactly_the_zero_words(case):
     p = base(name)
     report = verify_zero_language(build_zero_automaton(p, alphabet), p, depth)
     assert report["sound"] and report["complete"], report
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: state_within_bounds(BetaInt((0, 1)), p, 1),
+    lambda p: float_tier(np.array([(0, 1)]), p, 1),
+], ids=["state_within_bounds", "float_tier"])
+def test_entry_points_hold_mp_lock(golden, monkeypatch, call):
+    # mpmath's precision is process-global, so an entry point that changes
+    # it holds algebraic._MP_LOCK for its whole body.  The algebraic helpers
+    # it calls are unwrapped here, so only its own lock can make it wait.
+    for name, fn in list(vars(za).items()):
+        if getattr(fn, "__module__", None) == algebraic.__name__ and hasattr(fn, "__wrapped__"):
+            monkeypatch.setattr(za, name, fn.__wrapped__)
+    done = threading.Event()
+    worker = threading.Thread(target=lambda: (call(golden), done.set()))
+    with algebraic._MP_LOCK:
+        worker.start()
+        assert not done.wait(0.5)
+    worker.join(timeout=60)
+    assert not worker.is_alive() and done.is_set()
