@@ -8,10 +8,12 @@ word of length n becomes an entry: its truncated value sum(eps_k
 beta^-k), its cylinder mass, and certified bounds [lo, hi] on the full
 digit-map value over the cylinder, obtained from per-state value ranges
 (a Bellman fixed point with contraction 1/beta).  ``cdf_bracket`` merges
-children of equal truncated value and equal reachable-state support,
-which keeps the base-2 fixtures feasible at depth 12.  CDF brackets sum
-the masses of buckets entirely below (lower) or not entirely above
-(upper) the query point.
+children of equal exact value, compared on int64 Z[beta] coordinates, and
+equal reachable-state support, which keeps fig3 feasible at depth 24.
+Every mass is one stacked product ``rows @ v_R``.  CDF brackets sum the
+masses of buckets entirely below (lower) or not entirely above (upper)
+the query point; beyond every bucket they are exactly 1, below every
+bucket exactly 0.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .parry import PerronData
 
 CLOUD_CAP = 1_000_000
 _BOUND_TOL = 1e-12  # fixed-point gap and outward inflation of value_bounds
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -128,15 +131,18 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
     one stacked product per label (``rows @ per_label[label]``), with the
     children in parent-major, label-minor order, and drops children whose
     row is zero.  Without ``merge`` every child is a bucket, named by its
-    label word; with it, children of equal truncated value and equal
-    support share a bucket, buckets keep first-seen order and each sums
-    its children's rows in child order, which repeats a per-child loop's
-    first-seen bucket order and sequential sums.  The cap is checked once
-    per level, on its bucket count after the merge, so a level of cap + 1
-    buckets raises at that depth.  Returns the last level's words as an
-    (entries x depth) array of alphabet indices (None when merging) and
-    arrays of its truncated values, masses and certified [lo, hi], plus
-    the per-state value bounds.
+    label word.  With it, each bucket also carries the exact Z[beta]
+    coordinates of its words' common value beta^k * sum(eps_i beta^-i),
+    walked as key_k = beta * key_(k-1) + eps_k in int64, and children of
+    equal key and equal support share a bucket.  Buckets keep first-seen
+    order, take their float value from their first-seen child and sum
+    their children's rows in child order.  The cap is checked once per
+    level, on its bucket count after the merge, so a level of cap + 1
+    buckets raises at that depth; so does a key step that could leave
+    int64.  The last level's masses are one stacked product ``rows @ v_R``.
+    Returns the last level's words as an (entries x depth) array of
+    alphabet indices (None when merging) and arrays of its truncated
+    values, masses and certified [lo, hi], plus the per-state value bounds.
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
@@ -146,6 +152,9 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
     bounds = value_bounds(a, p)
     beta = p.beta_float
     n = a.n_states
+    if merge:
+        key_limit = _key_limit(a.alphabet, p.minpoly)
+        keys = np.zeros((1, p.degree), np.int64)
 
     values, rows = np.zeros(1), np.array([pd.v_L])
     trail = []  # per level: flat (parent, label) index of every kept child
@@ -160,10 +169,13 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
         child_values = (values[:, None] + labels * beta ** -k).ravel()[kept]
         children = children[kept]
         if merge:
-            first, group = _first_seen_groups(child_values, children > 0)
+            if np.abs(keys).max() > key_limit:
+                raise CapExceeded(f"refinement keys leave int64 at depth {k}")
+            child_keys = _mul_beta_add(keys, p.minpoly, a.alphabet)[kept]
+            first, group = _first_seen_groups(child_keys, children > 0)
             if len(first) > cap:
                 raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
-            values, rows = child_values[first], np.zeros((len(first), n))
+            values, keys, rows = child_values[first], child_keys[first], np.zeros((len(first), n))
             np.add.at(rows, group, children)
         else:
             if len(kept) > cap:
@@ -173,10 +185,8 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
         del children  # free this level's children before the next level's
 
     words = None if merge else _label_indices(trail, len(a.alphabet), len(rows))
-    # Masses stay per-row dot products: a stacked matrix-vector product
-    # may sum in another order and move the last bits.
     tail = beta ** -depth
-    mass = pd.lam ** -depth * np.fromiter((row @ pd.v_R for row in rows), float, len(rows))
+    mass = pd.lam ** -depth * (rows @ pd.v_R)
     support = rows > 0
     blo = np.array([bounds[s][0] for s in a.states])
     bhi = np.array([bounds[s][1] for s in a.states])
@@ -185,13 +195,36 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
     return words, values, mass, lo, hi, bounds
 
 
-def _first_seen_groups(values: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows on (value, support): the index of each group's first
-    member, groups in first-seen order, and each row's group number.
-    Adding 0.0 turns -0.0 into 0.0, so values group on float equality."""
-    key = np.concatenate(
-        [(values + 0.0).view(np.uint8).reshape(-1, 8), np.packbits(support, axis=1)], axis=1
-    )
+def _key_limit(letters: tuple[int, ...], minpoly: tuple[int, ...]) -> int:
+    """Largest max|key| for which ``_mul_beta_add`` stays in int64, or -1
+    when the letters or the coefficients do not fit in int64 themselves.
+    Each new coordinate is at most max|key| * (1 + max|coefficient|) +
+    max|letter| in magnitude."""
+    most_letter = max(abs(x) for x in letters)
+    most_coeff = max(abs(c) for c in minpoly)
+    if max(most_letter, most_coeff) > _INT64_MAX:
+        return -1
+    return (_INT64_MAX - most_letter) // (1 + most_coeff)
+
+
+def _mul_beta_add(keys: np.ndarray, minpoly: tuple[int, ...], letters: tuple[int, ...]):
+    """beta * key + letter for every (key, letter) pair, key-major and
+    letter-minor, on int64 rows of Z[beta] coordinates: the companion step
+    of ``algebraic._coords_mul_beta`` on whole arrays."""
+    minpoly = np.array(minpoly, np.int64)
+    top = keys[:, -1:]
+    shifted = np.empty_like(keys)
+    shifted[:, :1] = -top * minpoly[0]
+    shifted[:, 1:] = keys[:, :-1] - top * minpoly[1:-1]
+    out = np.repeat(shifted[:, None], len(letters), axis=1)
+    out[:, :, 0] += np.array(letters, np.int64)
+    return out.reshape(-1, keys.shape[1])
+
+
+def _first_seen_groups(keys: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows on (exact int64 key, support): the index of each group's
+    first member, groups in first-seen order, and each row's group number."""
+    key = np.concatenate([keys.view(np.uint8), np.packbits(support, axis=1)], axis=1)
     key = np.ascontiguousarray(key).view(np.dtype((np.void, key.shape[1]))).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -247,9 +280,24 @@ def cdf_bracket(
     cap: int = CLOUD_CAP,
 ) -> list[tuple[float, float]]:
     """CDF brackets at the given points from a depth-``depth`` refinement
-    whose buckets merge words of equal truncated value and equal support."""
+    whose buckets merge words of equal exact value and equal support.
+
+    Since 0 <= F <= 1, the ends are exact: every bucket lies at or below a
+    point x >= max(hi), so F(x) = 1 there, and none at or below a point
+    x < min(lo), so F(x) = 0.  Elsewhere both sums are clamped to at most
+    1; masses are nonnegative, so the sums are already at least 0."""
     _, _, mass, lo, hi, _ = _refine(a, p, pd, depth, cap, merge=True)
-    return [_bracket(lo, hi, mass, x) for x in points]
+    top, bottom = hi.max(), lo.min()
+    brackets = []
+    for x in points:
+        if x >= top:
+            brackets.append((1.0, 1.0))
+        elif x < bottom:
+            brackets.append((0.0, 0.0))
+        else:
+            lower, upper = _bracket(lo, hi, mass, x)
+            brackets.append((min(lower, 1.0), min(upper, 1.0)))
+    return brackets
 
 
 def push_samples(labels: np.ndarray, p: PisotNumber) -> np.ndarray:

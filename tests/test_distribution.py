@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from measure_lab.algebraic import _coords_mul_beta, make_pisot
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.distribution import (
     cdf_bounds,
@@ -172,37 +173,48 @@ def _reference_cloud(a, p, pd, n):
 
 
 def _reference_brackets(a, p, pd, depth, points):
-    """Bucket loop the refinement engine replaced: merges equal
-    (value, support) prefixes and sums masses bucket by bucket."""
+    """Bucket loop the refinement engine replaced: merges prefixes of equal
+    exact Z[beta] value (Python-int coordinates, walked by
+    ``_coords_mul_beta``) and equal support, keeps each bucket's first-seen
+    float value and sums masses bucket by bucket; brackets at points beyond
+    or below every bucket are exactly 1 or 0, and the rest are clamped to
+    at most 1."""
     tm = transition_matrices(a)
     bounds = value_bounds(a, p)
     beta = p.beta_float
-    level = {(0.0, ()): pd.v_L.copy()}
+    level = {((0,) * p.degree, ()): (0.0, pd.v_L.copy())}
     for k in range(1, depth + 1):
         nxt = {}
-        for (value, _), row in level.items():
+        for (coords, _), (value, row) in level.items():
             for label in a.alphabet:
                 new_row = row @ tm.per_label[label]
                 if new_row.max() > 0:
-                    key = (value + label * beta ** -k, tuple(new_row > 0))
+                    key = (_coords_mul_beta(coords, p.minpoly, label), tuple(new_row > 0))
                     if key in nxt:
-                        nxt[key] += new_row
+                        nxt[key][1][:] += new_row
                     else:
-                        nxt[key] = new_row
+                        nxt[key] = (value + label * beta ** -k, new_row)
         level = nxt
+    buckets = []
+    for (_, support), (value, row) in level.items():
+        states = [s for s, on in zip(a.states, support) if on]
+        lo = value + beta ** -depth * min(bounds[s][0] for s in states)
+        hi = value + beta ** -depth * max(bounds[s][1] for s in states)
+        buckets.append((lo, hi, pd.lam ** -depth * float(row @ pd.v_R)))
     out = []
     for x in points:
-        lower = upper = 0.0
-        for (value, support), row in level.items():
-            states = [s for s, on in zip(a.states, support) if on]
-            lo = value + beta ** -depth * min(bounds[s][0] for s in states)
-            hi = value + beta ** -depth * max(bounds[s][1] for s in states)
-            mass = pd.lam ** -depth * float(row @ pd.v_R)
-            if hi <= x:
-                lower += mass
-            if lo <= x:
-                upper += mass
-        out.append((lower, upper))
+        if x >= max(hi for _, hi, _ in buckets):
+            out.append((1.0, 1.0))
+        elif x < min(lo for lo, _, _ in buckets):
+            out.append((0.0, 0.0))
+        else:
+            lower = upper = 0.0
+            for lo, hi, mass in buckets:
+                if hi <= x:
+                    lower += mass
+                if lo <= x:
+                    upper += mass
+            out.append((min(lower, 1.0), min(upper, 1.0)))
     return out
 
 
@@ -234,9 +246,12 @@ def test_cap_boundary(automata, pisots, perron_data, refine, buckets):
 
 
 @settings(max_examples=25, deadline=None)
-@given(a=signed_automata(), integer_base=st.booleans(), depth=st.integers(1, 5))
-def test_refinement_matches_reference_on_random_automata(golden, base_two, a, integer_base, depth):
-    p = base_two if integer_base else golden
+@given(a=signed_automata(), base=st.sampled_from(["golden", "base_two", "tribonacci"]),
+       depth=st.integers(1, 5))
+def test_refinement_matches_reference_on_random_automata(golden, base_two, tribonacci, a, base,
+                                                          depth):
+    # tribonacci runs the degree-3 companion step of the bucket keys
+    p = {"golden": golden, "base_two": base_two, "tribonacci": tribonacci}[base]
     pd = perron(a)
     cloud = depth_cloud(a, p, pd, depth)
     reference = _reference_cloud(a, p, pd, depth)
@@ -254,6 +269,48 @@ def test_refinement_matches_reference_on_random_automata(golden, base_two, a, in
     np.testing.assert_allclose(cdf_bracket(a, p, pd, depth, points),
                                _reference_brackets(a, p, pd, depth, points),
                                rtol=rtol + 2 * len(reference) * eps, atol=0)
+
+
+def test_fig3_buckets_merge_on_exact_values(automata, pisots, perron_data):
+    # 3^16 words of fig3 take 18,643 distinct (exact value, support) pairs;
+    # float keys split equal values into 61,652 buckets
+    a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
+    cdf_bracket(a, p, pd, 16, [1.5], cap=18_643)
+    with pytest.raises(CapExceeded, match="^refinement exceeds 18642 buckets at depth 16$"):
+        cdf_bracket(a, p, pd, 16, [1.5], cap=18_642)
+
+
+def test_bucket_keys_stop_before_int64_overflow():
+    # x^2 - 2^40 x - 1 is Pisot.  The key of the word 1,0,0 is beta^2 =
+    # 2^40 beta + 1, so depth 3 keys reach 2^40, past the depth-4 step's
+    # bound (2^63 - 2) / (1 + 2^40).
+    p = make_pisot([-1, -(2**40), 1])
+    shift = parse_automaton({"alphabet": [0, 1], "states": ["s"],
+                             "edges": [{"from": "s", "to": "s", "label": 0},
+                                       {"from": "s", "to": "s", "label": 1}]})
+    pd = perron(shift)
+    assert cdf_bracket(shift, p, pd, 3, [-1.0, 2.0]) == [(0.0, 0.0), (1.0, 1.0)]
+    with pytest.raises(CapExceeded, match="^refinement keys leave int64 at depth 4$"):
+        cdf_bracket(shift, p, pd, 4, [0.5])
+    # letters and coefficients outside int64 stop the first step
+    wide = parse_automaton({"alphabet": [0, 2**63], "states": ["s"],
+                            "edges": [{"from": "s", "to": "s", "label": 0},
+                                      {"from": "s", "to": "s", "label": 2**63}]})
+    for a, p in ((wide, make_pisot([-2, 1])), (shift, make_pisot([-1, -(2**63), 1]))):
+        with pytest.raises(CapExceeded, match="^refinement keys leave int64 at depth 1$"):
+            cdf_bracket(a, p, perron(a), 1, [0.5])
+    # clouds merge nothing and keep no keys
+    assert len(depth_cloud(wide, make_pisot([-2, 1]), perron(wide), 2).masses) == 4
+
+
+def test_brackets_beyond_the_support_are_exact(automata, pisots, perron_data):
+    # Every fixture's values lie in [-2, 4], so F(-100) = 0 and F(100) = 1
+    # exactly, while the summed float masses miss 1 by a few ulps.
+    for name in automata:
+        a, p, pd = automata[name], pisots[name], perron_data[name]
+        for depth in range(8, 17):
+            below, beyond = cdf_bracket(a, p, pd, depth, [-100.0, 100.0])
+            assert below == (0.0, 0.0) and beyond == (1.0, 1.0), (name, depth)
 
 
 def test_cloud_invariants(automata, pisots, perron_data):
