@@ -445,10 +445,6 @@ def bint_from_int(n: int, p: PisotNumber) -> BetaInt:
 # (Fraction coordinates).
 
 
-def _coords_add(x: tuple, y: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def _coords_sub(x: tuple, y: tuple) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -477,14 +473,6 @@ def _coords_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
     )
 
 
-def bint_add(x: BetaInt, y: BetaInt) -> BetaInt:
-    return BetaInt(_coords_add(x.coords, y.coords))
-
-
-def bint_sub(x: BetaInt, y: BetaInt) -> BetaInt:
-    return BetaInt(_coords_sub(x.coords, y.coords))
-
-
 def bint_neg(x: BetaInt) -> BetaInt:
     return BetaInt(tuple(-a for a in x.coords))
 
@@ -503,17 +491,6 @@ def bint_pow_beta(k: int, p: PisotNumber) -> BetaInt:
     for _ in range(k):
         x = bint_mul_beta(x, p)
     return x
-
-
-def bint_pow(x: BetaInt, k: int, p: PisotNumber) -> BetaInt:
-    result = bint_from_int(1, p)
-    base = x
-    while k:
-        if k & 1:
-            result = bint_mul(result, base, p)
-        base = bint_mul(base, base, p)
-        k >>= 1
-    return result
 
 
 # ----------------------------------------------------------------------

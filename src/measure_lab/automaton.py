@@ -2,9 +2,8 @@
 
 Parsing and validation of the JSON document format, per-label 0/1
 transition matrices, the edge index (``edge_arrays``) and the BFS
-(``reachable``) behind strong connectivity and primitivity, and exact
-path/word counting and enumeration oracles (Python integers throughout,
-so counts never overflow).
+(``reachable``) behind strong connectivity and primitivity, and the
+count of ambiguous words.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     DuplicateEdge,
     LabelOutsideAlphabet,
     SchemaError,
     UnknownState,
 )
-
-ENUMERATION_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -246,60 +242,8 @@ def primitivity_check(a: LabeledAutomaton) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Counting and enumeration
+# Ambiguous words
 # ----------------------------------------------------------------------
-
-
-def count_words(a: LabeledAutomaton, n: int, use_initial_terminal: bool = False) -> int:
-    """Number of length-n label words along paths, counted with path
-    multiplicity (a word with several runs counts once per run).
-
-    With ``use_initial_terminal`` the paths are restricted to start in the
-    initial set and end in the terminal set.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    idx = a.state_index()
-    src, dst = a.edge_arrays()
-    start, end = (a.initial, a.terminal) if use_initial_terminal else (a.states, a.states)
-    # runs[j]: paths of the current length that end in state j, held as
-    # Python ints (object dtype) so counts never overflow
-    runs = np.zeros(a.n_states, dtype=object)
-    runs[[idx[s] for s in start]] = 1
-    for _ in range(n):
-        nxt = np.zeros(a.n_states, dtype=object)
-        np.add.at(nxt, dst, runs[src])
-        runs = nxt
-    return sum(runs[idx[s]] for s in end)
-
-
-def enumerate_paths(a: LabeledAutomaton, n: int, from_set, to_set, cap: int = ENUMERATION_CAP):
-    """All length-n label words along paths from from_set to to_set, with
-    run multiplicity, in lexicographic (state order, then label) order."""
-    if n > cap:
-        raise CapExceeded(f"enumeration length {n} exceeds cap {cap}")
-    idx = a.state_index()
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in a.states]
-    for src, dst, label in a.edges:
-        out_edges[idx[src]].append((idx[dst], label))
-    for lst in out_edges:
-        lst.sort()
-    targets = {idx[s] for s in to_set}
-    words: list[tuple[int, ...]] = []
-
-    def walk(state: int, depth: int, word: list[int]) -> None:
-        if depth == n:
-            if state in targets:
-                words.append(tuple(word))
-            return
-        for dst, label in out_edges[state]:
-            word.append(label)
-            walk(dst, depth + 1, word)
-            word.pop()
-
-    for name in from_set:
-        walk(idx[name], 0, [])
-    return words
 
 
 def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:

@@ -29,7 +29,7 @@ from .errors import MeasureLabError, PrecisionExhausted, SchemaError, Validation
 from .fixtures import run_all
 from .fourier import check_z_coords, nu_hat_grid, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
-from .zero_automaton import build_zero_automaton, verify_zero_language
+from .zero_automaton import beta_int_from_name, build_zero_automaton, verify_zero_language
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,7 +95,7 @@ def _cmd_validate(args) -> dict:
         "ambiguous_words_up_to_8": ambiguous_word_count(a),
     }
     if report["primitivity"]["primitive"]:
-        pd = perron(a, tol=min(args.tol, 1e-12))
+        pd = perron(a)
         report["lambda"] = pd.lam
         report["residuals"] = {"left": pd.res_L, "right": pd.res_R}
         report["pi"] = [float(x) for x in start_distribution(pd)]
@@ -104,15 +104,14 @@ def _cmd_validate(args) -> dict:
 
 def _cmd_zero_automaton(args) -> dict:
     p = make_pisot(_int_list(args.minpoly), precision=args.precision)
-    trim = {"both": "trim_both", "accessible": "accessible", "none": "none"}[args.trim]
-    a = build_zero_automaton(p, _int_list(args.alphabet), trim=trim)
+    a = build_zero_automaton(p, _int_list(args.alphabet), trim=args.trim)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(automaton_to_json(a))
     beta = p.beta_float
     state_table = []
     for name in a.states:
-        coords = [int(c) for c in name.strip("()").split(",")]
+        coords = beta_int_from_name(name, p).coords
         decimal = sum(c * beta**i for i, c in enumerate(coords))
         state_table.append({"state": name, "decimal": decimal})
     report = {
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     sp = sub.add_parser("validate", help="parse and validate an automaton document")
-    common(sp, ("tol",))
+    common(sp)
     sp.set_defaults(fn=_cmd_validate)
 
     sp = sub.add_parser("zero-automaton", help="build the zero-value digit automaton")

@@ -243,15 +243,6 @@ def _label_indices(trail: list[np.ndarray], n_labels: int, n_rows: int) -> np.nd
     return words
 
 
-def _bracket(lo: np.ndarray, hi: np.ndarray, mass: np.ndarray, x: float) -> tuple[float, float]:
-    """Bracket of the measure of (-inf, x]: buckets with hi <= x certainly
-    lie below, buckets with lo <= x possibly do.  The sums run left to
-    right in bucket order (cumsum, not np.sum's pairwise order)."""
-    lower = np.cumsum(np.where(hi <= x, mass, 0.0))
-    upper = np.cumsum(np.where(lo <= x, mass, 0.0))
-    return float(lower[-1]), float(upper[-1])
-
-
 def depth_cloud(
     a: LabeledAutomaton,
     p: PisotNumber,
@@ -264,11 +255,6 @@ def depth_cloud(
     runs)."""
     words, value, mass, lo, hi, bounds = _refine(a, p, pd, n, cap, merge=False)
     return DepthCloud(n, a.alphabet, words, value, mass, lo, hi, bounds)
-
-
-def cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
-    """Bracket of the measure of (-inf, x] from a depth cloud."""
-    return _bracket(cloud.lo, cloud.hi, cloud.masses, x)
 
 
 def cdf_bracket(
@@ -295,13 +281,10 @@ def cdf_bracket(
         elif x < bottom:
             brackets.append((0.0, 0.0))
         else:
-            lower, upper = _bracket(lo, hi, mass, x)
+            # Buckets with hi <= x certainly lie below x, buckets with
+            # lo <= x possibly do.  The sums run left to right in bucket
+            # order (cumsum, not np.sum's pairwise order).
+            lower = float(np.cumsum(np.where(hi <= x, mass, 0.0))[-1])
+            upper = float(np.cumsum(np.where(lo <= x, mass, 0.0))[-1])
             brackets.append((min(lower, 1.0), min(upper, 1.0)))
     return brackets
-
-
-def push_samples(labels: np.ndarray, p: PisotNumber) -> np.ndarray:
-    """Digit-map values of sampled label words (rows of ``labels``)."""
-    length = labels.shape[1]
-    pows = p.beta_float ** -(np.arange(1, length + 1))
-    return labels @ pows

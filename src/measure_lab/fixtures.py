@@ -33,7 +33,6 @@ from .automaton import (
     ambiguous_word_count,
     parse_automaton,
     primitivity_check,
-    serialize_automaton,
 )
 from .classify import classify, verdict_to_dict
 from .distribution import cdf_bracket

@@ -3,8 +3,7 @@
 Cylinder masses are lambda^(-k) v_L M_w v_R with the left/right
 eigenvector pair normalised to v_L . v_R = 1.  The start distribution
 pi(v) = v_L(v) v_R(v) together with edge weights v_R(to)/(lambda v_R(from))
-is the unique Markov lift reproducing those masses, which is what the
-sampler uses.
+is the unique Markov lift reproducing those masses.
 
 The Perron triple (lambda, v_L, v_R) comes from one power iteration on
 the automaton's edge list (``perron``): each step costs O(edges), and no
@@ -162,45 +161,3 @@ def cylinder_measure_initial(pd: PerronData, a: LabeledAutomaton, word) -> float
 def start_distribution(pd: PerronData) -> np.ndarray:
     """Stationary state distribution pi(v) = v_L(v) v_R(v)."""
     return pd.v_L * pd.v_R
-
-
-def sample_many(pd: PerronData, a: LabeledAutomaton, n_runs: int, length: int, seed: int):
-    """Stationary sample paths, deterministic in the seed: arrays
-    (n_runs, length+1) of state indices and (n_runs, length) of labels.
-
-    Each state's out-edges are ordered by (target, label), ties in document
-    order, and a step picks the first edge whose cumulative weight
-    v_R(to)/(lambda v_R(from)) reaches a uniform draw."""
-    rng = np.random.default_rng(seed)
-    pi = start_distribution(pd)
-    pi = pi / pi.sum()
-    src, dst = a.edge_arrays()
-    label = np.array([x for _, _, x in a.edges], dtype=np.int64)
-    order = np.lexsort((label, dst, src))  # stable: ties keep document order
-    src, dst, label = src[order], dst[order], label[order]
-    degree = np.bincount(src, minlength=a.n_states)
-    width = degree.max()
-    end = np.cumsum(degree)
-    col = np.arange(len(src)) - (end - degree)[src]
-    # Short rows are padded with their last edge at cumulative weight 2, and
-    # the last column is 2, so rounding in a row's total cannot skip it.
-    weights = np.zeros((a.n_states, width))
-    weights[src, col] = pd.v_R[dst] / (pd.lam * pd.v_R[src])
-    cum = np.cumsum(weights, axis=1)  # sequential, as a running sum
-    cum[np.arange(width) >= degree[:, None]] = 2.0
-    cum[:, -1] = 2.0
-    to_state = np.repeat(dst[end - 1, None], width, axis=1)
-    to_label = np.repeat(label[end - 1, None], width, axis=1)
-    to_state[src, col] = dst
-    to_label[src, col] = label
-
-    states = np.zeros((n_runs, length + 1), dtype=np.int64)
-    labels = np.zeros((n_runs, length), dtype=np.int64)
-    states[:, 0] = rng.choice(len(pi), size=n_runs, p=pi)
-    for step in range(length):
-        u = rng.random(n_runs)
-        current = states[:, step]
-        pick = (cum[current] < u[:, None]).sum(axis=1)
-        states[:, step + 1] = to_state[current, pick]
-        labels[:, step] = to_label[current, pick]
-    return states, labels

@@ -73,10 +73,6 @@ OUT, IN, UNDECIDED = 0, 1, 2
 _U = 2.0**-53
 _EXACT = 2**53  # integers below this modulus are floats exactly
 
-TRIM_NONE = "none"
-TRIM_ACCESSIBLE = "accessible"
-TRIM_BOTH = "trim_both"
-
 
 def state_name(x: BetaInt) -> str:
     return str(x)
@@ -267,18 +263,18 @@ def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
     return [zero] + members
 
 
-def build_zero_automaton(p: PisotNumber, alphabet, trim: str = TRIM_BOTH) -> LabeledAutomaton:
+def build_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> LabeledAutomaton:
     """Construct the automaton of all zero-value digit words over the alphabet.
 
     ``trim`` selects how much of the bounded state set is kept: ``none``
     keeps every element within the closed bounds, ``accessible`` keeps
-    those reachable from the zero state, ``trim_both`` (default) also
+    those reachable from the zero state, ``both`` (default) also
     requires co-reachability back to the zero state.  The zero state is
     always first, and is both initial and terminal.  If no nonempty digit
     word cancels, the result is the single zero state (with its 0-loop
     when 0 is a digit).
     """
-    if trim not in (TRIM_NONE, TRIM_ACCESSIBLE, TRIM_BOTH):
+    if trim not in ("both", "accessible", "none"):
         raise ValueError(f"unknown trim mode {trim!r}")
     alphabet = tuple(sorted(set(int(a) for a in alphabet)))
     if not alphabet:
@@ -290,7 +286,7 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = TRIM_BOTH) -> Lab
         head, *tail = bint_mul_beta(x, p).coords
         return [(BetaInt((head - a, *tail)), a) for a in alphabet]
 
-    if trim == TRIM_NONE:
+    if trim == "none":
         states = _candidate_box(p, m_abs)
         member = set(states)
         edges = [(x, y, a) for x in states for y, a in successors(x) if y in member]
@@ -312,7 +308,7 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = TRIM_BOTH) -> Lab
             states += level
             edges += [step for step in steps if member[step[1]]]
 
-    if trim == TRIM_BOTH:
+    if trim == "both":
         # Keep states with a path back to zero (states[0]).
         order = {s: i for i, s in enumerate(states)}
         pred: list[list[int]] = [[] for _ in states]

@@ -1,12 +1,14 @@
 """Shared generators and oracles for the test suite."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -16,9 +18,18 @@ from measure_lab.algebraic import BetaInt, PisotNumber, QBeta, make_pisot, qbeta
 from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity_check, transition_matrices
 from measure_lab.classify import FiniteImageResult
 from measure_lab.distribution import DepthCloud
-from measure_lab.errors import DeadState, NotStronglyConnected
+from measure_lab.errors import CapExceeded, DeadState, NotStronglyConnected
 from measure_lab.parry import PerronData
 from measure_lab.zero_automaton import build_zero_automaton, zero_state_name
+
+
+def bench_tracing():
+    """``bench/tracing.py``, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def random_primitive_automata(count, seed, max_states=5):
@@ -418,6 +429,65 @@ def reference_value_bounds(a: LabeledAutomaton, p: PisotNumber, tol: float = 1e-
     }
 
 
+# ---------------------------------------------------------------- word-count oracles
+
+ENUMERATION_CAP = 14
+
+
+def count_words(a: LabeledAutomaton, n: int, use_initial_terminal: bool = False) -> int:
+    """Number of length-n label words along paths, counted with path
+    multiplicity (a word with several runs counts once per run).
+
+    With ``use_initial_terminal`` the paths are restricted to start in the
+    initial set and end in the terminal set.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    idx = a.state_index()
+    src, dst = a.edge_arrays()
+    start, end = (a.initial, a.terminal) if use_initial_terminal else (a.states, a.states)
+    # runs[j]: paths of the current length that end in state j, held as
+    # Python ints (object dtype) so counts never overflow
+    runs = np.zeros(a.n_states, dtype=object)
+    runs[[idx[s] for s in start]] = 1
+    for _ in range(n):
+        nxt = np.zeros(a.n_states, dtype=object)
+        np.add.at(nxt, dst, runs[src])
+        runs = nxt
+    return sum(runs[idx[s]] for s in end)
+
+
+def enumerate_paths(a: LabeledAutomaton, n: int, from_set, to_set, cap: int = ENUMERATION_CAP):
+    """All length-n label words along paths from from_set to to_set, with
+    run multiplicity, in lexicographic (state order, then label) order."""
+    if n > cap:
+        raise CapExceeded(f"enumeration length {n} exceeds cap {cap}")
+    idx = a.state_index()
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in a.states]
+    for src, dst, label in a.edges:
+        out_edges[idx[src]].append((idx[dst], label))
+    for lst in out_edges:
+        lst.sort()
+    targets = {idx[s] for s in to_set}
+    words: list[tuple[int, ...]] = []
+
+    def walk(state: int, depth: int, word: list[int]) -> None:
+        if depth == n:
+            if state in targets:
+                words.append(tuple(word))
+            return
+        for dst, label in out_edges[state]:
+            word.append(label)
+            walk(dst, depth + 1, word)
+            word.pop()
+
+    for name in from_set:
+        walk(idx[name], 0, [])
+    return words
+
+
+# ---------------------------------------------------------------- sampling
+
 def _reference_edge_chain(pd: PerronData, a: LabeledAutomaton):
     """Per-state cumulative out-edge distribution of the Markov lift."""
     idx = a.state_index()
@@ -438,8 +508,14 @@ def _reference_edge_chain(pd: PerronData, a: LabeledAutomaton):
 
 
 def reference_sample_many(pd: PerronData, a: LabeledAutomaton, n_runs: int, length: int, seed: int):
-    """`parry.sample_many` as per-state Python lists of cumulative out-edge
-    weights, padded into arrays state by state."""
+    """Stationary sample paths of the Markov lift, deterministic in the
+    seed: arrays (n_runs, length+1) of state indices and (n_runs, length)
+    of labels.
+
+    Each state's out-edges are ordered by (target, label), ties in document
+    order, and a step picks the first edge whose cumulative weight
+    v_R(to)/(lambda v_R(from)) reaches a uniform draw.  Short rows are
+    padded with their last edge at cumulative weight 2."""
     rng = np.random.default_rng(seed)
     pi = pd.v_L * pd.v_R
     pi = pi / pi.sum()

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from helpers import random_primitive_automata
+from helpers import random_primitive_automata, reference_sample_many
 from measure_lab.algebraic import QBeta
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.classify import atoms, classify, finite_image_test
-from measure_lab.distribution import cdf_bracket, depth_cloud, push_samples
+from measure_lab.distribution import cdf_bracket, depth_cloud
 from measure_lab.fixtures import fixture_report
 from measure_lab.fourier import nu_hat, psi_hat, rajchman_scan
-from measure_lab.parry import cylinder_measure, perron, sample_many
+from measure_lab.parry import cylinder_measure, perron
 from measure_lab.zero_automaton import build_zero_automaton, verify_zero_language
 
 
@@ -232,7 +232,7 @@ def test_criterion_10_monte_carlo(automata, pisots, perron_data):
         atom_list = atoms(a, p, pd)
         fi = finite_image_test(a, p)
         idx = a.state_index()
-        states, _ = sample_many(pd, a, n_runs=n_samples, length=1, seed=1234)
+        states, _ = reference_sample_many(pd, a, n_runs=n_samples, length=1, seed=1234)
         for at in atom_list:
             hit = [idx[s] for s, v in fi.c_map.items() if v.coords == at.value.coords]
             freq = float(np.isin(states[:, 0], hit).mean())
@@ -245,8 +245,8 @@ def test_criterion_10_monte_carlo(automata, pisots, perron_data):
         ("fig3", [0.5, 1.0, 1.5]),
     ):
         a, p, pd = automata[name], pisots[name], perron_data[name]
-        _, labels = sample_many(pd, a, n_runs=n_samples, length=40, seed=4321)
-        values = push_samples(labels, p)
+        _, labels = reference_sample_many(pd, a, n_runs=n_samples, length=40, seed=4321)
+        values = labels @ p.beta_float ** -np.arange(1, 41)
         brackets = cdf_bracket(a, p, pd, 12, points)
         for x, (lo, hi) in zip(points, brackets):
             emp = float((values <= x).mean())

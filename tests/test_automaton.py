@@ -12,8 +12,6 @@ from measure_lab.automaton import (
     LabeledAutomaton,
     ambiguous_word_count,
     automaton_to_json,
-    count_words,
-    enumerate_paths,
     parse_automaton,
     primitivity_check,
     serialize_automaton,
@@ -29,7 +27,9 @@ from measure_lab.errors import (
 from measure_lab.fixtures import fixture_document
 
 from helpers import (
+    count_words,
     dense_primitivity,
+    enumerate_paths,
     small_graphs,
     strongly_connected_automata,
     wielandt_positive,

@@ -1,7 +1,7 @@
 import hashlib
-import importlib
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import measure_lab.classify as classify_module
 from measure_lab.algebraic import QBeta, make_pisot, qbeta_nearest_floats
 from measure_lab.automaton import LabeledAutomaton, parse_automaton
 from measure_lab.classify import (
@@ -19,8 +20,8 @@ from measure_lab.classify import (
     verdict_to_dict,
 )
 from measure_lab.errors import NotPrimitive, NotStronglyConnected, PrecisionExhausted
-from measure_lab.fourier import ScanEntry, ScanResult
-from measure_lab.parry import perron, sample_many
+from measure_lab.fourier import ScanEntry, ScanResult, rajchman_scan
+from measure_lab.parry import perron
 from measure_lab.zero_automaton import beta_int_from_name, build_zero_automaton
 
 from helpers import (
@@ -28,6 +29,7 @@ from helpers import (
     nearest_double_reference,
     pisot,
     ref_finite_image_test,
+    reference_sample_many,
     strongly_connected_automata,
     zero_subautomata,
 )
@@ -153,13 +155,19 @@ def test_two_loops_golden_singular_by_fourier(golden):
     assert verdict.evidence["psi_hat_abs"] > 1e-4
 
 
+def test_submodule_import_binds_the_module():
+    # The package root binds no function over its submodule's name.
+    assert isinstance(classify_module, types.ModuleType)
+    assert classify_module.rajchman_scan is rajchman_scan
+
+
 @pytest.mark.parametrize("bound, expected", [(0.6, "inconclusive"), (0.4, "singular_by_fourier")])
 def test_fourier_evidence_needs_its_bound(golden, monkeypatch, bound, expected):
     # |psi-hat| = 0.5 clears the 1e-4 threshold; only a bound below it
     # certifies the coefficient nonzero.
     entry = ScanEntry(z_coords=(1, 0), value=0.5 + 0j, bound=bound)
     monkeypatch.setattr(
-        importlib.import_module("measure_lab.classify"), "rajchman_scan",
+        classify_module, "rajchman_scan",
         lambda *args, **kwargs: ScanResult(1, (entry,), 0.5, (1, 0)),
     )
     verdict = classify(two_loop_automaton(), golden, scan_height=1)
@@ -237,7 +245,7 @@ def test_monte_carlo_matches_atom_masses(automata, pisots, perron_data):
     idx = a.state_index()
     for name, value in result.c_map.items():
         value_by_state[idx[name]] = value.coords
-    states, _ = sample_many(pd, a, n_runs=20000, length=1, seed=17)
+    states, _ = reference_sample_many(pd, a, n_runs=20000, length=1, seed=17)
     for at in atom_list:
         hit_states = [i for i, v in value_by_state.items() if v == at.value.coords]
         freq = float(np.isin(states[:, 0], hit_states).mean())

@@ -169,7 +169,7 @@ def test_malformed_list_flag_exit_code(capsys, fixture_dir, command, flag, value
 @pytest.mark.parametrize("argv", [
     ("limit", "--z", "1", "--tol", "-1"),
     ("fourier", "--t", "1", "--tol", "0"),
-    ("validate", "--tol", "nan"),
+    ("limit", "--z", "1", "--tol", "nan"),
     ("scan", "--height", "1", "--tol", "inf"),
     ("classify", "--height", "1", "--tol=-inf"),
 ], ids=["negative", "zero", "nan", "inf", "minus-inf"])
@@ -181,6 +181,7 @@ def test_bad_tol_exit_code(capsys, fixture_dir, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("validate", "fibonacci.json", "--tol", "1e-8"),
     ("validate", "fibonacci.json", "--precision", "64"),
     ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--tol", "1e-8"),
     ("atoms", "example1-7edge.json", "--tol", "1e-8"),
@@ -326,16 +327,6 @@ def test_precision_exhaustion_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "zero-automaton", "--minpoly", lehmer, "--alphabet", "0,1")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "PrecisionExhausted"
-
-
-def test_unreachable_perron_tolerance_exit_code(capsys, fixture_dir):
-    # the automaton is primitive; the spread stops falling near 1e-16
-    # lambda, so a tolerance below it is precision, not primitivity
-    code, out = run(capsys, "validate", str(fixture_dir / "example1-7edge.json"), "--tol", "1e-300")
-    assert code == 3
-    error = json.loads(out)["error"]
-    assert error["type"] == "PrecisionExhausted"
-    assert "spread" in error["message"]
 
 
 def test_limit_huge_z(capsys, fixture_dir):

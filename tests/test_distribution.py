@@ -6,20 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from measure_lab.algebraic import _coords_mul_beta, make_pisot
 from measure_lab.automaton import parse_automaton, transition_matrices
-from measure_lab.distribution import (
-    cdf_bounds,
-    cdf_bracket,
-    depth_cloud,
-    push_samples,
-    value_bounds,
-)
+from measure_lab.distribution import cdf_bracket, depth_cloud, value_bounds
 from measure_lab.errors import CapExceeded, DeadState
-from measure_lab.parry import perron, sample_many
+from measure_lab.parry import perron
 from measure_lab.zero_automaton import build_zero_automaton
 
 from helpers import (
     random_primitive_automata,
     reference_cdf_bounds,
+    reference_sample_many,
     reference_value_bounds,
     signed_automata,
 )
@@ -324,26 +319,33 @@ def test_cloud_invariants(automata, pisots, perron_data):
 # ---------------------------------------------------------------- cdf
 
 def test_cdf_bounds_edges(automata, pisots, perron_data):
-    cloud = depth_cloud(automata["fibonacci"], pisots["fibonacci"], perron_data["fibonacci"], 8)
-    assert cdf_bounds(cloud, -0.5) == (0.0, 0.0)
-    lo, hi = cdf_bounds(cloud, 1.5)
-    assert abs(lo - 1) < 1e-10 and abs(hi - 1) < 1e-10
-    lo, hi = cdf_bounds(cloud, 0.5)
+    a, p, pd = automata["fibonacci"], pisots["fibonacci"], perron_data["fibonacci"]
+    below, beyond, inside = cdf_bracket(a, p, pd, 8, [-0.5, 1.5, 0.5])
+    assert below == (0.0, 0.0)
+    assert beyond == (1.0, 1.0)
+    lo, hi = inside
     assert 0 < lo <= hi < 1
+    cloud = depth_cloud(a, p, pd, 8)
+    assert reference_cdf_bounds(cloud, -0.5) == (0.0, 0.0)
+    lo, hi = reference_cdf_bounds(cloud, 1.5)
+    assert abs(lo - 1) < 1e-10 and abs(hi - 1) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "fig3", "example1-9edge"])
 def test_cdf_bounds_equal_entry_sums(automata, pisots, perron_data, name):
-    cloud = depth_cloud(automata[name], pisots[name], perron_data[name], 8)
-    for x in (-0.5, 0.0, 0.3, 0.5, 1.0, 1.7, 2.5, 4.0):
-        assert cdf_bounds(cloud, x) == reference_cdf_bounds(cloud, x)
+    # Merged buckets (fig3 merges words of equal value) bracket as the
+    # cloud's entries do, summed one by one, up to rounding.
+    a, p, pd = automata[name], pisots[name], perron_data[name]
+    cloud = depth_cloud(a, p, pd, 8)
+    xs = (-0.5, 0.0, 0.3, 0.5, 1.0, 1.7, 2.5, 4.0)
+    for x, bracket in zip(xs, cdf_bracket(a, p, pd, 8, xs)):
+        np.testing.assert_allclose(bracket, reference_cdf_bounds(cloud, x), rtol=0, atol=1e-12)
 
 
 def test_cdf_monotone(automata, pisots, perron_data):
-    cloud = depth_cloud(automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"], 8)
+    a, p, pd = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
     xs = np.linspace(-0.2, 3.2, 30)
-    lows = [cdf_bounds(cloud, x)[0] for x in xs]
-    highs = [cdf_bounds(cloud, x)[1] for x in xs]
+    lows, highs = zip(*cdf_bracket(a, p, pd, 8, xs))
     assert all(a <= b + 1e-12 for a, b in zip(lows, lows[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(highs, highs[1:]))
     assert all(l <= h for l, h in zip(lows, highs))
@@ -356,7 +358,7 @@ def test_bracket_matches_cloud(automata, pisots, perron_data):
         points = [0.2, 0.7, 1.4]
         brackets = cdf_bracket(a, p, pd, 7, points)
         for x, (lo, hi) in zip(points, brackets):
-            lo2, hi2 = cdf_bounds(cloud, x)
+            lo2, hi2 = reference_cdf_bounds(cloud, x)
             assert abs(lo - lo2) < 1e-12 and abs(hi - hi2) < 1e-12
 
 
@@ -417,8 +419,8 @@ def test_fibonacci_cdf_matches_invariant_density(automata, pisots, perron_data):
 def test_monte_carlo_cdf_concordance(automata, pisots, perron_data):
     for name in ("fibonacci", "fullshift4"):
         a, p, pd = automata[name], pisots[name], perron_data[name]
-        _, labels = sample_many(pd, a, n_runs=20000, length=40, seed=11)
-        values = push_samples(labels, p)
+        _, labels = reference_sample_many(pd, a, n_runs=20000, length=40, seed=11)
+        values = labels @ p.beta_float ** -np.arange(1, 41)
         points = [0.3, 0.8] if name == "fibonacci" else [0.5, 1.5, 2.5]
         brackets = cdf_bracket(a, p, pd, 12, points)
         for x, (lo, hi) in zip(points, brackets):
