@@ -8,10 +8,10 @@ its cap.  Reports are byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from itertools import starmap
 
 import numpy as np
 
@@ -69,16 +69,31 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 _TABLE_HEADER = "t_or_z,re,im,abs,bound"
+_TABLE_COLUMNS = ("re", "im", "abs", "bound")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """The bytes ``csv.writer`` writes for these rows (CRLF, floats by
-    repr, no field needs quoting), streamed line by line.  A row is a key
-    (t, z or word), written by str, which for a float is its repr, and
-    four floats."""
+def _write_csv(path: str, header: str, keys, *columns) -> None:
+    """The bytes ``csv.writer`` writes for the rows (key, *floats), streamed
+    line by line: CRLF, no field needs quoting.  ``keys`` gives each row's
+    first field as a string (a t, z or word); each column is a float64
+    array, or a sequence of floats, written by repr.
+
+    Columns repeat heavily (the four float columns of fullshift4's depth-8
+    cloud hold 2,299 distinct values among 262,144 floats), so each column
+    goes through a repr table: every distinct value is formatted once and
+    the strings are gathered by the inverse index.  The table is keyed on
+    the float64 bit patterns, never on float equality: -0.0 and 0.0
+    compare equal but print differently, and a NaN equals nothing."""
+    texts = []
+    for column in columns:
+        bits = np.asarray(column, dtype=np.float64).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        table = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        texts.append(table[inverse].tolist())
+    line = ",".join(["{}"] * (1 + len(columns))) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(header + "\r\n")
-        handle.writelines(starmap("{},{!r},{!r},{!r},{!r}\r\n".format, rows))
+        handle.writelines(map(line.format, keys, *texts))
 
 
 def _cmd_validate(args) -> dict:
@@ -188,11 +203,8 @@ def _cmd_fourier(args) -> dict:
         for t, (value, bound) in zip(ts, nu_hat_grid(a, p, pd, ts, args.tol, initial=args.initial))
     ]
     if args.csv:
-        _write_csv(
-            args.csv,
-            _TABLE_HEADER,
-            ((r["t"], r["re"], r["im"], r["abs"], r["bound"]) for r in rows),
-        )
+        columns = ([r[k] for r in rows] for k in _TABLE_COLUMNS)
+        _write_csv(args.csv, _TABLE_HEADER, map(str, ts), *columns)
     return {"file": args.automaton, "tol": args.tol, "values": rows}
 
 
@@ -234,11 +246,9 @@ def _cmd_scan(args) -> dict:
         for e in result.entries
     ]
     if args.csv:
-        _write_csv(
-            args.csv,
-            _TABLE_HEADER,
-            ((";".join(map(str, r["z"])), r["re"], r["im"], r["abs"], r["bound"]) for r in rows),
-        )
+        keys = (";".join(map(str, r["z"])) for r in rows)
+        columns = ([r[k] for r in rows] for k in _TABLE_COLUMNS)
+        _write_csv(args.csv, _TABLE_HEADER, keys, *columns)
     return {
         "file": args.automaton,
         "height": args.height,
@@ -270,7 +280,7 @@ def _cmd_cloud(args) -> dict:
     cloud = depth_cloud(a, p, pd, args.depth)
     # lexsort is stable, so rows of equal (value, mass) keep word order.
     order = np.lexsort((cloud.masses, cloud.values))
-    columns = [c[order].tolist() for c in (cloud.values, cloud.masses, cloud.lo, cloud.hi)]
+    columns = [c[order] for c in (cloud.values, cloud.masses, cloud.lo, cloud.hi)]
     report = {
         "file": args.automaton,
         "depth": args.depth,
@@ -280,12 +290,12 @@ def _cmd_cloud(args) -> dict:
     }
     if args.csv:
         words = map(";".join, cloud.words(order, [str(x) for x in cloud.alphabet]))
-        _write_csv(args.csv, "word,value,mass,lo,hi", zip(words, *columns))
+        _write_csv(args.csv, "word,value,mass,lo,hi", words, *columns)
         report["written"] = args.csv
     else:
         report["cloud"] = [
             {"word": w, "value": v, "mass": m, "lo": l, "hi": h}
-            for w, v, m, l, h in zip(cloud.words(order), *columns)
+            for w, v, m, l, h in zip(cloud.words(order), *(c.tolist() for c in columns))
         ]
     return report
 
@@ -294,7 +304,11 @@ def _cmd_examples(args) -> dict:
     return run_all(args.dir)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later
+    ``main`` in the process.  Parsing leaves it unchanged: each call gets
+    a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="measure-lab",
         description="Push-forward measures of Parry measures under Pisot digit maps: "
@@ -396,26 +410,31 @@ def _fuse_list_flags(argv: list[str]) -> list[str]:
     return fused
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_list_flags(list(argv if argv is not None else sys.argv[1:])))
+    code = 0
     try:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValidationError(f"--tol must be a finite number > 0, got {args.tol!r}")
         if "precision" in args and args.precision < 1:
             raise ValidationError(f"--precision must be at least 1 bit, got {args.precision}")
         report = args.fn(args)
-    except ValidationError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
-        return 2
     except PrecisionExhausted as exc:
-        _emit({"error": {"type": "PrecisionExhausted", "message": str(exc)}}, args.out)
-        return 3
-    except MeasureLabError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.out)
+        report, code = _error(exc), 3
+    except (MeasureLabError, OSError) as exc:
+        # OSError: a path the command reads or writes cannot be opened.
+        report, code = _error(exc), 2
+    try:
+        _emit(report, args.out)
+    except OSError as exc:  # --out itself cannot be opened
+        _emit(_error(exc), None)
         return 2
-    _emit(report, args.out)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
+import csv
+import io
 import json
 import math
 import os
+import struct
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from measure_lab import cli
 from measure_lab.algebraic import make_pisot
 from measure_lab.automaton import parse_automaton
-from measure_lab.cli import _load, main
+from measure_lab.cli import _load, _write_csv, build_parser, main
 from measure_lab.distribution import depth_cloud
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
 from measure_lab.parry import perron
@@ -216,6 +221,92 @@ def test_bad_input_exit_code(capsys, fixture_dir, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("case, error", [
+    ("missing input", "FileNotFoundError"),
+    ("directory input", "IsADirectoryError"),
+    ("unwritable csv", "FileNotFoundError"),
+    ("unwritable out", "FileNotFoundError"),
+])
+def test_bad_path_exit_code(capsys, fixture_dir, case, error):
+    # A path the CLI cannot open ends in a JSON error and exit 2; a report
+    # whose --out cannot be opened goes to stdout.
+    doc, missing = str(fixture_dir / "fig3.json"), str(fixture_dir / "missing" / "file")
+    argv = {
+        "missing input": ("validate", str(fixture_dir / "nope.json")),
+        "directory input": ("validate", str(fixture_dir)),
+        "unwritable csv": ("cloud", doc, "--depth", "3", "--csv", missing),
+        "unwritable out": ("validate", doc, "--out", missing),
+    }[case]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_parser_shared_across_calls(capsys, fixture_dir, tmp_path, monkeypatch):
+    # One parser serves every main() of a process, an argparse failure
+    # included, and gives the bytes a fresh parser gives.
+    doc, csv_path = str(fixture_dir / "fig3.json"), tmp_path / "cloud.csv"
+    calls = [
+        ("cloud", doc, "--depth", "three"),
+        ("validate", doc),
+        ("cloud", doc, "--depth", "4", "--csv", str(csv_path)),
+    ]
+
+    def outputs():
+        results = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, csv_path.read_bytes() if "--csv" in argv else None))
+        return results
+
+    shared = outputs()
+    assert build_parser() is build_parser()
+    assert [code for code, *_ in shared] == [2, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert outputs() == shared
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Floats that print alike but differ in bits, or compare equal but print
+# differently, drawn from a small pool so that the columns repeat.
+_FLOAT_POOL = [
+    0.0, -0.0, math.nan, _float_of_bits(0x7FF8_0000_0000_0001), _float_of_bits(0xFFF8_0000_0000_0000),
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    0.1, -1.5, 1 / 3, 1e16, 123456.789,
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.lists(st.integers(-3, 3), max_size=3).map(lambda w: ";".join(map(str, w))),
+        *[st.sampled_from(_FLOAT_POOL) | st.floats()] * 4,
+    ), max_size=40),
+    as_arrays=st.booleans(),
+)
+@example(rows=[("", *_FLOAT_POOL[:4]), ("0", *_FLOAT_POOL[1:5]), ("1;2", *_FLOAT_POOL[:4])], as_arrays=False)
+def test_write_csv_matches_csv_writer(rows, as_arrays):
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["key", "a", "b", "c", "d"])
+    writer.writerows(rows)
+    keys, *columns = zip(*rows) if rows else [()] * 5
+    if as_arrays:
+        columns = [np.array(c, dtype=np.float64) for c in columns]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        _write_csv(path, "key,a,b,c,d", keys, *columns)
+        with open(path, "rb") as handle:
+            assert handle.read() == buffer.getvalue().encode("utf-8")
 
 
 def test_fourier_huge_t(capsys, fixture_dir):
