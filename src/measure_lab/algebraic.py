@@ -54,6 +54,7 @@ from ._ball import Ball, CBall, ball_horner
 from .errors import NotMonic, NotPisot, PrecisionExhausted, Reducible
 
 DEFAULT_PRECISION = 128
+FRAC_MAX_ERR = 2.0**-60  # largest radius of a certified fractional part, read on each call
 _PRECISION_CAP_ENV = "MEASURE_LAB_PRECISION_CAP"
 
 
@@ -99,17 +100,17 @@ class PisotNumber:
 
     ``minpoly`` lists integer coefficients constant-term first, so
     x^2 - x - 1 is (-1, -1, 1).  ``root_beta`` encloses the dominant real
-    root; ``conjugates`` enclose the remaining roots, all certified to
-    have modulus below one.  ``irreducibility_verified`` is False for
-    degrees above four, where only square-free and rational-root tests
-    ran.
+    root; ``conjugates`` enclose the remaining roots as complex disks, all
+    certified to have modulus below one (which of them are real is never
+    decided, since no test needs it).  ``irreducibility_verified`` is
+    False for degrees above four, where only square-free and
+    rational-root tests ran.
     """
 
     minpoly: tuple[int, ...]
     precision: int
     root_beta: Ball
     conjugates: tuple[CBall, ...]
-    conjugate_is_real: tuple[bool, ...]
     irreducibility_verified: bool
 
     @property
@@ -254,14 +255,6 @@ def _quartic_has_quadratic_factor(coeffs: tuple[int, ...]) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _mpf_floor_scaled(x: mpf, scale_bits: int, round_up: bool) -> Fraction:
-    # Nearest dyadic rational at 2^-scale_bits resolution, rounded inward.
-    with mp.workprec(mp.prec + scale_bits + 16):
-        y = x * (mpf(2) ** scale_bits)
-        n = int(mp.ceil(y)) if round_up else int(mp.floor(y))
-    return Fraction(n, 2**scale_bits)
-
-
 @lru_cache(maxsize=None)
 def _root_disks(minpoly: tuple[int, ...], prec: int):
     """Disjoint disks, one per root, or None if this precision is not enough.
@@ -305,36 +298,12 @@ def _root_disks(minpoly: tuple[int, ...], prec: int):
         return tuple(disks)
 
 
-def _certify_real_root(minpoly: tuple[int, ...], mid: mpc, rad: mpf) -> bool | None:
-    """True/False when realness of the disk's unique root is decided, None
-    to request more precision."""
-    if abs(mid.imag) > rad:
-        return False
-    scale = mp.prec + 60
-    lo = _mpf_floor_scaled(mid.real - rad, scale, round_up=True)
-    hi = _mpf_floor_scaled(mid.real + rad, scale, round_up=False)
-    if lo > hi:
-        return None
-    plo = _eval_int_poly([Fraction(c) for c in minpoly], lo)
-    phi = _eval_int_poly([Fraction(c) for c in minpoly], hi)
-    if plo == 0 or phi == 0:
-        return True
-    if (plo < 0) != (phi < 0):
-        return True
-    # No sign change inside the certified interval: a real root could only
-    # hide within 2^-scale of the rim, so ask for refinement when the disk
-    # still straddles the real axis noticeably.
-    if abs(mid.imag) <= rad:
-        return None
-    return False
-
-
 def _classified_disks(minpoly: tuple[int, ...], target_prec: int):
     """Certified enclosures with dominant-root classification.
 
-    Returns (beta: Ball, conjugates: tuple[CBall], is_real: tuple[bool]).
-    Raises NotPisot when the root-modulus condition is certifiably
-    violated, PrecisionExhausted past the cap.  Results are memoised per
+    Returns (beta: Ball, conjugates: tuple[CBall]), an integer root
+    exactly.  Raises NotPisot when the root-modulus condition is
+    certifiably violated, PrecisionExhausted past the cap.  Results are memoised per
     (minpoly, target_prec, cap); the cap is read on every call and is part
     of the key, so lowering it can never be bypassed by an earlier, wider
     certification.  Exceptions are not memoised.
@@ -368,15 +337,7 @@ def _classified_disks_capped(minpoly: tuple[int, ...], target_prec: int, cap: in
             # pair with their conjugates, so this one is real.
             if dom[0].real < 0:
                 raise NotPisot(f"dominant root {complex(dom[0]):.6g} is negative")
-            conj = []
-            is_real = []
-            for mid, rad in disks[1:]:
-                verdict = _certify_real_root(minpoly, mid, rad)
-                if verdict is None:
-                    return None
-                conj.append(CBall(mid, rad))
-                is_real.append(verdict)
-            return Ball(dom[0].real, dom[1]), tuple(conj), tuple(is_real)
+            return Ball(dom[0].real, dom[1]), tuple(CBall(mid, rad) for mid, rad in disks[1:])
 
     return _escalate(
         max(64, target_prec),
@@ -407,7 +368,7 @@ def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
         if root < 2:
             raise NotPisot(f"root {root} is not a real algebraic integer > 1")
         beta = Ball.enclose(root)
-        return PisotNumber(coeffs, precision, beta, (), (), True)
+        return PisotNumber(coeffs, precision, beta, (), True)
 
     if _gcd_degree(coeffs, _poly_derivative(coeffs)) > 0:
         raise Reducible("polynomial has a repeated factor")
@@ -418,18 +379,15 @@ def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
         raise Reducible("quartic splits into two integer quadratics")
     verified = r <= 4
 
-    beta, conjugates, is_real = _classified_disks(coeffs, precision)
-    return PisotNumber(coeffs, precision, beta, conjugates, is_real, verified)
+    beta, conjugates = _classified_disks(coeffs, precision)
+    return PisotNumber(coeffs, precision, beta, conjugates, verified)
 
 
 @_serialized
 def refined_enclosures(p: PisotNumber, prec: int):
     """Root enclosures of p.minpoly at >= prec bits, certified once per
     (minpoly, prec, precision cap) and reused afterwards."""
-    if p.degree == 1:
-        return p.root_beta, ()
-    beta, conj, _ = _classified_disks(p.minpoly, prec)
-    return beta, conj
+    return _classified_disks(p.minpoly, prec)
 
 
 # ----------------------------------------------------------------------
@@ -471,10 +429,6 @@ def _coords_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
     return (add - top * minpoly[0],) + tuple(
         low - top * m for low, m in zip(x[:-1], minpoly[1:])
     )
-
-
-def bint_neg(x: BetaInt) -> BetaInt:
-    return BetaInt(tuple(-a for a in x.coords))
 
 
 def bint_mul(x: BetaInt, y: BetaInt, p: PisotNumber) -> BetaInt:
@@ -647,7 +601,7 @@ def frac_inverse_beta_powers(x: float | BetaInt, n: int, p: PisotNumber) -> list
 
 
 @_serialized
-def frac_beta_power(z: BetaInt, k: int, p: PisotNumber, max_err: float = 2.0**-60) -> FracPart:
+def frac_beta_power(z: BetaInt, k: int, p: PisotNumber) -> FracPart:
     """frac(z * beta^k) with a certified error bound.
 
     Computed through the trace identity (the conjugate sum of z*beta^k
@@ -663,7 +617,7 @@ def frac_beta_power(z: BetaInt, k: int, p: PisotNumber, max_err: float = 2.0**-6
     w = z
     for _ in range(k):
         w = bint_mul_beta(w, p)
-    return _certified_frac(z, k, w, p, max_err)
+    return _certified_frac(z, k, w, p)
 
 
 @_serialized
@@ -678,7 +632,7 @@ def frac_beta_powers(z: BetaInt, k_max: int, p: PisotNumber) -> list[FracPart]:
     for k in range(k_max + 1):
         if k:
             w = bint_mul_beta(w, p)
-        out.append(_certified_frac(z, k, w, p, 2.0**-60))
+        out.append(_certified_frac(z, k, w, p))
     return out
 
 
@@ -751,9 +705,9 @@ def frac_beta_powers_float(
     return values, errors
 
 
-def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber, max_err: float) -> FracPart:
+def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber) -> FracPart:
     """frac(w) for the exact element w = z*beta^k, escalating precision
-    until the enclosure is within max_err and clear of every integer."""
+    until the enclosure is within FRAC_MAX_ERR and clear of every integer."""
     if w.is_rational_int:
         return FracPart(0.0, 0.0)
 
@@ -770,7 +724,7 @@ def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber, max_err: flo
                     total = total + ball_horner(w.coords, point)
                 ball = (-total).real_ball()
             balls.append(ball)
-            return _frac_of_real_ball(ball) if ball.rad <= max_err else None
+            return _frac_of_real_ball(ball) if ball.rad <= FRAC_MAX_ERR else None
 
     return _escalate(
         p.precision,

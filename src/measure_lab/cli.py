@@ -52,7 +52,10 @@ def _float_list(text: str) -> list[float]:
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        document = handle.read()
+        try:
+            document = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     a = parse_automaton(document)
     if a.beta_minpoly is None:
         raise ValidationError(f"{path}: document lacks beta.minpoly")

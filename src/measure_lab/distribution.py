@@ -57,7 +57,6 @@ class DepthCloud:
     masses: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    state_bounds: dict[str, tuple[float, float]]
 
     def words(self, rows, letters=None) -> Iterator[tuple]:
         """Label words of the given rows, as tuples of alphabet letters, or
@@ -124,7 +123,7 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, 
     }
 
 
-def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap: int, merge: bool):
+def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, merge: bool):
     """Level-synchronous depth-``depth`` refinement shared by clouds and brackets.
 
     Level 0 is one bucket holding v_L.  Level k expands the whole level in
@@ -136,13 +135,13 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
     walked as key_k = beta * key_(k-1) + eps_k in int64, and children of
     equal key and equal support share a bucket.  Buckets keep first-seen
     order, take their float value from their first-seen child and sum
-    their children's rows in child order.  The cap is checked once per
-    level, on its bucket count after the merge, so a level of cap + 1
-    buckets raises at that depth; so does a key step that could leave
-    int64.  The last level's masses are one stacked product ``rows @ v_R``.
+    their children's rows in child order.  ``CLOUD_CAP``, read on each
+    call, is checked once per level, on its bucket count after the merge,
+    so a level of CLOUD_CAP + 1 buckets raises at that depth; so does a key
+    step that could leave int64.  The last level's masses are one stacked product ``rows @ v_R``.
     Returns the last level's words as an (entries x depth) array of
     alphabet indices (None when merging) and arrays of its truncated
-    values, masses and certified [lo, hi], plus the per-state value bounds.
+    values, masses and certified [lo, hi].
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
@@ -173,13 +172,13 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
                 raise CapExceeded(f"refinement keys leave int64 at depth {k}")
             child_keys = _mul_beta_add(keys, p.minpoly, a.alphabet)[kept]
             first, group = _first_seen_groups(child_keys, children > 0)
-            if len(first) > cap:
-                raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
+            if len(first) > CLOUD_CAP:
+                raise CapExceeded(f"refinement exceeds {CLOUD_CAP} buckets at depth {k}")
             values, keys, rows = child_values[first], child_keys[first], np.zeros((len(first), n))
             np.add.at(rows, group, children)
         else:
-            if len(kept) > cap:
-                raise CapExceeded(f"refinement exceeds {cap} buckets at depth {k}")
+            if len(kept) > CLOUD_CAP:
+                raise CapExceeded(f"refinement exceeds {CLOUD_CAP} buckets at depth {k}")
             values, rows = child_values, children
             trail.append(kept)
         del children  # free this level's children before the next level's
@@ -192,7 +191,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, cap
     bhi = np.array([bounds[s][1] for s in a.states])
     lo = values + tail * np.where(support, blo, np.inf).min(axis=1)
     hi = values + tail * np.where(support, bhi, -np.inf).max(axis=1)
-    return words, values, mass, lo, hi, bounds
+    return words, values, mass, lo, hi
 
 
 def _key_limit(letters: tuple[int, ...], minpoly: tuple[int, ...]) -> int:
@@ -243,18 +242,11 @@ def _label_indices(trail: list[np.ndarray], n_labels: int, n_rows: int) -> np.nd
     return words
 
 
-def depth_cloud(
-    a: LabeledAutomaton,
-    p: PisotNumber,
-    pd: PerronData,
-    n: int,
-    cap: int = CLOUD_CAP,
-) -> DepthCloud:
+def depth_cloud(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, n: int) -> DepthCloud:
     """One entry per admissible word of length n, in lexicographic order
     (words deduplicated; the matrix product already accounts for multiple
     runs)."""
-    words, value, mass, lo, hi, bounds = _refine(a, p, pd, n, cap, merge=False)
-    return DepthCloud(n, a.alphabet, words, value, mass, lo, hi, bounds)
+    return DepthCloud(n, a.alphabet, *_refine(a, p, pd, n, merge=False))
 
 
 def cdf_bracket(
@@ -263,7 +255,6 @@ def cdf_bracket(
     pd: PerronData,
     depth: int,
     points,
-    cap: int = CLOUD_CAP,
 ) -> list[tuple[float, float]]:
     """CDF brackets at the given points from a depth-``depth`` refinement
     whose buckets merge words of equal exact value and equal support.
@@ -272,7 +263,7 @@ def cdf_bracket(
     point x >= max(hi), so F(x) = 1 there, and none at or below a point
     x < min(lo), so F(x) = 0.  Elsewhere both sums are clamped to at most
     1; masses are nonnegative, so the sums are already at least 0."""
-    _, _, mass, lo, hi, _ = _refine(a, p, pd, depth, cap, merge=True)
+    _, _, mass, lo, hi = _refine(a, p, pd, depth, merge=True)
     top, bottom = hi.max(), lo.min()
     brackets = []
     for x in points:

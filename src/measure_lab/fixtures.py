@@ -36,7 +36,7 @@ from .automaton import (
 )
 from .classify import classify, verdict_to_dict
 from .distribution import cdf_bracket
-from .fourier import nu_hat, psi_hat, rajchman_scan
+from .fourier import nu_hat, psi_hat
 from .parry import perron
 from .zero_automaton import verify_zero_language
 
@@ -269,8 +269,7 @@ def fixture_report(name: str) -> dict:
     elif name == "fibonacci":
         verdict = classify(a, p, scan_height=2)
         report["verdict"] = verdict_to_dict(verdict)
-        scan = rajchman_scan(a, p, pd, height=2)
-        report["scan_max_abs"] = scan.max_abs
+        report["scan_max_abs"] = verdict.diagnostics["scan_max_abs"]
         report["reference_cdf"] = _cdf_comparison(
             a, p, pd, 14, ref,
             "measured CDF brackets exclude the uniform reference at some "

@@ -21,7 +21,7 @@ import numpy as np
 from .automaton import LabeledAutomaton, TransitionMatrices, primitivity_check, transition_matrices
 from .errors import EmptyInitialSet, NotPrimitive, PrecisionExhausted
 
-DEFAULT_EIGEN_TOL = 1e-12
+EIGEN_TOL = 1e-12  # largest relative quotient spread perron accepts, read on each call
 _CHECK_EVERY = 4  # power steps between Collatz-Wielandt checks
 _PATIENCE = 4  # checks without a smaller spread that end the polish
 _FLOOR_ULPS = 64  # spreads below this many rounding errors per quotient are noise
@@ -48,7 +48,7 @@ class PerronData:
         return len(self.v_R)
 
 
-def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
+def perron(a: LabeledAutomaton) -> PerronData:
     """Dominant eigendata of the total transition matrix M, by power
     iteration on the edge list.
 
@@ -59,14 +59,15 @@ def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
     _CHECK_EVERY steps the Collatz-Wielandt quotients of each half bound the
     spectral radius, min_i (Mv)_i/v_i <= rho(M) <= max_i, and x is rescaled.
 
-    Stopping rule: the iteration runs past tol, polishing the residuals to
-    the rounding floor, and keeps the iterate with the smallest quotient
-    spread.  Once that spread is within _FLOOR_ULPS roundings per quotient,
-    _PATIENCE checks without a smaller one end the run.  A larger spread
-    must fall within (n-1)^2 + 1 steps (Wielandt: M^k > 0 from there on),
-    so a stall that long ends it too.  If the best spread is then above
-    tol * lambda, raises PrecisionExhausted.  The run time grows like
-    1/(1 - |lambda_2|/lambda): a nearly periodic automaton needs many steps.
+    Stopping rule: the iteration runs past EIGEN_TOL, polishing the
+    residuals to the rounding floor, and keeps the iterate with the
+    smallest quotient spread.  Once that spread is within _FLOOR_ULPS
+    roundings per quotient, _PATIENCE checks without a smaller one end the
+    run.  A larger spread must fall within (n-1)^2 + 1 steps (Wielandt:
+    M^k > 0 from there on), so a stall that long ends it too.  If the best
+    spread is then above EIGEN_TOL * lambda, raises PrecisionExhausted.
+    The run time grows like 1/(1 - |lambda_2|/lambda): a nearly periodic
+    automaton needs many steps.
     Requires primitivity; raises NotPrimitive otherwise.
     """
     check = primitivity_check(a)
@@ -110,10 +111,10 @@ def perron(a: LabeledAutomaton, tol: float = DEFAULT_EIGEN_TOL) -> PerronData:
         x = w / top
     x, lo, hi = best
     lam, lam_l = (float(m) for m in (lo + hi) / 2)
-    if spread > tol * lam:
+    if spread > EIGEN_TOL * lam:
         raise PrecisionExhausted(
             f"Perron quotient spread stopped falling at {spread / lam:.3g} * lambda, "
-            f"above tolerance {tol} (after {steps} steps)"
+            f"above tolerance {EIGEN_TOL} (after {steps} steps)"
         )
     v_r = x[:n] / x[:n].max()
     v_l = x[n:] / float(x[n:] @ v_r)

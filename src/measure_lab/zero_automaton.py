@@ -38,12 +38,16 @@ automaton does not depend on which tier decided a state.
    coordinate of modulus >= 2^53 (not a float exactly), and every row
    when M >= 2^53, are UNDECIDED.
 
-2. ``state_within_bounds`` decides one UNDECIDED state with mpmath balls
-   under ``algebraic._escalate``, and resolves exact boundary states
-   through element identities such as y*(beta-1) = +-M.
+2. ``state_within_bounds`` decides one UNDECIDED state.  It is in when
+   y*(beta-1) or y*(beta+1) equals +-M in Z[beta]: |beta+1| > beta-1 =
+   |beta-1| at beta, and |beta_q -+ 1| >= 1-|beta_q| at every conjugate.
+   Any other state is decided strictly with mpmath balls under
+   ``algebraic._escalate``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 from mpmath import mp
@@ -58,7 +62,6 @@ from .algebraic import (
     bint_from_int,
     bint_mul,
     bint_mul_beta,
-    bint_neg,
     float_with_error,
     refined_enclosures,
 )
@@ -89,71 +92,39 @@ def zero_state_name(p: PisotNumber) -> str:
     return state_name(bint_from_int(0, p))
 
 
-def _beta_plus_one(p: PisotNumber, sign: int) -> BetaInt:
-    # 1 - sign*beta as an element
-    return BetaInt((1, -sign) + (0,) * (p.degree - 2))
-
-
-def _conj_tie_is_boundary(y: BetaInt, p: PisotNumber, q: int, m_abs: int, prec: int) -> bool | None:
-    """Exact boundary test |y_q|(1-|beta_q|) = M for a real conjugate.
-
-    Returns True when the element identity certifies the boundary, False
-    when no identity can hold, None when the conjugate's sign is not yet
-    resolved at this precision.
-    """
-    if not p.conjugate_is_real[q - 2]:
-        return False
-    _, conj = refined_enclosures(p, prec)
-    ball = conj[q - 2]
-    with mp.workprec(prec + 64):
-        if ball.mid.real > ball.rad:
-            sign = 1
-        elif ball.mid.real < -ball.rad:
-            sign = -1
-        else:
-            return None
-    elem = bint_mul(y, _beta_plus_one(p, sign), p)
-    m_unit = bint_from_int(m_abs, p)
-    return elem == m_unit or elem == bint_neg(m_unit)
-
-
 @_serialized
 def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
-    """Closed-bound membership test with exact boundary resolution."""
-    if p.degree == 1:
-        n = -p.minpoly[0]
-        return abs(y.coords[0]) * (n - 1) <= m_abs
+    """Closed-bound membership of one state.
 
-    t_real = bint_mul(y, BetaInt((-1, 1) + (0,) * (p.degree - 2)), p)  # y*(beta-1)
-    m_unit = bint_from_int(m_abs, p)
-    real_done = t_real == m_unit or t_real == bint_neg(m_unit)  # exact boundary
-    conj_done = [False] * (p.degree - 1)
+    If y*(beta - 1) or y*(beta + 1) equals +-M in Z[beta], y is in: at
+    beta, |beta - 1| = beta - 1 and |beta + 1| > beta - 1, and at every
+    conjugate |beta_q -+ 1| >= 1 - |beta_q|.  These cover every tie: the
+    bound at beta is |y*(beta - 1)|, at a real conjugate of sign s it is
+    |y*(1 - s*beta)|, and an embedding is +-M only at the element +-M.
+    Otherwise mpmath balls under ``algebraic._escalate`` decide strictly:
+    out once a bound certifiably exceeds M, in once all are below it.
+    """
+    one = bint_from_int(1, p).coords
+    t_minus, t_plus = (
+        bint_mul(y, BetaInt(_coords_mul_beta(one, p.minpoly, add)), p) for add in (-1, 1)
+    )
+    boundary = {bint_from_int(m_abs, p), bint_from_int(-m_abs, p)}
+    if t_minus in boundary or t_plus in boundary:
+        return True
 
     def attempt(prec: int) -> bool | None:
-        nonlocal real_done
         beta, conj = refined_enclosures(p, prec)
         with mp.workprec(prec + 64):
-            if not real_done:
-                ball = ball_horner(t_real.coords, beta)
-                if ball.mag() < m_abs:
-                    real_done = True
-                elif ball.mig() > m_abs:
+            bounds = chain(
+                [ball_horner(t_minus.coords, beta)],  # y(beta)*(beta-1)
+                (ball_horner(y.coords, c).abs_ball() * (-c.abs_ball()).add_int(1) for c in conj),
+            )
+            inside = True
+            for bound in bounds:
+                if bound.mig() > m_abs:
                     return False
-            for qi in range(p.degree - 1):
-                if conj_done[qi]:
-                    continue
-                yq = ball_horner(y.coords, conj[qi])
-                one_minus_mod = (-conj[qi].abs_ball()).add_int(1)
-                product = yq.abs_ball() * one_minus_mod
-                if product.mag() < m_abs:
-                    conj_done[qi] = True
-                elif product.mig() > m_abs:
-                    return False
-                else:
-                    tie = _conj_tie_is_boundary(y, p, qi + 2, m_abs, prec)
-                    if tie is True:
-                        conj_done[qi] = True
-        return True if real_done and all(conj_done) else None
+                inside &= bound.mag() < m_abs
+            return True if inside else None
 
     return _escalate(
         p.precision,

@@ -14,6 +14,7 @@ import pytest
 from fractions import Fraction
 
 from helpers import random_primitive_automata, reference_sample_many
+from measure_lab import parry
 from measure_lab.algebraic import QBeta
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.classify import atoms, classify, finite_image_test
@@ -42,12 +43,13 @@ def test_criterion_1_zero_automaton(golden):
              f"counts {report['zero_word_counts'][:5]}")
 
 
-def test_criterion_2_parry_identities():
+def test_criterion_2_parry_identities(monkeypatch):
+    monkeypatch.setattr(parry, "EIGEN_TOL", 1e-13)
     automata = random_primitive_automata(200, seed=2024)
     worst_consistency = 0.0
     worst_total = 0.0
     for a in automata:
-        pd = perron(a, tol=1e-13)
+        pd = perron(a)
         tm = transition_matrices(a)
         words = [()] + [(x,) for x in a.alphabet] + list(
             itertools.product(a.alphabet, repeat=2)

@@ -373,16 +373,18 @@ def test_qbeta_embed_rational(golden):
 
 
 def test_precision_cap_env(golden, monkeypatch):
+    from measure_lab import algebraic
     from measure_lab.errors import PrecisionExhausted
 
     # Warm the certification memo at high precision under the default cap
     # first: the memo must never widen a cap lowered afterwards.
     monkeypatch.delenv("MEASURE_LAB_PRECISION_CAP", raising=False)
-    fr = frac_beta_power(bint_from_int(1, golden), 12, golden, max_err=2.0**-1000)
+    monkeypatch.setattr(algebraic, "FRAC_MAX_ERR", 2.0**-1000)
+    fr = frac_beta_power(bint_from_int(1, golden), 12, golden)
     assert 0 < fr.value < 1
     monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "256")
     with pytest.raises(PrecisionExhausted):
-        frac_beta_power(bint_from_int(1, golden), 12, golden, max_err=2.0**-1000)
+        frac_beta_power(bint_from_int(1, golden), 12, golden)
 
 
 @pytest.mark.parametrize("start", [0, -3])
@@ -410,7 +412,7 @@ def test_certification_memo_keyed_by_cap(monkeypatch):
     algebraic._classified_disks_capped.cache_clear()
     try:
         monkeypatch.delenv("MEASURE_LAB_PRECISION_CAP", raising=False)
-        beta, _, _ = algebraic._classified_disks(minpoly, 64)
+        beta, _ = algebraic._classified_disks(minpoly, 64)
         assert abs(float(beta.mid) - (1 + math.sqrt(5)) / 2) < 1e-15
         monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "256")
         with pytest.raises(PrecisionExhausted):

@@ -228,16 +228,19 @@ def test_bad_input_exit_code(capsys, fixture_dir, argv):
     ("directory input", "IsADirectoryError"),
     ("unwritable csv", "FileNotFoundError"),
     ("unwritable out", "FileNotFoundError"),
+    ("non-UTF-8 input", "SchemaError"),
 ])
-def test_bad_path_exit_code(capsys, fixture_dir, case, error):
-    # A path the CLI cannot open ends in a JSON error and exit 2; a report
-    # whose --out cannot be opened goes to stdout.
+def test_bad_path_exit_code(capsys, fixture_dir, tmp_path, case, error):
+    # A path the CLI cannot open or decode ends in a JSON error and exit 2;
+    # a report whose --out cannot be opened goes to stdout.
     doc, missing = str(fixture_dir / "fig3.json"), str(fixture_dir / "missing" / "file")
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe")
     argv = {
         "missing input": ("validate", str(fixture_dir / "nope.json")),
         "directory input": ("validate", str(fixture_dir)),
         "unwritable csv": ("cloud", doc, "--depth", "3", "--csv", missing),
         "unwritable out": ("validate", doc, "--out", missing),
+        "non-UTF-8 input": ("validate", str(tmp_path / "utf16.json")),
     }[case]
     code, out = run(capsys, *argv)
     assert code == 2

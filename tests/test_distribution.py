@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from measure_lab import distribution
 from measure_lab.algebraic import _coords_mul_beta, make_pisot
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.distribution import cdf_bracket, depth_cloud, value_bounds
@@ -133,12 +134,13 @@ def test_cloud_atomic_values_cluster(automata, pisots, perron_data):
 
 
 @pytest.mark.parametrize("refine", [
-    lambda a, p, pd, cap: depth_cloud(a, p, pd, 12, cap=cap),
-    lambda a, p, pd, cap: cdf_bracket(a, p, pd, 12, [1.5], cap=cap),
+    lambda a, p, pd: depth_cloud(a, p, pd, 12),
+    lambda a, p, pd: cdf_bracket(a, p, pd, 12, [1.5]),
 ], ids=["depth_cloud", "cdf_bracket"])
-def test_cloud_cap(automata, pisots, perron_data, refine):
+def test_cloud_cap(automata, pisots, perron_data, refine, monkeypatch):
+    monkeypatch.setattr(distribution, "CLOUD_CAP", 1000)
     with pytest.raises(CapExceeded):
-        refine(automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"], 1000)
+        refine(automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"])
 
 
 def _reference_cloud(a, p, pd, n):
@@ -228,15 +230,17 @@ def test_refinement_matches_reference_bit_for_bit(automata, pisots, perron_data)
 
 
 @pytest.mark.parametrize("refine, buckets", [
-    (lambda a, p, pd, cap: depth_cloud(a, p, pd, 5, cap=cap), 4**5),
-    (lambda a, p, pd, cap: cdf_bracket(a, p, pd, 5, [1.5], cap=cap), 3 * 2**5 - 2),
+    (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**5),
+    (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), 3 * 2**5 - 2),
 ], ids=["depth_cloud", "cdf_bracket"])
-def test_cap_boundary(automata, pisots, perron_data, refine, buckets):
+def test_cap_boundary(automata, pisots, perron_data, refine, buckets, monkeypatch):
     # fullshift4 at depth 5: 4^5 words, and 3 * 2^5 - 2 distinct values m / 2^5
     args = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
-    refine(*args, buckets)
+    monkeypatch.setattr(distribution, "CLOUD_CAP", buckets)
+    refine(*args)
+    monkeypatch.setattr(distribution, "CLOUD_CAP", buckets - 1)
     with pytest.raises(CapExceeded) as info:
-        refine(*args, buckets - 1)
+        refine(*args)
     assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth 5"
 
 
@@ -266,13 +270,15 @@ def test_refinement_matches_reference_on_random_automata(golden, base_two, tribo
                                rtol=rtol + 2 * len(reference) * eps, atol=0)
 
 
-def test_fig3_buckets_merge_on_exact_values(automata, pisots, perron_data):
+def test_fig3_buckets_merge_on_exact_values(automata, pisots, perron_data, monkeypatch):
     # 3^16 words of fig3 take 18,643 distinct (exact value, support) pairs;
     # float keys split equal values into 61,652 buckets
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
-    cdf_bracket(a, p, pd, 16, [1.5], cap=18_643)
+    monkeypatch.setattr(distribution, "CLOUD_CAP", 18_643)
+    cdf_bracket(a, p, pd, 16, [1.5])
+    monkeypatch.setattr(distribution, "CLOUD_CAP", 18_642)
     with pytest.raises(CapExceeded, match="^refinement exceeds 18642 buckets at depth 16$"):
-        cdf_bracket(a, p, pd, 16, [1.5], cap=18_642)
+        cdf_bracket(a, p, pd, 16, [1.5])
 
 
 def test_bucket_keys_stop_before_int64_overflow():

@@ -178,11 +178,12 @@ def test_perron_5000_states_without_dense_matrix(monkeypatch):
     assert abs(pd.v_L.sum() - 1) <= 1e-12
 
 
-def test_unreachable_perron_tolerance_raises(automata):
+def test_unreachable_perron_tolerance_raises(automata, monkeypatch):
     # The automaton is primitive; the spread stops falling near 1e-16
     # lambda, so a tolerance below it is precision, not primitivity.
+    monkeypatch.setattr(measure_lab.parry, "EIGEN_TOL", 1e-300)
     with pytest.raises(PrecisionExhausted, match="spread"):
-        perron(automata["example1-7edge"], tol=1e-300)
+        perron(automata["example1-7edge"])
 
 
 # ---------------------------------------------------------------- cylinders
@@ -372,10 +373,11 @@ def test_sample_states_follow_pi(automata, perron_data):
 
 # ---------------------------------------------------------------- random automata
 
-def test_random_primitive_identities_small():
+def test_random_primitive_identities_small(monkeypatch):
     # the acceptance suite runs the full 200-automata version
+    monkeypatch.setattr(measure_lab.parry, "EIGEN_TOL", 1e-13)
     for a in random_primitive_automata(25, seed=42):
-        pd = perron(a, tol=1e-13)
+        pd = perron(a)
         for word in ([a.alphabet[0]], [a.alphabet[-1], a.alphabet[0]]):
             base = cylinder_measure(pd, a, word)
             extend = sum(cylinder_measure(pd, a, list(word) + [x]) for x in a.alphabet)

@@ -298,6 +298,24 @@ def test_boundary_states_take_the_certified_path(golden):
     assert list(float_tier(np.array([(0, 0), (1, 0), (2, 0), (0, 2)]), golden, 1)) == [IN, IN, OUT, OUT]
 
 
+def test_boundary_states_need_no_enclosures(golden, monkeypatch):
+    # A tie is an exact identity y*(beta -+ 1) = +-M, decided before any
+    # enclosure: beta*(beta - 1) = 1 on golden's real bound, (2 - beta)*
+    # (beta + 1) = 1 at its negative conjugate, and (beta^2 + beta)*
+    # (beta - 1) = 1 on the real bound of x^3 - x - 1, whose conjugates
+    # are complex.
+    plastic = base("x3-x-1")
+
+    def no_enclosures(p, prec):
+        raise AssertionError("a boundary state reached the ball test")
+
+    monkeypatch.setattr(za, "refined_enclosures", no_enclosures)
+    assert state_within_bounds(BetaInt((0, 1)), golden, 1)
+    assert state_within_bounds(BetaInt((2, -1)), golden, 1)
+    assert state_within_bounds(BetaInt((0, 1, 1)), plastic, 1)
+    assert state_within_bounds(BetaInt((0, 3, 3)), plastic, 3)
+
+
 def test_tier_declines_coordinates_past_two_to_53(golden):
     # (2^53, 0) is far outside, but its coordinate is not a float exactly
     rows = np.array([(2**53, 0), (-(2**53), 1), (2**53 - 1, 0)])
