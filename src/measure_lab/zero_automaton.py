@@ -8,6 +8,13 @@ modulus).  All genuine zero words run from the zero state back to the
 zero state, so trimming to the strongly co-reachable part of the zero
 state preserves the recognised language.
 
+The walk carries each state as the tuple of its coordinates, Python ints
+that never overflow, so huge digits take the same path as small ones.
+One dict maps each tuple to its number, edges are (source, letter,
+target) triples on those numbers, and each state that survives the trim
+is named once, at the end.  The float tier's constants are taken once
+per base, precision and precision cap, not once per BFS level.
+
 Bound membership is decided in two tiers, and both are certified, so the
 automaton does not depend on which tier decided a state.
 
@@ -47,6 +54,7 @@ automaton does not depend on which tier decided a state.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -61,8 +69,8 @@ from .algebraic import (
     _serialized,
     bint_from_int,
     bint_mul,
-    bint_mul_beta,
     float_with_error,
+    precision_cap,
     refined_enclosures,
 )
 from .automaton import LabeledAutomaton, reachable
@@ -77,8 +85,8 @@ _U = 2.0**-53
 _EXACT = 2**53  # integers below this modulus are floats exactly
 
 
-def state_name(x: BetaInt) -> str:
-    return str(x)
+def state_name(coords: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, coords)) + ")"
 
 
 def beta_int_from_name(name: str, p: PisotNumber) -> BetaInt:
@@ -89,7 +97,7 @@ def beta_int_from_name(name: str, p: PisotNumber) -> BetaInt:
 
 
 def zero_state_name(p: PisotNumber) -> str:
-    return state_name(bint_from_int(0, p))
+    return state_name((0,) * p.degree)
 
 
 @_serialized
@@ -136,7 +144,14 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
 @_serialized
 def _float_constants(p: PisotNumber):
     """Float copies, each with an error bound: (beta, beta - 1) and, per
-    conjugate, (beta_q, 1 - |beta_q|)."""
+    conjugate, (beta_q, 1 - |beta_q|).  Taken once per base, precision and
+    precision cap, like the enclosures they come from."""
+    return _float_constants_capped(p, precision_cap())
+
+
+@lru_cache(maxsize=None)
+def _float_constants_capped(p: PisotNumber, cap: int):
+    # cap is only part of the key: refined_enclosures reads it itself
     beta, conj = refined_enclosures(p, p.precision)
     with mp.workprec(p.precision + 64):
         return [
@@ -190,23 +205,22 @@ def float_tier(coords: np.ndarray, p: PisotNumber, m_abs: int) -> np.ndarray:
     return decision
 
 
-def _accept(decision: np.ndarray, state, p: PisotNumber, m_abs: int) -> np.ndarray:
-    """Membership per row: the float tier's decision, or for an UNDECIDED
-    row the certified test of state(row)."""
+def _accept(coords: np.ndarray, row, p: PisotNumber, m_abs: int) -> np.ndarray:
+    """Membership per row of coords: the float tier's decision, or for an
+    UNDECIDED row the certified test of the coordinate tuple row(i)."""
+    decision = float_tier(coords, p, m_abs)
     keep = decision == IN
     for i in np.flatnonzero(decision == UNDECIDED):
-        keep[i] = state_within_bounds(state(i), p, m_abs)
+        keep[i] = state_within_bounds(BetaInt(row(i)), p, m_abs)
     return keep
 
 
-def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
-    """All elements of Z[beta] inside the closed bounds, zero first then
-    lexicographic by coordinates."""
+def _candidate_box(p: PisotNumber, m_abs: int) -> list[tuple[int, ...]]:
+    """Coordinates of all elements of Z[beta] inside the closed bounds,
+    zero first then lexicographic."""
     r = p.degree
-    if r == 1:
-        n = -p.minpoly[0]
-        top = m_abs // (n - 1)
-        coord_bound = [top]
+    if r == 1:  # an integer base n: |y| <= M/(n - 1)
+        coord_bound = [m_abs // (-p.minpoly[0] - 1)]
     else:
         beta, conj = refined_enclosures(p, p.precision)
         roots = [complex(beta.mid)] + [complex(c.mid) for c in conj]
@@ -219,17 +233,17 @@ def _candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
             int(np.ceil(sum(abs(inv[i, q]) * bounds[q] for q in range(r)) * 1.01 + 1e-9))
             for i in range(r)
         ]
-        volume = 1
-        for b in coord_bound:
-            volume *= 2 * b + 1
-        if volume > _BOX_CAP:
-            raise CapExceeded(f"candidate box of size {volume} exceeds {_BOX_CAP}")
+    volume = 1
+    for b in coord_bound:
+        volume *= 2 * b + 1
+    if volume > _BOX_CAP:
+        raise CapExceeded(f"candidate box of size {volume} exceeds {_BOX_CAP}")
+    # rows in lexicographic order: the first coordinate varies slowest
     axes = np.meshgrid(*[np.arange(-b, b + 1) for b in coord_bound], indexing="ij")
     box = np.stack(axes, axis=-1).reshape(-1, r)
-    keep = _accept(float_tier(box, p, m_abs), lambda i: BetaInt(tuple(box[i].tolist())), p, m_abs)
-    members = [BetaInt(tuple(c)) for c in box[keep].tolist()]
-    zero = bint_from_int(0, p)
-    members.sort(key=lambda x: x.coords)
+    keep = _accept(box, lambda i: tuple(box[i].tolist()), p, m_abs)
+    members = list(map(tuple, box[keep].tolist()))
+    zero = (0,) * r
     members.remove(zero)
     return [zero] + members
 
@@ -251,51 +265,65 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> Labele
     if not alphabet:
         raise ValidationError("alphabet must be nonempty")
     m_abs = max(abs(a) for a in alphabet)
-    zero = bint_from_int(0, p)
+    minpoly = p.minpoly
 
-    def successors(x: BetaInt) -> list[tuple[BetaInt, int]]:
-        head, *tail = bint_mul_beta(x, p).coords
-        return [(BetaInt((head - a, *tail)), a) for a in alphabet]
+    def successors(x: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # y = beta*x - a for each letter a, in alphabet order
+        head, *tail = _coords_mul_beta(x, minpoly)
+        return [(head - a, *tail) for a in alphabet]
 
+    # States are coordinate tuples, numbered by their position in states;
+    # an edge is (source, letter, target) on those numbers.
     if trim == "none":
         states = _candidate_box(p, m_abs)
-        member = set(states)
-        edges = [(x, y, a) for x in states for y, a in successors(x) if y in member]
+        index = {x: i for i, x in enumerate(states)}
+        edges = [
+            (i, a, index[y])
+            for i, x in enumerate(states)
+            for a, y in zip(alphabet, successors(x))
+            if y in index
+        ]
     else:
         # BFS from the zero state under y = beta*x - a, bounds-filtered,
         # one level at a time: the new successors of a whole level go
-        # through the float tier together.
-        states = [zero]
-        member = {zero: True}  # every state tested so far
+        # through the float tier together.  index holds every state tested
+        # so far: its number, or -1 when it is out of bounds.
+        states = [(0,) * p.degree]
+        index = {states[0]: 0}
         edges = []
-        level = [zero]
+        level = range(1)
         while level:
-            steps = [(x, y, a) for x in level for y, a in successors(x)]
-            fresh = list(dict.fromkeys(y for _, y, _ in steps if y not in member))
-            coords = np.array([y.coords for y in fresh]).reshape(len(fresh), p.degree)
-            keep = _accept(float_tier(coords, p, m_abs), fresh.__getitem__, p, m_abs)
-            member.update(zip(fresh, keep.tolist()))
-            level = [y for y, k in zip(fresh, keep) if k]
-            states += level
-            edges += [step for step in steps if member[step[1]]]
+            steps = [
+                (i, a, y) for i in level for a, y in zip(alphabet, successors(states[i]))
+            ]
+            fresh = list(dict.fromkeys(y for _, _, y in steps if y not in index))
+            coords = np.array(fresh).reshape(len(fresh), p.degree)
+            keep = _accept(coords, fresh.__getitem__, p, m_abs)
+            first = len(states)
+            for y, k in zip(fresh, keep.tolist()):
+                index[y] = len(states) if k else -1
+                if k:
+                    states.append(y)
+            level = range(first, len(states))
+            edges += [(i, a, index[y]) for i, a, y in steps if index[y] >= 0]
+    # Sources come in increasing number (the box in order, or BFS levels
+    # that are runs of increasing numbers) and each source's letters in
+    # alphabet order, so edges are already in (source, letter) order.
 
+    kept = [True] * len(states)
     if trim == "both":
-        # Keep states with a path back to zero (states[0]).
-        order = {s: i for i, s in enumerate(states)}
+        # Keep states with a path back to zero (state 0).
         pred: list[list[int]] = [[] for _ in states]
-        for x, y, _ in edges:
-            pred[order[y]].append(order[x])
-        co = {s for s, level in zip(states, reachable(pred, 0)) if level >= 0}
-        states = [s for s in states if s in co]
-        edges = [(x, y, a) for x, y, a in edges if x in co and y in co]
+        for i, _, j in edges:
+            pred[j].append(i)
+        kept = [depth >= 0 for depth in reachable(pred, 0)]
 
-    order = {s: i for i, s in enumerate(states)}
-    edges.sort(key=lambda e: (order[e[0]], e[2], order[e[1]]))
-    zero_name = state_name(zero)
+    names = [state_name(x) if k else None for x, k in zip(states, kept)]
+    zero_name = names[0]
     return LabeledAutomaton(
-        states=tuple(state_name(s) for s in states),
+        states=tuple(name for name in names if name),
         alphabet=alphabet,
-        edges=tuple((state_name(x), state_name(y), a) for x, y, a in edges),
+        edges=tuple((names[i], names[j], a) for i, a, j in edges if kept[i] and kept[j]),
         initial=(zero_name,),
         terminal=(zero_name,),
         beta_minpoly=p.minpoly,

@@ -14,13 +14,36 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from measure_lab.algebraic import BetaInt, PisotNumber, QBeta, make_pisot, qbeta_div
-from measure_lab.automaton import LabeledAutomaton, parse_automaton, primitivity_check, transition_matrices
+from measure_lab.algebraic import (
+    BetaInt,
+    PisotNumber,
+    QBeta,
+    bint_from_int,
+    bint_mul_beta,
+    make_pisot,
+    qbeta_div,
+    refined_enclosures,
+)
+from measure_lab.automaton import (
+    LabeledAutomaton,
+    parse_automaton,
+    primitivity_check,
+    reachable,
+    transition_matrices,
+)
 from measure_lab.classify import FiniteImageResult
 from measure_lab.distribution import DepthCloud
 from measure_lab.errors import CapExceeded, DeadState, NotStronglyConnected
 from measure_lab.parry import PerronData
-from measure_lab.zero_automaton import build_zero_automaton, zero_state_name
+from measure_lab.zero_automaton import (
+    _BOX_CAP,
+    IN,
+    UNDECIDED,
+    build_zero_automaton,
+    float_tier,
+    state_within_bounds,
+    zero_state_name,
+)
 
 
 def bench_tracing():
@@ -359,6 +382,101 @@ def reference_cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
         if e.lo <= x:
             upper += e.mass
     return lower, upper
+
+
+# ---------------------------------------------------------------- zero automaton
+# The BetaInt walk and candidate box that built zero automata before the
+# walk ran on coordinate tuples, as the oracle for build_zero_automaton.
+
+
+def _reference_accept(decision: np.ndarray, state, p: PisotNumber, m_abs: int) -> np.ndarray:
+    keep = decision == IN
+    for i in np.flatnonzero(decision == UNDECIDED):
+        keep[i] = state_within_bounds(state(i), p, m_abs)
+    return keep
+
+
+def _reference_candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
+    r = p.degree
+    if r == 1:
+        n = -p.minpoly[0]
+        top = m_abs // (n - 1)
+        coord_bound = [top]
+    else:
+        beta, conj = refined_enclosures(p, p.precision)
+        roots = [complex(beta.mid)] + [complex(c.mid) for c in conj]
+        bounds = [m_abs / (abs(roots[0]) - 1)] + [
+            m_abs / (1 - abs(z)) for z in roots[1:]
+        ]
+        vand = np.array([[z**i for i in range(r)] for z in roots])
+        inv = np.linalg.inv(vand)
+        coord_bound = [
+            int(np.ceil(sum(abs(inv[i, q]) * bounds[q] for q in range(r)) * 1.01 + 1e-9))
+            for i in range(r)
+        ]
+        volume = 1
+        for b in coord_bound:
+            volume *= 2 * b + 1
+        if volume > _BOX_CAP:
+            raise CapExceeded(f"candidate box of size {volume} exceeds {_BOX_CAP}")
+    axes = np.meshgrid(*[np.arange(-b, b + 1) for b in coord_bound], indexing="ij")
+    box = np.stack(axes, axis=-1).reshape(-1, r)
+    keep = _reference_accept(float_tier(box, p, m_abs), lambda i: BetaInt(tuple(box[i].tolist())), p, m_abs)
+    members = [BetaInt(tuple(c)) for c in box[keep].tolist()]
+    zero = bint_from_int(0, p)
+    members.sort(key=lambda x: x.coords)
+    members.remove(zero)
+    return [zero] + members
+
+
+def reference_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> LabeledAutomaton:
+    alphabet = tuple(sorted(set(int(a) for a in alphabet)))
+    m_abs = max(abs(a) for a in alphabet)
+    zero = bint_from_int(0, p)
+
+    def successors(x: BetaInt) -> list[tuple[BetaInt, int]]:
+        head, *tail = bint_mul_beta(x, p).coords
+        return [(BetaInt((head - a, *tail)), a) for a in alphabet]
+
+    if trim == "none":
+        states = _reference_candidate_box(p, m_abs)
+        member = set(states)
+        edges = [(x, y, a) for x in states for y, a in successors(x) if y in member]
+    else:
+        states = [zero]
+        member = {zero: True}  # every state tested so far
+        edges = []
+        level = [zero]
+        while level:
+            steps = [(x, y, a) for x in level for y, a in successors(x)]
+            fresh = list(dict.fromkeys(y for _, y, _ in steps if y not in member))
+            coords = np.array([y.coords for y in fresh]).reshape(len(fresh), p.degree)
+            keep = _reference_accept(float_tier(coords, p, m_abs), fresh.__getitem__, p, m_abs)
+            member.update(zip(fresh, keep.tolist()))
+            level = [y for y, k in zip(fresh, keep) if k]
+            states += level
+            edges += [step for step in steps if member[step[1]]]
+
+    if trim == "both":
+        order = {s: i for i, s in enumerate(states)}
+        pred: list[list[int]] = [[] for _ in states]
+        for x, y, _ in edges:
+            pred[order[y]].append(order[x])
+        co = {s for s, level in zip(states, reachable(pred, 0)) if level >= 0}
+        states = [s for s in states if s in co]
+        edges = [(x, y, a) for x, y, a in edges if x in co and y in co]
+
+    order = {s: i for i, s in enumerate(states)}
+    edges.sort(key=lambda e: (order[e[0]], e[2], order[e[1]]))
+    zero_name = str(zero)
+    return LabeledAutomaton(
+        states=tuple(str(s) for s in states),
+        alphabet=alphabet,
+        edges=tuple((str(x), str(y), a) for x, y, a in edges),
+        initial=(zero_name,),
+        terminal=(zero_name,),
+        beta_minpoly=p.minpoly,
+    )
 
 
 # ---------------------------------------------------------------- graph oracles

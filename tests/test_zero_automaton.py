@@ -25,7 +25,7 @@ from measure_lab.zero_automaton import (
     zero_state_name,
 )
 
-from helpers import count_words, zero_subautomata
+from helpers import count_words, pisot, reference_zero_automaton, zero_subautomata
 
 
 def value_of_word(word, minpoly):
@@ -407,3 +407,72 @@ def test_entry_points_hold_mp_lock(golden, monkeypatch, call):
         assert not done.wait(0.5)
     worker.join(timeout=60)
     assert not worker.is_alive() and done.is_set()
+
+
+# ---------------------------------------------------------------- coordinate walk
+
+
+def test_box_cap_holds_for_integer_bases(base_two, monkeypatch):
+    # base 2 over {-20..20} has 41 bounded states; the cap is checked
+    # before the box is allocated, whatever the degree
+    monkeypatch.setattr(za, "_BOX_CAP", 10)
+    with pytest.raises(CapExceeded):
+        build_zero_automaton(base_two, range(-20, 21), trim="none")
+    monkeypatch.setattr(za, "_BOX_CAP", 41)
+    assert len(build_zero_automaton(base_two, range(-20, 21), trim="none").states) == 41
+
+
+@st.composite
+def walk_cases(draw):
+    """A base, an alphabet of 2 to 4 letters from -3..3 (the quartic only
+    over {-1, 0, 1}, whose untrimmed box has 6,123 states) and a trim."""
+    minpoly = draw(st.sampled_from([
+        BASES["golden"], BASES["tribonacci"], BASES["x3-x-1"], (-2, 1), (-3, 1), BASES["x4-x3-1"],
+    ]))
+    if minpoly == BASES["x4-x3-1"]:
+        alphabet = [-1, 0, 1]
+    else:
+        alphabet = sorted(draw(st.sets(st.integers(-3, 3), min_size=2, max_size=4)))
+    return minpoly, alphabet, draw(st.sampled_from(["both", "accessible", "none"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(walk_cases())
+def test_walk_matches_the_beta_int_reference(case):
+    minpoly, alphabet, trim = case
+    p = pisot(minpoly)
+    assert build_zero_automaton(p, alphabet, trim=trim) == reference_zero_automaton(p, alphabet, trim)
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci"])
+@pytest.mark.parametrize("trim", ["both", "accessible"])
+def test_huge_digits_scale_the_unit_automaton(name, trim):
+    # y = beta*x - a is homogeneous, and so are the bounds in M: over
+    # {-D, 0, D} every state is D times a state over {-1, 0, 1}.  D is past
+    # both int64 and 2^53, so every coordinate is a Python int.
+    p, d = base(name), 2**70
+
+    def scaled(state):
+        return str(BetaInt(tuple(d * c for c in beta_int_from_name(state, p).coords)))
+
+    unit = build_zero_automaton(p, [-1, 0, 1], trim=trim)
+    huge = build_zero_automaton(p, [-d, 0, d], trim=trim)
+    assert huge.states == tuple(scaled(s) for s in unit.states)
+    assert huge.edges == tuple((scaled(x), scaled(y), d * a) for x, y, a in unit.edges)
+    assert huge.alphabet == (-d, 0, d)
+
+
+def test_float_constants_taken_once_per_build(monkeypatch):
+    # beta, beta - 1 and each conjugate with its factor are converted at
+    # most once per build (none when an earlier build took them), not once
+    # per BFS level: 2 * degree conversions against 368 over 46 levels
+    p = base("x4-x3-1")
+    calls = []
+
+    def counted(ball):
+        calls.append(ball)
+        return algebraic.float_with_error(ball)
+
+    monkeypatch.setattr(za, "float_with_error", counted)
+    build_zero_automaton(p, [-1, 0, 1])
+    assert len(calls) <= 2 * p.degree
