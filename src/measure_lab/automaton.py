@@ -12,9 +12,11 @@ import json
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
+from ._jsontext import dumps
 from .errors import (
     DuplicateEdge,
     LabelOutsideAlphabet,
@@ -75,6 +77,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_EDGE_KEYS = frozenset({"from", "to", "label"})
+
+
+def _raise_first(edges: list, fault) -> None:
+    """Raise the error ``fault`` returns for the first edge it faults."""
+    for e in edges:
+        error = fault(e)
+        if error is not None:
+            raise error
+
+
 def parse_automaton(document) -> LabeledAutomaton:
     """Validate an automaton document (JSON text or parsed dict)."""
     if isinstance(document, (str, bytes)):
@@ -118,29 +131,54 @@ def parse_automaton(document) -> LabeledAutomaton:
     _require(len(set(states)) == len(states), "duplicate state names")
     state_set = set(states)
 
-    edges = []
-    seen = set()
+    edges = document["edges"]
+    _require(isinstance(edges, list), "'edges' must be a list")
     alpha_set = set(alphabet)
-    _require(isinstance(document["edges"], list), "'edges' must be a list")
-    for e in document["edges"]:
-        _require(
-            isinstance(e, dict) and set(e) == {"from", "to", "label"},
-            f"edge must have exactly keys from/to/label: {e}",
-        )
-        src, dst, label = e["from"], e["to"], e["label"]
-        _require(isinstance(src, str) and isinstance(dst, str), f"edge states must be strings: {e}")
-        if src not in state_set:
-            raise UnknownState(f"edge source '{src}' not declared")
-        if dst not in state_set:
-            raise UnknownState(f"edge target '{dst}' not declared")
-        _require(not isinstance(label, bool), f"edge label must be an integer: {e}")
+
+    # The edges are checked column by column, each check over all edges
+    # before the next.  A column test asks for exact types, so it passes
+    # only where every edge passes; when it fails, the check's edge-by-edge
+    # form names the first faulty edge, or passes every edge when the test
+    # failed on subclasses of the JSON types.
+    def shape(e):
+        if not (isinstance(e, dict) and set(e) == _EDGE_KEYS):
+            return SchemaError(f"edge must have exactly keys from/to/label: {e}")
+
+    def strings(e):
+        if not (isinstance(e["from"], str) and isinstance(e["to"], str)):
+            return SchemaError(f"edge states must be strings: {e}")
+
+    def declared(e):
+        if e["from"] not in state_set:
+            return UnknownState(f"edge source '{e['from']}' not declared")
+        if e["to"] not in state_set:
+            return UnknownState(f"edge target '{e['to']}' not declared")
+
+    def in_alphabet(e):
+        label = e["label"]
+        if isinstance(label, bool):
+            return SchemaError(f"edge label must be an integer: {e}")
         if not isinstance(label, int) or label not in alpha_set:
-            raise LabelOutsideAlphabet(f"label {label!r} outside alphabet {sorted(alpha_set)}")
-        triple = (src, dst, label)
-        if triple in seen:
-            raise DuplicateEdge(f"duplicate edge {triple}")
-        seen.add(triple)
-        edges.append(triple)
+            return LabelOutsideAlphabet(f"label {label!r} outside alphabet {sorted(alpha_set)}")
+
+    if not (set(map(type, edges)) <= {dict} and set(map(frozenset, edges)) <= {_EDGE_KEYS}):
+        _raise_first(edges, shape)
+    src = list(map(itemgetter("from"), edges))
+    dst = list(map(itemgetter("to"), edges))
+    lab = list(map(itemgetter("label"), edges))
+    if not set(map(type, src)).union(map(type, dst)) <= {str}:
+        _raise_first(edges, strings)
+    if not (state_set.issuperset(src) and state_set.issuperset(dst)):
+        _raise_first(edges, declared)
+    if not (set(map(type, lab)) <= {int} and alpha_set.issuperset(lab)):
+        _raise_first(edges, in_alphabet)
+    edges = list(zip(src, dst, lab))
+    if len(set(edges)) < len(edges):
+        seen = set()
+        for triple in edges:
+            if triple in seen:
+                raise DuplicateEdge(f"duplicate edge {triple}")
+            seen.add(triple)
 
     def _state_subset(key: str) -> tuple[str, ...]:
         value = document.get(key, [])
@@ -175,7 +213,7 @@ def serialize_automaton(a: LabeledAutomaton) -> dict:
 
 
 def automaton_to_json(a: LabeledAutomaton) -> str:
-    return json.dumps(serialize_automaton(a), indent=2) + "\n"
+    return dumps(serialize_automaton(a)) + "\n"
 
 
 # ----------------------------------------------------------------------

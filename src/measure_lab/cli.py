@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Every subcommand emits a JSON report (stdout or --out) and returns exit
+Every subcommand emits a JSON report (stdout or --out; zero-automaton's
+--out is its automaton document, and its report goes to stdout) and returns exit
 code 0 on success, 2 on validation errors, 3 when adaptive precision hit
 its cap.  Reports are byte-stable for identical inputs.
 """
@@ -9,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
 import numpy as np
 
+from ._jsontext import dumps
 from .algebraic import DEFAULT_PRECISION, make_pisot
 from .automaton import (
     ambiguous_word_count,
@@ -63,7 +64,7 @@ def _load(path: str):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = dumps(report, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -123,8 +124,8 @@ def _cmd_validate(args) -> dict:
 def _cmd_zero_automaton(args) -> dict:
     p = make_pisot(_int_list(args.minpoly), precision=args.precision)
     a = build_zero_automaton(p, _int_list(args.alphabet), trim=args.trim)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    if args.document:
+        with open(args.document, "w", encoding="utf-8") as handle:
             handle.write(automaton_to_json(a))
     beta = p.beta_float
     state_table = []
@@ -143,11 +144,10 @@ def _cmd_zero_automaton(args) -> dict:
     }
     if args.verify:
         report["verification"] = verify_zero_language(a, p, args.verify)
-    if not args.out:
-        report["automaton"] = serialize_automaton(a)
+    if args.document:
+        report["written"] = args.document
     else:
-        report["written"] = args.out
-        args.out = None  # --out holds the automaton document; report goes to stdout
+        report["automaton"] = serialize_automaton(a)
     return report
 
 
@@ -319,11 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, reads=(), automaton=True):
+    def common(sp, reads=(), automaton=True, report_out=True):
         # Each subcommand declares only the numeric flags it reads.
         if automaton:
             sp.add_argument("automaton", help="automaton JSON file")
-        sp.add_argument("--out", help="write the JSON report here instead of stdout")
+        if report_out:
+            sp.add_argument("--out", help="write the JSON report here instead of stdout")
         if "tol" in reads:
             sp.add_argument("--tol", type=float, default=1e-8)
         if "precision" in reads:
@@ -338,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet", required=True, help="e.g. -1,0,1")
     sp.add_argument("--trim", choices=["both", "accessible", "none"], default="both")
     sp.add_argument("--verify", type=int, default=0, help="verify language up to this length")
-    common(sp, ("precision",), automaton=False)
+    sp.add_argument("--out", dest="document",
+                    help="write the automaton document here; the report always goes to stdout")
+    common(sp, ("precision",), automaton=False, report_out=False)
     sp.set_defaults(fn=_cmd_zero_automaton)
 
     sp = sub.add_parser("classify", help="atomic vs continuous verdict")
@@ -433,7 +436,7 @@ def main(argv=None) -> int:
         # OSError: a path the command reads or writes cannot be opened.
         report, code = _error(exc), 2
     try:
-        _emit(report, args.out)
+        _emit(report, args.out if "out" in args else None)
     except OSError as exc:  # --out itself cannot be opened
         _emit(_error(exc), None)
         return 2

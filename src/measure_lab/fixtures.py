@@ -27,6 +27,7 @@ import json
 import math
 from pathlib import Path
 
+from ._jsontext import dumps
 from .algebraic import make_pisot
 from .automaton import (
     LabeledAutomaton,
@@ -175,7 +176,7 @@ def materialize(directory) -> list[str]:
     written = []
     for name, doc in FIXTURES.items():
         path = directory / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(dumps(doc) + "\n")
         written.append(str(path))
     return written
 

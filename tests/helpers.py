@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -33,7 +34,15 @@ from measure_lab.automaton import (
 )
 from measure_lab.classify import FiniteImageResult
 from measure_lab.distribution import DepthCloud
-from measure_lab.errors import CapExceeded, DeadState, NotStronglyConnected
+from measure_lab.errors import (
+    CapExceeded,
+    DeadState,
+    DuplicateEdge,
+    LabelOutsideAlphabet,
+    NotStronglyConnected,
+    SchemaError,
+    UnknownState,
+)
 from measure_lab.parry import PerronData
 from measure_lab.zero_automaton import (
     _BOX_CAP,
@@ -476,6 +485,105 @@ def reference_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> La
         initial=(zero_name,),
         terminal=(zero_name,),
         beta_minpoly=p.minpoly,
+    )
+
+
+# ---------------------------------------------------------------- document oracle
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise SchemaError(msg)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def reference_parse_automaton(document) -> LabeledAutomaton:
+    """``parse_automaton`` with its edge-by-edge loop: every check runs on
+    one edge before the next edge is read."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from exc
+    _require(isinstance(document, dict), "document must be a JSON object")
+    allowed = {"beta", "alphabet", "states", "edges", "initial", "terminal"}
+    unknown = set(document) - allowed
+    _require(not unknown, f"unknown keys: {sorted(unknown)}")
+    for key in ("alphabet", "states", "edges"):
+        _require(key in document, f"missing key '{key}'")
+
+    beta_minpoly = None
+    if "beta" in document:
+        beta = document["beta"]
+        _require(isinstance(beta, dict) and "minpoly" in beta, "'beta' must be {'minpoly': [...]}")
+        mp_ = beta["minpoly"]
+        _require(
+            isinstance(mp_, list) and mp_ and all(_is_int(c) for c in mp_),
+            "'beta.minpoly' must be a nonempty integer list",
+        )
+        beta_minpoly = tuple(mp_)
+
+    alphabet = document["alphabet"]
+    _require(
+        isinstance(alphabet, list) and all(_is_int(a) for a in alphabet),
+        "'alphabet' must be a list of integers",
+    )
+    _require(len(set(alphabet)) == len(alphabet), "duplicate alphabet letters")
+    _require(all(abs(a) <= sys.float_info.max for a in alphabet),
+             "alphabet letters must lie within the float range")
+
+    states = document["states"]
+    _require(
+        isinstance(states, list) and states and all(isinstance(s, str) for s in states),
+        "'states' must be a nonempty list of strings",
+    )
+    _require(len(set(states)) == len(states), "duplicate state names")
+    state_set = set(states)
+
+    edges = []
+    seen = set()
+    alpha_set = set(alphabet)
+    _require(isinstance(document["edges"], list), "'edges' must be a list")
+    for e in document["edges"]:
+        _require(
+            isinstance(e, dict) and set(e) == {"from", "to", "label"},
+            f"edge must have exactly keys from/to/label: {e}",
+        )
+        src, dst, label = e["from"], e["to"], e["label"]
+        _require(isinstance(src, str) and isinstance(dst, str), f"edge states must be strings: {e}")
+        if src not in state_set:
+            raise UnknownState(f"edge source '{src}' not declared")
+        if dst not in state_set:
+            raise UnknownState(f"edge target '{dst}' not declared")
+        _require(not isinstance(label, bool), f"edge label must be an integer: {e}")
+        if not isinstance(label, int) or label not in alpha_set:
+            raise LabelOutsideAlphabet(f"label {label!r} outside alphabet {sorted(alpha_set)}")
+        triple = (src, dst, label)
+        if triple in seen:
+            raise DuplicateEdge(f"duplicate edge {triple}")
+        seen.add(triple)
+        edges.append(triple)
+
+    def _state_subset(key: str) -> tuple[str, ...]:
+        value = document.get(key, [])
+        _require(isinstance(value, list) and all(isinstance(s, str) for s in value),
+                 f"'{key}' must be a list of strings")
+        for s in value:
+            if s not in state_set:
+                raise UnknownState(f"{key} state '{s}' not declared")
+        _require(len(set(value)) == len(value), f"duplicate {key} states")
+        return tuple(value)
+
+    return LabeledAutomaton(
+        states=tuple(states),
+        alphabet=tuple(sorted(alphabet)),
+        edges=tuple(edges),
+        initial=_state_subset("initial"),
+        terminal=_state_subset("terminal"),
+        beta_minpoly=beta_minpoly,
     )
 
 

@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
-from collections import Counter
+import re
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from measure_lab.automaton import (
@@ -21,6 +22,7 @@ from measure_lab.errors import (
     CapExceeded,
     DuplicateEdge,
     LabelOutsideAlphabet,
+    MeasureLabError,
     SchemaError,
     UnknownState,
 )
@@ -30,6 +32,7 @@ from helpers import (
     count_words,
     dense_primitivity,
     enumerate_paths,
+    reference_parse_automaton,
     small_graphs,
     strongly_connected_automata,
     wielandt_positive,
@@ -135,6 +138,126 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         parse_automaton({"beta": {"minpoly": [-2, True]}, "alphabet": [0],
                          "states": ["s"], "edges": []})
+
+
+@st.composite
+def edge_documents(draw):
+    """A valid document with a random edge list over random state names."""
+    states = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True))
+    alphabet = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(states), st.sampled_from(alphabet)),
+        unique=True, max_size=12,
+    ))
+    doc = {
+        "alphabet": alphabet,
+        "states": states,
+        "edges": [{"from": s, "to": t, "label": l} for s, t, l in triples],
+    }
+    if draw(st.booleans()):
+        doc["initial"] = draw(st.lists(st.sampled_from(states), unique=True))
+    if draw(st.booleans()):
+        doc["beta"] = {"minpoly": [-1, -1, 1]}
+    return doc
+
+
+EDGE_FAULTS = ("keys", "state", "source", "target", "ends", "bool", "label", "duplicate")
+
+
+def _undeclared(states) -> str:
+    name = "undeclared"
+    while name in states:
+        name += "'"
+    return name
+
+
+@st.composite
+def faulty_edge_documents(draw):
+    """A valid document with one fault injected into one edge."""
+    doc = draw(edge_documents())
+    edges = doc["edges"]
+    if not edges:
+        edges.append({"from": doc["states"][0], "to": doc["states"][0], "label": doc["alphabet"][0]})
+    i = draw(st.integers(0, len(edges) - 1))
+    edge = edges[i]
+    fault = draw(st.sampled_from(EDGE_FAULTS))
+    if fault == "keys":
+        edges[i] = draw(st.sampled_from([
+            {"from": edge["from"], "to": edge["to"]},
+            {**edge, "weight": 1},
+            {"from": edge["from"], "to": edge["to"], "letter": edge["label"]},
+            [edge["from"], edge["to"], edge["label"]],
+            ["from", "to", "label"],
+        ]))
+    elif fault == "state":
+        edge[draw(st.sampled_from(["from", "to"]))] = draw(st.sampled_from([7, None, ["s"], 1.5]))
+    elif fault in ("source", "target", "ends"):
+        if fault != "target":
+            edge["from"] = _undeclared(doc["states"])
+        if fault != "source":
+            edge["to"] = _undeclared(doc["states"]) + "'"
+    elif fault == "bool":
+        edge["label"] = draw(st.booleans())
+    elif fault == "label":
+        edge["label"] = draw(st.sampled_from([2.5, 0.0, float(edge["label"]), max(doc["alphabet"]) + 1, "1", None]))
+    else:
+        edges.insert(draw(st.integers(i + 1, len(edges))), dict(edge))
+    return doc
+
+
+def _outcome(parse, document):
+    try:
+        return parse(document)
+    except MeasureLabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=edge_documents(), as_text=st.booleans())
+def test_parse_matches_reference_on_valid_documents(doc, as_text):
+    document = json.dumps(doc) if as_text else doc
+    a = parse_automaton(document)
+    assert isinstance(a, LabeledAutomaton)
+    assert a == reference_parse_automaton(document)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=faulty_edge_documents(), as_text=st.booleans())
+def test_parse_fails_as_reference_on_one_faulty_edge(doc, as_text):
+    document = json.dumps(doc) if as_text else doc
+    expected = _outcome(reference_parse_automaton, document)
+    assert isinstance(expected, tuple)
+    assert _outcome(parse_automaton, document) == expected
+
+
+def test_edge_checks_run_check_by_check():
+    # Each check runs over every edge before the next check starts, so of
+    # two faulty edges the one whose fault is checked first is named, even
+    # when it comes later: key sets, then state types, then declared
+    # states, then labels, then duplicates.  Edge by edge, the reference
+    # names the first faulty edge.
+    doc = {"alphabet": [0], "states": ["s"], "edges": [
+        {"from": "s", "to": "t", "label": 0},
+        {"from": "s", "to": "s"},
+    ]}
+    with pytest.raises(SchemaError, match=re.escape("exactly keys from/to/label: {'from': 's', 'to': 's'}")):
+        parse_automaton(doc)
+    with pytest.raises(UnknownState, match="edge target 't' not declared"):
+        reference_parse_automaton(doc)
+
+
+def test_subclasses_of_json_types_parse_as_before():
+    class Name(str):
+        pass
+
+    class Letter(int):
+        pass
+
+    doc = {"alphabet": [0, 1], "states": ["s", "t"], "edges": [
+        OrderedDict([("from", Name("s")), ("to", "t"), ("label", Letter(1))]),
+        {"from": "t", "to": Name("s"), "label": 0},
+    ]}
+    assert parse_automaton(doc) == reference_parse_automaton(doc)
 
 
 def test_round_trip_all_fixtures(automata):

@@ -71,6 +71,17 @@ def test_zero_automaton_not_pisot(capsys):
     assert json.loads(out)["error"]["type"] == "NotPisot"
 
 
+def test_zero_automaton_error_report_goes_to_stdout(capsys, tmp_path):
+    # --out names the automaton document; a failed build writes none and
+    # prints its error report like every other report of this subcommand.
+    out_file = tmp_path / "za.json"
+    code, out = run(capsys, "zero-automaton", "--minpoly", "-2,0,1", "--alphabet", "-1,0,1",
+                    "--out", str(out_file))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "NotPisot"
+    assert not out_file.exists()
+
+
 def test_classify_fixture(capsys, fixture_dir):
     code, out = run(capsys, "classify", str(fixture_dir / "fibonacci.json"), "--height", "2")
     assert code == 0
