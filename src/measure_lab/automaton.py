@@ -8,6 +8,7 @@ count of ambiguous words.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from collections import Counter, deque
@@ -56,6 +57,26 @@ class LabeledAutomaton:
         src = np.array([idx[s] for s, _, _ in self.edges], dtype=np.intp)
         dst = np.array([idx[t] for _, t, _ in self.edges], dtype=np.intp)
         return src, dst
+
+    @functools.cached_property
+    def _primitivity(self) -> dict:
+        # primitivity_check's answer, found once per automaton: the cached
+        # value lives in the instance __dict__, which the frozen dataclass
+        # leaves writable, and never enters eq or hash.
+        src, dst = self.edge_arrays()
+        succ: list[list[int]] = [[] for _ in self.states]
+        pred: list[list[int]] = [[] for _ in self.states]
+        for u, v in zip(src.tolist(), dst.tolist()):
+            succ[u].append(v)
+            pred[v].append(u)
+        level = np.array(reachable(succ, 0))
+        strongly_connected = bool(level.min() >= 0 and min(reachable(pred, 0)) >= 0)
+        period = int(np.gcd.reduce(level[src] + 1 - level[dst])) if strongly_connected else 0
+        return {
+            "strongly_connected": strongly_connected,
+            "period": period,
+            "primitive": strongly_connected and period == 1,
+        }
 
 
 @dataclass(frozen=True)
@@ -262,21 +283,12 @@ def primitivity_check(a: LabeledAutomaton) -> dict:
     forward and backward.  Every edge u->v then contributes
     level[u] + 1 - level[v], and the gcd of these over the edges is the
     period whichever BFS tree the levels come from.
+
+    The two walks run on the first call for an automaton only; ``perron``
+    and ``finite_image_test`` on the same automaton share them.  Each call
+    returns a fresh dict, so a caller may keep or change it.
     """
-    src, dst = a.edge_arrays()
-    succ: list[list[int]] = [[] for _ in a.states]
-    pred: list[list[int]] = [[] for _ in a.states]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succ[u].append(v)
-        pred[v].append(u)
-    level = np.array(reachable(succ, 0))
-    strongly_connected = bool(level.min() >= 0 and min(reachable(pred, 0)) >= 0)
-    period = int(np.gcd.reduce(level[src] + 1 - level[dst])) if strongly_connected else 0
-    return {
-        "strongly_connected": strongly_connected,
-        "period": period,
-        "primitive": strongly_connected and period == 1,
-    }
+    return dict(a._primitivity)
 
 
 # ----------------------------------------------------------------------

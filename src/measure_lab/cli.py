@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -76,28 +77,90 @@ _TABLE_HEADER = "t_or_z,re,im,abs,bound"
 _TABLE_COLUMNS = ("re", "im", "abs", "bound")
 
 
-def _write_csv(path: str, header: str, keys, *columns) -> None:
-    """The bytes ``csv.writer`` writes for the rows (key, *floats), streamed
-    line by line: CRLF, no field needs quoting.  ``keys`` gives each row's
-    first field as a string (a t, z or word); each column is a float64
-    array, or a sequence of floats, written by repr.
+# Rows per write.  A block of rows is one string, so the whole table never is.
+_CSV_BLOCK = 4096
+# Most strings in the table of one piece of a word field.
+_WORD_TABLE = 4096
 
-    Columns repeat heavily (the four float columns of fullshift4's depth-8
-    cloud hold 2,299 distinct values among 262,144 floats), so each column
-    goes through a repr table: every distinct value is formatted once and
-    the strings are gathered by the inverse index.  The table is keyed on
-    the float64 bit patterns, never on float equality: -0.0 and 0.0
-    compare equal but print differently, and a NaN equals nothing."""
-    texts = []
-    for column in columns:
-        bits = np.asarray(column, dtype=np.float64).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        table = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-        texts.append(table[inverse].tolist())
-    line = ",".join(["{}"] * (1 + len(columns))) + "\r\n"
+
+def _write_csv(path: str, header: str, pieces: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """The bytes ``csv.writer`` writes for the table whose rows ``pieces``
+    spell: CRLF, no field needs quoting.
+
+    Each field of a row is one or more pieces, in row order.  A piece is a
+    pair (table, index): an object array of strings, and an index array
+    with one entry per row, so that the row's piece is table[index].  The
+    separators are in the tables (``_text_piece``, ``_float_pieces``,
+    ``_word_pieces``), so a row is its pieces side by side.  For each block
+    of ``_CSV_BLOCK`` rows the writer gathers every piece for the whole
+    block, interleaves the pieces by slice assignment and writes one join:
+    no Python code runs per row."""
+    width, rows = len(pieces), len(pieces[0][1])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(header + "\r\n")
-        handle.writelines(map(line.format, keys, *texts))
+        for start in range(0, rows, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, rows)
+            flat = [""] * ((stop - start) * width)
+            for j, (table, index) in enumerate(pieces):
+                flat[j::width] = table[index[start:stop]].tolist()
+            handle.write("".join(flat))
+
+
+def _text_piece(texts) -> tuple[np.ndarray, np.ndarray]:
+    """A first field given as one string per row (a t or a z), with its
+    separator."""
+    table = np.array([text + "," for text in texts], dtype=object)
+    return table, np.arange(len(table))
+
+
+def _float_pieces(*columns) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The last fields, one piece per float64 array or sequence of floats,
+    written by repr: "," follows each field but the last, "\r\n" the last.
+
+    Columns repeat heavily (the four float columns of fullshift4's depth-8
+    cloud hold 2,299 distinct values among 262,144 floats), so each table
+    holds the repr of each distinct value once, separator included, and the
+    index is the inverse index.  Tables are keyed on the float64 bit
+    patterns, never on float equality: -0.0 and 0.0 compare equal but print
+    differently, and a NaN equals nothing."""
+    pieces = []
+    for j, column in enumerate(columns):
+        separator = "\r\n" if j == len(columns) - 1 else ","
+        bits = np.asarray(column, dtype=np.float64).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        table = [repr(x) + separator for x in distinct.view(np.float64).tolist()]
+        pieces.append((np.array(table, dtype=object), inverse))
+    return pieces
+
+
+def _word_pieces(labels: np.ndarray, alphabet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A first field of label words: each row of ``labels`` (rows x depth
+    indices into ``alphabet``) written as its letters joined by ";".
+
+    The positions go in groups of g, the most for which the |alphabet|^g
+    strings of a group fit in ``_WORD_TABLE`` and do not outnumber the
+    rows (at least one position).  A group's table holds every string of
+    its letters in ``itertools.product`` order, with ";" before it unless
+    the group is first and "," after it if the group is last; its index is
+    the group's mixed-radix code, code * |alphabet| + label per position.
+    The empty word of depth 0 is the one string ","."""
+    rows, depth = labels.shape
+    if not depth:
+        return [(np.array([","], dtype=object), np.zeros(rows, np.intp))]
+    letters = [str(x) for x in alphabet]
+    n, group = len(letters), 1
+    while group < depth and n ** (group + 1) <= min(_WORD_TABLE, rows):
+        group += 1
+    pieces = []
+    for start in range(0, depth, group):
+        stop = min(start + group, depth)
+        prefix, suffix = ";" if start else "", "," if stop == depth else ""
+        table = [prefix + ";".join(w) + suffix for w in itertools.product(letters, repeat=stop - start)]
+        code = np.zeros(rows, np.intp)
+        for column in labels[:, start:stop].T:
+            code = code * n + column
+        pieces.append((np.array(table, dtype=object), code))
+    return pieces
 
 
 def _cmd_validate(args) -> dict:
@@ -207,7 +270,7 @@ def _cmd_fourier(args) -> dict:
     ]
     if args.csv:
         columns = ([r[k] for r in rows] for k in _TABLE_COLUMNS)
-        _write_csv(args.csv, _TABLE_HEADER, map(str, ts), *columns)
+        _write_csv(args.csv, _TABLE_HEADER, [_text_piece(map(str, ts)), *_float_pieces(*columns)])
     return {"file": args.automaton, "tol": args.tol, "values": rows}
 
 
@@ -249,9 +312,9 @@ def _cmd_scan(args) -> dict:
         for e in result.entries
     ]
     if args.csv:
-        keys = (";".join(map(str, r["z"])) for r in rows)
+        keys = _text_piece(";".join(map(str, r["z"])) for r in rows)
         columns = ([r[k] for r in rows] for k in _TABLE_COLUMNS)
-        _write_csv(args.csv, _TABLE_HEADER, keys, *columns)
+        _write_csv(args.csv, _TABLE_HEADER, [keys, *_float_pieces(*columns)])
     return {
         "file": args.automaton,
         "height": args.height,
@@ -292,8 +355,8 @@ def _cmd_cloud(args) -> dict:
         "max_radius": cloud.max_radius,
     }
     if args.csv:
-        words = map(";".join, cloud.words(order, [str(x) for x in cloud.alphabet]))
-        _write_csv(args.csv, "word,value,mass,lo,hi", words, *columns)
+        words = _word_pieces(cloud.labels[order], cloud.alphabet)
+        _write_csv(args.csv, "word,value,mass,lo,hi", words + _float_pieces(*columns))
         report["written"] = args.csv
     else:
         report["cloud"] = [

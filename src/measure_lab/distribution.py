@@ -58,13 +58,14 @@ class DepthCloud:
     lo: np.ndarray
     hi: np.ndarray
 
-    def words(self, rows, letters=None) -> Iterator[tuple]:
-        """Label words of the given rows, as tuples of alphabet letters, or
-        of ``letters[i]`` for the i-th letter when given."""
+    def words(self, rows) -> Iterator[tuple]:
+        """Label words of the given rows, as tuples of alphabet letters: the
+        words of the JSON report and of ``entries``.  The CSV writer reads
+        ``labels`` itself."""
         labels = self.labels[rows]
         if not self.depth:
             return repeat((), len(labels))
-        table = np.array(self.alphabet if letters is None else letters, dtype=object)
+        table = np.array(self.alphabet, dtype=object)
         return zip(*(table[column] for column in labels.T))
 
     @property

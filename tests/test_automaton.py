@@ -349,6 +349,9 @@ def test_primitivity_matches_dense_oracle(a):
     check = primitivity_check(a)
     assert check == dense_primitivity(a)
     assert check["primitive"] == wielandt_positive(a)
+    # the answer is kept per automaton, but each call gets its own dict
+    check["primitive"] = None
+    assert primitivity_check(a) == dense_primitivity(a)
 
 
 # ---------------------------------------------------------------- counting

@@ -5,15 +5,16 @@ import math
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from measure_lab import cli
+from measure_lab import automaton, cli
 from measure_lab.algebraic import make_pisot
 from measure_lab.automaton import parse_automaton
-from measure_lab.cli import _load, _write_csv, build_parser, main
+from measure_lab.cli import _float_pieces, _load, _text_piece, _word_pieces, _write_csv, build_parser, main
 from measure_lab.distribution import depth_cloud
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
 from measure_lab.parry import perron
@@ -318,9 +319,63 @@ def test_write_csv_matches_csv_writer(rows, as_arrays):
         columns = [np.array(c, dtype=np.float64) for c in columns]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
-        _write_csv(path, "key,a,b,c,d", keys, *columns)
+        _write_csv(path, "key,a,b,c,d", [_text_piece(keys), *_float_pieces(*columns)])
         with open(path, "rb") as handle:
             assert handle.read() == buffer.getvalue().encode("utf-8")
+
+
+@st.composite
+def _label_words(draw):
+    """An alphabet, a (rows x depth) matrix of indices into it, as the cloud
+    stores them, and the writer's block and word-table sizes."""
+    alphabet = draw(st.lists(st.integers(-200, 200), min_size=1, max_size=70, unique=True))
+    depth, rows = draw(st.integers(0, 12)), draw(st.integers(0, 20))
+    labels = draw(st.lists(st.lists(st.integers(0, len(alphabet) - 1), min_size=depth, max_size=depth),
+                           min_size=rows, max_size=rows))
+    labels = np.array(labels, np.min_scalar_type(len(alphabet) - 1)).reshape(rows, depth)
+    return alphabet, labels, draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 9, cli._WORD_TABLE]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_label_words())
+@example(case=([-10, 7, 123], np.arange(50, dtype=np.uint8).reshape(10, 5) % 3, 3, cli._WORD_TABLE))
+@example(case=([5], np.zeros((7, 12), np.uint8), 3, cli._WORD_TABLE))
+@example(case=(list(range(-35, 35)), np.arange(140, dtype=np.uint8).reshape(70, 2) % 70, 3, cli._WORD_TABLE))
+@example(case=([0, 1], np.zeros((4, 0), np.uint8), 3, cli._WORD_TABLE))
+def test_word_pieces_match_csv_writer(case):
+    # Blocks of a few rows put block edges inside and at the end of the
+    # table; small word tables make groups of one letter.  The first example
+    # writes 10 words of 5 letters in groups of 2, 2 and 1; the third has
+    # 70 letters, so even the full table holds one letter per group.
+    alphabet, labels, block, table = case
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["word", "x"])
+    writer.writerows([";".join(str(alphabet[i]) for i in word), 0.5] for word in labels.tolist())
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_CSV_BLOCK", block), mock.patch.object(cli, "_WORD_TABLE", table):
+        path = os.path.join(tmp, "words.csv")
+        _write_csv(path, "word,x", _word_pieces(labels, alphabet) + _float_pieces(np.full(len(labels), 0.5)))
+        with open(path, "rb") as handle:
+            assert handle.read() == buffer.getvalue().encode("utf-8")
+
+
+def test_atoms_walks_the_graph_once(capsys, tmp_path, monkeypatch):
+    # perron and the finite-image test both ask whether the quartic's zero
+    # automaton (1,253 states) is primitive; one forward and one backward
+    # walk answer both.
+    doc = str(tmp_path / "quartic.json")
+    assert run(capsys, "zero-automaton", "--minpoly", "-1,0,0,-1,1", "--alphabet", "-1,0,1", "--out", doc)[0] == 0
+    walks, reachable = [], automaton.reachable
+
+    def counted(succ, start):
+        walks.append(start)
+        return reachable(succ, start)
+
+    monkeypatch.setattr(automaton, "reachable", counted)
+    code, out = run(capsys, "atoms", doc)
+    assert code == 0 and len(json.loads(out)["atoms"]) == 1253
+    assert len(walks) == 2
 
 
 def test_fourier_huge_t(capsys, fixture_dir):
