@@ -1,8 +1,10 @@
 """Exact arithmetic over Z[beta] and Q(beta) for a Pisot base beta.
 
-Elements are coordinate vectors in the power basis 1, beta, ..., beta^(r-1)
-with arbitrary-size integer (BetaInt) or exact rational (QBeta)
-coordinates, sharing one coordinate arithmetic.  Numeric values are only
+An element of Z[beta] is the tuple of its coordinates in the power basis
+1, beta, ..., beta^(r-1), Python ints of any size; an element of Q(beta)
+is a tuple of Fractions.  One multiplication (``bint_mul``) and one
+multiplication by beta (``bint_mul_beta``) serve both, and
+``format_coords`` writes either as text.  Numeric values are only
 ever produced as certified enclosures (midpoint plus radius), so that
 boundary comparisons can never silently misclassify.  Every enclosure
 follows one precision policy, ``_escalate``: start at ``p.precision``,
@@ -13,6 +15,18 @@ coordinates rounded to the working precision.  The nearest double of a
 Q(beta) value comes from integers alone: beta's powers in fixed point,
 with an error that follows from beta's enclosure, under the same
 doubling policy.
+
+``make_pisot`` proves the minimal polynomial p irreducible in every
+degree with one exact gate and the disk test.  The gate rejects a
+repeated factor and p(0) = 0, then compares p with its reversal
+p*(x) = x^r p(1/x).  A root zeta on the unit circle is a root of p* as
+well, because conj(zeta) = 1/zeta is a root of p; so a proper common
+factor makes p reducible, and p* = +-p leaves no Pisot root (bar
+x^2 + bx + 1 with |b| > 2).  Past the gate no root has modulus one, and
+the disk test certifies one root beta > 1 and all others inside the
+unit circle, or rejects p.  Then p is irreducible: if p = g h with g, h
+monic in Z[x] and g(beta) = 0, every root of h lies inside the unit
+circle, so 0 < |h(0)| < 1, impossible for an integer.
 
 Root enclosures are certified once per (minimal polynomial, precision,
 precision cap) and reused by every later embedding and comparison.
@@ -39,7 +53,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -102,16 +115,17 @@ class PisotNumber:
     x^2 - x - 1 is (-1, -1, 1).  ``root_beta`` encloses the dominant real
     root; ``conjugates`` enclose the remaining roots as complex disks, all
     certified to have modulus below one (which of them are real is never
-    decided, since no test needs it).  ``irreducibility_verified`` is
-    False for degrees above four, where only square-free and
-    rational-root tests ran.
+    decided, since no test needs it).  ``make_pisot`` proves ``minpoly``
+    irreducible in every degree: its exact gate rules out a root on the
+    unit circle and a root 0, and then no monic integer factor can avoid
+    beta, because the other factor's constant term would be a nonzero
+    integer of modulus below one.
     """
 
     minpoly: tuple[int, ...]
     precision: int
     root_beta: Ball
     conjugates: tuple[CBall, ...]
-    irreducibility_verified: bool
 
     @property
     def degree(self) -> int:
@@ -123,38 +137,6 @@ class PisotNumber:
 
     def __repr__(self) -> str:
         return f"PisotNumber(minpoly={self.minpoly}, beta~{self.beta_float:.10f})"
-
-
-@dataclass(frozen=True)
-class BetaInt:
-    """Element of Z[beta]: coords[i] is the coefficient of beta^i."""
-
-    coords: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @property
-    def is_rational_int(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-
-@dataclass(frozen=True)
-class QBeta:
-    """Element of Q(beta) with exact rational coordinates."""
-
-    coords: tuple[Fraction, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 # ----------------------------------------------------------------------
@@ -194,60 +176,35 @@ def _gcd_degree(p: tuple[int, ...], q: tuple[int, ...]) -> int:
     return _poly_degree(a)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+@lru_cache(maxsize=None)
+def _exact_gate(coeffs: tuple[int, ...]) -> tuple[type, str] | None:
+    """The exact tests ``make_pisot`` runs on a monic polynomial p of
+    degree r >= 2 before its disk test: the error class and message to
+    raise, or None.  Memoised per coefficient tuple.
 
-
-def _eval_int_poly(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _has_integer_root(coeffs: tuple[int, ...]) -> int | None:
-    # Monic integer polynomial: any rational root is an integer divisor
-    # of the constant term.
+    g = gcd(p, p*), with p* the reversal x^r p(1/x), has every root of p
+    on the unit circle among its roots.  0 < deg g < r makes g a proper
+    factor; deg g = r means p* = +-p, and p* = -p gives p(1) = 0.
+    """
+    r = len(coeffs) - 1
+    if _gcd_degree(coeffs, _poly_derivative(coeffs)) > 0:
+        return Reducible, "polynomial has a repeated factor"
     if coeffs[0] == 0:
-        return 0
-    for d in _divisors(coeffs[0]):
-        for root in (d, -d):
-            if _eval_int_poly(coeffs, root) == 0:
-                return root
+        return Reducible, f"rational root 0 found, degree {r} > 1"
+    reverse = coeffs[::-1]
+    if reverse == tuple(-c for c in coeffs):
+        return Reducible, f"rational root 1 found, degree {r} > 1"
+    if reverse == coeffs:
+        if r == 2 and abs(coeffs[1]) > 2:
+            return None
+        return NotPisot, (
+            "polynomial equals its reversal x^r p(1/x), so its roots pair z with 1/z "
+            "and not all roots but one lie inside the unit circle"
+        )
+    shared = _gcd_degree(coeffs, reverse)
+    if shared > 0:
+        return Reducible, f"shares a factor of degree {shared} with its reversal x^r p(1/x)"
     return None
-
-
-def _quartic_has_quadratic_factor(coeffs: tuple[int, ...]) -> bool:
-    # Monic quartic without rational roots is reducible over Q exactly
-    # when it splits into two monic integer quadratics (Gauss's lemma).
-    c0, c1, c2, c3, _ = coeffs
-    for u in _divisors(c0):
-        for su in (u, -u):
-            if su == 0 or c0 % su != 0:
-                continue
-            v = c0 // su
-            prod_bg = c2 - su - v
-            disc = c3 * c3 - 4 * prod_bg
-            if disc < 0:
-                continue
-            root = isqrt(disc)
-            if root * root != disc:
-                continue
-            for b2 in (c3 + root, c3 - root):
-                if b2 % 2 != 0:
-                    continue
-                b = b2 // 2
-                g = c3 - b
-                if b * v + g * su == c1:
-                    return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -351,36 +308,36 @@ def _classified_disks_capped(minpoly: tuple[int, ...], target_prec: int, cap: in
 def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
     """Validate a monic integer polynomial and certify its Pisot root.
 
-    Degree <= 4 inputs are checked for irreducibility exactly (rational
-    roots plus, for quartics, the integer quadratic-split search); higher
-    degrees get square-free and rational-root tests only and carry
-    ``irreducibility_verified=False``.
+    Above degree 1, the exact gate ``_exact_gate`` runs first: a repeated
+    factor, a root 0 or a factor shared with the reversal x^r p(1/x) is
+    ``Reducible``, and a polynomial equal to its reversal is ``NotPisot``
+    (bar x^2 + bx + 1 with |b| > 2).  Every root on the unit circle is a
+    root of the reversal too, so none is left for the disk test, which
+    then certifies one root beta > 1 and every other root inside the unit
+    circle, or raises ``NotPisot``.  That proves p irreducible in every
+    degree: were p = g h with g, h monic in Z[x] and g(beta) = 0, every
+    root of h would lie inside the unit circle, so 0 < |h(0)| < 1 for the
+    integer h(0), since p(0) != 0.
     """
     coeffs = tuple(int(c) for c in minpoly)
     if len(coeffs) < 2:
         raise NotMonic("degree must be at least 1")
     if coeffs[-1] != 1:
         raise NotMonic(f"leading coefficient is {coeffs[-1]}, expected 1")
-    r = len(coeffs) - 1
 
-    if r == 1:
+    if len(coeffs) == 2:
         root = -coeffs[0]
         if root < 2:
             raise NotPisot(f"root {root} is not a real algebraic integer > 1")
         beta = Ball.enclose(root)
-        return PisotNumber(coeffs, precision, beta, (), True)
+        return PisotNumber(coeffs, precision, beta, ())
 
-    if _gcd_degree(coeffs, _poly_derivative(coeffs)) > 0:
-        raise Reducible("polynomial has a repeated factor")
-    root = _has_integer_root(coeffs)
-    if root is not None:
-        raise Reducible(f"rational root {root} found, degree {r} > 1")
-    if r == 4 and _quartic_has_quadratic_factor(coeffs):
-        raise Reducible("quartic splits into two integer quadratics")
-    verified = r <= 4
-
+    rejection = _exact_gate(coeffs)
+    if rejection is not None:
+        error, message = rejection
+        raise error(message)
     beta, conjugates = _classified_disks(coeffs, precision)
-    return PisotNumber(coeffs, precision, beta, conjugates, verified)
+    return PisotNumber(coeffs, precision, beta, conjugates)
 
 
 @_serialized
@@ -395,19 +352,15 @@ def refined_enclosures(p: PisotNumber, prec: int):
 # ----------------------------------------------------------------------
 
 
-def bint_from_int(n: int, p: PisotNumber) -> BetaInt:
-    return BetaInt((n,) + (0,) * (p.degree - 1))
+def format_coords(x: tuple) -> str:
+    """The text of an element: "(c0,c1,...)", each coordinate an int or a
+    Fraction as ``str`` writes it.  Zero-automaton state names, c_map
+    values and error messages all read this way."""
+    return "(" + ",".join(map(str, x)) + ")"
 
 
-# Coordinate routines shared by Z[beta] (int coordinates) and Q(beta)
-# (Fraction coordinates).
-
-
-def _coords_sub(x: tuple, y: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _coords_mul(x: tuple, y: tuple, minpoly: tuple[int, ...]) -> tuple:
+def bint_mul(x: tuple, y: tuple, minpoly: tuple[int, ...]) -> tuple:
+    """x * y in Z[beta], or in Q(beta) on Fraction coordinates."""
     r = len(minpoly) - 1
     prod = [0] * (2 * r - 1)
     for i, a in enumerate(x):
@@ -422,29 +375,13 @@ def _coords_mul(x: tuple, y: tuple, minpoly: tuple[int, ...]) -> tuple:
     return tuple(prod[:r])
 
 
-def _coords_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
-    # beta*x + add by one companion step:
-    # beta^r = -(minpoly[0] + ... + minpoly[r-1] beta^(r-1)).
+def bint_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
+    """beta * x + add by one companion step, on int or Fraction
+    coordinates: beta^r = -(minpoly[0] + ... + minpoly[r-1] beta^(r-1))."""
     top = x[-1]
     return (add - top * minpoly[0],) + tuple(
         low - top * m for low, m in zip(x[:-1], minpoly[1:])
     )
-
-
-def bint_mul(x: BetaInt, y: BetaInt, p: PisotNumber) -> BetaInt:
-    return BetaInt(_coords_mul(x.coords, y.coords, p.minpoly))
-
-
-def bint_mul_beta(x: BetaInt, p: PisotNumber) -> BetaInt:
-    return BetaInt(_coords_mul_beta(x.coords, p.minpoly))
-
-
-def bint_pow_beta(k: int, p: PisotNumber) -> BetaInt:
-    """beta^k as an element of Z[beta]."""
-    x = bint_from_int(1, p)
-    for _ in range(k):
-        x = bint_mul_beta(x, p)
-    return x
 
 
 # ----------------------------------------------------------------------
@@ -460,14 +397,16 @@ def _embed(x, q: int, p: PisotNumber):
     def attempt(prec: int):
         beta, conj = refined_enclosures(p, prec)
         with mp.workprec(prec + 64):
-            ball = ball_horner(x.coords, beta if q == 1 else conj[q - 2])
+            ball = ball_horner(x, beta if q == 1 else conj[q - 2])
         return ball if ball.rad <= target else None
 
-    return _escalate(p.precision, attempt, lambda cap: f"embedding of {x} at index {q}")
+    return _escalate(
+        p.precision, attempt, lambda cap: f"embedding of {format_coords(x)} at index {q}"
+    )
 
 
 @_serialized
-def bint_embed(x: BetaInt, q: int, p: PisotNumber):
+def bint_embed(x: tuple[int, ...], q: int, p: PisotNumber):
     """Certified enclosure of x under the q-th embedding (q=1 is beta itself).
 
     Returns a Ball for q=1 and a CBall otherwise; width is at most
@@ -477,7 +416,7 @@ def bint_embed(x: BetaInt, q: int, p: PisotNumber):
 
 
 @_serialized
-def qbeta_embed(x: QBeta, q: int, p: PisotNumber):
+def qbeta_embed(x: tuple[Fraction, ...], q: int, p: PisotNumber):
     """Certified enclosure of a Q(beta) element; Ball for q=1, CBall else.
 
     Same evaluation and width as ``bint_embed``, with each rational
@@ -490,7 +429,7 @@ def qbeta_embed(x: QBeta, q: int, p: PisotNumber):
 _FIXED_BITS = 160
 
 
-def qbeta_nearest_floats(xs: Sequence[QBeta], p: PisotNumber) -> list[float]:
+def qbeta_nearest_floats(xs: Sequence[tuple[Fraction, ...]], p: PisotNumber) -> list[float]:
     """The double nearest the value of each x (its embedding at beta
     itself), decided in fixed point under ``_escalate``: K = 160 bits on
     ``p.root_beta`` first, then the values still undecided at K = 320,
@@ -519,9 +458,9 @@ def qbeta_nearest_floats(xs: Sequence[QBeta], p: PisotNumber) -> list[float]:
             big, err = powers[-1]
             powers.append((big * b >> k, -(-(big * e + err * (b + e)) >> k) + 1))
         for i in [i for i, value in enumerate(out) if value is None]:
-            den = math.lcm(*(c.denominator for c in xs[i].coords))
+            den = math.lcm(*(c.denominator for c in xs[i]))
             total = err = 0
-            for c, (big, e_i) in zip(xs[i].coords, powers):
+            for c, (big, e_i) in zip(xs[i], powers):
                 n = c.numerator * (den // c.denominator)
                 total += n * big
                 err += abs(n) * e_i
@@ -568,7 +507,7 @@ def float_with_error(ball: Ball | CBall) -> tuple[float | complex, float]:
 
 
 @_serialized
-def frac_inverse_beta_powers(x: float | BetaInt, n: int, p: PisotNumber) -> list[FracPart]:
+def frac_inverse_beta_powers(x: float | tuple[int, ...], n: int, p: PisotNumber) -> list[FracPart]:
     """x * beta^-k mod 1 for k = 1..n, from the certified enclosure of beta.
 
     x is a float, taken exactly, or an element of Z[beta].  A value is a
@@ -582,7 +521,7 @@ def frac_inverse_beta_powers(x: float | BetaInt, n: int, p: PisotNumber) -> list
     def attempt(prec: int):
         beta, _ = refined_enclosures(p, prec)
         with mp.workprec(prec + 64):
-            ball = ball_horner(x.coords, beta) if isinstance(x, BetaInt) else Ball(mpf(x), mpf(0))
+            ball = ball_horner(x, beta) if isinstance(x, tuple) else Ball(mpf(x), mpf(0))
             inv = beta.inv()
             out = []
             for _ in range(n):
@@ -596,12 +535,13 @@ def frac_inverse_beta_powers(x: float | BetaInt, n: int, p: PisotNumber) -> list
     return _escalate(
         p.precision,
         attempt,
-        lambda cap: f"{x}*beta^-k for k <= {n} cannot be enclosed to float precision within {cap} bits",
+        lambda cap: f"{format_coords(x) if isinstance(x, tuple) else x}*beta^-k for k <= {n} "
+        f"cannot be enclosed to float precision within {cap} bits",
     )
 
 
 @_serialized
-def frac_beta_power(z: BetaInt, k: int, p: PisotNumber) -> FracPart:
+def frac_beta_power(z: tuple[int, ...], k: int, p: PisotNumber) -> FracPart:
     """frac(z * beta^k) with a certified error bound.
 
     Computed through the trace identity (the conjugate sum of z*beta^k
@@ -616,12 +556,12 @@ def frac_beta_power(z: BetaInt, k: int, p: PisotNumber) -> FracPart:
         raise ValueError("k must be >= 0")
     w = z
     for _ in range(k):
-        w = bint_mul_beta(w, p)
+        w = bint_mul_beta(w, p.minpoly)
     return _certified_frac(z, k, w, p)
 
 
 @_serialized
-def frac_beta_powers(z: BetaInt, k_max: int, p: PisotNumber) -> list[FracPart]:
+def frac_beta_powers(z: tuple[int, ...], k_max: int, p: PisotNumber) -> list[FracPart]:
     """[frac_beta_power(z, k, p) for k in 0..k_max], equal value for value,
     from one walk over z*beta^k with one exact multiplication by beta per
     step (O(k_max) ring operations instead of O(k_max^2))."""
@@ -631,7 +571,7 @@ def frac_beta_powers(z: BetaInt, k_max: int, p: PisotNumber) -> list[FracPart]:
     w = z
     for k in range(k_max + 1):
         if k:
-            w = bint_mul_beta(w, p)
+            w = bint_mul_beta(w, p.minpoly)
         out.append(_certified_frac(z, k, w, p))
     return out
 
@@ -640,7 +580,7 @@ _U = 2.0**-53
 
 
 def frac_beta_powers_float(
-    zs: Sequence[BetaInt], conj: np.ndarray, conj_err: np.ndarray, k_max: int, p: PisotNumber
+    zs: Sequence[tuple[int, ...]], conj: np.ndarray, conj_err: np.ndarray, k_max: int, p: PisotNumber
 ) -> tuple[np.ndarray, np.ndarray]:
     """frac(z * beta^k) for k = 0..k_max and every z of zs, in float64:
     arrays of values and of certified errors, one row per z.
@@ -700,15 +640,15 @@ def frac_beta_powers_float(
         err += (p.degree - 1) * _U * mags + _U
         errors = err * (1 + 2.0**-20) + 2.0**-1000 * (k + 1) * (1 + underflow)
     errors[~np.isfinite(errors)] = np.inf
-    integer = np.array([z.is_rational_int for z in zs], dtype=bool)
+    integer = np.array([not any(z[1:]) for z in zs], dtype=bool)
     values[integer, 0] = errors[integer, 0] = 0.0
     return values, errors
 
 
-def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber) -> FracPart:
+def _certified_frac(z: tuple[int, ...], k: int, w: tuple[int, ...], p: PisotNumber) -> FracPart:
     """frac(w) for the exact element w = z*beta^k, escalating precision
     until the enclosure is within FRAC_MAX_ERR and clear of every integer."""
-    if w.is_rational_int:
+    if not any(w[1:]):
         return FracPart(0.0, 0.0)
 
     balls = []
@@ -717,11 +657,11 @@ def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber) -> FracPart:
         beta, conj = refined_enclosures(p, prec)
         with mp.workprec(prec + 64):
             if k <= 8:
-                ball = ball_horner(w.coords, beta)
+                ball = ball_horner(w, beta)
             else:
                 total = CBall.enclose(0)
                 for point in conj:
-                    total = total + ball_horner(w.coords, point)
+                    total = total + ball_horner(w, point)
                 ball = (-total).real_ball()
             balls.append(ball)
             return _frac_of_real_ball(ball) if ball.rad <= FRAC_MAX_ERR else None
@@ -729,7 +669,7 @@ def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber) -> FracPart:
     return _escalate(
         p.precision,
         attempt,
-        lambda cap: f"frac({z}*beta^{k}) enclosure {float(balls[-1].mid)!r} "
+        lambda cap: f"frac({format_coords(z)}*beta^{k}) enclosure {float(balls[-1].mid)!r} "
         f"+- {float(balls[-1].rad)!r} cannot be separated from an integer",
     )
 
@@ -739,26 +679,23 @@ def _certified_frac(z: BetaInt, k: int, w: BetaInt, p: PisotNumber) -> FracPart:
 # ----------------------------------------------------------------------
 
 
-def qbeta_div(num: QBeta, den: QBeta, p: PisotNumber) -> QBeta:
+def qbeta_div(num: tuple, den: tuple, p: PisotNumber) -> tuple[Fraction, ...]:
     """Exact quotient via the r x r linear system of multiplication by den;
-    int coordinates are taken as exact rationals."""
-    if den.is_zero:
+    int coordinates are taken as exact rationals.  ``make_pisot`` proves
+    the minimal polynomial irreducible, so Q(beta) is a field and the
+    system is regular for every nonzero den."""
+    if not any(den):
         raise ZeroDivisionError("division by zero in Q(beta)")
     r = p.degree
     cols = []
-    power = den.coords
+    power = den
     for _ in range(r):
         cols.append(power)
-        power = _coords_mul_beta(power, p.minpoly)
+        power = bint_mul_beta(power, p.minpoly)
     # A[i][j] = coefficient of beta^i in den * beta^j
-    a = [[cols[j][i] for j in range(r)] + [num.coords[i]] for i in range(r)]
+    a = [[cols[j][i] for j in range(r)] + [num[i]] for i in range(r)]
     for col in range(r):
-        pivot = next((row for row in range(col, r) if a[row][col] != 0), None)
-        if pivot is None:
-            raise Reducible(
-                "multiplication matrix is singular; the minimal polynomial "
-                "must be reducible"
-            )
+        pivot = next(row for row in range(col, r) if a[row][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
         inv = Fraction(1) / a[col][col]
         a[col] = [v * inv for v in a[col]]
@@ -766,4 +703,4 @@ def qbeta_div(num: QBeta, den: QBeta, p: PisotNumber) -> QBeta:
             if row != col and a[row][col]:
                 f = a[row][col]
                 a[row] = [v - f * w for v, w in zip(a[row], a[col])]
-    return QBeta(tuple(a[i][r] for i in range(r)))
+    return tuple(a[i][r] for i in range(r))

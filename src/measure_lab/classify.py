@@ -18,11 +18,9 @@ from fractions import Fraction
 
 from .algebraic import (
     PisotNumber,
-    QBeta,
-    _coords_mul,
-    _coords_mul_beta,
-    _coords_sub,
-    bint_pow_beta,
+    bint_mul,
+    bint_mul_beta,
+    format_coords,
     qbeta_div,
     qbeta_nearest_floats,
 )
@@ -37,16 +35,28 @@ EVIDENCE_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class FiniteImageResult:
-    """Either the full cycle-value map or the first inconsistent edge."""
+    """Either the full cycle-value map or the first inconsistent edge.
+
+    The value of state s is numerators[s] / denominator in Q(beta): integer
+    coordinates over one positive integer."""
 
     ok: bool
-    c_map: dict[str, QBeta] | None
+    numerators: dict[str, tuple[int, ...]] | None
+    denominator: int
     witness: tuple[str, int, str] | None  # (from, label, to)
+
+    @property
+    def c_map(self) -> dict[str, tuple[Fraction, ...]] | None:
+        """The value map on Fraction coordinates, built on each access."""
+        if self.numerators is None:
+            return None
+        d = self.denominator
+        return {s: tuple(Fraction(n, d) for n in x) for s, x in self.numerators.items()}
 
 
 @dataclass(frozen=True)
 class Atom:
-    value: QBeta
+    value: tuple[Fraction, ...]
     mass: float
     value_decimal: float
     states: tuple[str, ...]
@@ -71,8 +81,8 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     integer, is found once.  Every candidate value c(w) = beta*c(u) - label
     is then N_w/D with N_w = beta*N_u - label*D in Z[beta], propagated
     along the tree from N_root = num*adj; every edge is checked as that
-    identity in integers, in document order.  Success returns the full
-    value map; failure returns the first violated edge.
+    identity in integers, in document order.  Success returns every N_w
+    over D; failure returns the first violated edge.
     """
     if not a.edges:
         raise NotStronglyConnected("automaton has no edges")
@@ -102,26 +112,28 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     while u != root:
         u, label = tree[u]
         labels.append(label)
-    zero = (0,) * p.degree
-    num = zero
+    one = (1,) + (0,) * (p.degree - 1)
+    num = (0,) * p.degree
+    power = one
     for label in reversed(labels):
-        num = _coords_mul_beta(num, minpoly, label)
-    one = (1,) + zero[1:]
-    den = _coords_sub(bint_pow_beta(len(labels), p).coords, one)
-    inverse = qbeta_div(QBeta(one), QBeta(den), p)
-    d = math.lcm(*(c.denominator for c in inverse.coords))
-    adj = tuple(c.numerator * (d // c.denominator) for c in inverse.coords)
+        num = bint_mul_beta(num, minpoly, label)
+        power = bint_mul_beta(power, minpoly)
+    den = (power[0] - 1,) + power[1:]  # beta^n - 1
+    inverse = qbeta_div(one, den, p)
+    d = math.lcm(*(c.denominator for c in inverse))
+    adj = tuple(c.numerator * (d // c.denominator) for c in inverse)
 
     # Python ints: the coordinates grow like beta^n, past int64.
-    numer = {root: _coords_mul(num, adj, minpoly)}
+    numer = {root: bint_mul(num, adj, minpoly)}
     for w in order[1:]:
         u, label = tree[w]
-        numer[w] = _coords_mul_beta(numer[u], minpoly, -label * d)
+        numer[w] = bint_mul_beta(numer[u], minpoly, -label * d)
     for src, dst, label in a.edges:
-        if _coords_mul_beta(numer[src], minpoly, -label * d) != numer[dst]:
-            return FiniteImageResult(ok=False, c_map=None, witness=(src, label, dst))
-    c_map = {s: QBeta(tuple(Fraction(n, d) for n in x)) for s, x in numer.items()}
-    return FiniteImageResult(ok=True, c_map=c_map, witness=None)
+        if bint_mul_beta(numer[src], minpoly, -label * d) != numer[dst]:
+            return FiniteImageResult(
+                ok=False, numerators=None, denominator=d, witness=(src, label, dst)
+            )
+    return FiniteImageResult(ok=True, numerators=numer, denominator=d, witness=None)
 
 
 def atoms(
@@ -141,17 +153,21 @@ def atoms(
         raise ValueError("image is not finite; no atoms to compute")
     pi = start_distribution(pd)
     idx = a.state_index()
-    groups: dict[tuple[Fraction, ...], list[str]] = {}
-    for state, value in result.c_map.items():
-        groups.setdefault(value.coords, []).append(state)
-    values = [QBeta(coords) for coords in groups]
+    # One denominator d > 0 for every value, so numerators order as values.
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for state, numer in result.numerators.items():
+        groups.setdefault(numer, []).append(state)
+    d = result.denominator
+    values = [tuple(Fraction(n, d) for n in numer) for numer in groups]
     collected = []
-    for value, decimal, states in zip(values, qbeta_nearest_floats(values, p), groups.values()):
+    for numer, value, decimal, states in zip(
+        groups, values, qbeta_nearest_floats(values, p), groups.values()
+    ):
         mass = float(sum(pi[idx[s]] for s in states))
-        collected.append(Atom(value=value, mass=mass, value_decimal=decimal,
-                              states=tuple(sorted(states))))
-    collected.sort(key=lambda at: (at.value_decimal, at.value.coords))
-    return tuple(collected)
+        atom = Atom(value=value, mass=mass, value_decimal=decimal, states=tuple(sorted(states)))
+        collected.append((decimal, numer, atom))
+    collected.sort(key=lambda entry: entry[:2])
+    return tuple(atom for _, _, atom in collected)
 
 
 def classify(
@@ -182,7 +198,7 @@ def classify(
             kind="atomic",
             atoms=atom_list,
             evidence=None,
-            witness={"c_map": {s: str(v) for s, v in fi.c_map.items()}},
+            witness={"c_map": {s: format_coords(v) for s, v in fi.c_map.items()}},
             diagnostics={"lambda": pd.lam},
         )
 
@@ -236,7 +252,7 @@ def atoms_to_dicts(atom_list) -> list[dict]:
     """The report form of atoms, shared by the classify and atoms reports."""
     return [
         {
-            "value_coords": [str(c) for c in at.value.coords],
+            "value_coords": [str(c) for c in at.value],
             "value_decimal": at.value_decimal,
             "mass": at.mass,
             "states": list(at.states),

@@ -193,7 +193,7 @@ def _cmd_zero_automaton(args) -> dict:
     beta = p.beta_float
     state_table = []
     for name in a.states:
-        coords = beta_int_from_name(name, p).coords
+        coords = beta_int_from_name(name, p)
         decimal = sum(c * beta**i for i, c in enumerate(coords))
         state_table.append({"state": name, "decimal": decimal})
     report = {
@@ -203,7 +203,6 @@ def _cmd_zero_automaton(args) -> dict:
         "states": state_table,
         "edges": len(a.edges),
         "empty_language": not a.edges,
-        "irreducibility_verified": p.irreducibility_verified,
     }
     if args.verify:
         report["verification"] = verify_zero_language(a, p, args.verify)

@@ -210,7 +210,7 @@ def _key_limit(letters: tuple[int, ...], minpoly: tuple[int, ...]) -> int:
 def _mul_beta_add(keys: np.ndarray, minpoly: tuple[int, ...], letters: tuple[int, ...]):
     """beta * key + letter for every (key, letter) pair, key-major and
     letter-minor, on int64 rows of Z[beta] coordinates: the companion step
-    of ``algebraic._coords_mul_beta`` on whole arrays."""
+    of ``algebraic.bint_mul_beta`` on whole arrays."""
     minpoly = np.array(minpoly, np.int64)
     top = keys[:, -1:]
     shifted = np.empty_like(keys)

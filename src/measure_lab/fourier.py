@@ -60,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import (
-    BetaInt,
     PisotNumber,
     bint_embed,
     float_with_error,
@@ -146,7 +145,7 @@ class _Product:
     """One row of a batch: row0 W(frac(s beta^(n_head-1))) ... W(frac(s))
     W(s/beta) ... W(s/beta^n_tail) v_R."""
 
-    scale: float | BetaInt  # s, exact
+    scale: float | tuple[int, ...]  # s, exact
     s_hat: float  # the float nearest s
     s_err: float  # bound on |s_hat - s|
     n_tail: int
@@ -398,17 +397,17 @@ def _psi_grid(
     tail_terms: int | None = None,
 ) -> list[PsiValue]:
     """psi_hat at every z of a list, from one batched product."""
-    zints = [z if isinstance(z, BetaInt) else BetaInt(tuple(int(c) for c in z)) for z in zs]
-    if any(len(z.coords) != p.degree for z in zints):
+    zints = [tuple(int(c) for c in z) for z in zs]
+    if any(len(z) != p.degree for z in zints):
         raise ValueError(f"z must have {p.degree} coordinates")
-    check_z_coords(c for z in zints for c in z.coords)
-    nonzero = [z for z in zints if not z.is_zero]
+    check_z_coords(c for z in zints for c in z)
+    nonzero = [z for z in zints if any(z)]
 
     if p.degree == 1:
         limits = [
             PsiValue(value, bound, 0, 0)
             for value, bound in nu_hat_grid(
-                a, p, pd, [float(z.coords[0]) for z in nonzero], tol
+                a, p, pd, [float(z[0]) for z in nonzero], tol
             )
         ]
     else:
@@ -423,11 +422,11 @@ def _psi_grid(
             for value, bound, q, n in zip(values.tolist(), bounds.tolist(), products, n_tail.tolist())
         ]
     rest = iter(limits)
-    return [PsiValue(1.0 + 0j, 1e-15, 0, 0) if z.is_zero else next(rest) for z in zints]
+    return [next(rest) if any(z) else PsiValue(1.0 + 0j, 1e-15, 0, 0) for z in zints]
 
 
 def _psi_product(
-    z: BetaInt,
+    z: tuple[int, ...],
     p: PisotNumber,
     c: float,
     tol: float,

@@ -62,14 +62,13 @@ from mpmath import mp
 
 from ._ball import ball_horner
 from .algebraic import (
-    BetaInt,
     PisotNumber,
-    _coords_mul_beta,
     _escalate,
     _serialized,
-    bint_from_int,
     bint_mul,
+    bint_mul_beta,
     float_with_error,
+    format_coords,
     precision_cap,
     refined_enclosures,
 )
@@ -85,23 +84,19 @@ _U = 2.0**-53
 _EXACT = 2**53  # integers below this modulus are floats exactly
 
 
-def state_name(coords: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, coords)) + ")"
-
-
-def beta_int_from_name(name: str, p: PisotNumber) -> BetaInt:
+def beta_int_from_name(name: str, p: PisotNumber) -> tuple[int, ...]:
     coords = tuple(int(c) for c in name.strip("()").split(","))
     if len(coords) != p.degree:
         raise ValueError(f"state name {name!r} has wrong arity for degree {p.degree}")
-    return BetaInt(coords)
+    return coords
 
 
 def zero_state_name(p: PisotNumber) -> str:
-    return state_name((0,) * p.degree)
+    return format_coords((0,) * p.degree)
 
 
 @_serialized
-def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
+def state_within_bounds(y: tuple[int, ...], p: PisotNumber, m_abs: int) -> bool:
     """Closed-bound membership of one state.
 
     If y*(beta - 1) or y*(beta + 1) equals +-M in Z[beta], y is in: at
@@ -112,11 +107,11 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
     Otherwise mpmath balls under ``algebraic._escalate`` decide strictly:
     out once a bound certifiably exceeds M, in once all are below it.
     """
-    one = bint_from_int(1, p).coords
+    minpoly, zero_tail = p.minpoly, (0,) * (p.degree - 1)
     t_minus, t_plus = (
-        bint_mul(y, BetaInt(_coords_mul_beta(one, p.minpoly, add)), p) for add in (-1, 1)
+        bint_mul(y, bint_mul_beta((1,) + zero_tail, minpoly, add), minpoly) for add in (-1, 1)
     )
-    boundary = {bint_from_int(m_abs, p), bint_from_int(-m_abs, p)}
+    boundary = {(m_abs,) + zero_tail, (-m_abs,) + zero_tail}
     if t_minus in boundary or t_plus in boundary:
         return True
 
@@ -124,8 +119,8 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
         beta, conj = refined_enclosures(p, prec)
         with mp.workprec(prec + 64):
             bounds = chain(
-                [ball_horner(t_minus.coords, beta)],  # y(beta)*(beta-1)
-                (ball_horner(y.coords, c).abs_ball() * (-c.abs_ball()).add_int(1) for c in conj),
+                [ball_horner(t_minus, beta)],  # y(beta)*(beta-1)
+                (ball_horner(y, c).abs_ball() * (-c.abs_ball()).add_int(1) for c in conj),
             )
             inside = True
             for bound in bounds:
@@ -137,7 +132,7 @@ def state_within_bounds(y: BetaInt, p: PisotNumber, m_abs: int) -> bool:
     return _escalate(
         p.precision,
         attempt,
-        lambda cap: f"cannot resolve bound membership of state {y} at {cap} bits",
+        lambda cap: f"cannot resolve bound membership of state {format_coords(y)} at {cap} bits",
     )
 
 
@@ -211,7 +206,7 @@ def _accept(coords: np.ndarray, row, p: PisotNumber, m_abs: int) -> np.ndarray:
     decision = float_tier(coords, p, m_abs)
     keep = decision == IN
     for i in np.flatnonzero(decision == UNDECIDED):
-        keep[i] = state_within_bounds(BetaInt(row(i)), p, m_abs)
+        keep[i] = state_within_bounds(row(i), p, m_abs)
     return keep
 
 
@@ -269,7 +264,7 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> Labele
 
     def successors(x: tuple[int, ...]) -> list[tuple[int, ...]]:
         # y = beta*x - a for each letter a, in alphabet order
-        head, *tail = _coords_mul_beta(x, minpoly)
+        head, *tail = bint_mul_beta(x, minpoly)
         return [(head - a, *tail) for a in alphabet]
 
     # States are coordinate tuples, numbered by their position in states;
@@ -318,7 +313,7 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> Labele
             pred[j].append(i)
         kept = [depth >= 0 for depth in reachable(pred, 0)]
 
-    names = [state_name(x) if k else None for x, k in zip(states, kept)]
+    names = [format_coords(x) if k else None for x, k in zip(states, kept)]
     zero_name = names[0]
     return LabeledAutomaton(
         states=tuple(name for name in names if name),
@@ -376,7 +371,7 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
     for _ in range(n_max):
         nxt: dict = {}
         for (coords, mask), (words, word) in level.items():
-            base = _coords_mul_beta(coords, p.minpoly)
+            base = bint_mul_beta(coords, p.minpoly)
             for digit in a.alphabet:
                 key = ((base[0] + digit,) + base[1:], advance_mask(mask, digit))
                 if key in nxt:

@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from measure_lab.algebraic import (
-    BetaInt,
     PisotNumber,
-    QBeta,
-    bint_from_int,
     bint_mul_beta,
+    format_coords,
     make_pisot,
     qbeta_div,
     refined_enclosures,
@@ -32,7 +30,6 @@ from measure_lab.automaton import (
     reachable,
     transition_matrices,
 )
-from measure_lab.classify import FiniteImageResult
 from measure_lab.distribution import DepthCloud
 from measure_lab.errors import (
     CapExceeded,
@@ -116,34 +113,47 @@ def signed_automata(draw):
 # test written with it, as the oracle for the package's integer version.
 
 
-def qbeta_from_int(n: int, p: PisotNumber) -> QBeta:
-    return QBeta((Fraction(n),) + (Fraction(0),) * (p.degree - 1))
+def bint_from_int(n: int, p: PisotNumber) -> tuple[int, ...]:
+    """The rational integer n as an element of Z[beta]."""
+    return (n,) + (0,) * (p.degree - 1)
 
 
-def qbeta_from_bint(x: BetaInt) -> QBeta:
-    return QBeta(tuple(Fraction(c) for c in x.coords))
+def bint_pow_beta(k: int, p: PisotNumber) -> tuple[int, ...]:
+    """beta^k as an element of Z[beta]."""
+    x = bint_from_int(1, p)
+    for _ in range(k):
+        x = bint_mul_beta(x, p.minpoly)
+    return x
 
 
-def qbeta_add(x: QBeta, y: QBeta) -> QBeta:
-    return QBeta(tuple(a + b for a, b in zip(x.coords, y.coords)))
+def qbeta_from_int(n: int, p: PisotNumber) -> tuple[Fraction, ...]:
+    return (Fraction(n),) + (Fraction(0),) * (p.degree - 1)
 
 
-def qbeta_sub(x: QBeta, y: QBeta) -> QBeta:
-    return QBeta(tuple(a - b for a, b in zip(x.coords, y.coords)))
+def qbeta_from_bint(x: tuple[int, ...]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c) for c in x)
 
 
-def qbeta_mul_beta(x: QBeta, p: PisotNumber) -> QBeta:
+def qbeta_add(x: tuple, y: tuple) -> tuple[Fraction, ...]:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def qbeta_sub(x: tuple, y: tuple) -> tuple[Fraction, ...]:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def qbeta_mul_beta(x: tuple, p: PisotNumber) -> tuple[Fraction, ...]:
     """beta * x, reducing beta^r = -(minpoly[0] + ... + minpoly[r-1] beta^(r-1))."""
-    top = x.coords[-1]
-    shifted = (Fraction(0),) + x.coords[:-1]
-    return QBeta(tuple(c - top * m for c, m in zip(shifted, p.minpoly)))
+    top = x[-1]
+    shifted = (Fraction(0),) + tuple(x[:-1])
+    return tuple(c - top * m for c, m in zip(shifted, p.minpoly))
 
 
-def qbeta_mul(x: QBeta, y: QBeta, p: PisotNumber) -> QBeta:
+def qbeta_mul(x: tuple, y: tuple, p: PisotNumber) -> tuple[Fraction, ...]:
     """x * y by Horner in beta over the coordinates of x."""
     acc = qbeta_from_int(0, p)
-    for c in reversed(x.coords):
-        acc = qbeta_add(qbeta_mul_beta(acc, p), QBeta(tuple(c * b for b in y.coords)))
+    for c in reversed(x):
+        acc = qbeta_add(qbeta_mul_beta(acc, p), tuple(c * b for b in y))
     return acc
 
 
@@ -173,10 +183,11 @@ def first_cycle_through_root(a: LabeledAutomaton) -> list[tuple[str, int, str]]:
     raise NotStronglyConnected(f"no cycle through state {root!r}")
 
 
-def ref_finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
+def ref_finite_image_test(a: LabeledAutomaton, p: PisotNumber):
     """The finite-image test in Q(beta) Fractions: the cycle value through
     the first state, c(w) = beta*c(u) - label along the BFS tree, then
-    every edge in document order."""
+    every edge in document order.  Returns (ok, c_map, witness), the
+    fields a ``FiniteImageResult`` gives."""
     cycle = first_cycle_through_root(a)
     num = qbeta_from_int(0, p)
     for _, label, _ in cycle:
@@ -199,8 +210,8 @@ def ref_finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageRes
         raise NotStronglyConnected("some states unreachable from the first state")
     for src, dst, label in a.edges:
         if qbeta_sub(qbeta_mul_beta(c_map[src], p), qbeta_from_int(label, p)) != c_map[dst]:
-            return FiniteImageResult(ok=False, c_map=None, witness=(src, label, dst))
-    return FiniteImageResult(ok=True, c_map=c_map, witness=None)
+            return False, None, (src, label, dst)
+    return True, c_map, None
 
 
 # ---------------------------------------------------------------- random bases
@@ -325,11 +336,11 @@ def beta_reference(minpoly: tuple[int, ...]) -> mpf:
                            mpf(pisot(minpoly).beta_float))
 
 
-def nearest_double_reference(x: QBeta, minpoly: tuple[int, ...]) -> float:
+def nearest_double_reference(x: tuple[Fraction, ...], minpoly: tuple[int, ...]) -> float:
     """The double nearest the value of x, from a 400-bit evaluation."""
     beta = beta_reference(minpoly)
     with mp.workprec(400):
-        value = sum(mpf(c.numerator) / c.denominator * beta**i for i, c in enumerate(x.coords))
+        value = sum(mpf(c.numerator) / c.denominator * beta**i for i, c in enumerate(x))
         return float(value)
 
 
@@ -394,8 +405,8 @@ def reference_cdf_bounds(cloud: DepthCloud, x: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------- zero automaton
-# The BetaInt walk and candidate box that built zero automata before the
-# walk ran on coordinate tuples, as the oracle for build_zero_automaton.
+# The walk and candidate box that built zero automata before the walk
+# numbered its states, as the oracle for build_zero_automaton.
 
 
 def _reference_accept(decision: np.ndarray, state, p: PisotNumber, m_abs: int) -> np.ndarray:
@@ -405,7 +416,7 @@ def _reference_accept(decision: np.ndarray, state, p: PisotNumber, m_abs: int) -
     return keep
 
 
-def _reference_candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
+def _reference_candidate_box(p: PisotNumber, m_abs: int) -> list[tuple[int, ...]]:
     r = p.degree
     if r == 1:
         n = -p.minpoly[0]
@@ -430,10 +441,10 @@ def _reference_candidate_box(p: PisotNumber, m_abs: int) -> list[BetaInt]:
             raise CapExceeded(f"candidate box of size {volume} exceeds {_BOX_CAP}")
     axes = np.meshgrid(*[np.arange(-b, b + 1) for b in coord_bound], indexing="ij")
     box = np.stack(axes, axis=-1).reshape(-1, r)
-    keep = _reference_accept(float_tier(box, p, m_abs), lambda i: BetaInt(tuple(box[i].tolist())), p, m_abs)
-    members = [BetaInt(tuple(c)) for c in box[keep].tolist()]
+    keep = _reference_accept(float_tier(box, p, m_abs), lambda i: tuple(box[i].tolist()), p, m_abs)
+    members = [tuple(c) for c in box[keep].tolist()]
     zero = bint_from_int(0, p)
-    members.sort(key=lambda x: x.coords)
+    members.sort()
     members.remove(zero)
     return [zero] + members
 
@@ -443,9 +454,9 @@ def reference_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> La
     m_abs = max(abs(a) for a in alphabet)
     zero = bint_from_int(0, p)
 
-    def successors(x: BetaInt) -> list[tuple[BetaInt, int]]:
-        head, *tail = bint_mul_beta(x, p).coords
-        return [(BetaInt((head - a, *tail)), a) for a in alphabet]
+    def successors(x: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        head, *tail = bint_mul_beta(x, p.minpoly)
+        return [((head - a, *tail), a) for a in alphabet]
 
     if trim == "none":
         states = _reference_candidate_box(p, m_abs)
@@ -459,7 +470,7 @@ def reference_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> La
         while level:
             steps = [(x, y, a) for x in level for y, a in successors(x)]
             fresh = list(dict.fromkeys(y for _, y, _ in steps if y not in member))
-            coords = np.array([y.coords for y in fresh]).reshape(len(fresh), p.degree)
+            coords = np.array(fresh).reshape(len(fresh), p.degree)
             keep = _reference_accept(float_tier(coords, p, m_abs), fresh.__getitem__, p, m_abs)
             member.update(zip(fresh, keep.tolist()))
             level = [y for y, k in zip(fresh, keep) if k]
@@ -477,11 +488,11 @@ def reference_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> La
 
     order = {s: i for i, s in enumerate(states)}
     edges.sort(key=lambda e: (order[e[0]], e[2], order[e[1]]))
-    zero_name = str(zero)
+    zero_name = format_coords(zero)
     return LabeledAutomaton(
-        states=tuple(str(s) for s in states),
+        states=tuple(format_coords(s) for s in states),
         alphabet=alphabet,
-        edges=tuple((str(x), str(y), a) for x, y, a in edges),
+        edges=tuple((format_coords(x), format_coords(y), a) for x, y, a in edges),
         initial=(zero_name,),
         terminal=(zero_name,),
         beta_minpoly=p.minpoly,

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from helpers import random_primitive_automata, reference_sample_many
 from measure_lab import parry
-from measure_lab.algebraic import QBeta
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.classify import atoms, classify, finite_image_test
 from measure_lab.distribution import cdf_bracket, depth_cloud
@@ -82,7 +81,7 @@ def test_criterion_3_atomicity(golden, base_two, tribonacci):
         fi = finite_image_test(a, p)
         for name, value in fi.c_map.items():
             coords = tuple(int(c) for c in name.strip("()").split(","))
-            assert value == QBeta(tuple(Fraction(c) for c in coords))
+            assert value == tuple(Fraction(c) for c in coords)
 
     two_loops = parse_automaton(
         {"alphabet": [0, 1], "states": ["s"],
@@ -101,7 +100,7 @@ def test_criterion_4_example1(automata, pisots, perron_data):
     lam = pd.lam
     assert abs(lam**3 - lam**2 - 2) < 1e-10
     atom_list = atoms(automata["example1-7edge"], pisots["example1-7edge"], pd)
-    values = {at.value.coords for at in atom_list}
+    values = {at.value for at in atom_list}
     # {0, +-1, +-(beta-1)} exactly; beta-1 is the field inverse of beta
     expected = {
         (Fraction(0), Fraction(0)),
@@ -113,11 +112,9 @@ def test_criterion_4_example1(automata, pisots, perron_data):
     assert values == expected
     from helpers import qbeta_mul
 
-    inv = QBeta((Fraction(-1), Fraction(1)))
-    beta = QBeta((Fraction(0), Fraction(1)))
-    assert qbeta_mul(inv, beta, pisots["example1-7edge"]) == QBeta(
-        (Fraction(1), Fraction(0))
-    )
+    inv = (Fraction(-1), Fraction(1))
+    beta = (Fraction(0), Fraction(1))
+    assert qbeta_mul(inv, beta, pisots["example1-7edge"]) == (Fraction(1), Fraction(0))
     report = fixture_report("example1-7edge")
     comparison = report["reference_masses"]
     assert comparison["reconciled"] is False
@@ -236,7 +233,7 @@ def test_criterion_10_monte_carlo(automata, pisots, perron_data):
         idx = a.state_index()
         states, _ = reference_sample_many(pd, a, n_runs=n_samples, length=1, seed=1234)
         for at in atom_list:
-            hit = [idx[s] for s, v in fi.c_map.items() if v.coords == at.value.coords]
+            hit = [idx[s] for s, v in fi.c_map.items() if v == at.value]
             freq = float(np.isin(states[:, 0], hit).mean())
             sigma = math.sqrt(at.mass * (1 - at.mass) / n_samples)
             assert abs(freq - at.mass) <= 3 * sigma + 1e-4, (name, at.value_decimal)

@@ -5,16 +5,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from measure_lab.algebraic import (
-    BetaInt,
-    QBeta,
     bint_embed,
-    bint_from_int,
     bint_mul,
-    bint_pow_beta,
     float_with_error,
     frac_beta_power,
     frac_beta_powers,
@@ -25,7 +21,7 @@ from measure_lab.algebraic import (
 )
 from measure_lab.errors import NotMonic, NotPisot, Reducible
 
-from helpers import qbeta_from_int, qbeta_mul
+from helpers import bint_from_int, bint_pow_beta, qbeta_from_int, qbeta_mul
 
 
 # ---------------------------------------------------------------- oracles
@@ -52,7 +48,6 @@ def test_golden_ratio_roots(golden):
     assert abs(golden.beta_float - 1.6180339887498949) < 1e-12
     assert len(golden.conjugates) == 1
     assert abs(complex(golden.conjugates[0].mid) - (-0.6180339887498949)) < 1e-12
-    assert golden.irreducibility_verified
 
 
 def test_integer_base(base_two):
@@ -102,10 +97,43 @@ def test_quartic_split_reducible():
         make_pisot([-1, 2, 3, -4, 1])
 
 
-def test_degree_five_unverified_flag():
-    p = make_pisot([-1, -1, -1, -1, -1, 1])  # pentanacci base
-    assert not p.irreducibility_verified
-    assert p.beta_float > 1.9
+def test_degree_five_and_six_accepted():
+    pentanacci = make_pisot([-1, -1, -1, -1, -1, 1])
+    assert 1.96 < pentanacci.beta_float < 1.97
+    hexanacci = make_pisot([-1, -1, -1, -1, -1, -1, 1])  # x^6 - x^5 - ... - 1
+    assert 1.98 < hexanacci.beta_float < 1.99
+    assert len(hexanacci.conjugates) == 5
+
+
+def poly_mul(f, g):
+    """Product of two coefficient tuples, constant term first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+# golden, x^2 - 3x + 1, tribonacci, plastic, x^4 - x^3 - 1, pentanacci
+GATE_BASES = [(-1, -1, 1), (1, -3, 1), (-1, -1, -1, 1), (-1, -1, 0, 1), (-1, 0, 0, -1, 1),
+              (-1, -1, -1, -1, -1, 1)]
+# x^2 + 1 and x^2 +- x + 1, whose roots lie on the unit circle
+CYCLOTOMIC = [(1, 0, 1), (1, 1, 1), (1, -1, 1)]
+monic_factors = st.integers(1, 3).flatmap(
+    lambda degree: st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)
+).map(lambda lower: tuple(lower) + (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.sampled_from(GATE_BASES), h=st.sampled_from(CYCLOTOMIC) | monic_factors)
+@example(g=(-1, -1, -1, -1, -1, 1), h=(1, 0, 1))
+@example(g=(-1, 0, 0, -1, 1), h=(1, -1, 1))
+def test_gate_rejects_every_product_exactly(g, h):
+    # A base times any monic factor is reducible or not Pisot, decided
+    # without running out of precision, even with roots on the unit circle.
+    make_pisot(g)
+    with pytest.raises((Reducible, NotPisot)):
+        make_pisot(poly_mul(g, h))
 
 
 def test_integer_one_not_pisot():
@@ -152,43 +180,44 @@ def test_pisot_battery_against_root_oracle():
 # ---------------------------------------------------------------- ring ops
 
 def test_beta_square_reduction(golden):
-    b = BetaInt((0, 1))
-    assert bint_mul(b, b, golden) == BetaInt((1, 1))
+    b = (0, 1)
+    assert bint_mul(b, b, golden.minpoly) == (1, 1)
 
 
 def test_multiplicative_identity(golden):
     one = bint_from_int(1, golden)
-    x = BetaInt((5, -2))
-    assert bint_mul(one, x, golden) == x
+    x = (5, -2)
+    assert bint_mul(one, x, golden.minpoly) == x
 
 
 def test_beta_power_ten_fibonacci_oracle(golden):
     fib = fibonacci_numbers(10)
-    assert bint_pow_beta(10, golden) == BetaInt((fib[9], fib[10])) == BetaInt((34, 55))
+    assert bint_pow_beta(10, golden) == (fib[9], fib[10]) == (34, 55)
 
 
 def test_ring_axioms_random(golden, tribonacci):
     def add(x, y):
-        return BetaInt(tuple(a + b for a, b in zip(x.coords, y.coords)))
+        return tuple(a + b for a, b in zip(x, y))
 
     rng = random.Random(7)
     for p in (golden, tribonacci):
         r = p.degree
         for _ in range(60):
-            x = BetaInt(tuple(rng.randint(-9, 9) for _ in range(r)))
-            y = BetaInt(tuple(rng.randint(-9, 9) for _ in range(r)))
-            z = BetaInt(tuple(rng.randint(-9, 9) for _ in range(r)))
-            assert bint_mul(x, y, p) == bint_mul(y, x, p)
-            assert bint_mul(bint_mul(x, y, p), z, p) == bint_mul(x, bint_mul(y, z, p), p)
-            assert bint_mul(x, add(y, z), p) == add(bint_mul(x, y, p), bint_mul(x, z, p))
+            x = tuple(rng.randint(-9, 9) for _ in range(r))
+            y = tuple(rng.randint(-9, 9) for _ in range(r))
+            z = tuple(rng.randint(-9, 9) for _ in range(r))
+            m = p.minpoly
+            assert bint_mul(x, y, m) == bint_mul(y, x, m)
+            assert bint_mul(bint_mul(x, y, m), z, m) == bint_mul(x, bint_mul(y, z, m), m)
+            assert bint_mul(x, add(y, z), m) == add(bint_mul(x, y, m), bint_mul(x, z, m))
 
 
 # ---------------------------------------------------------------- embeddings
 
 def test_embed_trivial_values(golden, base_two):
-    assert abs(float(bint_embed(BetaInt((1, 1)), 1, golden).mid) - 2.618033988749895) < 1e-12
-    assert abs(complex(bint_embed(BetaInt((1, 1)), 2, golden).mid).real - 0.3819660112501051) < 1e-12
-    assert float(bint_embed(BetaInt((7,)), 1, base_two).mid) == 7.0
+    assert abs(float(bint_embed((1, 1), 1, golden).mid) - 2.618033988749895) < 1e-12
+    assert abs(complex(bint_embed((1, 1), 2, golden).mid).real - 0.3819660112501051) < 1e-12
+    assert float(bint_embed((7,), 1, base_two).mid) == 7.0
 
 
 def test_embedding_is_multiplicative(golden, tribonacci):
@@ -196,9 +225,9 @@ def test_embedding_is_multiplicative(golden, tribonacci):
     for p in (golden, tribonacci):
         r = p.degree
         for _ in range(15):
-            x = BetaInt(tuple(rng.randint(-6, 6) for _ in range(r)))
-            y = BetaInt(tuple(rng.randint(-6, 6) for _ in range(r)))
-            xy = bint_mul(x, y, p)
+            x = tuple(rng.randint(-6, 6) for _ in range(r))
+            y = tuple(rng.randint(-6, 6) for _ in range(r))
+            xy = bint_mul(x, y, p.minpoly)
             for q in range(1, r + 1):
                 ex = bint_embed(x, q, p)
                 ey = bint_embed(y, q, p)
@@ -250,13 +279,13 @@ def test_frac_beta_golden_k10_lucas_oracle(golden):
 
 def test_frac_integer_base_always_zero(base_two):
     for k in range(20):
-        fr = frac_beta_power(BetaInt((3,)), k, base_two)
+        fr = frac_beta_power((3,), k, base_two)
         assert fr == (0.0, 0.0)
 
 
 def test_frac_matches_direct_high_precision(golden, tribonacci):
     for p in (golden, tribonacci):
-        z = BetaInt((1,) + (0,) * (p.degree - 1))
+        z = (1,) + (0,) * (p.degree - 1)
         with mp.workprec(400):
             beta = mp.findroot(
                 lambda x: sum(c * x**i for i, c in enumerate(p.minpoly)), p.beta_float
@@ -278,8 +307,8 @@ def test_frac_powers_equal_per_power(minpoly):
     # on both sides of the direct-embedding / trace-identity switch at k = 8.
     p = make_pisot(list(minpoly))
     r = p.degree
-    generic = BetaInt(tuple((3, -2, 5, -1)[:r]))
-    for z in (BetaInt((0,) * r), bint_from_int(-3, p), generic):
+    generic = (3, -2, 5, -1)[:r]
+    for z in ((0,) * r, bint_from_int(-3, p), generic):
         assert frac_beta_powers(z, 60, p) == [frac_beta_power(z, k, p) for k in range(61)]
     with pytest.raises(ValueError):
         frac_beta_powers(generic, -1, p)
@@ -314,7 +343,7 @@ def test_float_head_within_bound_of_exact_head(data):
     minpoly = data.draw(st.sampled_from(FLOAT_HEAD_BASES))
     p = cached_pisot(minpoly)
     coords = st.lists(st.integers(-10**6, 10**6), min_size=p.degree, max_size=p.degree)
-    z = BetaInt(tuple(data.draw(coords)))
+    z = tuple(data.draw(coords))
     k_max = data.draw(st.integers(0, 200))
     values, errors = float_head(z, k_max, p)
     # frac_beta_powers equals frac_beta_power value for value (test above).
@@ -329,7 +358,7 @@ def test_float_head_rational_integer_and_large_coordinates(golden, tribonacci):
     assert (values[0], errors[0]) == (0.0, 0.0)
     assert 0 < errors[1:].max() < 1e-13
     # past float range the errors are inf, and the head is left to the exact tier
-    _, errors = float_head(BetaInt((10**400, -(10**400))), 5, golden)
+    _, errors = float_head((10**400, -(10**400)), 5, golden)
     assert np.isinf(errors).all()
     with pytest.raises(ValueError):
         float_head(bint_from_int(1, golden), -1, golden)
@@ -338,27 +367,27 @@ def test_float_head_rational_integer_and_large_coordinates(golden, tribonacci):
 # ---------------------------------------------------------------- Q(beta)
 
 def test_qbeta_div_self(golden):
-    beta = QBeta((Fraction(0), Fraction(1)))
+    beta = (Fraction(0), Fraction(1))
     assert qbeta_div(beta, beta, golden) == qbeta_from_int(1, golden)
 
 
 def test_qbeta_div_takes_int_coordinates_exactly(golden):
-    quotient = qbeta_div(QBeta((1, 0)), QBeta((3, 0)), golden)
-    assert quotient == QBeta((Fraction(1, 3), Fraction(0)))
-    assert all(type(c) is Fraction for c in quotient.coords)
+    quotient = qbeta_div((1, 0), (3, 0), golden)
+    assert quotient == (Fraction(1, 3), Fraction(0))
+    assert all(type(c) is Fraction for c in quotient)
 
 
 def test_qbeta_div_inverse_products(golden):
     one = qbeta_from_int(1, golden)
-    beta_minus_one = QBeta((Fraction(-1), Fraction(1)))
+    beta_minus_one = (Fraction(-1), Fraction(1))
     inv = qbeta_div(one, beta_minus_one, golden)
     assert qbeta_mul(inv, beta_minus_one, golden) == one
-    assert inv == QBeta((Fraction(0), Fraction(1)))  # 1/(beta-1) = beta
+    assert inv == (Fraction(0), Fraction(1))  # 1/(beta-1) = beta
 
-    beta_sq_minus_one = QBeta((Fraction(0), Fraction(1)))  # beta^2-1 reduces to beta
+    beta_sq_minus_one = (Fraction(0), Fraction(1))  # beta^2-1 reduces to beta
     inv2 = qbeta_div(one, beta_sq_minus_one, golden)
     assert qbeta_mul(inv2, beta_sq_minus_one, golden) == one
-    assert inv2 == QBeta((Fraction(-1), Fraction(1)))  # beta - 1
+    assert inv2 == (Fraction(-1), Fraction(1))  # beta - 1
 
 
 def test_qbeta_div_by_zero(golden):
@@ -367,7 +396,7 @@ def test_qbeta_div_by_zero(golden):
 
 
 def test_qbeta_embed_rational(golden):
-    x = QBeta((Fraction(1, 2), Fraction(1, 3)))
+    x = (Fraction(1, 2), Fraction(1, 3))
     ball = qbeta_embed(x, 1, golden)
     assert abs(float(ball.mid) - (0.5 + 1.6180339887498949 / 3)) < 1e-12
 

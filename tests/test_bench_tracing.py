@@ -14,3 +14,21 @@ def test_trace_targets_resolve():
             assert attr in vars(getattr(module, cls_name)), qualname
         else:
             assert callable(getattr(module, qualname, None)), f"{module_name}.{qualname}"
+
+
+def test_tracer_counts_the_walk_ring_steps():
+    # The zero-automaton walk multiplies by beta through
+    # algebraic.bint_mul_beta by name, so a traced round sees one call per
+    # state it expands, at least one per state kept.
+    import measure_lab.cli  # noqa: F401  every traced module is loaded
+    from measure_lab import zero_automaton
+    from measure_lab.algebraic import make_pisot
+
+    p = make_pisot([-1, 0, 0, -1, 1])
+    tracer = bench_tracing().Tracer()
+    tracer.install()
+    try:
+        a = zero_automaton.build_zero_automaton(p, [-1, 0, 1])
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["algebraic.bint_mul_beta.calls"] >= a.n_states > 1000

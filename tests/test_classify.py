@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import measure_lab.classify as classify_module
-from measure_lab.algebraic import QBeta, make_pisot, qbeta_nearest_floats
+from measure_lab.algebraic import make_pisot, qbeta_nearest_floats
 from measure_lab.automaton import LabeledAutomaton, parse_automaton
 from measure_lab.classify import (
     FiniteImageResult,
@@ -61,8 +61,8 @@ def test_zero_automata_have_identity_value_map(golden, tribonacci):
         result = finite_image_test(a, p)
         assert result.ok
         for name, value in result.c_map.items():
-            coords = beta_int_from_name(name, p).coords
-            assert value == QBeta(tuple(Fraction(c) for c in coords))
+            coords = beta_int_from_name(name, p)
+            assert value == tuple(Fraction(c) for c in coords)
 
 
 def test_two_loops_witness(golden):
@@ -78,7 +78,7 @@ def test_single_loop_geometric_value(base_two):
     )
     result = finite_image_test(a, base_two)
     assert result.ok
-    assert result.c_map["s"] == QBeta((Fraction(1),))  # sum 2^-k = 1
+    assert result.c_map["s"] == (Fraction(1),)  # sum 2^-k = 1
 
 
 def test_not_strongly_connected_rejected(golden):
@@ -230,11 +230,11 @@ def test_scaling_equivariance(automata, pisots, perron_data):
     atoms_base = atoms(base, p, perron_data["example1-7edge"])
     atoms_scaled = atoms(scaled, p, perron(scaled))
     scaled_map = {
-        tuple(3 * c for c in at.value.coords): at.mass for at in atoms_base
+        tuple(3 * c for c in at.value): at.mass for at in atoms_base
     }
     for at in atoms_scaled:
-        assert at.value.coords in scaled_map
-        assert abs(at.mass - scaled_map[at.value.coords]) < 1e-10
+        assert at.value in scaled_map
+        assert abs(at.mass - scaled_map[at.value]) < 1e-10
 
 
 def test_monte_carlo_matches_atom_masses(automata, pisots, perron_data):
@@ -244,10 +244,10 @@ def test_monte_carlo_matches_atom_masses(automata, pisots, perron_data):
     result = finite_image_test(a, p)
     idx = a.state_index()
     for name, value in result.c_map.items():
-        value_by_state[idx[name]] = value.coords
+        value_by_state[idx[name]] = value
     states, _ = reference_sample_many(pd, a, n_runs=20000, length=1, seed=17)
     for at in atom_list:
-        hit_states = [i for i, v in value_by_state.items() if v == at.value.coords]
+        hit_states = [i for i, v in value_by_state.items() if v == at.value]
         freq = float(np.isin(states[:, 0], hit_states).mean())
         sigma = math.sqrt(at.mass * (1 - at.mass) / 20000)
         assert abs(freq - at.mass) < 4 * sigma + 1e-3
@@ -260,7 +260,7 @@ def test_monte_carlo_matches_atom_masses(automata, pisots, perron_data):
 def test_integer_test_matches_fraction_oracle_on_zero_subautomata(case):
     a, p, edited = case
     got = finite_image_test(a, p)
-    assert got == ref_finite_image_test(a, p)
+    assert (got.ok, got.c_map, got.witness) == ref_finite_image_test(a, p)
     assert got.ok or edited
 
 
@@ -268,7 +268,8 @@ def test_integer_test_matches_fraction_oracle_on_zero_subautomata(case):
 @given(case=strongly_connected_automata())
 def test_integer_test_matches_fraction_oracle_on_random_automata(case):
     a, p = case
-    assert finite_image_test(a, p) == ref_finite_image_test(a, p)
+    got = finite_image_test(a, p)
+    assert (got.ok, got.c_map, got.witness) == ref_finite_image_test(a, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,8 +308,7 @@ def test_decided_nearest_floats_match_400_bit_reference(data):
     minpoly = data.draw(st.sampled_from(PISOT_BASES))
     p = pisot(minpoly)
     r = p.degree
-    xs = [QBeta(tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))))
-          for _ in range(4)]
+    xs = [tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))) for _ in range(4)]
     for x, value in zip(xs, qbeta_nearest_floats(xs, p)):
         assert value == nearest_double_reference(x, minpoly), x
 
@@ -325,8 +325,8 @@ def test_undecided_value_escalates_to_the_nearest_double(golden, monkeypatch):
     # 160-bit fixed-point error of coordinates near 2^104, so only a finer
     # enclosure decides it.
     f_n, f_next = fibonacci_pair(150)
-    tiny = QBeta((Fraction(f_next), Fraction(-f_n)))
-    ordinary = QBeta((Fraction(1, 3), Fraction(2, 7)))
+    tiny = (Fraction(f_next), Fraction(-f_n))
+    ordinary = (Fraction(1, 3), Fraction(2, 7))
     expected = [nearest_double_reference(x, golden.minpoly) for x in (tiny, ordinary)]
     with mp.workprec(200):
         assert expected[0] == float((2 / (1 + mp.sqrt(5))) ** 150) != 0
@@ -334,7 +334,7 @@ def test_undecided_value_escalates_to_the_nearest_double(golden, monkeypatch):
     single = parse_automaton(
         {"alphabet": [0], "states": ["s"], "edges": [{"from": "s", "to": "s", "label": 0}]}
     )
-    image = FiniteImageResult(ok=True, c_map={"s": tiny}, witness=None)
+    image = FiniteImageResult(ok=True, numerators={"s": (f_next, -f_n)}, denominator=1, witness=None)
     (atom,) = atoms(single, golden, perron(single), image)
     assert atom.value_decimal == expected[0]
     # 160 bits leave it undecided, so a cap there exhausts the precision
@@ -370,7 +370,7 @@ def test_zero_automaton_atoms_golden(minpoly):
     p = make_pisot(minpoly)
     a = build_zero_automaton(p, [-1, 0, 1])
     assert a.n_states == count
-    rows = [[[str(c) for c in at.value.coords], repr(at.value_decimal)]
+    rows = [[[str(c) for c in at.value], repr(at.value_decimal)]
             for at in atoms(a, p, perron(a))]
     for i, (coords, decimal) in samples.items():
         assert rows[i] == [coords, repr(decimal)]

@@ -478,15 +478,24 @@ def test_fixture_files_round_trip(fixture_dir):
         assert serialize_automaton(a) == doc
 
 
-def test_precision_exhaustion_exit_code(capsys, monkeypatch):
-    # roots of this polynomial sit on the unit circle, so the Pisot check
-    # can never separate them from modulus one; the cap turns that into
-    # exit code 3 instead of a silent misclassification
+def test_precision_exhaustion_exit_code(capsys, monkeypatch, fixture_dir):
+    # |z| = 1e300 needs 1,024 bits for its residues z*beta^-k; a cap of 512
+    # turns that into exit code 3 instead of a silent loss of precision
     monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "512")
-    lehmer = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
-    code, out = run(capsys, "zero-automaton", "--minpoly", lehmer, "--alphabet", "0,1")
+    fig3 = str(fixture_dir / "fig3.json")
+    code, out = run(capsys, "limit", fig3, "--z", f"{10**300},{-10**300}")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "PrecisionExhausted"
+
+
+def test_lehmer_polynomial_not_pisot(capsys):
+    # Lehmer's polynomial equals its reversal and has roots on the unit
+    # circle, which no precision separates from modulus one; the exact
+    # gate rejects it before any root is enclosed
+    lehmer = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+    code, out = run(capsys, "zero-automaton", "--minpoly", lehmer, "--alphabet", "0,1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "NotPisot"
 
 
 def test_limit_huge_z(capsys, fixture_dir):

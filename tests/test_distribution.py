@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from measure_lab import distribution
-from measure_lab.algebraic import _coords_mul_beta, make_pisot
+from measure_lab.algebraic import bint_mul_beta, make_pisot
 from measure_lab.automaton import parse_automaton, transition_matrices
 from measure_lab.distribution import cdf_bracket, depth_cloud, value_bounds
 from measure_lab.errors import CapExceeded, DeadState
@@ -172,7 +172,7 @@ def _reference_cloud(a, p, pd, n):
 def _reference_brackets(a, p, pd, depth, points):
     """Bucket loop the refinement engine replaced: merges prefixes of equal
     exact Z[beta] value (Python-int coordinates, walked by
-    ``_coords_mul_beta``) and equal support, keeps each bucket's first-seen
+    ``bint_mul_beta``) and equal support, keeps each bucket's first-seen
     float value and sums masses bucket by bucket; brackets at points beyond
     or below every bucket are exactly 1 or 0, and the rest are clamped to
     at most 1."""
@@ -186,7 +186,7 @@ def _reference_brackets(a, p, pd, depth, points):
             for label in a.alphabet:
                 new_row = row @ tm.per_label[label]
                 if new_row.max() > 0:
-                    key = (_coords_mul_beta(coords, p.minpoly, label), tuple(new_row > 0))
+                    key = (bint_mul_beta(coords, p.minpoly, label), tuple(new_row > 0))
                     if key in nxt:
                         nxt[key][1][:] += new_row
                     else:

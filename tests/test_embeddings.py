@@ -17,8 +17,6 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from measure_lab.algebraic import (
-    BetaInt,
-    QBeta,
     bint_embed,
     frac_beta_powers,
     make_pisot,
@@ -145,7 +143,7 @@ def ref_bint_embed(x, q, p):
     def attempt(prec):
         point = ref_points(p, prec)[q - 1]
         with mp.workprec(prec + 64):
-            ball = ref_horner(x.coords, point)
+            ball = ref_horner(x, point)
         return ball if ball.rad <= target else None
 
     return ref_escalate(p, attempt)
@@ -158,10 +156,10 @@ def ref_qbeta_embed(x, q, p):
         point = ref_points(p, prec)[q - 1]
         with mp.workprec(prec + 64):
             if q == 1:
-                acc = RefBall.from_fraction(x.coords[-1])
+                acc = RefBall.from_fraction(x[-1])
             else:
-                acc = RefCBall.from_ball(RefBall.from_fraction(x.coords[-1]))
-            for c in reversed(x.coords[:-1]):
+                acc = RefCBall.from_ball(RefBall.from_fraction(x[-1]))
+            for c in reversed(x[:-1]):
                 fb = RefBall.from_fraction(c)
                 step = fb if q == 1 else RefCBall.from_ball(fb)
                 acc = acc * point + step
@@ -171,18 +169,18 @@ def ref_qbeta_embed(x, q, p):
 
 
 def ref_frac(w, k, p, max_err=2.0**-60):
-    if all(c == 0 for c in w.coords[1:]):
+    if all(c == 0 for c in w[1:]):
         return (0.0, 0.0)
 
     def attempt(prec):
         points = ref_points(p, prec)
         with mp.workprec(prec + 64):
             if k <= 8:
-                ball = ref_horner(w.coords, points[0])
+                ball = ref_horner(w, points[0])
             else:
                 total = RefCBall.from_int(0)
                 for point in points[1:]:
-                    total = total + ref_horner(w.coords, point)
+                    total = total + ref_horner(w, point)
                 total = -total
                 ball = RefBall(total.mid.real, total.rad)
             if ball.rad > max_err:
@@ -203,13 +201,14 @@ def ref_mul_beta(coords, minpoly):
 
 
 def random_elements(r, rng):
-    """Small and large BetaInt and QBeta elements; the large ones make the
-    embeddings escalate past the starting precision."""
-    ints = [BetaInt(tuple(rng.randint(-50, 50) for _ in range(r))) for _ in range(6)]
-    ints += [BetaInt((0,) * r), BetaInt((2**300,) + (1,) * (r - 1))]
-    fracs = [QBeta(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(r)))
+    """Small and large elements of Z[beta] (int coordinates) and Q(beta)
+    (Fraction coordinates); the large ones make the embeddings escalate
+    past the starting precision."""
+    ints = [tuple(rng.randint(-50, 50) for _ in range(r)) for _ in range(6)]
+    ints += [(0,) * r, (2**300,) + (1,) * (r - 1)]
+    fracs = [tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(r))
              for _ in range(6)]
-    fracs += [QBeta((Fraction(2**300, 3),) + (Fraction(0),) * (r - 1)),
+    fracs += [(Fraction(2**300, 3),) + (Fraction(0),) * (r - 1),
               qbeta_from_bint(ints[0])]
     return ints, fracs
 
@@ -226,9 +225,9 @@ def test_embeddings_match_reference_bit_for_bit(name):
             got, ref = qbeta_embed(x, q, p), ref_qbeta_embed(x, q, p)
             assert (got.mid, got.rad) == (ref.mid, ref.rad), (x, q)
     for z in ints[:3]:
-        walk, w = [], z.coords
+        walk, w = [], z
         for k in range(41):
-            walk.append(ref_frac(BetaInt(w), k, p))
+            walk.append(ref_frac(w, k, p))
             w = ref_mul_beta(w, p.minpoly)
         got = frac_beta_powers(z, 40, p)
         assert [fr.value for fr in got] == [value for value, _ in walk]
@@ -261,19 +260,19 @@ coordinate = st.one_of(
 def test_qbeta_embeddings_at_every_index(name, data):
     p, roots = roots_200_digits(BASES[name])
     r = p.degree
-    x = QBeta(tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))))
-    y = QBeta(tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))))
-    b = BetaInt(tuple(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=r, max_size=r))))
+    x = tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r)))
+    y = tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r)))
+    b = tuple(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=r, max_size=r)))
     for q, root in enumerate(roots, start=1):
         ball = qbeta_embed(x, q, p)
         with mp.workdps(200):
-            exact = sum(mpf(c.numerator) / c.denominator * root**i for i, c in enumerate(x.coords))
+            exact = sum(mpf(c.numerator) / c.denominator * root**i for i, c in enumerate(x))
             assert abs(exact - ball.mid) <= ball.rad, (x, q)
         lifted, direct = qbeta_embed(qbeta_from_bint(b), q, p), bint_embed(b, q, p)
         assert abs(lifted.mid - direct.mid) <= lifted.rad + direct.rad, (b, q)
     results = [qbeta_add(x, y), qbeta_sub(x, y), qbeta_mul(x, y, p), qbeta_mul_beta(x, p),
                qbeta_from_bint(b), qbeta_from_int(3, p)]
-    if not y.is_zero:
+    if any(y):
         results.append(qbeta_div(x, y, p))
     for z in results:
-        assert all(type(c) is Fraction for c in z.coords), z
+        assert all(type(c) is Fraction for c in z), z

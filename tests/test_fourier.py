@@ -370,23 +370,23 @@ def test_limit_head_falls_back_to_exact_head(automata, pisots, perron_data, monk
     # of the exact-head engine: the one with the float tier ruled out, and
     # the figures frozen from the engine before the float tier existed.
     from measure_lab import fourier
-    from measure_lab.algebraic import BetaInt, bint_embed, float_with_error
+    from measure_lab.algebraic import bint_embed, float_with_error
 
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
-    z = BetaInt((2**53 + 1, -(2**53)))
+    z = (2**53 + 1, -(2**53))
     conj, conj_err = float_with_error(bint_embed(z, 2, p))
     _, errors = fourier.frac_beta_powers_float([z], [[conj]], [[conj_err]], 124, p)
     assert errors[0, :5].min() > 1
     walks = []
     walk = fourier.frac_beta_powers
     monkeypatch.setattr(fourier, "frac_beta_powers", lambda *args: walks.append(args) or walk(*args))
-    res = psi_hat(a, p, pd, z.coords, 1e-8)
+    res = psi_hat(a, p, pd, z, 1e-8)
     assert walks == [(z, res.head_terms, p)]
     assert (res.head_terms, res.tail_terms) == (124, 123)
     assert res.bound == pytest.approx(9.685471284261638e-09, rel=1e-9)
     assert res.value == pytest.approx(-2.0250508803898102e-53 - 2.7367048763630977e-53j, rel=1e-9)
     monkeypatch.setattr(fourier, "frac_beta_powers_float", no_float_head(fourier))
-    assert psi_hat(a, p, pd, z.coords, 1e-8) == res
+    assert psi_hat(a, p, pd, z, 1e-8) == res
 
 
 def test_erdos_full_shift_nonvanishing(golden):
@@ -413,13 +413,13 @@ def test_scan_symmetry_canonical_half(automata, pisots, perron_data):
 def test_consistency_limit_vs_large_argument(automata, pisots, perron_data):
     # psi_hat(z) agrees with the transform evaluated directly at z*beta^25,
     # all factor arguments reduced through exact fractional parts
-    from measure_lab.algebraic import BetaInt, bint_embed, frac_beta_power
+    from measure_lab.algebraic import bint_embed, frac_beta_power
 
     k = 25
     for name in ("fibonacci", "fig3", "example1-7edge"):
         a, p, pd = automata[name], pisots[name], perron_data[name]
         cache = build_weight_cache(a, pd)
-        z = BetaInt((1, 0))
+        z = (1, 0)
         row = cache.v_l.copy()
         for j in range(k - 1, -1, -1):
             row = row @ cache.weight(frac_beta_power(z, j, p).value)

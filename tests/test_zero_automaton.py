@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from measure_lab import algebraic, zero_automaton as za
-from measure_lab.algebraic import BetaInt, make_pisot
+from measure_lab.algebraic import format_coords, make_pisot
 from measure_lab.automaton import parse_automaton, primitivity_check
 from measure_lab.errors import CapExceeded
 from measure_lab.parry import perron
@@ -51,8 +51,8 @@ def test_golden_trimmed_states_and_edges(golden):
     for src, dst, label in a.edges:
         x = beta_int_from_name(src, golden)
         y = beta_int_from_name(dst, golden)
-        head, *tail = bint_mul_beta(x, golden).coords
-        assert BetaInt((head - label, *tail)) == y
+        head, *tail = bint_mul_beta(x, golden.minpoly)
+        assert (head - label, *tail) == y
 
 
 def test_golden_accessible_contains_boundary_states(golden):
@@ -144,7 +144,7 @@ def test_state_bounds_post_hoc(golden):
     a = build_zero_automaton(golden, [0, 1, -1], trim="accessible")
     for name in a.states:
         assert state_within_bounds(beta_int_from_name(name, golden), golden, 1)
-    assert not state_within_bounds(BetaInt((2, 0)), golden, 1)
+    assert not state_within_bounds((2, 0), golden, 1)
 
 
 def test_counts_against_exhaustive_enumeration(golden):
@@ -274,7 +274,7 @@ def seed_states(name):
     reachable = build_zero_automaton(p, [-1, 0, 1], trim="accessible").states
     trimmed = set(build_zero_automaton(p, [-1, 0, 1]).states)
     return tuple(
-        [beta_int_from_name(s, p).coords for s in names]
+        [beta_int_from_name(s, p) for s in names]
         for names in (reachable, [s for s in reachable if s not in trimmed])
     )
 
@@ -291,7 +291,7 @@ def test_boundary_states_take_the_certified_path(golden):
     # (2,-1) lies on the conjugate bound: |2 + 1/beta|*(1 - 1/beta) = 1.
     rows = [(0, 1), (2, -1)]
     assert list(float_tier(np.array(rows), golden, 1)) == [UNDECIDED, UNDECIDED]
-    assert all(state_within_bounds(BetaInt(row), golden, 1) for row in rows)
+    assert all(state_within_bounds(row, golden, 1) for row in rows)
     box = build_zero_automaton(golden, [-1, 0, 1], trim="none")
     assert {"(0,1)", "(2,-1)"} <= set(box.states)
     # clear cases are decided in float64
@@ -310,10 +310,10 @@ def test_boundary_states_need_no_enclosures(golden, monkeypatch):
         raise AssertionError("a boundary state reached the ball test")
 
     monkeypatch.setattr(za, "refined_enclosures", no_enclosures)
-    assert state_within_bounds(BetaInt((0, 1)), golden, 1)
-    assert state_within_bounds(BetaInt((2, -1)), golden, 1)
-    assert state_within_bounds(BetaInt((0, 1, 1)), plastic, 1)
-    assert state_within_bounds(BetaInt((0, 3, 3)), plastic, 3)
+    assert state_within_bounds((0, 1), golden, 1)
+    assert state_within_bounds((2, -1), golden, 1)
+    assert state_within_bounds((0, 1, 1), plastic, 1)
+    assert state_within_bounds((0, 3, 3), plastic, 3)
 
 
 def test_tier_declines_coordinates_past_two_to_53(golden):
@@ -327,7 +327,7 @@ def test_huge_digits_match_mpmath_only(monkeypatch, name):
     p = base(name)
     digit = 10**18 + 7
     built = build_zero_automaton(p, [-digit, 0, digit], trim="accessible")
-    coords = [beta_int_from_name(s, p).coords for s in built.states]
+    coords = [beta_int_from_name(s, p) for s in built.states]
     assert max(abs(c) for row in coords for c in row) >= 2**53
     assert (float_tier(np.array(coords), p, digit) == UNDECIDED).all()
     mpmath_only(monkeypatch)
@@ -368,7 +368,7 @@ def test_float_tier_agrees_with_certified_test(case):
     p = base(name)
     for row, decision in zip(rows, float_tier(np.array(rows), p, m_abs)):
         if decision != UNDECIDED:
-            assert (decision == IN) == state_within_bounds(BetaInt(row), p, m_abs), row
+            assert (decision == IN) == state_within_bounds(row, p, m_abs), row
 
 
 @st.composite
@@ -390,7 +390,7 @@ def test_built_automata_recognise_exactly_the_zero_words(case):
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: state_within_bounds(BetaInt((0, 1)), p, 1),
+    lambda p: state_within_bounds((0, 1), p, 1),
     lambda p: float_tier(np.array([(0, 1)]), p, 1),
 ], ids=["state_within_bounds", "float_tier"])
 def test_entry_points_hold_mp_lock(golden, monkeypatch, call):
@@ -453,7 +453,7 @@ def test_huge_digits_scale_the_unit_automaton(name, trim):
     p, d = base(name), 2**70
 
     def scaled(state):
-        return str(BetaInt(tuple(d * c for c in beta_int_from_name(state, p).coords)))
+        return format_coords(tuple(d * c for c in beta_int_from_name(state, p)))
 
     unit = build_zero_automaton(p, [-1, 0, 1], trim=trim)
     huge = build_zero_automaton(p, [-d, 0, d], trim=trim)
