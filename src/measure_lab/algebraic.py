@@ -7,14 +7,14 @@ multiplication by beta (``bint_mul_beta``) serve both, and
 ``format_coords`` writes either as text.  Numeric values are only
 ever produced as certified enclosures (midpoint plus radius), so that
 boundary comparisons can never silently misclassify.  Every enclosure
-follows one precision policy, ``_escalate``: start at ``p.precision``,
-double until the decision is certified, and raise ``PrecisionExhausted``
-past ``MEASURE_LAB_PRECISION_CAP``.  Embeddings of both element types are
-one ``ball_horner`` evaluation: int coordinates enter exactly, Fraction
-coordinates rounded to the working precision.  The nearest double of a
-Q(beta) value comes from integers alone: beta's powers in fixed point,
-with an error that follows from beta's enclosure, under the same
-doubling policy.
+follows one precision policy, ``_escalate``: start at ``PRECISION``
+(128 bits), double until the decision is certified, and raise
+``PrecisionExhausted`` past ``MEASURE_LAB_PRECISION_CAP``.
+Embeddings of both element types are one ``ball_horner`` evaluation: int
+coordinates enter exactly, Fraction coordinates rounded to the working
+precision.  The nearest double of a Q(beta) value comes from integers
+alone: beta's powers in fixed point, with an error that follows from
+beta's enclosure, under the same doubling policy.
 
 ``make_pisot`` proves the minimal polynomial p irreducible in every
 degree with one exact gate and the disk test.  The gate rejects a
@@ -64,15 +64,24 @@ from mpmath import mp, mpc, mpf
 _MP_LOCK = threading.RLock()
 
 from ._ball import Ball, CBall, ball_horner
-from .errors import NotMonic, NotPisot, PrecisionExhausted, Reducible
+from .errors import NotMonic, NotPisot, PrecisionExhausted, Reducible, ValidationError
 
-DEFAULT_PRECISION = 128
+PRECISION = 128  # bits: the start of every escalation and of make_pisot's enclosures
 FRAC_MAX_ERR = 2.0**-60  # largest radius of a certified fractional part, read on each call
 _PRECISION_CAP_ENV = "MEASURE_LAB_PRECISION_CAP"
 
 
 def precision_cap() -> int:
-    return int(os.environ.get(_PRECISION_CAP_ENV, "4096"))
+    """The cap in bits, read on each call: 4096 when the variable is unset
+    or empty, ValidationError unless it is an integer >= 1."""
+    text = os.environ.get(_PRECISION_CAP_ENV) or "4096"
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0  # rejected below, as any value under 1
+    if cap < 1:
+        raise ValidationError(f"{_PRECISION_CAP_ENV} must be an integer >= 1, got {text!r}")
+    return cap
 
 
 def _serialized(fn):
@@ -84,14 +93,11 @@ def _serialized(fn):
     return wrapper
 
 
-def _escalate(start: int, attempt, failure, cap: int | None = None):
+def _escalate(attempt, failure, start: int = PRECISION, cap: int | None = None):
     """The one precision policy: attempt(prec) at start, 2*start, ... while
     prec stays within the cap (the precision cap unless given, never below
     start); the first result that is not None wins.  Past the cap raises
-    PrecisionExhausted(failure(cap)).  A start below 1 never doubles
-    towards the cap, so it raises ValueError."""
-    if start < 1:
-        raise ValueError(f"precision must be at least 1 bit, got {start}")
+    PrecisionExhausted(failure(cap))."""
     cap = max(precision_cap() if cap is None else cap, start)
     prec = start
     while prec <= cap:
@@ -123,7 +129,6 @@ class PisotNumber:
     """
 
     minpoly: tuple[int, ...]
-    precision: int
     root_beta: Ball
     conjugates: tuple[CBall, ...]
 
@@ -297,16 +302,17 @@ def _classified_disks_capped(minpoly: tuple[int, ...], target_prec: int, cap: in
             return Ball(dom[0].real, dom[1]), tuple(CBall(mid, rad) for mid, rad in disks[1:])
 
     return _escalate(
-        max(64, target_prec),
         attempt,
         lambda cap: f"cannot certify root enclosures of {minpoly} within {cap} bits",
+        max(64, target_prec),
         cap,
     )
 
 
 @_serialized
-def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
-    """Validate a monic integer polynomial and certify its Pisot root.
+def make_pisot(minpoly) -> PisotNumber:
+    """Validate a monic integer polynomial and certify its Pisot root, with
+    enclosures at ``PRECISION`` bits.
 
     Above degree 1, the exact gate ``_exact_gate`` runs first: a repeated
     factor, a root 0 or a factor shared with the reversal x^r p(1/x) is
@@ -330,14 +336,14 @@ def make_pisot(minpoly, precision: int = DEFAULT_PRECISION) -> PisotNumber:
         if root < 2:
             raise NotPisot(f"root {root} is not a real algebraic integer > 1")
         beta = Ball.enclose(root)
-        return PisotNumber(coeffs, precision, beta, ())
+        return PisotNumber(coeffs, beta, ())
 
     rejection = _exact_gate(coeffs)
     if rejection is not None:
         error, message = rejection
         raise error(message)
-    beta, conjugates = _classified_disks(coeffs, precision)
-    return PisotNumber(coeffs, precision, beta, conjugates)
+    beta, conjugates = _classified_disks(coeffs, PRECISION)
+    return PisotNumber(coeffs, beta, conjugates)
 
 
 @_serialized
@@ -392,7 +398,7 @@ def bint_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
 def _embed(x, q: int, p: PisotNumber):
     if not 1 <= q <= p.degree:
         raise ValueError(f"embedding index {q} outside 1..{p.degree}")
-    target = mpf(2) ** -(p.precision // 2)
+    target = mpf(2) ** -(PRECISION // 2)
 
     def attempt(prec: int):
         beta, conj = refined_enclosures(p, prec)
@@ -400,9 +406,7 @@ def _embed(x, q: int, p: PisotNumber):
             ball = ball_horner(x, beta if q == 1 else conj[q - 2])
         return ball if ball.rad <= target else None
 
-    return _escalate(
-        p.precision, attempt, lambda cap: f"embedding of {format_coords(x)} at index {q}"
-    )
+    return _escalate(attempt, lambda cap: f"embedding of {format_coords(x)} at index {q}")
 
 
 @_serialized
@@ -410,7 +414,7 @@ def bint_embed(x: tuple[int, ...], q: int, p: PisotNumber):
     """Certified enclosure of x under the q-th embedding (q=1 is beta itself).
 
     Returns a Ball for q=1 and a CBall otherwise; width is at most
-    2^(-precision/2), escalating internally as needed.
+    2^(-PRECISION/2), escalating internally as needed.
     """
     return _embed(x, q, p)
 
@@ -429,9 +433,10 @@ def qbeta_embed(x: tuple[Fraction, ...], q: int, p: PisotNumber):
 _FIXED_BITS = 160
 
 
-def qbeta_nearest_floats(xs: Sequence[tuple[Fraction, ...]], p: PisotNumber) -> list[float]:
-    """The double nearest the value of each x (its embedding at beta
-    itself), decided in fixed point under ``_escalate``: K = 160 bits on
+def qbeta_nearest_floats(rows: Sequence[tuple[int, ...]], den: int, p: PisotNumber) -> list[float]:
+    """The double nearest the value of each x = row / den (its embedding at
+    beta itself), for integer coordinate rows over one denominator den > 0,
+    decided in fixed point under ``_escalate``: K = 160 bits on
     ``p.root_beta`` first, then the values still undecided at K = 320,
     640, ... bits on ``refined_enclosures(p, K)``.
 
@@ -440,12 +445,12 @@ def qbeta_nearest_floats(xs: Sequence[tuple[Fraction, ...]], p: PisotNumber) -> 
     floor(B_i b / 2^K) are within e_0 = 0 and e_(i+1) = ceil((B_i e + e_i
     (b + e)) / 2^K) + 1 of beta^i 2^K: with beta^i 2^K = B_i + d_i and
     beta 2^K = b + d, the product misses by (B_i d + d_i b + d_i d) / 2^K,
-    and the floor by less than 1.  With x = sum n_i beta^i / D over one
-    denominator D > 0, x D 2^K lies in [S - E, S + E] for S = sum n_i B_i
-    and E = sum |n_i| e_i.  Int true division rounds correctly to nearest,
-    so when both ends round to the same double, so does x.
+    and the floor by less than 1.  With x = sum n_i beta^i / D, x D 2^K
+    lies in [S - E, S + E] for S = sum n_i B_i and E = sum |n_i| e_i.  Int
+    true division rounds correctly to nearest, so when both ends round to
+    the same double, so does x.
     """
-    out: list[float | None] = [None] * len(xs)
+    out: list[float | None] = [None] * len(rows)
 
     def attempt(k: int) -> list[float] | None:
         beta = p.root_beta if k == _FIXED_BITS else refined_enclosures(p, k)[0]
@@ -457,20 +462,19 @@ def qbeta_nearest_floats(xs: Sequence[tuple[Fraction, ...]], p: PisotNumber) -> 
         for _ in range(p.degree - 1):
             big, err = powers[-1]
             powers.append((big * b >> k, -(-(big * e + err * (b + e)) >> k) + 1))
+        scale = den << k
         for i in [i for i, value in enumerate(out) if value is None]:
-            den = math.lcm(*(c.denominator for c in xs[i]))
             total = err = 0
-            for c, (big, e_i) in zip(xs[i], powers):
-                n = c.numerator * (den // c.denominator)
+            for n, (big, e_i) in zip(rows[i], powers):
                 total += n * big
                 err += abs(n) * e_i
-            low = (total - err) / (den << k)
-            if low == (total + err) / (den << k):
+            low = (total - err) / scale
+            if low == (total + err) / scale:
                 out[i] = low
         return None if None in out else out
 
     return _escalate(
-        _FIXED_BITS, attempt, lambda cap: f"cannot round a Q(beta) value to a double at {cap} bits"
+        attempt, lambda cap: f"cannot round a Q(beta) value to a double at {cap} bits", _FIXED_BITS
     )
 
 
@@ -533,7 +537,6 @@ def frac_inverse_beta_powers(x: float | tuple[int, ...], n: int, p: PisotNumber)
             return out
 
     return _escalate(
-        p.precision,
         attempt,
         lambda cap: f"{format_coords(x) if isinstance(x, tuple) else x}*beta^-k for k <= {n} "
         f"cannot be enclosed to float precision within {cap} bits",
@@ -667,7 +670,6 @@ def _certified_frac(z: tuple[int, ...], k: int, w: tuple[int, ...], p: PisotNumb
             return _frac_of_real_ball(ball) if ball.rad <= FRAC_MAX_ERR else None
 
     return _escalate(
-        p.precision,
         attempt,
         lambda cap: f"frac({format_coords(z)}*beta^{k}) enclosure {float(balls[-1].mid)!r} "
         f"+- {float(balls[-1].rad)!r} cannot be separated from an integer",

@@ -25,7 +25,7 @@ from .algebraic import (
     qbeta_nearest_floats,
 )
 from .automaton import LabeledAutomaton, primitivity_check
-from .errors import NotPrimitive, NotStronglyConnected
+from .errors import NotStronglyConnected
 from .fourier import DEFAULT_TOL as DEFAULT_FOURIER_TOL, check_scan_height, rajchman_scan
 from .parry import PerronData, perron, start_distribution
 
@@ -158,12 +158,10 @@ def atoms(
     for state, numer in result.numerators.items():
         groups.setdefault(numer, []).append(state)
     d = result.denominator
-    values = [tuple(Fraction(n, d) for n in numer) for numer in groups]
     collected = []
-    for numer, value, decimal, states in zip(
-        groups, values, qbeta_nearest_floats(values, p), groups.values()
-    ):
+    for (numer, states), decimal in zip(groups.items(), qbeta_nearest_floats(list(groups), d, p)):
         mass = float(sum(pi[idx[s]] for s in states))
+        value = tuple(Fraction(n, d) for n in numer)
         atom = Atom(value=value, mass=mass, value_decimal=decimal, states=tuple(sorted(states)))
         collected.append((decimal, numer, atom))
     collected.sort(key=lambda entry: entry[:2])
@@ -185,11 +183,10 @@ def classify(
     max(10*tol, 1e-4) and its own error bound, which certifies that the
     coefficient is nonzero; otherwise inconclusive (consistent with
     absolute continuity, which a finite scan can never certify).  The
-    height is checked before any other work.
+    height is checked before any other work; ``perron`` raises
+    NotPrimitive for an automaton that is not primitive.
     """
     check_scan_height(scan_height)
-    if not primitivity_check(a)["primitive"]:
-        raise NotPrimitive("classification requires a primitive automaton")
     pd = perron(a)
     fi = finite_image_test(a, p)
     if fi.ok:

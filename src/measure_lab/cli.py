@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from ._jsontext import dumps
-from .algebraic import DEFAULT_PRECISION, make_pisot
+from .algebraic import make_pisot
 from .automaton import (
     ambiguous_word_count,
     automaton_to_json,
@@ -29,7 +29,7 @@ from .classify import atoms, atoms_to_dicts, classify, finite_image_test, verdic
 from .distribution import cdf_bracket, depth_cloud
 from .errors import MeasureLabError, PrecisionExhausted, SchemaError, ValidationError
 from .fixtures import run_all
-from .fourier import check_z_coords, nu_hat_grid, psi_hat, rajchman_scan
+from .fourier import DEFAULT_TOL, check_z_coords, nu_hat_grid, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
 from .zero_automaton import beta_int_from_name, build_zero_automaton, verify_zero_language
 
@@ -185,7 +185,7 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_zero_automaton(args) -> dict:
-    p = make_pisot(_int_list(args.minpoly), precision=args.precision)
+    p = make_pisot(_int_list(args.minpoly))
     a = build_zero_automaton(p, _int_list(args.alphabet), trim=args.trim)
     if args.document:
         with open(args.document, "w", encoding="utf-8") as handle:
@@ -213,13 +213,9 @@ def _cmd_zero_automaton(args) -> dict:
     return report
 
 
-def _pisot_for(a, args):
-    return make_pisot(list(a.beta_minpoly), precision=args.precision)
-
-
 def _cmd_classify(args) -> dict:
     a = _load(args.automaton)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     verdict = classify(a, p, scan_height=args.height, tol=args.tol)
     report = verdict_to_dict(verdict)
     report["file"] = args.automaton
@@ -228,7 +224,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_atoms(args) -> dict:
     a = _load(args.automaton)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     fi = finite_image_test(a, p)
     if not fi.ok:
@@ -260,7 +256,7 @@ def _cmd_cylinder(args) -> dict:
 
 def _cmd_fourier(args) -> dict:
     a = _load(args.automaton)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     ts = _float_list(args.t)
     rows = [
@@ -277,7 +273,7 @@ def _cmd_limit(args) -> dict:
     a = _load(args.automaton)
     z = _int_list(args.z)
     check_z_coords(z)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     if len(z) > p.degree:
         raise ValidationError(f"--z has {len(z)} coordinates, base degree is {p.degree}")
@@ -297,7 +293,7 @@ def _cmd_limit(args) -> dict:
 
 def _cmd_scan(args) -> dict:
     a = _load(args.automaton)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     result = rajchman_scan(a, p, pd, height=args.height, tol=args.tol)
     rows = [
@@ -325,7 +321,7 @@ def _cmd_scan(args) -> dict:
 
 def _cmd_cdf(args) -> dict:
     a = _load(args.automaton)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     points = _float_list(args.points)
     brackets = cdf_bracket(a, p, pd, args.depth, points)
@@ -340,7 +336,7 @@ def _cmd_cdf(args) -> dict:
 
 def _cmd_cloud(args) -> dict:
     a = _load(args.automaton)
-    p = _pisot_for(a, args)
+    p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     cloud = depth_cloud(a, p, pd, args.depth)
     # lexsort is stable, so rows of equal (value, mass) keep word order.
@@ -381,16 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, reads=(), automaton=True, report_out=True):
-        # Each subcommand declares only the numeric flags it reads.
+    def common(sp, tol=False, automaton=True, report_out=True):
+        # Only the subcommands that read --tol declare it.
         if automaton:
             sp.add_argument("automaton", help="automaton JSON file")
         if report_out:
             sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        if "tol" in reads:
-            sp.add_argument("--tol", type=float, default=1e-8)
-        if "precision" in reads:
-            sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        if tol:
+            sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     sp = sub.add_parser("validate", help="parse and validate an automaton document")
     common(sp)
@@ -403,16 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", type=int, default=0, help="verify language up to this length")
     sp.add_argument("--out", dest="document",
                     help="write the automaton document here; the report always goes to stdout")
-    common(sp, ("precision",), automaton=False, report_out=False)
+    common(sp, automaton=False, report_out=False)
     sp.set_defaults(fn=_cmd_zero_automaton)
 
     sp = sub.add_parser("classify", help="atomic vs continuous verdict")
     sp.add_argument("--height", type=int, default=3)
-    common(sp, ("tol", "precision"))
+    common(sp, tol=True)
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("atoms", help="exact atom values and masses")
-    common(sp, ("precision",))
+    common(sp)
     sp.set_defaults(fn=_cmd_atoms)
 
     sp = sub.add_parser("cylinder", help="cylinder masses of a label word")
@@ -424,30 +418,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", required=True, help="comma-separated t values")
     sp.add_argument("--initial", action="store_true", help="use the initial-state measure")
     sp.add_argument("--csv", help="write a CSV table here")
-    common(sp, ("tol", "precision"))
+    common(sp, tol=True)
     sp.set_defaults(fn=_cmd_fourier)
 
     sp = sub.add_parser("limit", help="limit coefficient along z*beta^k")
     sp.add_argument("--z", required=True, help="integer coordinates, e.g. 1,0")
-    common(sp, ("tol", "precision"))
+    common(sp, tol=True)
     sp.set_defaults(fn=_cmd_limit)
 
     sp = sub.add_parser("scan", help="scan limit coefficients up to a height")
     sp.add_argument("--height", type=int, default=3)
     sp.add_argument("--csv", help="write a CSV table here")
-    common(sp, ("tol", "precision"))
+    common(sp, tol=True)
     sp.set_defaults(fn=_cmd_scan)
 
     sp = sub.add_parser("cdf", help="certified CDF brackets")
     sp.add_argument("--depth", type=int, default=12)
     sp.add_argument("--points", required=True, help="e.g. 0.5,1.0,1.5")
-    common(sp, ("precision",))
+    common(sp)
     sp.set_defaults(fn=_cmd_cdf)
 
     sp = sub.add_parser("cloud", help="depth-n weighted point cloud")
     sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--csv", help="write the cloud as CSV here")
-    common(sp, ("precision",))
+    common(sp)
     sp.set_defaults(fn=_cmd_cloud)
 
     sp = sub.add_parser("examples", help="materialize bundled fixtures and run their checks")
@@ -489,8 +483,6 @@ def main(argv=None) -> int:
     try:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValidationError(f"--tol must be a finite number > 0, got {args.tol!r}")
-        if "precision" in args and args.precision < 1:
-            raise ValidationError(f"--precision must be at least 1 bit, got {args.precision}")
         report = args.fn(args)
     except PrecisionExhausted as exc:
         report, code = _error(exc), 3

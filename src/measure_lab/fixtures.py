@@ -280,8 +280,8 @@ def fixture_report(name: str) -> dict:
     elif name == "fullshift4":
         verdict = classify(a, p)
         report["verdict"] = verdict_to_dict(verdict)
-        v1, b1 = nu_hat(a, p, pd, 1.0, 1e-8)
-        vq, bq = nu_hat(a, p, pd, 0.25, 1e-8)
+        v1, b1 = nu_hat(a, p, pd, 1.0)
+        vq, bq = nu_hat(a, p, pd, 0.25)
         closed_quarter = 4 * math.sqrt(2) / math.pi**2
         report["transform_checks"] = {
             "abs_nu_at_1": abs(v1),
@@ -294,10 +294,9 @@ def fixture_report(name: str) -> dict:
     elif name == "fig3":
         verdict = classify(a, p, scan_height=1)
         report["verdict"] = verdict_to_dict(verdict)
-        res = psi_hat(a, p, pd, (1, 0), 1e-8)
+        res = psi_hat(a, p, pd, (1, 0))
         res2 = psi_hat(
-            a, p, pd, (1, 0), 1e-8,
-            head_terms=2 * res.head_terms, tail_terms=2 * res.tail_terms,
+            a, p, pd, (1, 0), head_terms=2 * res.head_terms, tail_terms=2 * res.tail_terms
         )
         ref_value = complex(*ref["limit_z1"])
         agrees = abs(res.value - ref_value) < 1e-4
@@ -315,7 +314,7 @@ def fixture_report(name: str) -> dict:
         # squared-base reading, kept as a diagnostic: every scanned limit
         # vanishes there, so that reading cannot exhibit the singularity
         alt = make_pisot(ref["alternative_minpoly"])
-        alt_res = psi_hat(a, alt, pd, (1, 0), 1e-8)
+        alt_res = psi_hat(a, alt, pd, (1, 0))
         report["alternative_base"] = {
             "minpoly": ref["alternative_minpoly"],
             "limit_z1": [alt_res.value.real, alt_res.value.imag],

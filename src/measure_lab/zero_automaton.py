@@ -13,7 +13,7 @@ that never overflow, so huge digits take the same path as small ones.
 One dict maps each tuple to its number, edges are (source, letter,
 target) triples on those numbers, and each state that survives the trim
 is named once, at the end.  The float tier's constants are taken once
-per base, precision and precision cap, not once per BFS level.
+per base, not once per BFS level.
 
 Bound membership is decided in two tiers, and both are certified, so the
 automaton does not depend on which tier decided a state.
@@ -24,7 +24,7 @@ automaton does not depend on which tier decided a state.
    every conjugate (Horner over the coordinates c_i, d = r-1 the
    polynomial's degree), each within delta of its root, and with float
    copies of (beta-1) and (1-|beta_q|) within e of theirs; all of these
-   come from the certified enclosures at ``p.precision`` (radius plus the
+   come from the enclosures ``make_pisot`` certified (radius plus the
    rounding to float).  With u = 2^-53 and X = |x| + delta:
 
    - Horner rounding: each of the at most 2d roundings is a relative
@@ -62,6 +62,7 @@ from mpmath import mp
 
 from ._ball import ball_horner
 from .algebraic import (
+    PRECISION,
     PisotNumber,
     _escalate,
     _serialized,
@@ -69,7 +70,6 @@ from .algebraic import (
     bint_mul_beta,
     float_with_error,
     format_coords,
-    precision_cap,
     refined_enclosures,
 )
 from .automaton import LabeledAutomaton, reachable
@@ -130,29 +130,22 @@ def state_within_bounds(y: tuple[int, ...], p: PisotNumber, m_abs: int) -> bool:
             return True if inside else None
 
     return _escalate(
-        p.precision,
         attempt,
         lambda cap: f"cannot resolve bound membership of state {format_coords(y)} at {cap} bits",
     )
 
 
 @_serialized
+@lru_cache(maxsize=None)
 def _float_constants(p: PisotNumber):
     """Float copies, each with an error bound: (beta, beta - 1) and, per
-    conjugate, (beta_q, 1 - |beta_q|).  Taken once per base, precision and
-    precision cap, like the enclosures they come from."""
-    return _float_constants_capped(p, precision_cap())
-
-
-@lru_cache(maxsize=None)
-def _float_constants_capped(p: PisotNumber, cap: int):
-    # cap is only part of the key: refined_enclosures reads it itself
-    beta, conj = refined_enclosures(p, p.precision)
-    with mp.workprec(p.precision + 64):
+    conjugate, (beta_q, 1 - |beta_q|), from the enclosures ``make_pisot``
+    certified.  Taken once per base."""
+    with mp.workprec(PRECISION + 64):
         return [
             (float_with_error(root), float_with_error(factor))
-            for root, factor in [(beta, beta.add_int(-1))]
-            + [(c, (-c.abs_ball()).add_int(1)) for c in conj]
+            for root, factor in [(p.root_beta, p.root_beta.add_int(-1))]
+            + [(c, (-c.abs_ball()).add_int(1)) for c in p.conjugates]
         ]
 
 
@@ -217,8 +210,7 @@ def _candidate_box(p: PisotNumber, m_abs: int) -> list[tuple[int, ...]]:
     if r == 1:  # an integer base n: |y| <= M/(n - 1)
         coord_bound = [m_abs // (-p.minpoly[0] - 1)]
     else:
-        beta, conj = refined_enclosures(p, p.precision)
-        roots = [complex(beta.mid)] + [complex(c.mid) for c in conj]
+        roots = [complex(p.root_beta.mid)] + [complex(c.mid) for c in p.conjugates]
         bounds = [m_abs / (abs(roots[0]) - 1)] + [
             m_abs / (1 - abs(z)) for z in roots[1:]
         ]

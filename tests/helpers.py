@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from measure_lab.algebraic import (
+    PRECISION,
     PisotNumber,
     bint_mul_beta,
     format_coords,
@@ -423,7 +424,7 @@ def _reference_candidate_box(p: PisotNumber, m_abs: int) -> list[tuple[int, ...]
         top = m_abs // (n - 1)
         coord_bound = [top]
     else:
-        beta, conj = refined_enclosures(p, p.precision)
+        beta, conj = refined_enclosures(p, PRECISION)
         roots = [complex(beta.mid)] + [complex(c.mid) for c in conj]
         bounds = [m_abs / (abs(roots[0]) - 1)] + [
             m_abs / (1 - abs(z)) for z in roots[1:]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from measure_lab.algebraic import (
+    PRECISION,
     bint_embed,
     bint_mul,
     float_with_error,
@@ -143,7 +144,7 @@ def test_integer_one_not_pisot():
 
 def test_enclosure_width(golden):
     ball = golden.root_beta
-    assert float(ball.rad) <= 2.0 ** -(golden.precision // 2)
+    assert float(ball.rad) <= 2.0 ** -(PRECISION // 2)
 
 
 def test_pisot_battery_against_root_oracle():
@@ -414,15 +415,6 @@ def test_precision_cap_env(golden, monkeypatch):
     monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "256")
     with pytest.raises(PrecisionExhausted):
         frac_beta_power(bint_from_int(1, golden), 12, golden)
-
-
-@pytest.mark.parametrize("start", [0, -3])
-def test_escalate_rejects_start_below_one(start):
-    # doubling 0 stays 0, so this used to loop forever
-    from measure_lab.algebraic import _escalate
-
-    with pytest.raises(ValueError):
-        _escalate(start, lambda prec: None, lambda cap: f"unresolved at {cap} bits")
 
 
 def test_certification_memo_keyed_by_cap(monkeypatch):

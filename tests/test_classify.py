@@ -286,6 +286,13 @@ def test_atom_masses_sum_to_one(case):
 
 # ------------------------------------------------ value_decimal
 
+
+def nearest_floats(xs, p):
+    """qbeta_nearest_floats of Fraction tuples, written as integer
+    numerators over the lcm of every denominator."""
+    den = math.lcm(*(c.denominator for x in xs for c in x))
+    return qbeta_nearest_floats([tuple(int(c * den) for c in x) for x in xs], den, p)
+
 @settings(max_examples=40, deadline=None)
 @given(case=zero_subautomata())
 def test_atom_value_decimal_is_nearest_double(case):
@@ -294,7 +301,7 @@ def test_atom_value_decimal_is_nearest_double(case):
     if not image.ok:
         return
     atom_list = atoms(a, p, perron(a), image)
-    decided = qbeta_nearest_floats([at.value for at in atom_list], p)
+    decided = nearest_floats([at.value for at in atom_list], p)
     for at, value in zip(atom_list, decided):
         assert at.value_decimal == value == nearest_double_reference(at.value, p.minpoly)
 
@@ -309,7 +316,7 @@ def test_decided_nearest_floats_match_400_bit_reference(data):
     p = pisot(minpoly)
     r = p.degree
     xs = [tuple(data.draw(st.lists(coordinate, min_size=r, max_size=r))) for _ in range(4)]
-    for x, value in zip(xs, qbeta_nearest_floats(xs, p)):
+    for x, value in zip(xs, nearest_floats(xs, p)):
         assert value == nearest_double_reference(x, minpoly), x
 
 
@@ -330,7 +337,7 @@ def test_undecided_value_escalates_to_the_nearest_double(golden, monkeypatch):
     expected = [nearest_double_reference(x, golden.minpoly) for x in (tiny, ordinary)]
     with mp.workprec(200):
         assert expected[0] == float((2 / (1 + mp.sqrt(5))) ** 150) != 0
-    assert qbeta_nearest_floats([tiny, ordinary], golden) == expected
+    assert nearest_floats([tiny, ordinary], golden) == expected
     single = parse_automaton(
         {"alphabet": [0], "states": ["s"], "edges": [{"from": "s", "to": "s", "label": 0}]}
     )
@@ -339,9 +346,9 @@ def test_undecided_value_escalates_to_the_nearest_double(golden, monkeypatch):
     assert atom.value_decimal == expected[0]
     # 160 bits leave it undecided, so a cap there exhausts the precision
     monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", "160")
-    assert qbeta_nearest_floats([ordinary], golden) == expected[1:]
+    assert nearest_floats([ordinary], golden) == expected[1:]
     with pytest.raises(PrecisionExhausted):
-        qbeta_nearest_floats([tiny], golden)
+        nearest_floats([tiny], golden)
 
 
 # Captured from the Fraction-based atoms of earlier releases: a digest of

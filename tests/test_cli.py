@@ -208,10 +208,19 @@ def test_bad_tol_exit_code(capsys, fixture_dir, argv):
     ("cylinder", "fibonacci.json", "--word", "1", "--precision", "64"),
     ("examples", "--dir", "fx", "--tol", "1e-8"),
     ("examples", "--dir", "fx", "--precision", "64"),
+    ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--precision", "64"),
+    ("classify", "fibonacci.json", "--precision", "64"),
+    ("atoms", "example1-7edge.json", "--precision", "64"),
+    ("fourier", "fibonacci.json", "--t", "1", "--precision", "64"),
+    ("limit", "fibonacci.json", "--z", "1", "--precision", "64"),
+    ("scan", "fibonacci.json", "--height", "1", "--precision", "64"),
+    ("cdf", "fibonacci.json", "--points", "0.5", "--precision", "64"),
+    ("cloud", "fibonacci.json", "--depth", "2", "--precision", "64"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_a_subcommand_does_not_read_exit_code(capsys, fixture_dir, argv):
-    # A subcommand declares only the --tol/--precision it reads; any other
-    # is an unknown flag, which argparse rejects before the command runs.
+    # A subcommand declares --tol only if it reads it, and none declares
+    # --precision, which is internal; any other flag is unknown, and
+    # argparse rejects it before the command runs.
     argv = [str(fixture_dir / a) if a.endswith(".json") or a == "fx" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -220,15 +229,11 @@ def test_flag_a_subcommand_does_not_read_exit_code(capsys, fixture_dir, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("limit", "fibonacci.json", "--z", "1", "--precision", "0"),
-    ("limit", "fibonacci.json", "--z", "1", "--precision", "-3"),
-    ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--precision", "-5"),
     ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", ",,,"),
     ("zero-automaton", "--minpoly", "-1,-1,1", "--alphabet", "-1,0,1", "--verify", "-1"),
-], ids=["precision-zero", "precision-negative", "zero-automaton-precision", "empty-alphabet",
-        "negative-verify"])
+], ids=["empty-alphabet", "negative-verify"])
 def test_bad_input_exit_code(capsys, fixture_dir, argv):
-    # --precision 0 used to double forever, --verify -1 to recurse without end
+    # --verify -1 used to recurse without end
     argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
     code, out = run(capsys, *argv)
     assert code == 2
@@ -486,6 +491,27 @@ def test_precision_exhaustion_exit_code(capsys, monkeypatch, fixture_dir):
     code, out = run(capsys, "limit", fig3, "--z", f"{10**300},{-10**300}")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "PrecisionExhausted"
+
+
+@pytest.mark.parametrize("command", [
+    ("fourier", "--t", "1e300"),
+    ("cloud", "--depth", "2"),
+], ids=["fourier", "cloud"])
+@pytest.mark.parametrize("cap, code", [
+    ("", 0), ("abc", 2), ("0", 2), ("-5", 2),
+], ids=["empty", "abc", "zero", "negative"])
+def test_precision_cap_must_be_a_positive_integer(capsys, monkeypatch, fixture_dir, command, cap, code):
+    # An empty cap is the default 4,096 bits, enough for |t| = 1e300; a cap
+    # that is not an integer >= 1 is a validation error naming the variable,
+    # not a traceback or a cap below the start precision.
+    monkeypatch.setenv("MEASURE_LAB_PRECISION_CAP", cap)
+    name, *flags = command
+    exit_code, out = run(capsys, name, str(fixture_dir / "fibonacci.json"), *flags)
+    assert exit_code == code
+    if code:
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError"
+        assert "MEASURE_LAB_PRECISION_CAP" in error["message"]
 
 
 def test_lehmer_polynomial_not_pisot(capsys):

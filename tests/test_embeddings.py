@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from measure_lab.algebraic import (
+    PRECISION,
     bint_embed,
     frac_beta_powers,
     make_pisot,
@@ -128,7 +129,7 @@ def ref_points(p, prec):
 
 
 def ref_escalate(p, attempt):
-    prec, cap = p.precision, max(precision_cap(), p.precision)
+    prec, cap = PRECISION, max(precision_cap(), PRECISION)
     while True:
         result = attempt(prec)
         if result is not None:
@@ -138,7 +139,7 @@ def ref_escalate(p, attempt):
 
 
 def ref_bint_embed(x, q, p):
-    target = mpf(2) ** -(p.precision // 2)
+    target = mpf(2) ** -(PRECISION // 2)
 
     def attempt(prec):
         point = ref_points(p, prec)[q - 1]
@@ -150,7 +151,7 @@ def ref_bint_embed(x, q, p):
 
 
 def ref_qbeta_embed(x, q, p):
-    target = mpf(2) ** -(p.precision // 2)
+    target = mpf(2) ** -(PRECISION // 2)
 
     def attempt(prec):
         point = ref_points(p, prec)[q - 1]

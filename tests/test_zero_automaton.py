@@ -476,3 +476,19 @@ def test_float_constants_taken_once_per_build(monkeypatch):
     monkeypatch.setattr(za, "float_with_error", counted)
     build_zero_automaton(p, [-1, 0, 1])
     assert len(calls) <= 2 * p.degree
+
+
+@pytest.mark.parametrize("trim", ["both", "none"])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_builds_read_the_enclosures_of_the_base(monkeypatch, name, trim):
+    # The float tier's constants and the candidate box come from the
+    # enclosures make_pisot certified, so a build over {-1, 0, 1} certifies
+    # nothing further: every state is decided by the float tier or by an
+    # exact boundary identity.
+    p = base(name)
+
+    def no_enclosures(p, prec):
+        raise AssertionError(f"a build asked for enclosures at {prec} bits")
+
+    monkeypatch.setattr(za, "refined_enclosures", no_enclosures)
+    assert build_zero_automaton(p, [-1, 0, 1], trim=trim).n_states > 1
