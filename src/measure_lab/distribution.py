@@ -5,15 +5,20 @@ bucket holding v_L; each level expands all its buckets at once, one
 stacked matrix product per label, and either keeps every nonzero child or
 merges the children.  ``depth_cloud`` merges nothing, so each admissible
 word of length n becomes an entry: its truncated value sum(eps_k
-beta^-k), its cylinder mass, and certified bounds [lo, hi] on the full
-digit-map value over the cylinder, obtained from per-state value ranges
-(a Bellman fixed point with contraction 1/beta).  ``cdf_bracket`` merges
-children of equal exact value, compared on int64 Z[beta] coordinates, and
-equal reachable-state support, which keeps fig3 feasible at depth 24.
-Every mass is one stacked product ``rows @ v_R``.  CDF brackets sum the
-masses of buckets entirely below (lower) or not entirely above (upper)
-the query point; beyond every bucket they are exactly 1, below every
-bucket exactly 0.
+beta^-k), its cylinder mass, and bounds [lo, hi] on the full digit-map
+value over the cylinder, obtained from per-state value ranges (a Bellman
+fixed point with contraction 1/beta).  ``cdf_bracket`` merges children of
+equal exact value, compared on int64 Z[beta] coordinates, and equal
+reachable-state support, which keeps fig3 feasible at depth 24.  Every
+mass is one stacked product ``rows @ v_R``.  CDF brackets sum the masses
+of buckets entirely below (lower) or not entirely above (upper) the query
+point; beyond every bucket they are exactly 1, below every bucket exactly
+0.
+
+Only those two ends are exact.  Values, masses and the [lo, hi] bounds
+are float64: the per-state ranges are float Bellman values widened by the
+fixed ``_BOUND_TOL`` = 1e-12, with no rounding term derived for them yet,
+so interior brackets are not certified.
 """
 
 from __future__ import annotations
@@ -93,17 +98,29 @@ class DepthCloud:
 def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, float]]:
     """Per-state min/max of the digit-map value over infinite paths.
 
-    Bellman iteration m(v) <- min/max over edges (label + m(target))/beta;
-    the map contracts by 1/beta, and the returned intervals are inflated
-    outward by the fixed-point gap, so they are genuine outer bounds.
+    Bellman iteration m(v) <- min/max over edges (label + m(target))/beta
+    in float64; the map contracts by 1/beta, and iteration stops once a
+    step moves no value by more than ``_BOUND_TOL`` * (1 - 1/beta).  The
+    returned intervals are the last iterate widened by the fixed
+    ``_BOUND_TOL`` = 1e-12 on each side.  That covers the fixed-point gap;
+    no term for the rounding of the float steps is derived, so these are
+    float estimates of the ranges, not proven outer bounds.
     """
     beta = p.beta_float
     src, dst = a.edge_arrays()
     n = a.n_states
-    dead = np.flatnonzero(np.bincount(src, minlength=n) == 0)
+    counts = np.bincount(src, minlength=n)
+    dead = np.flatnonzero(counts == 0)
     if dead.size:
         raise DeadState(f"state {a.states[dead[0]]!r} has no outgoing edge")
-    labels = np.array([float(label) for _, _, label in a.edges])
+    # Edges grouped by source, each state's edges kept in document order.
+    # Past the check above every state owns a nonempty segment, starting
+    # at ``starts``: reduceat would return an element, not +-inf, for an
+    # empty one.
+    by_source = np.argsort(src, kind="stable")
+    dst = dst[by_source]
+    labels = np.array([float(label) for _, _, label in a.edges])[by_source]
+    starts = np.cumsum(counts) - counts
 
     lo = np.zeros(n)
     hi = np.zeros(n)
@@ -111,10 +128,8 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, 
     for _ in range(100_000):
         # Each candidate is the float64 (label + m(target)) / beta; min and
         # max are exact, so the order of the edges does not matter.
-        new_lo = np.full(n, np.inf)
-        np.minimum.at(new_lo, src, (labels + lo[dst]) / beta)
-        new_hi = np.full(n, -np.inf)
-        np.maximum.at(new_hi, src, (labels + hi[dst]) / beta)
+        new_lo = np.minimum.reduceat((labels + lo[dst]) / beta, starts)
+        new_hi = np.maximum.reduceat((labels + hi[dst]) / beta, starts)
         change = max(np.abs(new_lo - lo).max(), np.abs(new_hi - hi).max())
         lo, hi = new_lo, new_hi
         if change <= gap_target:
@@ -136,13 +151,17 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     walked as key_k = beta * key_(k-1) + eps_k in int64, and children of
     equal key and equal support share a bucket.  Buckets keep first-seen
     order, take their float value from their first-seen child and sum
-    their children's rows in child order.  ``CLOUD_CAP``, read on each
-    call, is checked once per level, on its bucket count after the merge,
-    so a level of CLOUD_CAP + 1 buckets raises at that depth; so does a key
-    step that could leave int64.  The last level's masses are one stacked product ``rows @ v_R``.
+    their children's rows in child order (one ``bincount`` per state
+    column).  ``CLOUD_CAP``, read on each call, is checked once per level,
+    on its bucket count after the merge, so a level of CLOUD_CAP + 1
+    buckets raises at that depth; so does a key step that could leave
+    int64.  The last level's masses are one stacked product ``rows @
+    v_R``.  Every pass runs along the long bucket axis, one call per state
+    column where needed, never reducing across the few states of a row.
     Returns the last level's words as an (entries x depth) array of
     alphabet indices (None when merging) and arrays of its truncated
-    values, masses and certified [lo, hi].
+    values, masses and [lo, hi] (``value_bounds`` ranges scaled by
+    beta^-depth).
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
@@ -165,19 +184,29 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
         for j, m in enumerate(mats):
             children[:, j] = rows @ m
         children = children.reshape(-1, n)
-        kept = np.flatnonzero(children.max(axis=1) > 0)
+        positive = children > 0
+        kept = positive[:, 0].copy()
+        for column in positive.T[1:]:
+            kept |= column
+        kept = np.flatnonzero(kept)
         child_values = (values[:, None] + labels * beta ** -k).ravel()[kept]
-        children = children[kept]
+        # np.take gathers whole rows far faster than children[kept]
+        children = np.take(children, kept, axis=0)
         if merge:
             if np.abs(keys).max() > key_limit:
                 raise CapExceeded(f"refinement keys leave int64 at depth {k}")
-            child_keys = _mul_beta_add(keys, p.minpoly, a.alphabet)[kept]
-            first, group = _first_seen_groups(child_keys, children > 0)
+            child_keys = np.take(_mul_beta_add(keys, p.minpoly, a.alphabet), kept, axis=0)
+            first, group = _first_seen_groups(child_keys, np.take(positive, kept, axis=0))
+            del positive
             if len(first) > CLOUD_CAP:
                 raise CapExceeded(f"refinement exceeds {CLOUD_CAP} buckets at depth {k}")
-            values, keys, rows = child_values[first], child_keys[first], np.zeros((len(first), n))
-            np.add.at(rows, group, children)
+            values, keys = child_values[first], np.take(child_keys, first, axis=0)
+            rows = np.empty((len(first), n))
+            # bincount adds each group's children in child order from 0.0
+            for j in range(n):
+                rows[:, j] = np.bincount(group, weights=children[:, j], minlength=len(first))
         else:
+            del positive
             if len(kept) > CLOUD_CAP:
                 raise CapExceeded(f"refinement exceeds {CLOUD_CAP} buckets at depth {k}")
             values, rows = child_values, children
@@ -187,12 +216,13 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     words = None if merge else _label_indices(trail, len(a.alphabet), len(rows))
     tail = beta ** -depth
     mass = pd.lam ** -depth * (rows @ pd.v_R)
-    support = rows > 0
-    blo = np.array([bounds[s][0] for s in a.states])
-    bhi = np.array([bounds[s][1] for s in a.states])
-    lo = values + tail * np.where(support, blo, np.inf).min(axis=1)
-    hi = values + tail * np.where(support, bhi, -np.inf).max(axis=1)
-    return words, values, mass, lo, hi
+    # Each bucket's value range: min lo and max hi over its support states
+    low, high = np.full(len(rows), np.inf), np.full(len(rows), -np.inf)
+    for j, s in enumerate(a.states):
+        support = rows[:, j] > 0
+        np.minimum(low, bounds[s][0], out=low, where=support)
+        np.maximum(high, bounds[s][1], out=high, where=support)
+    return words, values, mass, values + tail * low, values + tail * high
 
 
 def _key_limit(letters: tuple[int, ...], minpoly: tuple[int, ...]) -> int:
@@ -223,14 +253,31 @@ def _mul_beta_add(keys: np.ndarray, minpoly: tuple[int, ...], letters: tuple[int
 
 def _first_seen_groups(keys: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group rows on (exact int64 key, support): the index of each group's
-    first member, groups in first-seen order, and each row's group number."""
-    key = np.concatenate([keys.view(np.uint8), np.packbits(support, axis=1)], axis=1)
-    key = np.ascontiguousarray(key).view(np.dtype((np.void, key.shape[1]))).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
+    first member, groups in first-seen order, and each row's group number.
+
+    One stable ``lexsort`` over the key columns and the support packed into
+    uint64 words puts equal rows next to each other, each run led by its
+    first-seen row; a run starts wherever a sorted column changes."""
+    n_rows, n_states = support.shape
+    width = -(-n_states // 8)  # support bytes per row
+    # Pad each row to whole bytes and pack the array flat: packing along
+    # axis 1 loops over rows only one or two states wide.
+    bits = np.zeros((n_rows, 8 * width), bool)
+    bits[:, :n_states] = support
+    packed = np.zeros((n_rows, -(-width // 8) * 8), np.uint8)
+    packed[:, :width] = np.packbits(bits, bitorder="little").reshape(n_rows, width)
+    del bits
+    columns = [*keys.T, *packed.view(np.uint64).T]
+    order = np.lexsort(columns)
+    starts = np.zeros(n_rows, bool)
+    starts[:1] = True
+    for column in columns:
+        column = column[order]
+        starts[1:] |= column[1:] != column[:-1]
+    leader = np.empty_like(order)  # each row's run leader, by row index
+    leader[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = leader == np.arange(n_rows)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[leader]
 
 
 def _label_indices(trail: list[np.ndarray], n_labels: int, n_rows: int) -> np.ndarray:

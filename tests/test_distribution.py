@@ -13,11 +13,13 @@ from measure_lab.parry import perron
 from measure_lab.zero_automaton import build_zero_automaton
 
 from helpers import (
+    pisot,
     random_primitive_automata,
     reference_cdf_bounds,
     reference_sample_many,
     reference_value_bounds,
     signed_automata,
+    zero_automaton,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -105,6 +107,30 @@ def test_value_bounds_match_reference_loop(automata, pisots, golden, base_two, t
             assert repr(value_bounds(a, p)) == repr(reference_value_bounds(a, p))
 
 
+@st.composite
+def shuffled_automata(draw):
+    """Automata with 1-6 states, parallel edges (same ends, other label)
+    and the edge list in a drawn order, so sources come out of order."""
+    n = draw(st.integers(1, 6))
+    alphabet = sorted(draw(st.sets(st.integers(-3, 3), min_size=1, max_size=4)))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.sampled_from(alphabet)), max_size=30))
+    edges |= {(src, draw(st.integers(0, n - 1)), alphabet[0]) for src in range(n)
+              if all(s != src for s, _, _ in edges)}
+    edges = draw(st.permutations(sorted(edges)))
+    return parse_automaton(
+        {"alphabet": alphabet, "states": [f"s{i}" for i in range(n)],
+         "edges": [{"from": f"s{s}", "to": f"s{t}", "label": l} for s, t, l in edges]}
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=shuffled_automata(), base=st.sampled_from(["golden", "base_two", "tribonacci"]))
+def test_value_bounds_match_reference_on_shuffled_edges(golden, base_two, tribonacci, a, base):
+    p = {"golden": golden, "base_two": base_two, "tribonacci": tribonacci}[base]
+    assert repr(value_bounds(a, p)) == repr(reference_value_bounds(a, p))
+
+
 # ---------------------------------------------------------------- clouds
 
 def test_cloud_fibonacci_depth2(automata, pisots, perron_data):
@@ -169,13 +195,12 @@ def _reference_cloud(a, p, pd, n):
     return entries
 
 
-def _reference_brackets(a, p, pd, depth, points):
+def _reference_buckets(a, p, pd, depth):
     """Bucket loop the refinement engine replaced: merges prefixes of equal
     exact Z[beta] value (Python-int coordinates, walked by
     ``bint_mul_beta``) and equal support, keeps each bucket's first-seen
-    float value and sums masses bucket by bucket; brackets at points beyond
-    or below every bucket are exactly 1 or 0, and the rest are clamped to
-    at most 1."""
+    float value and sums masses bucket by bucket.  Returns (lo, hi, mass)
+    per bucket, in first-seen order."""
     tm = transition_matrices(a)
     bounds = value_bounds(a, p)
     beta = p.beta_float
@@ -198,6 +223,16 @@ def _reference_brackets(a, p, pd, depth, points):
         lo = value + beta ** -depth * min(bounds[s][0] for s in states)
         hi = value + beta ** -depth * max(bounds[s][1] for s in states)
         buckets.append((lo, hi, pd.lam ** -depth * float(row @ pd.v_R)))
+    return buckets
+
+
+def _reference_brackets(a, p, pd, depth, points):
+    return _bracket_sums(_reference_buckets(a, p, pd, depth), points)
+
+
+def _bracket_sums(buckets, points):
+    """Brackets of (lo, hi, mass) buckets: at points beyond or below every
+    bucket exactly 1 or 0, elsewhere sums clamped to at most 1."""
     out = []
     for x in points:
         if x >= max(hi for _, hi, _ in buckets):
@@ -229,6 +264,34 @@ def test_refinement_matches_reference_bit_for_bit(automata, pisots, perron_data)
     assert cdf_bracket(a, p, pd, 12, points) == _reference_brackets(a, p, pd, 12, points)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=st.sampled_from([1, 8, 63, 64, 65, 130]), dim=st.integers(1, 3))
+def test_first_seen_groups_match_dict_oracle(data, width, dim):
+    # A few distinct rows, drawn many times over: one or two keys with
+    # coordinates up to 2^62 in magnitude, each with a base support or one
+    # with a single bit flipped, on either side of a uint64 word boundary.
+    coord = st.one_of(st.sampled_from([-(2**62), -1, 0, 1, 2**62]),
+                      st.integers(-(2**62), 2**62))
+    key_pool = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=2))
+    base = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    bits = sorted({0, width // 2, 62, 63, 64, 127, 128, width - 1} & set(range(width)))
+    flip = st.one_of(st.none(), st.sampled_from(bits))
+    pool = data.draw(st.lists(st.tuples(st.sampled_from(key_pool), flip), min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    keys = np.array([pool[i][0] for i in picks], np.int64)
+    support = np.array([[bit != (j == pool[i][1]) for j, bit in enumerate(base)] for i in picks])
+    rows = list(zip(map(tuple, keys.tolist()), map(tuple, support.tolist())))
+    groups, first = {}, []
+    for index, row in enumerate(rows):
+        if row not in groups:
+            groups[row] = len(groups)
+            first.append(index)
+    got_first, got_group = distribution._first_seen_groups(keys, support)
+    assert got_first.tolist() == first
+    assert got_group.tolist() == [groups[row] for row in rows]
+
+
 @pytest.mark.parametrize("refine, buckets", [
     (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**5),
     (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), 3 * 2**5 - 2),
@@ -244,6 +307,16 @@ def test_cap_boundary(automata, pisots, perron_data, refine, buckets, monkeypatc
     assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth 5"
 
 
+def _bracket_rtol(a, depth, terms):
+    """Relative tolerance between two summation orders of the refinement.
+    Each entry of a level is a sum of at most n nonnegative products, so
+    any two summation orders agree to (n - 1) half-ulps per level and two
+    masses to (depth + 1) * n ulps.  A bracket also sums up to ``terms``
+    masses in the same order on both sides."""
+    eps = np.finfo(float).eps
+    return (depth + 1) * a.n_states * eps + 2 * terms * eps
+
+
 @settings(max_examples=25, deadline=None)
 @given(a=signed_automata(), base=st.sampled_from(["golden", "base_two", "tribonacci"]),
        depth=st.integers(1, 5))
@@ -256,18 +329,34 @@ def test_refinement_matches_reference_on_random_automata(golden, base_two, tribo
     reference = _reference_cloud(a, p, pd, depth)
     assert [(e.word, e.value, e.lo, e.hi) for e in cloud.entries] == \
         [(word, value, lo, hi) for word, value, _, lo, hi in reference]
-    # Each entry of a level is a sum of at most n nonnegative products, so
-    # any two summation orders agree to (n - 1) half-ulps per level and the
-    # two masses to (depth + 1) * n ulps.  The brackets also sum up to one
-    # term per word in the same order on both sides.
-    eps = np.finfo(float).eps
-    rtol = (depth + 1) * a.n_states * eps
     np.testing.assert_allclose([e.mass for e in cloud.entries],
-                               [entry[2] for entry in reference], rtol=rtol, atol=0)
+                               [entry[2] for entry in reference],
+                               rtol=_bracket_rtol(a, depth, 0), atol=0)
     points = [-1.0, 0.2, 0.7, 1.5]
     np.testing.assert_allclose(cdf_bracket(a, p, pd, depth, points),
                                _reference_brackets(a, p, pd, depth, points),
-                               rtol=rtol + 2 * len(reference) * eps, atol=0)
+                               rtol=_bracket_rtol(a, depth, len(reference)), atol=0)
+
+
+@pytest.mark.parametrize("minpoly, alphabet", [
+    ((-1, -1, 1), tuple(range(-3, 4))),  # golden over -3..3: 65 states, 2 support words
+    ((-1, -1, 0, 1), (-1, 0, 1)),  # plastic over -1..1: 179 states, 3 support words
+], ids=["golden-65", "plastic-179"])
+def test_refinement_matches_reference_on_multi_word_supports(minpoly, alphabet):
+    # Supports wider than 64 states pack into several uint64 words.  Bucket
+    # counts match exactly; brackets only within rounding, since the
+    # stacked product rows @ m may sum in another order than one product
+    # per row (up to two ulps apart on these automata at some depths).
+    a, p = zero_automaton(minpoly, alphabet), pisot(minpoly)
+    pd = perron(a)
+    points = [-2.0, -0.6, -0.1, 0.0, 0.3, 0.9, 2.0, 50.0]
+    for depth in range(3, 7):
+        buckets = _reference_buckets(a, p, pd, depth)
+        assert len(distribution._refine(a, p, pd, depth, merge=True)[2]) == len(buckets), depth
+        words = len(depth_cloud(a, p, pd, depth).masses)
+        np.testing.assert_allclose(cdf_bracket(a, p, pd, depth, points),
+                                   _bracket_sums(buckets, points),
+                                   rtol=_bracket_rtol(a, depth, words), atol=0)
 
 
 def test_fig3_buckets_merge_on_exact_values(automata, pisots, perron_data, monkeypatch):
