@@ -1,9 +1,9 @@
 """Labelled automata over integer alphabets.
 
-Parsing and validation of the JSON document format, per-label 0/1
-transition matrices, the edge index (``edge_arrays``) and the BFS
-(``reachable``) behind strong connectivity and primitivity, and the
-count of ambiguous words.
+Parsing and validation of the JSON document format, the one labelled
+edge index (``edge_arrays``), the 0/1 label stack built from it
+(``transition_matrices``), the BFS (``reachable``) behind strong
+connectivity and primitivity, and the count of ambiguous words.
 """
 
 from __future__ import annotations
@@ -50,20 +50,27 @@ class LabeledAutomaton:
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and target state indices, one entry per edge in document
-        order, so parallel edges count with their multiplicity."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Source and target state indices and alphabet index of the label,
+        one entry per edge in document order (parallel edges count with their
+        multiplicity): read-only arrays, built once per automaton."""
+        return self._edge_index
+
+    # Cached values live in the instance __dict__, which the frozen
+    # dataclass leaves writable, and never enter eq or hash.
+    @functools.cached_property
+    def _edge_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         idx = self.state_index()
-        src = np.array([idx[s] for s, _, _ in self.edges], dtype=np.intp)
-        dst = np.array([idx[t] for _, t, _ in self.edges], dtype=np.intp)
-        return src, dst
+        letter = {x: i for i, x in enumerate(self.alphabet)}
+        index = np.array([(idx[s], idx[t], letter[x]) for s, t, x in self.edges], np.intp)
+        index = index.reshape(-1, 3).T.copy()
+        index.flags.writeable = False  # and so are the row views
+        return tuple(index)
 
     @functools.cached_property
     def _primitivity(self) -> dict:
-        # primitivity_check's answer, found once per automaton: the cached
-        # value lives in the instance __dict__, which the frozen dataclass
-        # leaves writable, and never enters eq or hash.
-        src, dst = self.edge_arrays()
+        # primitivity_check's answer, found once per automaton.
+        src, dst, _ = self.edge_arrays()
         succ: list[list[int]] = [[] for _ in self.states]
         pred: list[list[int]] = [[] for _ in self.states]
         for u, v in zip(src.tolist(), dst.tolist()):
@@ -81,9 +88,10 @@ class LabeledAutomaton:
 
 @dataclass(frozen=True)
 class TransitionMatrices:
-    """Per-label 0/1 matrices in state order plus their sum."""
+    """0/1 label matrices in state order: ``stack`` holds them side by side
+    in alphabet order, ``per_label`` by letter, and ``total`` is their sum."""
 
-    labels: tuple[int, ...]
+    stack: np.ndarray = field(compare=False)
     per_label: dict[int, np.ndarray] = field(compare=False)
     total: np.ndarray = field(compare=False)
 
@@ -243,15 +251,13 @@ def automaton_to_json(a: LabeledAutomaton) -> str:
 
 
 def transition_matrices(a: LabeledAutomaton) -> TransitionMatrices:
-    n = a.n_states
-    idx = a.state_index()
-    per = {label: np.zeros((n, n), dtype=np.int64) for label in a.alphabet}
-    for src, dst, label in a.edges:
-        per[label][idx[src], idx[dst]] = 1
-    total = np.zeros((n, n), dtype=np.int64)
-    for label in a.alphabet:
-        total += per[label]
-    return TransitionMatrices(labels=a.alphabet, per_label=per, total=total)
+    src, dst, label = a.edge_arrays()
+    n, k = a.n_states, len(a.alphabet)
+    # The parser rejects duplicate edges, so one assignment sets them all.
+    cube = np.zeros((n, k, n), dtype=np.int64)
+    cube[src, label, dst] = 1
+    per_label = {x: cube[:, i] for i, x in enumerate(a.alphabet)}
+    return TransitionMatrices(cube.reshape(n, k * n), per_label, cube.sum(axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +311,9 @@ def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:
     per vector with its number of words; nothing extends the last level,
     so it is counted but not kept.
     """
-    idx = a.state_index()
-    by_label: dict[int, list[tuple[int, int]]] = {label: [] for label in a.alphabet}
-    for src, dst, label in a.edges:
-        by_label[label].append((idx[src], idx[dst]))
+    src, dst, label = a.edge_arrays()
+    by_label = [list(zip(src[label == i].tolist(), dst[label == i].tolist()))
+                for i in range(len(a.alphabet))]
 
     ambiguous = 0
     # run-count vector (runs of the word ending in each state) -> words
@@ -316,7 +321,7 @@ def ambiguous_word_count(a: LabeledAutomaton, n_max: int = 8) -> int:
     for step in range(1, n_max + 1):
         nxt: Counter = Counter()
         for counts, words in level.items():
-            for edges in by_label.values():
+            for edges in by_label:
                 new = [0] * a.n_states
                 for i, j in edges:
                     new[j] += counts[i]

@@ -183,10 +183,11 @@ def classify(
     max(10*tol, 1e-4) and its own error bound, which certifies that the
     coefficient is nonzero; otherwise inconclusive (consistent with
     absolute continuity, which a finite scan can never certify).  The
-    height is checked before any other work; ``perron`` raises
+    height, and the scan's size against ``fourier.SCAN_CAP``, are checked
+    before any other work; ``perron`` raises
     NotPrimitive for an automaton that is not primitive.
     """
-    check_scan_height(scan_height)
+    check_scan_height(scan_height, p.degree)
     pd = perron(a)
     fi = finite_image_test(a, p)
     if fi.ok:

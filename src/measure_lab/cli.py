@@ -12,6 +12,7 @@ import argparse
 import functools
 import itertools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -194,7 +195,8 @@ def _cmd_zero_automaton(args) -> dict:
     state_table = []
     for name in a.states:
         coords = beta_int_from_name(name, p)
-        decimal = sum(c * beta**i for i, c in enumerate(coords))
+        # Left to right on every Python version (sum is compensated from 3.12).
+        decimal = functools.reduce(operator.add, [c * beta**i for i, c in enumerate(coords)])
         state_table.append({"state": name, "decimal": decimal})
     report = {
         "minpoly": list(p.minpoly),
@@ -235,7 +237,8 @@ def _cmd_atoms(args) -> dict:
     return {
         "file": args.automaton,
         "atoms": atoms_to_dicts(atom_list),
-        "mass_total": float(sum(at.mass for at in atom_list)),
+        # Left to right on every Python version, as the zero-automaton decimals.
+        "mass_total": functools.reduce(operator.add, [at.mass for at in atom_list]),
     }
 
 

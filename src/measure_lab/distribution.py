@@ -2,7 +2,8 @@
 
 One level-synchronous refinement builds both views.  Level 0 is a single
 bucket holding v_L; each level expands all its buckets at once, one
-stacked matrix product per label, and either keeps every nonzero child or
+product with the automaton's label stack (every label matrix side by
+side, ``transition_matrices``), and either keeps every nonzero child or
 merges the children.  ``depth_cloud`` merges nothing, so each admissible
 word of length n becomes an entry: its truncated value sum(eps_k
 beta^-k), its cylinder mass, and bounds [lo, hi] on the full digit-map
@@ -81,9 +82,9 @@ class DepthCloud:
 
     @property
     def total_mass(self) -> float:
-        # Python's sum in word order keeps the reported bits on every Python
-        # version (3.12's sum is compensated); np.sum adds pairwise.
-        return float(sum(self.masses.tolist()))
+        # Left to right in word order, the same bits on every Python version:
+        # Python's sum is compensated from 3.12 on, and np.sum adds pairwise.
+        return float(np.cumsum(self.masses)[-1])
 
     @property
     def max_radius(self) -> float:
@@ -107,7 +108,7 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, 
     float estimates of the ranges, not proven outer bounds.
     """
     beta = p.beta_float
-    src, dst = a.edge_arrays()
+    src, dst, label = a.edge_arrays()
     n = a.n_states
     counts = np.bincount(src, minlength=n)
     dead = np.flatnonzero(counts == 0)
@@ -119,7 +120,7 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, 
     # empty one.
     by_source = np.argsort(src, kind="stable")
     dst = dst[by_source]
-    labels = np.array([float(label) for _, _, label in a.edges])[by_source]
+    labels = np.array(a.alphabet, dtype=float)[label[by_source]]
     starts = np.cumsum(counts) - counts
 
     lo = np.zeros(n)
@@ -143,8 +144,8 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     """Level-synchronous depth-``depth`` refinement shared by clouds and brackets.
 
     Level 0 is one bucket holding v_L.  Level k expands the whole level in
-    one stacked product per label (``rows @ per_label[label]``), with the
-    children in parent-major, label-minor order, and drops children whose
+    one product with the label stack (``rows @ stack``), each row of which
+    holds a parent's children in label order, and drops children whose
     row is zero.  Without ``merge`` every child is a bucket, named by its
     label word.  With it, each bucket also carries the exact Z[beta]
     coordinates of its words' common value beta^k * sum(eps_i beta^-i),
@@ -165,8 +166,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
-    per_label = transition_matrices(a).per_label
-    mats = [per_label[label].astype(float) for label in a.alphabet]
+    stack = transition_matrices(a).stack.astype(float)
     labels = np.array(a.alphabet, dtype=float)
     bounds = value_bounds(a, p)
     beta = p.beta_float
@@ -180,10 +180,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     for k in range(1, depth + 1):
         # A level has at most |alphabet| times as many buckets as the one
         # before, so this is the level's largest allocation.
-        children = np.empty((len(rows), len(mats), n))
-        for j, m in enumerate(mats):
-            children[:, j] = rows @ m
-        children = children.reshape(-1, n)
+        children = (rows @ stack).reshape(-1, n)
         positive = children > 0
         kept = positive[:, 0].copy()
         for column in positive.T[1:]:

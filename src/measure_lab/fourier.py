@@ -52,8 +52,10 @@ tier encloses the exact element z beta^j.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,12 +70,16 @@ from .algebraic import (
     frac_inverse_beta_powers,
 )
 from .automaton import LabeledAutomaton, transition_matrices
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .parry import PerronData, initial_row
 
 DEFAULT_TOL = 1e-8
 _FP_EPS = 1e-14
 _BLOCK = 256  # grid rows per engine pass
+# Most values of z one lattice scan evaluates.  A fig3 scan of height 300
+# (180,600 z) took 52 s at a peak RSS of 244 MB, about 1.1 KB per z on a
+# 38 MB base, so a scan at the cap stays near 270 MB and a minute.
+SCAN_CAP = 200_000
 _TINY = np.finfo(float).tiny
 # Largest |log(1 + d)| over the relative errors d of one float64 rounding.
 _LOG_ROUND = -math.log1p(-(2.0**-53))
@@ -81,11 +87,11 @@ _LOG_ROUND = -math.log1p(-(2.0**-53))
 
 @dataclass
 class WeightMatrixCache:
-    """Shared read-only data for the products of one transform grid."""
+    """Shared read-only data for the products of one transform grid:
+    ``stack`` is the label stack of ``transition_matrices`` over lambda."""
 
     lam: float
-    mats: dict[int, np.ndarray]
-    stack: np.ndarray  # the labels' matrices side by side, over lambda
+    stack: np.ndarray  # complex; block i is M_a / lambda for the i-th letter a
     stack_labels: np.ndarray  # the label of each block of stack, as floats
     max_abs_label: int
     norm_m: float  # max row sum of the total matrix
@@ -95,24 +101,21 @@ class WeightMatrixCache:
 
     def weight(self, t: float) -> np.ndarray:
         t = t % 1.0  # integer labels make W 1-periodic
-        w = np.zeros_like(next(iter(self.mats.values())), dtype=complex)
-        for a, m in self.mats.items():
-            w += np.exp(-2j * np.pi * a * t) * m
-        return w / self.lam
+        n = len(self.v_r)
+        phases = np.exp(-2j * np.pi * self.stack_labels * t)
+        return np.einsum("a,ian->in", phases, self.stack.reshape(n, len(phases), n))
 
 
 def build_weight_cache(a: LabeledAutomaton, pd: PerronData) -> WeightMatrixCache:
     tm = transition_matrices(a)
-    mats = {label: m.astype(complex) for label, m in tm.per_label.items()}
     norm_m = float(np.abs(tm.total).sum(axis=1).max())
     # |v_L W(t_1)...W(t_n)| <= v_L W(0)^n = v_L entrywise, so the l1 norms
     # of all partial rows stay below ||v_L||_1.
     k_left = float(np.abs(pd.v_L).sum()) * (1 + 1e-9) + 1e-12
     return WeightMatrixCache(
         lam=pd.lam,
-        mats=mats,
-        stack=np.hstack(list(mats.values())) / pd.lam,
-        stack_labels=np.array(list(mats), dtype=float),
+        stack=tm.stack.astype(complex) / pd.lam,
+        stack_labels=np.array(a.alphabet, dtype=float),
         max_abs_label=max(abs(x) for x in a.alphabet),
         norm_m=norm_m,
         k_left=k_left,
@@ -442,7 +445,9 @@ def _psi_product(
 
     def head_residual(j: int) -> float:
         # sum_{i > j} dist(z beta^i, Z) <= sum_q |z_q| |beta_q|^(i) ...
-        return sum(zq * bq ** (j + 1) / (1 - bq) for zq, bq in conj_mags)
+        # added left to right: Python's sum is compensated from 3.12 on.
+        terms = [zq * bq ** (j + 1) / (1 - bq) for zq, bq in conj_mags]
+        return functools.reduce(operator.add, terms)
 
     if head_terms is None:
         target = tol / (2 * c) if c > 0 else 1.0
@@ -483,9 +488,19 @@ def check_z_coords(coords) -> None:
             ) from None
 
 
-def check_scan_height(height: int) -> None:
+def check_scan_height(height: int, degree: int) -> None:
+    """Reject a height below 1, or one whose scan in this degree would
+    evaluate more than ``SCAN_CAP`` (read on each call) values of z: the
+    canonical half ((2H + 1)^degree - 1) / 2 of the lattice, counted
+    before any z is built."""
     if height < 1:
         raise ValidationError(f"scan height must be >= 1, got {height}")
+    count = ((2 * height + 1) ** degree - 1) // 2
+    if count > SCAN_CAP:
+        raise CapExceeded(
+            f"a height-{height} scan in degree {degree} has {count} values of z, "
+            f"above the cap of {SCAN_CAP}"
+        )
 
 
 def rajchman_scan(
@@ -503,7 +518,7 @@ def rajchman_scan(
     come back in lexicographic coordinate order; the maximum breaks ties
     towards the earlier z.
     """
-    check_scan_height(height)
+    check_scan_height(height, p.degree)
     r = p.degree
     candidates = [
         coords

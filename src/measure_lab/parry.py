@@ -77,7 +77,7 @@ def perron(a: LabeledAutomaton) -> PerronData:
             f"period={check['period']}"
         )
     n = a.n_states
-    src, dst = a.edge_arrays()
+    src, dst, _ = a.edge_arrays()
     into = np.concatenate([src, dst + n])
     take = np.concatenate([dst, src + n])
     # A quotient over d edges carries up to d + 1 roundings.

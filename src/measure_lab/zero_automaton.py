@@ -338,9 +338,9 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
     zero_name = zero_state_name(p)
     if zero_name not in idx:
         raise ValueError(f"automaton has no zero state {zero_name!r}")
-    step_masks: dict[int, list[int]] = {lab: [0] * a.n_states for lab in a.alphabet}
-    for src, dst, label in a.edges:
-        step_masks[label][idx[src]] |= 1 << idx[dst]
+    step_masks = [[0] * a.n_states for _ in a.alphabet]
+    for src, dst, label in zip(*(column.tolist() for column in a.edge_arrays())):
+        step_masks[label][src] |= 1 << dst
 
     def advance_mask(mask: int, label: int) -> int:
         out = 0
@@ -364,8 +364,8 @@ def verify_zero_language(a: LabeledAutomaton, p: PisotNumber, n_max: int) -> dic
         nxt: dict = {}
         for (coords, mask), (words, word) in level.items():
             base = bint_mul_beta(coords, p.minpoly)
-            for digit in a.alphabet:
-                key = ((base[0] + digit,) + base[1:], advance_mask(mask, digit))
+            for label, digit in enumerate(a.alphabet):
+                key = ((base[0] + digit,) + base[1:], advance_mask(mask, label))
                 if key in nxt:
                     nxt[key][0] += words
                 else:

@@ -682,7 +682,7 @@ def count_words(a: LabeledAutomaton, n: int, use_initial_terminal: bool = False)
     if n < 0:
         raise ValueError("n must be >= 0")
     idx = a.state_index()
-    src, dst = a.edge_arrays()
+    src, dst, _ = a.edge_arrays()
     start, end = (a.initial, a.terminal) if use_initial_terminal else (a.states, a.states)
     # runs[j]: paths of the current length that end in state j, held as
     # Python ints (object dtype) so counts never overflow

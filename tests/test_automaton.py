@@ -296,6 +296,37 @@ def test_total_is_sum_of_labels(automata):
         assert np.array_equal(np.asarray(total), tm.total)
 
 
+def test_edge_arrays_is_one_read_only_labelled_index(automata):
+    for a in automata.values():
+        index = a.edge_arrays()
+        assert len(index) == 3
+        assert all(again is first for again, first in zip(a.edge_arrays(), index))
+        for column in index:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        idx = a.state_index()
+        src, dst, label = (column.tolist() for column in index)
+        assert src == [idx[s] for s, _, _ in a.edges]
+        assert dst == [idx[t] for _, t, _ in a.edges]
+        assert label == [a.alphabet.index(x) for _, _, x in a.edges]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=small_graphs())
+def test_transition_matrices_match_per_edge_reference(a):
+    n, idx = a.n_states, a.state_index()
+    reference = {x: np.zeros((n, n), np.int64) for x in a.alphabet}
+    for s, t, x in a.edges:
+        reference[x][idx[s], idx[t]] += 1
+    tm = transition_matrices(a)
+    assert list(tm.per_label) == list(a.alphabet)
+    for x, m in reference.items():
+        assert np.array_equal(tm.per_label[x], m)
+    assert np.array_equal(tm.stack, np.hstack(list(reference.values())))
+    assert np.array_equal(tm.total, sum(reference.values()))
+
+
 # ---------------------------------------------------------------- primitivity
 
 def test_primitivity_fibonacci(automata):

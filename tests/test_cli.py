@@ -1,23 +1,28 @@
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from measure_lab import automaton, cli
+from measure_lab import automaton, cli, fourier
 from measure_lab.algebraic import make_pisot
 from measure_lab.automaton import parse_automaton
 from measure_lab.cli import _float_pieces, _load, _text_piece, _word_pieces, _write_csv, build_parser, main
 from measure_lab.distribution import depth_cloud
+from measure_lab.errors import CapExceeded
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
 from measure_lab.parry import perron
+from measure_lab.zero_automaton import beta_int_from_name
 
 from helpers import reference_cloud_csv, reference_cloud_report, reference_table_csv
 
@@ -381,6 +386,62 @@ def test_atoms_walks_the_graph_once(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "atoms", doc)
     assert code == 0 and len(json.loads(out)["atoms"]) == 1253
     assert len(walks) == 2
+
+
+def test_report_sums_add_left_to_right(capsys, tmp_path):
+    # Python's sum is compensated from 3.12 on.  Each state's decimal and
+    # the atoms' mass_total are the plain left-to-right float sums of their
+    # terms on every version.
+    doc = str(tmp_path / "quartic.json")
+    code, out = run(capsys, "zero-automaton", "--minpoly", "-1,0,0,-1,1", "--alphabet", "-1,0,1", "--out", doc)
+    assert code == 0
+    p = make_pisot([-1, 0, 0, -1, 1])
+    for row in json.loads(out)["states"]:
+        terms = [c * p.beta_float**i for i, c in enumerate(beta_int_from_name(row["state"], p))]
+        assert row["decimal"] == functools.reduce(operator.add, terms), row
+    code, out = run(capsys, "atoms", doc)
+    report = json.loads(out)
+    assert code == 0 and len(report["atoms"]) == 1253
+    assert report["mass_total"] == functools.reduce(operator.add, [at["mass"] for at in report["atoms"]])
+
+
+TRIBONACCI_SHIFT = {
+    "beta": {"minpoly": [-1, -1, -1, 1]},
+    "alphabet": [0, 1],
+    "states": ["s"],
+    "edges": [{"from": "s", "to": "s", "label": label} for label in (0, 1)],
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "classify"])
+@pytest.mark.parametrize("name", ["fig3", "tribonacci"])
+def test_scan_over_cap_exits_before_allocating(capsys, fixture_dir, command, name):
+    # Degree 2 and degree 3: at a height of 10^9 the lattice alone would
+    # hold 10^18 or more tuples; the count is checked before any is built.
+    path = fixture_dir / f"{name}.json"
+    if name == "tribonacci":
+        path.write_text(json.dumps(TRIBONACCI_SHIFT))
+    start = time.perf_counter()
+    code, out = run(capsys, command, str(path), "--height", str(10**9))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("minpoly, height, count", [([-1, -1, 1], 2, 12), ([-1, -1, -1, 1], 1, 13)])
+def test_scan_cap_boundary(monkeypatch, minpoly, height, count):
+    # ((2H + 1)^r - 1) / 2 values of z: a cap of exactly that many passes and
+    # the scan evaluates them all; one fewer raises.
+    p = make_pisot(minpoly)
+    a = parse_automaton(dict(TRIBONACCI_SHIFT, beta={"minpoly": minpoly}))
+    pd = perron(a)
+    monkeypatch.setattr(fourier, "SCAN_CAP", count)
+    assert len(fourier.rajchman_scan(a, p, pd, height).entries) == count
+    monkeypatch.setattr(fourier, "SCAN_CAP", count - 1)
+    with pytest.raises(CapExceeded):
+        fourier.check_scan_height(height, p.degree)
+    with pytest.raises(CapExceeded):
+        fourier.rajchman_scan(a, p, pd, height)
 
 
 def test_fourier_huge_t(capsys, fixture_dir):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -409,6 +411,15 @@ def test_cloud_invariants(automata, pisots, perron_data):
         assert abs(cloud.total_mass - 1) < 1e-10
         for e in cloud.entries:
             assert e.lo <= e.value + 1e-12 and e.value <= e.hi + 1e-12
+
+
+def test_total_mass_adds_left_to_right(automata, pisots, perron_data):
+    # Python's sum is compensated from 3.12 on, np.sum adds pairwise: the
+    # reported total is the plain float sum in word order on every version.
+    clouds = [(name, depth) for name in automata for depth in (5, 8)] + [("fig3", 10)]
+    for name, depth in clouds:
+        cloud = depth_cloud(automata[name], pisots[name], perron_data[name], depth)
+        assert cloud.total_mass == functools.reduce(operator.add, cloud.masses.tolist()), (name, depth)
 
 
 # ---------------------------------------------------------------- cdf

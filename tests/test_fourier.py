@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 import random
 from functools import lru_cache
 
@@ -429,3 +431,37 @@ def test_consistency_limit_vs_large_argument(automata, pisots, perron_data):
         direct = complex(row @ cache.v_r)
         res = psi_hat(a, p, pd, (1, 0), 1e-8)
         assert abs(res.value - direct) <= res.bound + 1e-6, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=signed_automata(), t=st.floats(-50, 50))
+def test_weight_reads_the_label_stack(a, t):
+    # W(t) = sum_a e(-a t) M_a / lambda, here from per_label one matrix at
+    # a time, against the blocks of the cache's stack.
+    pd = perron(a)
+    per_label = transition_matrices(a).per_label
+    reference = sum(np.exp(-2j * np.pi * x * (t % 1.0)) * m for x, m in per_label.items()) / pd.lam
+    assert np.abs(build_weight_cache(a, pd).weight(t) - reference).max() <= 1e-15
+
+
+def test_psi_head_residual_adds_left_to_right():
+    # From degree 4 on the discarded-head bound sums three or more conjugate
+    # terms.  Python's sum is compensated from 3.12 on; the head length and
+    # the fixed bound term come from the plain left-to-right float sum.
+    from measure_lab import fourier
+    from measure_lab.algebraic import bint_embed, make_pisot
+
+    p = make_pisot([-1, 0, 0, -1, 1])
+    c, tol = 3.7, 1e-8
+    target = tol / (2 * c)
+    for z in [(1, 0, 0, 0), (3, -2, 1, 5), (0, 7, 0, -4), (-9, 4, 4, 1)]:
+        embeds = [bint_embed(z, q, p) for q in range(2, p.degree + 1)]
+        mags = [(float(zq.mag()), float(bq.mag())) for zq, bq in zip(embeds, p.conjugates)]
+
+        def residual(j):
+            return functools.reduce(operator.add, [zq * bq ** (j + 1) / (1 - bq) for zq, bq in mags])
+
+        q = fourier._psi_product(z, p, c, tol, None, None)
+        head = q.n_head - 1
+        assert q.fixed == c * residual(head)
+        assert residual(head) <= target and (head == 0 or residual(head - 1) > target)
