@@ -1,9 +1,13 @@
 """Labelled automata over integer alphabets.
 
 Parsing and validation of the JSON document format, the one labelled
-edge index (``edge_arrays``), the 0/1 label stack built from it
-(``transition_matrices``), the BFS (``reachable``) behind strong
-connectivity and primitivity, and the count of ambiguous words.
+edge index (``edge_arrays``), the one BFS (``reachable``) and the count of
+ambiguous words.  The BFS walks the index forward or backward and returns
+its order, levels and tree edges: strong connectivity, primitivity, the
+finite-image test's spanning tree (``LabeledAutomaton.forward_walk``) and
+the zero automaton's trim all read it.  The dense 0/1 label stack
+(``transition_matrices``) is built only for the batched engines, under
+``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -11,19 +15,29 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from ._jsontext import dumps
 from .errors import (
+    CapExceeded,
     DuplicateEdge,
     LabelOutsideAlphabet,
     SchemaError,
     UnknownState,
 )
+
+# Most cells one dense array built from the automaton may hold: the label
+# stack, or one refinement level's product with it.  Read on each call.
+# At the cap, on a shared 2-core host: a cloud whose last level holds 10^8
+# cells (the 100-state de Bruijn graph over ten letters, depth 6) peaked at
+# 1.8 GB RSS, and fourier on a 99,980,187-cell stack at 2.3 GB.  The
+# largest level below it that runs, quartic cloud --depth 10, holds
+# 73,988,397 cells and peaks at 1.5 GB.
+DENSE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -68,32 +82,23 @@ class LabeledAutomaton:
         return tuple(index)
 
     @functools.cached_property
+    def forward_walk(self) -> tuple[list[int], list[int], list[int]]:
+        """``reachable`` from state 0, walked once per automaton: read only."""
+        src, dst, _ = self.edge_arrays()
+        return reachable(src, dst, self.n_states, 0)
+
+    @functools.cached_property
     def _primitivity(self) -> dict:
         # primitivity_check's answer, found once per automaton.
         src, dst, _ = self.edge_arrays()
-        succ: list[list[int]] = [[] for _ in self.states]
-        pred: list[list[int]] = [[] for _ in self.states]
-        for u, v in zip(src.tolist(), dst.tolist()):
-            succ[u].append(v)
-            pred[v].append(u)
-        level = np.array(reachable(succ, 0))
-        strongly_connected = bool(level.min() >= 0 and min(reachable(pred, 0)) >= 0)
+        n, level = self.n_states, np.array(self.forward_walk[1])
+        strongly_connected = bool(level.min() >= 0 and min(reachable(dst, src, n, 0)[1]) >= 0)
         period = int(np.gcd.reduce(level[src] + 1 - level[dst])) if strongly_connected else 0
         return {
             "strongly_connected": strongly_connected,
             "period": period,
             "primitive": strongly_connected and period == 1,
         }
-
-
-@dataclass(frozen=True)
-class TransitionMatrices:
-    """0/1 label matrices in state order: ``stack`` holds them side by side
-    in alphabet order, ``per_label`` by letter, and ``total`` is their sum."""
-
-    stack: np.ndarray = field(compare=False)
-    per_label: dict[int, np.ndarray] = field(compare=False)
-    total: np.ndarray = field(compare=False)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -250,14 +255,25 @@ def automaton_to_json(a: LabeledAutomaton) -> str:
 # ----------------------------------------------------------------------
 
 
-def transition_matrices(a: LabeledAutomaton) -> TransitionMatrices:
+def check_dense_cap(cells: int, what: str) -> None:
+    """Raise CapExceeded, before anything is allocated, when a dense array
+    of ``cells`` cells would exceed ``DENSE_CAP`` (read on each call)."""
+    if cells > DENSE_CAP:
+        raise CapExceeded(f"{what} of {cells} cells exceeds {DENSE_CAP}")
+
+
+def transition_matrices(a: LabeledAutomaton) -> np.ndarray:
+    """The label stack: the 0/1 label matrices in state order side by side,
+    in alphabet order, as one (n, |alphabet| * n) int64 array.  Only the
+    batched engines (the transform's weight cache and the refinement) build
+    it; ``check_dense_cap`` guards its n * |alphabet| * n cells."""
     src, dst, label = a.edge_arrays()
     n, k = a.n_states, len(a.alphabet)
+    check_dense_cap(n * k * n, "dense label stack")
     # The parser rejects duplicate edges, so one assignment sets them all.
     cube = np.zeros((n, k, n), dtype=np.int64)
     cube[src, label, dst] = 1
-    per_label = {x: cube[:, i] for i, x in enumerate(a.alphabet)}
-    return TransitionMatrices(cube.reshape(n, k * n), per_label, cube.sum(axis=1))
+    return cube.reshape(n, k * n)
 
 
 # ----------------------------------------------------------------------
@@ -265,19 +281,28 @@ def transition_matrices(a: LabeledAutomaton) -> TransitionMatrices:
 # ----------------------------------------------------------------------
 
 
-def reachable(succ: list[list[int]], start: int) -> list[int]:
-    """BFS level of every state from ``start`` over the adjacency lists
-    ``succ``: the length of a shortest path, or -1 where none leads."""
-    level = [-1] * len(succ)
+def reachable(src: np.ndarray, dst: np.ndarray, n_states: int, start: int):
+    """BFS from ``start`` over the edges src[e] -> dst[e], scanning each
+    state's edges in index order; (dst, src) walks them backward.
+
+    Returns the states in the order reached (``start`` first, unreached
+    states absent), each state's level (the length of a shortest path, -1
+    where none leads), and each state's tree edge, the first edge to reach
+    it (-1 for ``start`` and for unreached states).
+    """
+    by_src = np.argsort(src, kind="stable")
+    first = np.searchsorted(src[by_src], np.arange(n_states + 1)).tolist()
+    by_src, dst = by_src.tolist(), dst.tolist()
+    level, tree = [-1] * n_states, [-1] * n_states
     level[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
+    order = [start]  # grows while it is walked: the BFS queue
+    for u in order:
+        for e in by_src[first[u]:first[u + 1]]:
+            v = dst[e]
             if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return level
+                level[v], tree[v] = level[u] + 1, e
+                order.append(v)
+    return order, level, tree
 
 
 def primitivity_check(a: LabeledAutomaton) -> dict:

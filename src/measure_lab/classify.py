@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebraic import (
     PisotNumber,
     bint_mul,
@@ -74,44 +76,36 @@ class Verdict:
 def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     """Decide whether the digit map has finite image over the automaton.
 
-    One BFS from the first state over edges in document order gives a
-    spanning tree and the first edge back to the first state, which closes
-    a cycle whose value is num/den with num and den = beta^n - 1 in
-    Z[beta].  den^-1 = adj/D, with adj in Z[beta] and D a positive
-    integer, is found once.  Every candidate value c(w) = beta*c(u) - label
-    is then N_w/D with N_w = beta*N_u - label*D in Z[beta], propagated
-    along the tree from N_root = num*adj; every edge is checked as that
-    identity in integers, in document order.  Success returns every N_w
-    over D; failure returns the first violated edge.
+    One BFS from the first state, the automaton's ``forward_walk``, gives
+    a spanning tree; the first edge into the first state that its scan
+    meets, by (BFS rank of the source, edge index), closes a cycle whose
+    value is num/den with num and den = beta^n - 1 in Z[beta].
+    den^-1 = adj/D, with adj in Z[beta] and D a positive integer, is found
+    once.  Every candidate value c(w) = beta*c(u) - label is then N_w/D
+    with N_w = beta*N_u - label*D in Z[beta], propagated along the tree
+    from N_root = num*adj; every edge is checked as that identity in
+    integers, in document order.  Success returns every N_w over D, by
+    state name in BFS order; failure returns the first violated edge.
     """
     if not a.edges:
         raise NotStronglyConnected("automaton has no edges")
     if not primitivity_check(a)["strongly_connected"]:
         raise NotStronglyConnected("automaton is not strongly connected")
 
-    root = a.states[0]
-    out: dict[str, list[tuple[int, str]]] = {s: [] for s in a.states}
-    for src, dst, label in a.edges:
-        out[src].append((label, dst))
-    tree: dict[str, tuple[str, int]] = {}  # state -> (BFS parent, label)
-    order = [root]  # grows while it is walked: the BFS queue
-    closing = None
-    for u in order:
-        for label, w in out[u]:
-            if w == root and closing is None:
-                closing = (u, label)
-            elif w != root and w not in tree:
-                tree[w] = (u, label)
-                order.append(w)
-    if closing is None or len(order) != a.n_states:
-        raise NotStronglyConnected(f"not every state is on a cycle through {root!r}")
+    order, _, tree = a.forward_walk
+    src, dst, label = a.edge_arrays()
+    rank = np.empty(a.n_states, np.intp)
+    rank[order] = np.arange(a.n_states)
+    into_root = np.flatnonzero(dst == 0)
+    closing = int(into_root[np.argmin(rank[src[into_root]])])
+    src, dst = src.tolist(), dst.tolist()
+    letters = list(map(a.alphabet.__getitem__, label.tolist()))  # Python ints
 
     minpoly = p.minpoly
-    u, label = closing
-    labels = [label]
-    while u != root:
-        u, label = tree[u]
-        labels.append(label)
+    labels, e = [], closing
+    while e >= 0:  # back along the tree to the root, whose tree edge is -1
+        labels.append(letters[e])
+        e = tree[src[e]]
     one = (1,) + (0,) * (p.degree - 1)
     num = (0,) * p.degree
     power = one
@@ -124,16 +118,16 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     adj = tuple(c.numerator * (d // c.denominator) for c in inverse)
 
     # Python ints: the coordinates grow like beta^n, past int64.
-    numer = {root: bint_mul(num, adj, minpoly)}
+    numer = [None] * a.n_states
+    numer[0] = bint_mul(num, adj, minpoly)
     for w in order[1:]:
-        u, label = tree[w]
-        numer[w] = bint_mul_beta(numer[u], minpoly, -label * d)
-    for src, dst, label in a.edges:
-        if bint_mul_beta(numer[src], minpoly, -label * d) != numer[dst]:
-            return FiniteImageResult(
-                ok=False, numerators=None, denominator=d, witness=(src, label, dst)
-            )
-    return FiniteImageResult(ok=True, numerators=numer, denominator=d, witness=None)
+        numer[w] = bint_mul_beta(numer[src[tree[w]]], minpoly, -letters[tree[w]] * d)
+    for u, w, label in zip(src, dst, letters):
+        if bint_mul_beta(numer[u], minpoly, -label * d) != numer[w]:
+            witness = (a.states[u], label, a.states[w])
+            return FiniteImageResult(ok=False, numerators=None, denominator=d, witness=witness)
+    numerators = {a.states[w]: numer[w] for w in order}
+    return FiniteImageResult(ok=True, numerators=numerators, denominator=d, witness=None)
 
 
 def atoms(

@@ -31,7 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .algebraic import PisotNumber
-from .automaton import LabeledAutomaton, transition_matrices
+from .automaton import LabeledAutomaton, check_dense_cap, transition_matrices
 from .errors import CapExceeded, DeadState, ValidationError
 from .parry import PerronData
 
@@ -156,9 +156,11 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     column).  ``CLOUD_CAP``, read on each call, is checked once per level,
     on its bucket count after the merge, so a level of CLOUD_CAP + 1
     buckets raises at that depth; so does a key step that could leave
-    int64.  The last level's masses are one stacked product ``rows @
-    v_R``.  Every pass runs along the long bucket axis, one call per state
-    column where needed, never reducing across the few states of a row.
+    int64, and a level whose product would hold more than
+    ``automaton.DENSE_CAP`` cells, checked before it is allocated.  The
+    last level's masses are one stacked product ``rows @ v_R``.  Every
+    pass runs along the long bucket axis, one call per state column where
+    needed, never reducing across the few states of a row.
     Returns the last level's words as an (entries x depth) array of
     alphabet indices (None when merging) and arrays of its truncated
     values, masses and [lo, hi] (``value_bounds`` ranges scaled by
@@ -166,7 +168,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
-    stack = transition_matrices(a).stack.astype(float)
+    stack = transition_matrices(a).astype(float)
     labels = np.array(a.alphabet, dtype=float)
     bounds = value_bounds(a, p)
     beta = p.beta_float
@@ -180,6 +182,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     for k in range(1, depth + 1):
         # A level has at most |alphabet| times as many buckets as the one
         # before, so this is the level's largest allocation.
+        check_dense_cap(len(rows) * stack.shape[1], f"refinement level {k}")
         children = (rows @ stack).reshape(-1, n)
         positive = children > 0
         kept = positive[:, 0].copy()

@@ -107,14 +107,14 @@ class WeightMatrixCache:
 
 
 def build_weight_cache(a: LabeledAutomaton, pd: PerronData) -> WeightMatrixCache:
-    tm = transition_matrices(a)
-    norm_m = float(np.abs(tm.total).sum(axis=1).max())
+    src, _, _ = a.edge_arrays()
+    norm_m = float(np.bincount(src).max())  # the largest out-degree
     # |v_L W(t_1)...W(t_n)| <= v_L W(0)^n = v_L entrywise, so the l1 norms
     # of all partial rows stay below ||v_L||_1.
     k_left = float(np.abs(pd.v_L).sum()) * (1 + 1e-9) + 1e-12
     return WeightMatrixCache(
         lam=pd.lam,
-        stack=tm.stack.astype(complex) / pd.lam,
+        stack=transition_matrices(a).astype(complex) / pd.lam,
         stack_labels=np.array(a.alphabet, dtype=float),
         max_abs_label=max(abs(x) for x in a.alphabet),
         norm_m=norm_m,

@@ -8,7 +8,9 @@ is the unique Markov lift reproducing those masses.
 The Perron triple (lambda, v_L, v_R) comes from one power iteration on
 the automaton's edge list (``perron``): each step costs O(edges), and no
 n x n matrix is built, so automata with thousands of states cost
-milliseconds.
+milliseconds.  Cylinder masses step on the same edge index, one gather
+and one bincount per letter of the word; no module function here builds
+a dense matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import LabeledAutomaton, TransitionMatrices, primitivity_check, transition_matrices
+from .automaton import LabeledAutomaton, primitivity_check
 from .errors import EmptyInitialSet, NotPrimitive, PrecisionExhausted
 
 EIGEN_TOL = 1e-12  # largest relative quotient spread perron accepts, read on each call
@@ -124,19 +126,22 @@ def perron(a: LabeledAutomaton) -> PerronData:
     return PerronData(lam=lam, lam_bound=lam_bound, v_L=v_l, v_R=v_r, res_L=res_l, res_R=res_r)
 
 
-def _word_row(start: np.ndarray, tm: TransitionMatrices, word) -> np.ndarray:
+def _word_row(start: np.ndarray, a: LabeledAutomaton, word) -> np.ndarray:
+    # One step per letter on the edge index; a letter outside the alphabet
+    # matches no edge.
+    src, dst, label = a.edge_arrays()
+    letter = {x: i for i, x in enumerate(a.alphabet)}
     row = start
-    for letter in word:
-        if letter not in tm.per_label:
-            return np.zeros_like(start)
-        row = row @ tm.per_label[letter]
+    for x in word:
+        on = label == letter.get(x, -1)
+        row = np.bincount(dst[on], weights=row[src[on]], minlength=len(start))
     return row
 
 
 def cylinder_measure(pd: PerronData, a: LabeledAutomaton, word) -> float:
     """Mass of the cylinder of the given label word; 0 if not admissible."""
     word = tuple(word)
-    row = _word_row(pd.v_L, transition_matrices(a), word)
+    row = _word_row(pd.v_L, a, word)
     return float(row @ pd.v_R) * pd.lam ** -len(word)
 
 
@@ -155,7 +160,7 @@ def cylinder_measure_initial(pd: PerronData, a: LabeledAutomaton, word) -> float
     """Cylinder mass under the initial-state measure (paths started in I)."""
     v_i, denom = initial_row(pd, a)
     word = tuple(word)
-    row = _word_row(v_i, transition_matrices(a), word)
+    row = _word_row(v_i, a, word)
     return float(row @ pd.v_R) * pd.lam ** -len(word) / denom
 
 

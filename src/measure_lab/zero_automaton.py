@@ -299,11 +299,9 @@ def build_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> Labele
 
     kept = [True] * len(states)
     if trim == "both":
-        # Keep states with a path back to zero (state 0).
-        pred: list[list[int]] = [[] for _ in states]
-        for i, _, j in edges:
-            pred[j].append(i)
-        kept = [depth >= 0 for depth in reachable(pred, 0)]
+        # Keep states with a path back to zero (state 0): walk the edges backward.
+        src, dst = (np.array([e[k] for e in edges], np.intp) for k in (0, 2))
+        kept = [depth >= 0 for depth in reachable(dst, src, len(states), 0)[1]]
 
     names = [format_coords(x) if k else None for x, k in zip(states, kept)]
     zero_name = names[0]

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -28,7 +29,6 @@ from measure_lab.automaton import (
     LabeledAutomaton,
     parse_automaton,
     primitivity_check,
-    reachable,
     transition_matrices,
 )
 from measure_lab.distribution import DepthCloud
@@ -480,10 +480,9 @@ def reference_zero_automaton(p: PisotNumber, alphabet, trim: str = "both") -> La
 
     if trim == "both":
         order = {s: i for i, s in enumerate(states)}
-        pred: list[list[int]] = [[] for _ in states]
-        for x, y, _ in edges:
-            pred[order[y]].append(order[x])
-        co = {s for s, level in zip(states, reachable(pred, 0)) if level >= 0}
+        _, level, _ = reference_walk([order[y] for _, y, _ in edges], [order[x] for x, _, _ in edges],
+                                     len(states), 0)
+        co = {s for s, depth in zip(states, level) if depth >= 0}
         states = [s for s in states if s in co]
         edges = [(x, y, a) for x, y, a in edges if x in co and y in co]
 
@@ -602,6 +601,34 @@ def reference_parse_automaton(document) -> LabeledAutomaton:
 # ---------------------------------------------------------------- graph oracles
 
 
+def reference_walk(src, dst, n_states: int, start: int):
+    """``automaton.reachable`` on a deque over per-state edge lists: the
+    BFS order, the levels and the tree edges (-1 for none)."""
+    out = [[] for _ in range(n_states)]
+    for e, u in enumerate(src):
+        out[u].append(e)
+    level, tree = [-1] * n_states, [-1] * n_states
+    level[start] = 0
+    order, queue = [start], deque([start])
+    while queue:
+        u = queue.popleft()
+        for e in out[u]:
+            v = dst[e]
+            if level[v] == -1:
+                level[v], tree[v] = level[u] + 1, e
+                order.append(v)
+                queue.append(v)
+    return order, level, tree
+
+
+def label_blocks(a: LabeledAutomaton) -> dict[int, np.ndarray]:
+    """The label matrices of ``transition_matrices``' stack, by letter in
+    alphabet order; their sum is the total transition matrix."""
+    n = a.n_states
+    stack = transition_matrices(a).reshape(n, len(a.alphabet), n)
+    return {x: stack[:, i] for i, x in enumerate(a.alphabet)}
+
+
 def _boolean_power(m: np.ndarray, k: int) -> np.ndarray:
     """m^k > 0 for a 0/1 matrix m, one Boolean product per step."""
     power = np.eye(len(m), dtype=bool)
@@ -618,7 +645,7 @@ def dense_primitivity(a: LabeledAutomaton) -> dict:
     gcd{k <= n : trace(A^k) > 0} when strongly connected, else 0.
     """
     n = a.n_states
-    adj = (transition_matrices(a).total > 0).astype(np.int64)
+    adj = (sum(label_blocks(a).values()) > 0).astype(np.int64)
     strongly_connected = bool(_boolean_power(adj | np.eye(n, dtype=np.int64), n - 1).all())
     period = 0
     if strongly_connected:
@@ -634,7 +661,7 @@ def dense_primitivity(a: LabeledAutomaton) -> dict:
 
 def wielandt_positive(a: LabeledAutomaton) -> bool:
     """A^((n-1)^2 + 1) > 0, which holds exactly when A is primitive."""
-    adj = (transition_matrices(a).total > 0).astype(np.int64)
+    adj = (sum(label_blocks(a).values()) > 0).astype(np.int64)
     return bool(_boolean_power(adj, (a.n_states - 1) ** 2 + 1).all())
 
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from helpers import random_primitive_automata, reference_sample_many
+from helpers import label_blocks, random_primitive_automata, reference_sample_many
 from measure_lab import parry
-from measure_lab.automaton import parse_automaton, transition_matrices
+from measure_lab.automaton import parse_automaton
 from measure_lab.classify import atoms, classify, finite_image_test
 from measure_lab.distribution import cdf_bracket, depth_cloud
 from measure_lab.fixtures import fixture_report
@@ -49,7 +49,7 @@ def test_criterion_2_parry_identities(monkeypatch):
     worst_total = 0.0
     for a in automata:
         pd = perron(a)
-        tm = transition_matrices(a)
+        per_label = label_blocks(a)
         words = [()] + [(x,) for x in a.alphabet] + list(
             itertools.product(a.alphabet, repeat=2)
         )
@@ -62,7 +62,7 @@ def test_criterion_2_parry_identities(monkeypatch):
             )
         rows = pd.v_L[None, :]
         for _ in range(5):
-            rows = np.concatenate([rows @ tm.per_label[x] for x in a.alphabet])
+            rows = np.concatenate([rows @ per_label[x] for x in a.alphabet])
         total = float((rows @ pd.v_R).sum()) * pd.lam**-5
         worst_total = max(worst_total, abs(total - 1))
     assert worst_consistency < 1e-12

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from measure_lab import automaton
 from measure_lab.automaton import (
     LabeledAutomaton,
     ambiguous_word_count,
     automaton_to_json,
     parse_automaton,
     primitivity_check,
+    reachable,
     serialize_automaton,
     transition_matrices,
 )
@@ -32,7 +34,9 @@ from helpers import (
     count_words,
     dense_primitivity,
     enumerate_paths,
+    label_blocks,
     reference_parse_automaton,
+    reference_walk,
     small_graphs,
     strongly_connected_automata,
     wielandt_positive,
@@ -277,23 +281,23 @@ def test_round_trip_preserves_document(automata):
 # ---------------------------------------------------------------- matrices
 
 def test_transition_matrices_fibonacci(automata):
-    tm = transition_matrices(automata["fibonacci"])
-    assert tm.total.tolist() == [[1, 1], [1, 0]]
-    assert tm.per_label[1].tolist() == [[0, 1], [0, 0]]
-    assert tm.per_label[0].tolist() == [[1, 0], [1, 0]]
+    per_label = label_blocks(automata["fibonacci"])
+    assert sum(per_label.values()).tolist() == [[1, 1], [1, 0]]
+    assert per_label[1].tolist() == [[0, 1], [0, 0]]
+    assert per_label[0].tolist() == [[1, 0], [1, 0]]
 
 
 def test_transition_matrices_full_shift(automata):
-    tm = transition_matrices(automata["fullshift4"])
-    assert tm.total.tolist() == [[4]]
-    assert sum(m.sum() for m in tm.per_label.values()) == 4
+    per_label = label_blocks(automata["fullshift4"])
+    assert sum(per_label.values()).tolist() == [[4]]
+    assert sum(m.sum() for m in per_label.values()) == 4
 
 
 def test_total_is_sum_of_labels(automata):
     for a in automata.values():
-        tm = transition_matrices(a)
-        total = sum(tm.per_label.values())
-        assert np.array_equal(np.asarray(total), tm.total)
+        n, k = a.n_states, len(a.alphabet)
+        total = sum(label_blocks(a).values())
+        assert np.array_equal(np.asarray(total), transition_matrices(a).reshape(n, k, n).sum(axis=1))
 
 
 def test_edge_arrays_is_one_read_only_labelled_index(automata):
@@ -319,15 +323,39 @@ def test_transition_matrices_match_per_edge_reference(a):
     reference = {x: np.zeros((n, n), np.int64) for x in a.alphabet}
     for s, t, x in a.edges:
         reference[x][idx[s], idx[t]] += 1
-    tm = transition_matrices(a)
-    assert list(tm.per_label) == list(a.alphabet)
+    per_label = label_blocks(a)
+    assert list(per_label) == list(a.alphabet)
     for x, m in reference.items():
-        assert np.array_equal(tm.per_label[x], m)
-    assert np.array_equal(tm.stack, np.hstack(list(reference.values())))
-    assert np.array_equal(tm.total, sum(reference.values()))
+        assert np.array_equal(per_label[x], m)
+    assert np.array_equal(transition_matrices(a), np.hstack(list(reference.values())))
+    assert np.array_equal(sum(per_label.values()), sum(reference.values()))
 
 
-# ---------------------------------------------------------------- primitivity
+def test_label_stack_cap_is_checked_before_allocating(automata, monkeypatch):
+    # fig3: 2 states over 3 letters, a stack of 2 * 3 * 2 = 12 cells
+    fig3 = automata["fig3"]
+    monkeypatch.setattr(automaton, "DENSE_CAP", 12)
+    assert transition_matrices(fig3).shape == (2, 6)
+    monkeypatch.setattr(automaton, "DENSE_CAP", 11)
+    with pytest.raises(CapExceeded, match="12 cells exceeds 11"):
+        transition_matrices(fig3)
+
+
+# ---------------------------------------------------------------- walks and primitivity
+
+@settings(max_examples=200, deadline=None)
+@given(a=small_graphs(), data=st.data())
+def test_reachable_matches_deque_reference(a, data):
+    # BFS order, levels and tree edges, forward and on the reversed arrays
+    start = data.draw(st.integers(0, a.n_states - 1))
+    src, dst, _ = a.edge_arrays()
+    for ends in ((src, dst), (dst, src)):
+        walk = reachable(*ends, a.n_states, start)
+        assert walk == reference_walk(*(e.tolist() for e in ends), a.n_states, start)
+        order, level, tree = walk
+        assert sorted(order) == [s for s in range(a.n_states) if level[s] >= 0]
+        assert all(ends[1][tree[s]] == s and level[ends[0][tree[s]]] == level[s] - 1 for s in order[1:])
+
 
 def test_primitivity_fibonacci(automata):
     assert primitivity_check(automata["fibonacci"]) == {

@@ -372,15 +372,15 @@ def test_word_pieces_match_csv_writer(case):
 
 def test_atoms_walks_the_graph_once(capsys, tmp_path, monkeypatch):
     # perron and the finite-image test both ask whether the quartic's zero
-    # automaton (1,253 states) is primitive; one forward and one backward
-    # walk answer both.
+    # automaton (1,253 states) is primitive, and the finite-image test reads
+    # the forward walk's tree; one forward and one backward walk answer all.
     doc = str(tmp_path / "quartic.json")
     assert run(capsys, "zero-automaton", "--minpoly", "-1,0,0,-1,1", "--alphabet", "-1,0,1", "--out", doc)[0] == 0
     walks, reachable = [], automaton.reachable
 
-    def counted(succ, start):
+    def counted(src, dst, n_states, start):
         walks.append(start)
-        return reachable(succ, start)
+        return reachable(src, dst, n_states, start)
 
     monkeypatch.setattr(automaton, "reachable", counted)
     code, out = run(capsys, "atoms", doc)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from measure_lab import distribution
+from measure_lab import automaton, distribution
 from measure_lab.algebraic import bint_mul_beta, make_pisot
-from measure_lab.automaton import parse_automaton, transition_matrices
+from measure_lab.automaton import parse_automaton
 from measure_lab.distribution import cdf_bracket, depth_cloud, value_bounds
 from measure_lab.errors import CapExceeded, DeadState
 from measure_lab.parry import perron
 from measure_lab.zero_automaton import build_zero_automaton
 
 from helpers import (
+    label_blocks,
     pisot,
     random_primitive_automata,
     reference_cdf_bounds,
@@ -173,7 +174,7 @@ def test_cloud_cap(automata, pisots, perron_data, refine, monkeypatch):
 
 def _reference_cloud(a, p, pd, n):
     """Per-word recursion the refinement engine replaced."""
-    tm = transition_matrices(a)
+    per_label = label_blocks(a)
     bounds = value_bounds(a, p)
     blo = np.array([bounds[s][0] for s in a.states])
     bhi = np.array([bounds[s][1] for s in a.states])
@@ -189,7 +190,7 @@ def _reference_cloud(a, p, pd, n):
                             value + tail * float(bhi[support].max())))
             return
         for label in a.alphabet:
-            nxt = row @ tm.per_label[label]
+            nxt = row @ per_label[label]
             if nxt.max() > 0:
                 walk(nxt, word + (label,), value + label * beta ** -(len(word) + 1))
 
@@ -203,7 +204,7 @@ def _reference_buckets(a, p, pd, depth):
     ``bint_mul_beta``) and equal support, keeps each bucket's first-seen
     float value and sums masses bucket by bucket.  Returns (lo, hi, mass)
     per bucket, in first-seen order."""
-    tm = transition_matrices(a)
+    per_label = label_blocks(a)
     bounds = value_bounds(a, p)
     beta = p.beta_float
     level = {((0,) * p.degree, ()): (0.0, pd.v_L.copy())}
@@ -211,7 +212,7 @@ def _reference_buckets(a, p, pd, depth):
         nxt = {}
         for (coords, _), (value, row) in level.items():
             for label in a.alphabet:
-                new_row = row @ tm.per_label[label]
+                new_row = row @ per_label[label]
                 if new_row.max() > 0:
                     key = (bint_mul_beta(coords, p.minpoly, label), tuple(new_row > 0))
                     if key in nxt:
@@ -307,6 +308,22 @@ def test_cap_boundary(automata, pisots, perron_data, refine, buckets, monkeypatc
     with pytest.raises(CapExceeded) as info:
         refine(*args)
     assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth 5"
+
+
+@pytest.mark.parametrize("refine, cells", [
+    (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**4 * 4),
+    (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), (3 * 2**4 - 2) * 4),
+], ids=["depth_cloud", "cdf_bracket"])
+def test_dense_cap_boundary(automata, pisots, perron_data, refine, cells, monkeypatch):
+    # fullshift4's stack is 1 x 4; level 5 multiplies the 4^4 words, or the
+    # 3 * 2^4 - 2 buckets, of level 4 with it, the largest product of the run
+    args = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
+    monkeypatch.setattr(automaton, "DENSE_CAP", cells)
+    refine(*args)
+    monkeypatch.setattr(automaton, "DENSE_CAP", cells - 1)
+    with pytest.raises(CapExceeded) as info:
+        refine(*args)
+    assert str(info.value) == f"refinement level 5 of {cells} cells exceeds {cells - 1}"
 
 
 def _bracket_rtol(a, depth, terms):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from measure_lab.automaton import parse_automaton, transition_matrices
+from measure_lab.automaton import parse_automaton
 from measure_lab.errors import EmptyInitialSet
 from measure_lab.fourier import (
     build_weight_cache,
@@ -24,7 +24,7 @@ from measure_lab.distribution import depth_cloud
 from measure_lab.fixtures import FIXTURE_NAMES
 from measure_lab.parry import perron
 
-from helpers import signed_automata
+from helpers import label_blocks, signed_automata
 
 
 # ---------------------------------------------------------------- oracles
@@ -45,7 +45,7 @@ def initial_cloud_quadrature(a, p, pd, t, depth):
     for s in a.initial:
         v_i[idx[s]] = 1.0
     v_i = v_i / (v_i @ pd.v_R)
-    tm = transition_matrices(a)
+    per_label = label_blocks(a)
     beta = p.beta_float
     total = 0j
 
@@ -55,7 +55,7 @@ def initial_cloud_quadrature(a, p, pd, t, depth):
             total += (row @ pd.v_R) * pd.lam**-depth * cmath.exp(-2j * cmath.pi * t * value)
             return
         for label in a.alphabet:
-            nxt = row @ tm.per_label[label]
+            nxt = row @ per_label[label]
             if nxt.max() > 0:
                 walk(nxt, k + 1, value + label * beta ** -(k + 1))
 
@@ -179,11 +179,11 @@ def beta_100_digits(minpoly, near):
 def mp_transform(a, pd, args):
     """v_L W(args[0]) ... W(args[-1]) v_R at the working precision, with the
     float Perron data taken as exact."""
-    tm = transition_matrices(a)
+    per_label = label_blocks(a)
     n = pd.n_states
     row = [mpf(x) for x in pd.v_L]
     for x in args:
-        weights = [(mp.expjpi(-2 * label * x), m) for label, m in tm.per_label.items()]
+        weights = [(mp.expjpi(-2 * label * x), m) for label, m in per_label.items()]
         row = [sum(row[i] * phase * int(m[i, j]) for phase, m in weights for i in range(n)) / mpf(pd.lam)
                for j in range(n)]
     return complex(sum(r * mpf(v) for r, v in zip(row, pd.v_R)))
@@ -439,7 +439,7 @@ def test_weight_reads_the_label_stack(a, t):
     # W(t) = sum_a e(-a t) M_a / lambda, here from per_label one matrix at
     # a time, against the blocks of the cache's stack.
     pd = perron(a)
-    per_label = transition_matrices(a).per_label
+    per_label = label_blocks(a)
     reference = sum(np.exp(-2j * np.pi * x * (t % 1.0)) * m for x, m in per_label.items()) / pd.lam
     assert np.abs(build_weight_cache(a, pd).weight(t) - reference).max() <= 1e-15
 

@@ -1,16 +1,21 @@
+import contextlib
+import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+import measure_lab.automaton
 import measure_lab.parry
-from helpers import random_primitive_automata, reference_sample_many
-from measure_lab.automaton import parse_automaton, primitivity_check, transition_matrices
+from helpers import label_blocks, random_primitive_automata, reference_sample_many
+from measure_lab.automaton import parse_automaton, primitivity_check
 from measure_lab.errors import EmptyInitialSet, NotPrimitive, PrecisionExhausted
 from measure_lab.parry import (
     cylinder_measure,
@@ -98,7 +103,7 @@ def test_not_primitive_rejected():
 
 def test_eigen_residuals(automata, perron_data):
     for name, pd in perron_data.items():
-        m = transition_matrices(automata[name]).total.astype(float)
+        m = sum(label_blocks(automata[name]).values()).astype(float)
         assert np.abs(m @ pd.v_R - pd.lam * pd.v_R).max() < 1e-10
         assert np.abs(m.T @ pd.v_L - pd.lam * pd.v_L).max() < 1e-10
         assert abs(pd.v_L @ pd.v_R - 1.0) < 1e-12
@@ -146,7 +151,7 @@ def reference_rho(m):
 @given(a=multigraph_automata())
 def test_perron_matches_dense_eigensolver(a):
     pd = perron(a)
-    rho = reference_rho(transition_matrices(a).total)
+    rho = reference_rho(sum(label_blocks(a).values()))
     assert abs(pd.lam - rho) <= pd.lam_bound + 4 * 2.0**-52 * rho
     assert pd.v_R.max() == 1.0
     assert abs(pd.v_L @ pd.v_R - 1) <= 1e-12
@@ -170,7 +175,7 @@ def test_perron_5000_states_without_dense_matrix(monkeypatch):
     def no_dense(_):
         raise AssertionError("perron built a dense matrix")
 
-    monkeypatch.setattr(measure_lab.parry, "transition_matrices", no_dense)
+    monkeypatch.setattr(measure_lab.automaton, "transition_matrices", no_dense)
     pd = perron(a)
     assert pd.lam == 2.0
     assert (pd.v_R == 1.0).all()
@@ -234,6 +239,50 @@ def test_initial_measure_matches_count_ratio_more_words(automata, perron_data):
         ) < 1e-4
 
 
+def dense_cylinders(pd, a, word):
+    """(cylinder_measure, cylinder_measure_initial) by one dense label
+    matrix product per letter; a letter outside the alphabet gives 0."""
+    per_label = label_blocks(a)
+    v_i = np.array([s in a.initial for s in a.states], dtype=float)
+    masses = []
+    for row in (pd.v_L, v_i):
+        for x in word:
+            row = row @ per_label[x] if x in per_label else np.zeros_like(row)
+        masses.append(float(row @ pd.v_R) * pd.lam ** -len(word))
+    return masses[0], masses[1] / float(v_i @ pd.v_R)
+
+
+def cylinders_without_dense_stack(pd, a, word):
+    """Both cylinder masses, with ``transition_matrices`` patched to raise
+    in every package module that holds the name."""
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("measure_lab") and hasattr(m, "transition_matrices")]
+    with contextlib.ExitStack() as patches:
+        for module in holders:
+            patches.enter_context(mock.patch.object(
+                module, "transition_matrices", side_effect=AssertionError("cylinder built the dense label stack")))
+        return cylinder_measure(pd, a, word), cylinder_measure_initial(pd, a, word)
+
+
+def test_cylinders_match_dense_reference_bit_for_bit_on_fixtures(automata, perron_data):
+    for name, a in automata.items():
+        pd = perron_data[name]
+        letters = a.alphabet + (max(a.alphabet) + 1,)  # one letter outside
+        for k in range(4):
+            for word in itertools.product(letters, repeat=k):
+                assert cylinders_without_dense_stack(pd, a, word) == dense_cylinders(pd, a, word), (name, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=multigraph_automata(), data=st.data())
+def test_cylinders_match_dense_reference(a, data):
+    a = dataclasses.replace(a, initial=a.states[: data.draw(st.integers(1, a.n_states))])
+    pd = perron(a)
+    word = data.draw(st.lists(st.sampled_from([-1, 0, 1, 2]), max_size=8))
+    for got, want in zip(cylinders_without_dense_stack(pd, a, word), dense_cylinders(pd, a, word)):
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
 # ---------------------------------------------------------------- distribution
 
 def test_start_distribution_fibonacci(perron_data):
@@ -274,10 +323,10 @@ def test_kolmogorov_and_shift_invariance_fixtures(automata, perron_data):
 def test_total_mass_up_to_depth_six(automata, perron_data):
     for name, a in automata.items():
         pd = perron_data[name]
-        tm = transition_matrices(a)
+        per_label = label_blocks(a)
         rows = pd.v_L[None, :]
         for depth in range(1, 7):
-            rows = np.concatenate([rows @ tm.per_label[x] for x in a.alphabet])
+            rows = np.concatenate([rows @ per_label[x] for x in a.alphabet])
             total = float((rows @ pd.v_R).sum())
             assert abs(total * pd.lam**-depth - 1) < 1e-10, (name, depth)
 
@@ -285,17 +334,17 @@ def test_total_mass_up_to_depth_six(automata, perron_data):
 def test_mixing_identity_decay(automata, perron_data):
     for name in ("fibonacci", "example1-7edge"):
         a, pd = automata[name], perron_data[name]
-        tm = transition_matrices(a)
+        per_label = label_blocks(a)
         u = [a.alphabet[-1]]
         w = [a.alphabet[0]]
         mu_u = cylinder_measure(pd, a, u)
         mu_w = cylinder_measure(pd, a, w)
-        total = tm.total.astype(float)
+        total = sum(per_label.values()).astype(float)
 
         def joint(n):
-            row = pd.v_L @ tm.per_label[u[0]]
+            row = pd.v_L @ per_label[u[0]]
             row = row @ np.linalg.matrix_power(total, n - 1)
-            row = row @ tm.per_label[w[0]]
+            row = row @ per_label[w[0]]
             return float(row @ pd.v_R) * pd.lam ** -(n + 1)
 
         # second eigenvalue ratio is ~0.64 for the 7-edge fixture, so the
