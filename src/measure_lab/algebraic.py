@@ -414,7 +414,9 @@ def bint_embed(x: tuple[int, ...], q: int, p: PisotNumber):
     """Certified enclosure of x under the q-th embedding (q=1 is beta itself).
 
     Returns a Ball for q=1 and a CBall otherwise; width is at most
-    2^(-PRECISION/2), escalating internally as needed.
+    2^(-PRECISION/2), escalating internally as needed.  Kept for the
+    benchmark tracer, which wraps it by name: no package code calls it,
+    since ``float_embeddings`` gives every psi-hat row its floats.
     """
     return _embed(x, q, p)
 
@@ -424,48 +426,89 @@ def qbeta_embed(x: tuple[Fraction, ...], q: int, p: PisotNumber):
     """Certified enclosure of a Q(beta) element; Ball for q=1, CBall else.
 
     Same evaluation and width as ``bint_embed``, with each rational
-    coordinate rounded to the working precision.
+    coordinate rounded to the working precision.  Kept, like
+    ``bint_embed``, only because the benchmark tracer wraps it by name.
     """
     return _embed(x, q, p)
 
 
-# First fixed-point scale of qbeta_nearest_floats.
+# ----------------------------------------------------------------------
+# Fixed point: floats of embeddings from integers alone
+# ----------------------------------------------------------------------
+
+# First fixed-point scale K of every fixed-point escalation.
 _FIXED_BITS = 160
+
+
+def _dyadic(x: mpf) -> tuple[int, int]:
+    """A finite mpf as (n, f) with x = n 2^f (``man_exp`` drops the sign)."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _fixed(x: mpf, k: int, ceil: bool = False) -> int:
+    """floor(x * 2^k), or ceil, exactly."""
+    man, exp = _dyadic(x)
+    if exp + k >= 0:
+        return man << (exp + k)
+    return -(-man >> -(exp + k)) if ceil else man >> -(exp + k)
+
+
+@lru_cache(maxsize=None)
+def _fixed_powers(p: PisotNumber, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each embedding q = 1..r, (re, im, e) of beta_q^i 2^k for i =
+    0..r-1: integers with |re + i im - beta_q^i 2^k| <= e for every
+    beta_q in its enclosure, ``p``'s own at K = 160 bits and
+    ``refined_enclosures(p, K)`` beyond.  Memoised per (base, K).
+
+    With b = floor(mid * 2^K) (per part), b is within e = ceil(rad * 2^K)
+    + s of beta_q 2^K, s = 1 for the real root and 2 for a complex disk
+    (two floors, each below 1).  B_0 = 2^K and B_(i+1) = floor(B_i b /
+    2^K) (per part) are within e_0 = 0 and e_(i+1) = ceil((|B_i| e + e_i
+    (|b| + e)) / 2^K) + s of beta_q^i 2^K: with beta_q^i 2^K = B_i + d_i
+    and beta_q 2^K = b + d, the product misses by (B_i d + d_i b + d_i d)
+    / 2^K, and the floors by less than s.  |re| + |im| bounds a modulus.
+    """
+    beta, conj = (p.root_beta, p.conjugates) if k == _FIXED_BITS else refined_enclosures(p, k)
+    table = []
+    for point in (beta,) + tuple(conj):
+        if isinstance(point, CBall):
+            b_re, b_im, slack = _fixed(point.mid.real, k), _fixed(point.mid.imag, k), 2
+        else:
+            b_re, b_im, slack = _fixed(point.mid, k), 0, 1
+        e = _fixed(point.rad, k, ceil=True) + slack
+        b_abs = abs(b_re) + abs(b_im)
+        powers = [(1 << k, 0, 0)]
+        for _ in range(p.degree - 1):
+            re, im, err = powers[-1]
+            powers.append((
+                (re * b_re - im * b_im) >> k,
+                (re * b_im + im * b_re) >> k,
+                -(-((abs(re) + abs(im)) * e + err * (b_abs + e)) >> k) + slack,
+            ))
+        table.append(tuple(powers))
+    return tuple(table)
 
 
 def qbeta_nearest_floats(rows: Sequence[tuple[int, ...]], den: int, p: PisotNumber) -> list[float]:
     """The double nearest the value of each x = row / den (its embedding at
     beta itself), for integer coordinate rows over one denominator den > 0,
-    decided in fixed point under ``_escalate``: K = 160 bits on
-    ``p.root_beta`` first, then the values still undecided at K = 320,
-    640, ... bits on ``refined_enclosures(p, K)``.
+    decided in fixed point under ``_escalate``: K = 160 bits first, then
+    the values still undecided at K = 320, 640, ... bits, on the powers of
+    ``_fixed_powers``.
 
-    With b = floor(mid * 2^K), b is within e = ceil(rad * 2^K) + 1 of
-    beta * 2^K for every beta in the enclosure.  B_0 = 2^K and B_(i+1) =
-    floor(B_i b / 2^K) are within e_0 = 0 and e_(i+1) = ceil((B_i e + e_i
-    (b + e)) / 2^K) + 1 of beta^i 2^K: with beta^i 2^K = B_i + d_i and
-    beta 2^K = b + d, the product misses by (B_i d + d_i b + d_i d) / 2^K,
-    and the floor by less than 1.  With x = sum n_i beta^i / D, x D 2^K
-    lies in [S - E, S + E] for S = sum n_i B_i and E = sum |n_i| e_i.  Int
-    true division rounds correctly to nearest, so when both ends round to
-    the same double, so does x.
+    With x = sum n_i beta^i / D, x D 2^K lies in [S - E, S + E] for S =
+    sum n_i B_i and E = sum |n_i| e_i.  Int true division rounds correctly
+    to nearest, so when both ends round to the same double, so does x.
     """
     out: list[float | None] = [None] * len(rows)
 
     def attempt(k: int) -> list[float] | None:
-        beta = p.root_beta if k == _FIXED_BITS else refined_enclosures(p, k)[0]
-        man, exp = beta.mid.man_exp
-        b = man << (exp + k) if exp + k >= 0 else man >> -(exp + k)
-        man, exp = beta.rad.man_exp
-        e = (man << (exp + k) if exp + k >= 0 else -(-man >> -(exp + k))) + 1
-        powers = [(1 << k, 0)]
-        for _ in range(p.degree - 1):
-            big, err = powers[-1]
-            powers.append((big * b >> k, -(-(big * e + err * (b + e)) >> k) + 1))
+        powers = _fixed_powers(p, k)[0]
         scale = den << k
         for i in [i for i, value in enumerate(out) if value is None]:
             total = err = 0
-            for n, (big, e_i) in zip(rows[i], powers):
+            for n, (big, _, e_i) in zip(rows[i], powers):
                 total += n * big
                 err += abs(n) * e_i
             low = (total - err) / scale
@@ -475,6 +518,151 @@ def qbeta_nearest_floats(rows: Sequence[tuple[int, ...]], den: int, p: PisotNumb
 
     return _escalate(
         attempt, lambda cap: f"cannot round a Q(beta) value to a double at {cap} bits", _FIXED_BITS
+    )
+
+
+# Dyadic rationals n * 2^f are (n, f) pairs of ints.  The helpers below
+# give, from such exact values, the floats that mpmath's own operations
+# give, rounding for rounding (mpmath rounds every operation correctly).
+
+
+def _round(n: int, f: int, bits: int, down: bool = False) -> tuple[int, int]:
+    """n 2^f rounded to bits significant bits: to nearest, ties to even, or
+    toward zero if down."""
+    excess = abs(n).bit_length() - bits
+    if excess <= 0:
+        return n, f
+    m = abs(n)
+    r = m >> excess
+    if not down:
+        rest, half = m & ((1 << excess) - 1), 1 << (excess - 1)
+        r += rest > half or (rest == half and r & 1)
+    return (r if n > 0 else -r), f + excess
+
+
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    f = min(x[1], y[1])
+    return (x[0] << (x[1] - f)) + (y[0] << (y[1] - f)), f
+
+
+def _to_float(n: int, f: int) -> float:
+    """The double nearest n 2^f, +-inf past the float range: mpmath's
+    float(), which rounds to 53 bits and then calls ldexp."""
+    n, f = _round(n, f, 53)
+    try:
+        return math.ldexp(n, f)
+    except OverflowError:
+        return math.copysign(math.inf, n)
+
+
+def _abs(parts: Sequence[tuple[int, int]], bits: int) -> tuple[int, int]:
+    """|re + i im| (or |re|) rounded to bits as mpmath's abs gives it: with
+    two nonzero parts, the sum of squares truncated to bits + 4 bits and
+    its square root rounded to nearest."""
+    nonzero = [x for x in parts if x[0]]
+    if len(nonzero) < 2:
+        return _round(abs(nonzero[0][0]), nonzero[0][1], bits) if nonzero else (0, 0)
+    (a, fa), (b, fb) = nonzero
+    f = min(fa, fb)
+    a, b = a << (fa - f), b << (fb - f)
+    n, f = _round(a * a + b * b, 2 * f, bits + 4, down=True)
+    if f & 1:
+        n, f = n << 1, f - 1
+    shift = max(0, 2 * bits + 4 - n.bit_length())
+    shift += shift & 1
+    n <<= shift
+    s = math.isqrt(n)  # a sticky last bit keeps the rounding correct
+    return _round(2 * s + (s * s != n), (f - shift) // 2 - 1, bits)
+
+
+class FloatEmbedding(NamedTuple):
+    """One element's floats under the embeddings q = 1..r, in order: the
+    value (a float for q = 1, complex after), a certified bound on its
+    error, and the magnitude, as ``float_with_error`` and ``float(mag())``
+    give them for an enclosure of the element."""
+
+    values: tuple[float | complex, ...]
+    errors: tuple[float, ...]
+    mags: tuple[float, ...]
+
+
+def _float_triple(parts: list[tuple[int, int]], rad: tuple[int, int]):
+    """(value, error, magnitude) of a ball with exact midpoint parts (re,
+    or re and im) and radius rad, bit for bit as ``float_with_error`` (in
+    mpmath's default context, so at 64 bits) and ``float(ball.mag())`` (at
+    53 bits) give them."""
+    xs = [_to_float(*x) for x in parts]
+    mag = _to_float(*_round(*_add(_abs(parts, 53), rad), 53))
+    value = xs[0] if len(xs) == 1 else complex(*xs)
+    if not all(map(math.isfinite, xs)):
+        return value, math.inf, mag
+    diffs = []
+    for (n, f), x in zip(parts, xs):
+        num, den = x.as_integer_ratio()
+        diffs.append(_round(*_add((n, f), (-num, 1 - den.bit_length())), 64))
+    err = _round(*_add(_abs(diffs, 64), rad), 64)
+    err = _round(err[0] * (2**20 + 1), err[1] - 20, 64)  # times 1 + 2^-20
+    return value, _to_float(*err) + 1e-300, mag
+
+
+def _ball_parts(x) -> list[tuple[int, int]]:
+    return [_dyadic(x.real), _dyadic(x.imag)] if isinstance(x, mpc) else [_dyadic(x)]
+
+
+@lru_cache(maxsize=None)
+def root_floats(p: PisotNumber) -> FloatEmbedding:
+    """beta and its conjugates (p's own enclosures) as ``FloatEmbedding``
+    gives an element, from the enclosures' exact midpoints and radii:
+    ``float_with_error`` of each enclosure and ``float(mag())``, bit for
+    bit, without an mpmath operation.  Memoised per base."""
+    return FloatEmbedding(*zip(*(
+        _float_triple(_ball_parts(point.mid), _dyadic(point.rad))
+        for point in (p.root_beta,) + p.conjugates
+    )))
+
+
+def float_embeddings(rows: Sequence[tuple[int, ...]], p: PisotNumber) -> list[FloatEmbedding]:
+    """The floats of every z of rows under every embedding, in fixed point.
+
+    S_q = sum n_i B_i over ``_fixed_powers`` is within E_q = sum |n_i| e_i
+    of z_q 2^K.  A row is settled once every E_q 2^-K is at most 2^-64,
+    ``_embed``'s width target; the rows still open escalate K = 160, 320,
+    640, ... bits under ``_escalate``.  The midpoint S_q 2^-K and radius
+    E_q 2^-K then go through ``float_with_error``'s roundings (see
+    ``_float_triple``), so each value and magnitude is the one
+    ``float_with_error(bint_embed(z, q, p))`` and ``float(mag())`` give,
+    and each error matches theirs too, bar one case: where z is an integer
+    k that a float holds exactly (E_q = 0), the error is 1e-300, not the
+    2^-188 |k| radius ``bint_embed`` leaves.  A value past the float range
+    is +-inf with error inf, and no division of ints can overflow.
+    """
+    out: list[FloatEmbedding | None] = [None] * len(rows)
+
+    def attempt(k: int) -> list[FloatEmbedding] | None:
+        table = _fixed_powers(p, k)
+        limit = 1 << (k - 64)
+        for i in [i for i, row in enumerate(out) if row is None]:
+            sums = []
+            for powers in table:
+                re = im = err = 0
+                for n, (b_re, b_im, e) in zip(rows[i], powers):
+                    if n:
+                        re += n * b_re
+                        im += n * b_im
+                        err += abs(n) * e
+                if err > limit:
+                    break
+                sums.append((re, im, err))
+            else:
+                out[i] = FloatEmbedding(*zip(*(
+                    _float_triple([(re, -k)] if q == 0 else [(re, -k), (im, -k)], (err, -k))
+                    for q, (re, im, err) in enumerate(sums)
+                )))
+        return None if None in out else out
+
+    return _escalate(
+        attempt, lambda cap: f"cannot embed an element of Z[beta] to within 2^-64 at {cap} bits",
+        _FIXED_BITS,
     )
 
 
@@ -560,22 +748,28 @@ def frac_beta_power(z: tuple[int, ...], k: int, p: PisotNumber) -> FracPart:
     w = z
     for _ in range(k):
         w = bint_mul_beta(w, p.minpoly)
-    return _certified_frac(z, k, w, p)
+    return _certified_frac(z, k, w, p)[0]
 
 
 @_serialized
 def frac_beta_powers(z: tuple[int, ...], k_max: int, p: PisotNumber) -> list[FracPart]:
-    """[frac_beta_power(z, k, p) for k in 0..k_max], equal value for value,
-    from one walk over z*beta^k with one exact multiplication by beta per
-    step (O(k_max) ring operations instead of O(k_max^2))."""
+    """frac(z * beta^k) for k in 0..k_max, from one walk over z*beta^k with
+    one exact multiplication by beta per step (O(k_max) ring operations
+    instead of O(k_max^2)).  Each term's escalation starts at the
+    precision the term before it settled on, since the walk's coordinates
+    only grow: while every term settles at ``PRECISION``, the list equals
+    [frac_beta_power(z, k, p) for k in 0..k_max] value for value; past
+    that, a term enclosed at higher precision can carry a smaller bound."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     out = []
     w = z
+    prec = PRECISION
     for k in range(k_max + 1):
         if k:
             w = bint_mul_beta(w, p.minpoly)
-        out.append(_certified_frac(z, k, w, p))
+        frac, prec = _certified_frac(z, k, w, p, prec)
+        out.append(frac)
     return out
 
 
@@ -589,12 +783,12 @@ def frac_beta_powers_float(
     arrays of values and of certified errors, one row per z.
 
     conj[i, q - 2] is a complex float within conj_err[i, q - 2] of the
-    q-th embedding z_q of zs[i] (``float_with_error`` of ``bint_embed``).
-    By the trace identity, which holds for every k >= 0, frac(z beta^k) =
-    -sum_q z_q beta_q^k (mod 1) over the conjugates q = 2..r.  Each term
-    y_k = z_q beta_q^k is run as the float product y^_k of z^ (the float
-    z_q) with the k-th entry of a cumprod of b^, the float copy of beta_q
-    within delta of it (``float_with_error`` of its enclosure).  With u =
+    q-th embedding z_q of zs[i] (from ``float_embeddings``, in fixed
+    point).  By the trace identity, which holds for every k >= 0, frac(z
+    beta^k) = -sum_q z_q beta_q^k (mod 1) over the conjugates q = 2..r.
+    Each term y_k = z_q beta_q^k is run as the float product y^_k of z^
+    (the float z_q) with the k-th entry of a cumprod of b^, the float copy
+    of beta_q within delta of it (``root_floats``).  With u =
     2^-53 and B = |b^|(1 + 2u) + delta, which bounds |b^| (hypot rounds by
     at most 2u relative) and |beta_q|:
 
@@ -626,9 +820,10 @@ def frac_beta_powers_float(
     rounding = np.expm1((k + 1) * math.log1p(4 * _U))  # (1 + 4u)^(k+1) - 1
     total = np.zeros((len(zs), k_max + 1))
     err, mags, underflow = np.zeros_like(total), np.zeros_like(total), np.zeros_like(total)
+    roots = root_floats(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, point in enumerate(p.conjugates):
-            b_hat, delta = float_with_error(point)
+        for q in range(p.degree - 1):
+            b_hat, delta = roots.values[q + 1], roots.errors[q + 1]
             big_b = abs(b_hat) * (1 + 2 * _U) + delta
             b_pow = np.cumprod(np.r_[1.0, np.full(k_max, big_b)])  # B^k
             b_prev = np.r_[0.0, b_pow[:-1]]  # B^(k-1); k = 0 multiplies it
@@ -648,11 +843,14 @@ def frac_beta_powers_float(
     return values, errors
 
 
-def _certified_frac(z: tuple[int, ...], k: int, w: tuple[int, ...], p: PisotNumber) -> FracPart:
-    """frac(w) for the exact element w = z*beta^k, escalating precision
-    until the enclosure is within FRAC_MAX_ERR and clear of every integer."""
+def _certified_frac(
+    z: tuple[int, ...], k: int, w: tuple[int, ...], p: PisotNumber, start: int = PRECISION
+) -> tuple[FracPart, int]:
+    """frac(w) for the exact element w = z*beta^k and the precision that
+    settled it, escalating from start until the enclosure is within
+    FRAC_MAX_ERR and clear of every integer."""
     if not any(w[1:]):
-        return FracPart(0.0, 0.0)
+        return FracPart(0.0, 0.0), start
 
     balls = []
 
@@ -667,12 +865,14 @@ def _certified_frac(z: tuple[int, ...], k: int, w: tuple[int, ...], p: PisotNumb
                     total = total + ball_horner(w, point)
                 ball = (-total).real_ball()
             balls.append(ball)
-            return _frac_of_real_ball(ball) if ball.rad <= FRAC_MAX_ERR else None
+            frac = _frac_of_real_ball(ball) if ball.rad <= FRAC_MAX_ERR else None
+            return None if frac is None else (frac, prec)
 
     return _escalate(
         attempt,
         lambda cap: f"frac({format_coords(z)}*beta^{k}) enclosure {float(balls[-1].mid)!r} "
         f"+- {float(balls[-1].rad)!r} cannot be separated from an integer",
+        start,
     )
 
 

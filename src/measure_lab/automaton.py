@@ -264,14 +264,15 @@ def check_dense_cap(cells: int, what: str) -> None:
 
 def transition_matrices(a: LabeledAutomaton) -> np.ndarray:
     """The label stack: the 0/1 label matrices in state order side by side,
-    in alphabet order, as one (n, |alphabet| * n) int64 array.  Only the
-    batched engines (the transform's weight cache and the refinement) build
-    it; ``check_dense_cap`` guards its n * |alphabet| * n cells."""
+    in alphabet order, as one (n, |alphabet| * n) float64 array, the dtype
+    the refinement multiplies in.  Only the batched engines (the transform's
+    weight cache and the refinement) build it; ``check_dense_cap`` guards
+    its n * |alphabet| * n cells."""
     src, dst, label = a.edge_arrays()
     n, k = a.n_states, len(a.alphabet)
     check_dense_cap(n * k * n, "dense label stack")
     # The parser rejects duplicate edges, so one assignment sets them all.
-    cube = np.zeros((n, k, n), dtype=np.int64)
+    cube = np.zeros((n, k, n))
     cube[src, label, dst] = 1
     return cube.reshape(n, k * n)
 

@@ -168,7 +168,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
-    stack = transition_matrices(a).astype(float)
+    stack = transition_matrices(a)
     labels = np.array(a.alphabet, dtype=float)
     bounds = value_bounds(a, p)
     beta = p.beta_float

@@ -34,13 +34,17 @@ A value's bound adds up these terms:
   precision (``frac_inverse_beta_powers``), which raises
   PrecisionExhausted past the cap.  Head arguments frac(z beta^j) are
   float64 conjugate sums -sum_q z_q beta_q^j with a certified error
-  (``frac_beta_powers_float``, O(1) per term for a whole block of z).  A
-  row whose float head pushes its bound past tol, where exact head
-  arguments would bring it back within tol (the tail taken at its best),
-  or whose head errors are not finite, takes the exact head
-  (``frac_beta_powers``) instead;
+  (``frac_beta_powers_float``, O(1) per term for a whole block of z).  The
+  floats of z and of its conjugates z_q, with their errors and
+  magnitudes, come from one fixed-point pass over every z of a grid
+  (``float_embeddings``, integer arithmetic only).  A row whose float
+  head pushes its bound past tol, where exact head arguments would bring
+  it back within tol (the tail taken at its best), or whose head errors
+  are not finite, takes the exact head (``frac_beta_powers``) instead;
 - psi-hat's discarded head, bounded through the conjugate decay of z
-  beta^j (Pisot property);
+  beta^j (Pisot property): the head length J is the least j whose bound
+  on the discarded terms fits in tol / 2, found from a closed-form guess
+  in logarithms and checked against the bound itself;
 - eigenvector residuals and float rounding, per factor.
 K is exact: W(0) >= 0 and |W(t)| <= W(0) entrywise, so a start row with
 row0 <= c v_L keeps every partial row below c v_L W(0)^n = c v_L, and K =
@@ -52,6 +56,7 @@ tier encloses the exact element z beta^j.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -62,12 +67,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import (
+    FloatEmbedding,
     PisotNumber,
-    bint_embed,
-    float_with_error,
+    float_embeddings,
     frac_beta_powers,
     frac_beta_powers_float,
     frac_inverse_beta_powers,
+    root_floats,
 )
 from .automaton import LabeledAutomaton, transition_matrices
 from .errors import CapExceeded, ValidationError
@@ -164,7 +170,8 @@ def _float_powers(p: PisotNumber, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     x_k of a float s with the k-th power is within |s| a_k + d b_k of
     s' beta^-k for every real s' within d of s (while the power is a
     normal float)."""
-    beta, beta_err = float_with_error(p.root_beta)
+    roots = root_floats(p)
+    beta, beta_err = roots.values[0], roots.errors[0]
     k = np.arange(1, n + 1)
     # |x_k / (s beta^-k) - 1| <= rho_k: 2k roundings (the reciprocal raised
     # to the k-th power, k - 1 steps, the product with s) and the k-th power
@@ -209,7 +216,16 @@ def _arguments(
         )
 
     def truncation(n):
-        return c * s_abs * beta ** -n.astype(float) / (1 - 1 / beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = c * s_abs * beta ** -n.astype(float) / (1 - 1 / beta)
+        # Where c |s| overflows (times beta^-n, which may underflow to 0),
+        # the same term in logarithms.
+        huge = ~np.isfinite(out) & np.isfinite(s_abs)
+        if huge.any():
+            out[huge] = np.exp(
+                math.log(c) + np.log(s_abs[huge]) - n[huge] * math.log(beta) - math.log1p(-1 / beta)
+            )
+        return out
 
     def bound(n, errs):
         return fixed + truncation(n) + _eig_slack(pd, k_row, j + n) + c * errs.sum(axis=1)
@@ -273,11 +289,18 @@ def _products(
     rows = np.tile(np.asarray(row0, dtype=complex), (len(lengths), 1))
     n = rows.shape[1]
     labels = cache.stack_labels
-    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
-    for k, m in enumerate(active):
-        phases = np.exp(-2j * np.pi * np.outer(args[:m, k], labels))
+    steps = np.arange(lengths[0])
+    active = np.searchsorted(-lengths, -steps, side="left")
+    # e(-a x) for every label and every (step, row) with a factor left, in
+    # one exp: step k's phases are the next active[k] rows of the table.
+    live = args[:, : len(steps)].T[steps[:, None] < lengths]
+    phases = -2j * np.pi * (live[:, None] * labels)
+    np.exp(phases, out=phases)  # in place: one table-sized allocation fewer
+    start = 0
+    for m in active:
         parts = (rows[:m] @ cache.stack).reshape(m, len(labels), n)
-        rows[:m] = np.einsum("ma,man->mn", phases, parts)
+        rows[:m] = np.einsum("ma,man->mn", phases[start : start + m], parts)
+        start += m
     return rows @ cache.v_r
 
 
@@ -329,9 +352,8 @@ def nu_hat_grid(
         row0, k_row = cache.v_l, cache.k_left
         at_zero = 1.0 + 0j, abs(float(pd.v_L @ pd.v_R) - 1.0) + 1e-15
     c = _tail_constant(cache, k_row)
-    products = [
-        _Product(t, t, 0.0, _tail_length(c, abs(t), p.beta_float, tol)) for t in ts if t != 0
-    ]
+    beta = p.beta_float
+    products = [_Product(t, t, 0.0, _tail_length(c, abs(t), beta, tol)) for t in ts if t != 0]
     values, bounds, _ = _transform_batch(cache, pd, p, row0, k_row, tol, products)
     rest = iter(zip(values.tolist(), bounds.tolist()))
     return [at_zero if t == 0 else next(rest) for t in ts]
@@ -399,7 +421,8 @@ def _psi_grid(
     head_terms: int | None = None,
     tail_terms: int | None = None,
 ) -> list[PsiValue]:
-    """psi_hat at every z of a list, from one batched product."""
+    """psi_hat at every z of a list, from one fixed-point embedding pass
+    and one batched product."""
     zints = [tuple(int(c) for c in z) for z in zs]
     if any(len(z) != p.degree for z in zints):
         raise ValueError(f"z must have {p.degree} coordinates")
@@ -414,9 +437,13 @@ def _psi_grid(
             )
         ]
     else:
+        embedded = float_embeddings(nonzero, p)
+        check_z_floats(embedded)
         cache = build_weight_cache(a, pd)
         c = _tail_constant(cache, cache.k_left)
-        products = [_psi_product(z, p, c, tol, head_terms, tail_terms) for z in nonzero]
+        products = [
+            _psi_product(z, p, c, tol, head_terms, tail_terms, e) for z, e in zip(nonzero, embedded)
+        ]
         values, bounds, n_tail = _transform_batch(
             cache, pd, p, cache.v_l, cache.k_left, tol, products
         )
@@ -428,6 +455,9 @@ def _psi_grid(
     return [next(rest) if any(z) else PsiValue(1.0 + 0j, 1e-15, 0, 0) for z in zints]
 
 
+_HEAD_CAP = 100_000  # longest head psi_hat sizes
+
+
 def _psi_product(
     z: tuple[int, ...],
     p: PisotNumber,
@@ -435,13 +465,24 @@ def _psi_product(
     tol: float,
     head_terms: int | None,
     tail_terms: int | None,
+    embedded: FloatEmbedding | None = None,
 ) -> _Product:
     """The batch row of psi-hat(z): head length J and tail length N as
-    psi_hat describes, unless given."""
-    z_hat, z_err = float_with_error(bint_embed(z, 1, p))
-    embeds = [bint_embed(z, q, p) for q in range(2, p.degree + 1)]
-    conj_mags = [(float(zq.mag()), float(bq.mag())) for zq, bq in zip(embeds, p.conjugates)]
-    conj, conj_err = zip(*map(float_with_error, embeds))
+    psi_hat describes, unless given.  embedded holds z's floats
+    (``float_embeddings``), computed here if not given.
+
+    J is the least j >= 0 (at most _HEAD_CAP) whose head_residual is at
+    most tol / (2c).  The closed form brackets it: with m_q = |z_q| and
+    b_q = |beta_q|, the residual is at most tol / (2c) once every term
+    m_q b_q^(j+1) / (1 - b_q) is at most 1 / (r - 1) of that, and not
+    before every term is at most all of it.  A bisection of the bracket
+    on head_residual itself, which falls with j, gives the least j.
+    """
+    if embedded is None:
+        embedded = float_embeddings([z], p)[0]
+    roots = root_floats(p)
+    (z_hat, *conj), (z_err, *conj_err) = embedded.values, embedded.errors
+    conj_mags = list(zip(embedded.mags[1:], roots.mags[1:]))
 
     def head_residual(j: int) -> float:
         # sum_{i > j} dist(z beta^i, Z) <= sum_q |z_q| |beta_q|^(i) ...
@@ -451,13 +492,33 @@ def _psi_product(
 
     if head_terms is None:
         target = tol / (2 * c) if c > 0 else 1.0
-        head_terms = 0
-        while head_residual(head_terms) > target and head_terms < 100_000:
-            head_terms += 1
+
+        def least_j(share: float) -> int:
+            # least j with every term at most share, from logarithms
+            j = 0
+            for zq, bq in conj_mags:
+                ratio = share * (1 - bq) / zq if zq else math.inf
+                if ratio < 1:
+                    j = max(j, math.ceil(math.log(ratio) / math.log(bq) - 1) if ratio > 0 else _HEAD_CAP)
+            return min(j, _HEAD_CAP)
+
+        lo, hi = least_j(target), least_j(target / len(conj_mags))
+        while lo > 0 and not head_residual(lo - 1) > target:
+            lo -= 1
+        while hi < _HEAD_CAP and head_residual(hi) > target:
+            hi += 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if head_residual(mid) > target:
+                lo = mid + 1
+            else:
+                hi = mid
+        head_terms = lo
     if tail_terms is None:
-        tail_terms = _tail_length(c, abs(z_hat), p.beta_float, tol / 2)
+        tail_terms = _tail_length(c, abs(z_hat), roots.values[0], tol / 2)
     return _Product(
-        z, z_hat, z_err, tail_terms, head_terms + 1, conj, conj_err, c * head_residual(head_terms)
+        z, z_hat, z_err, tail_terms, head_terms + 1, tuple(conj), tuple(conj_err),
+        c * head_residual(head_terms),
     )
 
 
@@ -486,6 +547,18 @@ def check_z_coords(coords) -> None:
             raise ValidationError(
                 f"z coordinate of {int(c).bit_length()} bits has no finite float value"
             ) from None
+
+
+def check_z_floats(embedded: Sequence[FloatEmbedding]) -> None:
+    """Reject z whose value or a conjugate has no finite float: the tail is
+    sized from the float value of z and the head from the float
+    magnitudes of its conjugates."""
+    for e in embedded:
+        for q, value in enumerate(e.values, start=1):
+            if not cmath.isfinite(value):
+                raise ValidationError(
+                    f"z has no finite float value under embedding {q} of {len(e.values)}"
+                )
 
 
 def check_scan_height(height: int, degree: int) -> None:

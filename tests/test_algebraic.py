@@ -315,6 +315,31 @@ def test_frac_powers_equal_per_power(minpoly):
         frac_beta_powers(generic, -1, p)
 
 
+def test_frac_powers_carry_the_precision(golden, monkeypatch):
+    # The head of limit fig3 --z 10^300,-10^300: 1,484 terms whose
+    # enclosures need up to 2,048 bits.  Each term starts at the precision
+    # the term before it settled on, so the walk doubles four times from
+    # 128 bits instead of climbing again for every term (7,379 attempts
+    # when every term restarted at 128 bits).  Each doubling may also
+    # certify the roots once at the new precision, under _escalate too.
+    from measure_lab import algebraic
+
+    attempts = []
+    escalate = algebraic._escalate
+
+    def counting(attempt, failure, start=PRECISION, cap=None):
+        return escalate(lambda prec: attempts.append(prec) or attempt(prec), failure, start, cap)
+
+    monkeypatch.setattr(algebraic, "_escalate", counting)
+    z = (10**300, -(10**300))
+    walk = frac_beta_powers(z, 1483, golden)
+    assert attempts == sorted(attempts) and attempts[0] == PRECISION
+    assert len(attempts) <= len(walk) + 2 * 4, len(attempts)
+    assert max(attempts) == 2048
+    for k in (0, 1, 700, 1483):
+        assert abs(walk[k].value - frac_beta_power(z, k, golden).value) <= 2 * walk[k].bound
+
+
 # x^n - x^(n-1) - ... - 1 for n = 2..5, x^3 - x - 1 and x^4 - x^3 - 1
 FLOAT_HEAD_BASES = [(-1,) * n + (1,) for n in range(2, 6)] + [(-1, -1, 0, 1), (-1, 0, 0, -1, 1)]
 

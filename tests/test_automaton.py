@@ -331,6 +331,13 @@ def test_transition_matrices_match_per_edge_reference(a):
     assert np.array_equal(sum(per_label.values()), sum(reference.values()))
 
 
+def test_label_stack_is_built_as_float64(automata):
+    # The refinement multiplies in float64, and the transform's cache
+    # converts to complex: no int64 copy of the stack is ever made.
+    for a in automata.values():
+        assert transition_matrices(a).dtype == np.float64
+
+
 def test_label_stack_cap_is_checked_before_allocating(automata, monkeypatch):
     # fig3: 2 states over 3 letters, a stack of 2 * 3 * 2 = 12 cells
     fig3 = automata["fig3"]

@@ -595,6 +595,41 @@ def test_limit_huge_z(capsys, fixture_dir):
     assert math.isfinite(json.loads(out)["bound"])
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, code", [
+    (("limit", "--z", f"{10**308},{10**308}"), 2),  # z itself is past the float range
+    (("limit", "--z", f"{10**308},{-(10**308)}"), 0),  # c |z| overflows in the bound
+    (("fourier", "--t", "1e308"), 0),
+], ids=["limit-value-overflows", "limit-near-max", "fourier-near-max"])
+def test_values_near_the_float_maximum(capsys, fixture_dir, command, code):
+    # Each exits 2 with a ValidationError, or 0 with a finite bound within
+    # tol: no traceback, and no Infinity or NaN in a report.
+    name, *flags = command
+    exit_code, out = run(capsys, name, str(fixture_dir / "fig3.json"), *flags)
+    report = _strict_json(out)
+    assert exit_code == code
+    if code:
+        assert report["error"]["type"] == "ValidationError"
+    else:
+        for row in report.get("values", [report]):
+            assert math.isfinite(row["bound"]) and row["bound"] <= fourier.DEFAULT_TOL, row
+
+
+def test_truncation_term_stays_finite_when_the_power_underflows(capsys, fixture_dir):
+    # At tol = 1e-200 the tail of t = 1e308 is long enough that beta^-N
+    # underflows to 0 while c |t| overflows: the truncation term comes from
+    # logarithms, not from inf * 0, and the report holds no NaN.
+    code, out = run(capsys, "fourier", str(fixture_dir / "fig3.json"), "--t", "1e308", "--tol", "1e-200")
+    assert code == 0
+    assert math.isfinite(_strict_json(out)["values"][0]["bound"])
+
+
 # ---------------------------------------------------------------- fuzzing
 
 _json_values = st.recursive(

@@ -326,6 +326,25 @@ def test_dense_cap_boundary(automata, pisots, perron_data, refine, cells, monkey
     assert str(info.value) == f"refinement level 5 of {cells} cells exceeds {cells - 1}"
 
 
+def test_refinement_level_allocates_one_stack(monkeypatch):
+    # The plastic zero automaton over {-1, 0, 1}: 179 states, a float64
+    # label stack of 179 * 3 * 179 cells.  One level of refinement holds
+    # that stack and little else; an int64 stack converted to float held
+    # two.
+    import tracemalloc
+
+    a, p = zero_automaton((-1, -1, 0, 1), (-1, 0, 1)), pisot((-1, -1, 0, 1))
+    pd = perron(a)
+    distribution._refine(a, p, pd, 1, merge=False)
+    tracemalloc.start()
+    try:
+        distribution._refine(a, p, pd, 1, merge=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * a.n_states * len(a.alphabet) * a.n_states * 8, peak
+
+
 def _bracket_rtol(a, depth, terms):
     """Relative tolerance between two summation orders of the refinement.
     Each entry of a level is a sum of at most n nonnegative products, so

@@ -7,6 +7,7 @@ loop over Fraction coordinates) as the reference that the shared
 arithmetic must reproduce exactly, midpoint and radius.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,12 +20,15 @@ from mpmath import mp, mpc, mpf
 from measure_lab.algebraic import (
     PRECISION,
     bint_embed,
+    float_embeddings,
+    float_with_error,
     frac_beta_powers,
     make_pisot,
     precision_cap,
     qbeta_div,
     qbeta_embed,
     refined_enclosures,
+    root_floats,
 )
 
 from helpers import qbeta_add, qbeta_from_bint, qbeta_from_int, qbeta_mul, qbeta_mul_beta, qbeta_sub
@@ -277,3 +281,84 @@ def test_qbeta_embeddings_at_every_index(name, data):
         results.append(qbeta_div(x, y, p))
     for z in results:
         assert all(type(c) is Fraction for c in z), z
+
+
+# ------------------------------------------------ fixed-point floats
+
+# Bases of degree 2 to 4: the conftest bases and the two above.
+FIXED_BASES = {
+    "golden": (-1, -1, 1),
+    "phi_squared": (1, -3, 1),
+    "tribonacci": (-1, -1, -1, 1),
+    "plastic": (-1, -1, 0, 1),
+    "quartic": (-1, 0, 0, -1, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def roots_400_digits(minpoly):
+    """Every root at 400 digits, ordered as the package's embeddings: 60
+    digits and more of an embedding of coordinates up to 1,000 bits."""
+    p = make_pisot(list(minpoly))
+    with mp.workdps(400):
+        roots = mp.polyroots([mpf(c) for c in reversed(minpoly)], maxsteps=800, extraprec=1600)
+        centres = [mpc(p.root_beta.mid)] + [c.mid for c in p.conjugates]
+        return p, [min(roots, key=lambda z: abs(z - centre)) for centre in centres]
+
+
+def _coordinates(r):
+    small = st.integers(-50, 50)
+    large = st.integers(100, 1000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+    return st.one_of(
+        st.lists(small, min_size=r, max_size=r),
+        st.lists(large, min_size=r, max_size=r),
+        st.tuples(st.one_of(small, large)).map(lambda c: list(c) + [0] * (r - 1)),
+    )
+
+
+@pytest.mark.parametrize("name", list(FIXED_BASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_embeddings_match_ball_embeddings(name, data):
+    # Values and magnitudes are float_with_error(bint_embed(...)) and
+    # float(bint_embed(...).mag()) bit for bit, the errors too, bar an
+    # integer embedding k that a float holds exactly: 1e-300 where
+    # bint_embed leaves add_int's 2^-188 |k| radius (for any other k the
+    # float's own distance from k swamps that radius).  Coordinates of
+    # 100 to 1,000 bits escalate K.
+    p, roots = roots_400_digits(FIXED_BASES[name])
+    z = tuple(data.draw(_coordinates(p.degree)))
+    [got] = float_embeddings([z], p)
+    for q, root in enumerate(roots, start=1):
+        ball = bint_embed(z, q, p)
+        value, error = float_with_error(ball)
+        assert repr(got.values[q - 1]) == repr(value), (z, q)
+        assert repr(got.mags[q - 1]) == repr(float(ball.mag())), (z, q)
+        if any(z) and not any(z[1:]) and float(z[0]) == z[0]:
+            assert got.errors[q - 1] == 1e-300 and error <= 2.0**-187 * abs(z[0]) + 1e-300
+        else:
+            assert got.errors[q - 1] == error, (z, q)
+        with mp.workdps(400):
+            exact = sum(c * root**i for i, c in enumerate(z))
+            assert abs(exact - got.values[q - 1]) <= got.errors[q - 1], (z, q)
+
+
+@pytest.mark.parametrize("name", list(FIXED_BASES))
+def test_root_floats_are_float_with_error_of_the_enclosures(name):
+    p = make_pisot(list(FIXED_BASES[name]))
+    points = (p.root_beta,) + p.conjugates
+    expected = [float_with_error(point) + (float(point.mag()),) for point in points]
+    assert [tuple(map(repr, row)) for row in zip(*root_floats(p))] == [
+        tuple(map(repr, row)) for row in expected
+    ]
+
+
+def test_float_embeddings_past_the_float_range():
+    # z = 2^1023 (1 + beta): its value 2.6 * 2^1023 has no float, its
+    # conjugate 0.38 * 2^1023 has one.  No division of ints overflows.
+    p = make_pisot([-1, -1, 1])
+    big, minus = float_embeddings([(2**1023, 2**1023), (-(2**1023), -(2**1023))], p)
+    assert big.values[0] == math.inf and big.errors[0] == math.inf and big.mags[0] == math.inf
+    assert minus.values[0] == -math.inf and minus.errors[0] == math.inf
+    value, error = float_with_error(bint_embed((2**1023, 2**1023), 2, p))
+    assert (big.values[1], big.errors[1]) == (value, error) and math.isfinite(error)

@@ -465,3 +465,106 @@ def test_psi_head_residual_adds_left_to_right():
         head = q.n_head - 1
         assert q.fixed == c * residual(head)
         assert residual(head) <= target and (head == 0 or residual(head - 1) > target)
+
+
+# ---------------------------------------------------------------- psi-hat set-up
+
+HEAD_BASES = {
+    "golden": (-1, -1, 1),
+    "tribonacci": (-1, -1, -1, 1),
+    "plastic": (-1, -1, 0, 1),
+    "quartic": (-1, 0, 0, -1, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(HEAD_BASES))
+def test_psi_head_length_is_the_least_j_of_the_loop(name):
+    # The closed-form guess and the bisection on head_residual give the
+    # head length the loop j = 0, 1, ... gave on the same magnitudes: the
+    # least j whose residual is at most tol / (2c), capped at 100,000.
+    from measure_lab import fourier
+    from measure_lab.algebraic import float_embeddings, make_pisot, root_floats
+
+    p = make_pisot(list(HEAD_BASES[name]))
+    rng = random.Random(7)
+    zs = [tuple(rng.randint(-9, 9) for _ in range(p.degree)) for _ in range(12)]
+    zs += [(1,) + (0,) * (p.degree - 1), (10**12,) * p.degree, tuple(range(1, p.degree + 1))]
+    zs = [z for z in zs if any(z)]
+    heads = []
+    for z, embedded in zip(zs, float_embeddings(zs, p)):
+        mags = list(zip(embedded.mags[1:], root_floats(p).mags[1:]))
+
+        def residual(j):
+            return functools.reduce(operator.add, [zq * bq ** (j + 1) / (1 - bq) for zq, bq in mags])
+
+        for c, tol in [(3.7, 1e-8), (40.0, 1e-15), (0.25, 0.5), (1e6, 1e-300)]:
+            target = tol / (2 * c)
+            loop = 0
+            while residual(loop) > target and loop < 100_000:
+                loop += 1
+            q = fourier._psi_product(z, p, c, tol, None, None, embedded)
+            assert q.n_head - 1 == loop, (z, c, tol)
+            assert q.fixed == c * residual(loop)
+            heads.append(loop)
+    if p.degree == 4:
+        assert max(heads) > 400
+
+
+def per_step_products(cache, row0, args, lengths):
+    """The engine's products with one phase array per step, as before the
+    phase table."""
+    rows = np.tile(np.asarray(row0, dtype=complex), (len(lengths), 1))
+    n = rows.shape[1]
+    labels = cache.stack_labels
+    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    for k, m in enumerate(active):
+        phases = np.exp(-2j * np.pi * np.outer(args[:m, k], labels))
+        parts = (rows[:m] @ cache.stack).reshape(m, len(labels), n)
+        rows[:m] = np.einsum("ma,man->mn", phases, parts)
+    return rows @ cache.v_r
+
+
+@pytest.mark.parametrize("name", ["fig3", "fullshift4", "example1-9edge"])
+def test_phase_table_products_match_per_step_phases(automata, perron_data, name):
+    from measure_lab import fourier
+
+    cache = build_weight_cache(automata[name], perron_data[name])
+    rng = np.random.default_rng(11)
+    for rows in (1, 7, fourier._BLOCK):
+        lengths = np.sort(rng.integers(1, 90, rows))[::-1]
+        args = rng.uniform(-1, 1, (rows, lengths[0])) * (np.arange(lengths[0]) < lengths[:, None])
+        for row0 in (cache.v_l, rng.uniform(0, 1, len(cache.v_l))):
+            assert np.array_equal(
+                fourier._products(cache, row0, args, lengths), per_step_products(cache, row0, args, lengths)
+            )
+
+
+def test_scan_runs_without_ball_embeddings(automata, pisots, perron_data):
+    # Every psi-hat row takes its floats from the fixed-point pass: a scan,
+    # a limit and a classify run with the ball embedding and its float
+    # conversion patched to raise in every package module that holds them.
+    import sys
+    from contextlib import ExitStack
+    from unittest import mock
+
+    from measure_lab.algebraic import make_pisot
+    from measure_lab.classify import classify
+
+    tribshift = parse_automaton({
+        "beta": {"minpoly": [-1, -1, -1, 1]}, "alphabet": [0, 1], "states": ["s"],
+        "edges": [{"from": "s", "to": "s", "label": x} for x in (0, 1)],
+    })
+    cases = [(automata["fig3"], pisots["fig3"], perron_data["fig3"], 2),
+             (tribshift, make_pisot([-1, -1, -1, 1]), perron(tribshift), 1)]
+    expected = [rajchman_scan(a, p, pd, height) for a, p, pd, height in cases]
+    with ExitStack() as patches:
+        for name in ("bint_embed", "float_with_error"):
+            for module in [m for key, m in sys.modules.items()
+                           if key.startswith("measure_lab") and hasattr(m, name)]:
+                patches.enter_context(mock.patch.object(
+                    module, name, side_effect=AssertionError(f"psi-hat called {name}")))
+        for (a, p, pd, height), scan in zip(cases, expected):
+            assert rajchman_scan(a, p, pd, height) == scan
+            assert psi_hat(a, p, pd, (3,) + (-2,) * (p.degree - 1)).bound <= 1e-8
+        verdict = classify(automata["fig3"], pisots["fig3"], scan_height=2)
+        assert verdict.evidence["type"] == "singular_by_fourier"
