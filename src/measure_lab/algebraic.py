@@ -4,10 +4,11 @@ An element of Z[beta] is the tuple of its coordinates in the power basis
 1, beta, ..., beta^(r-1), Python ints of any size; an element of Q(beta)
 is a tuple of Fractions.  One multiplication (``bint_mul``) and one
 multiplication by beta (``bint_mul_beta``) serve both, and
-``format_coords`` writes either as text.  Numeric values are only
-ever produced as certified enclosures (midpoint plus radius), so that
-boundary comparisons can never silently misclassify.  Every enclosure
-follows one precision policy, ``_escalate``: start at ``PRECISION``
+``format_coords`` writes either as text; ``bint_mul_beta_rows`` is the
+same companion step on every row of an integer array.  Numeric values
+are only ever produced as certified enclosures (midpoint plus radius),
+so that boundary comparisons can never silently misclassify.  Every
+enclosure follows one precision policy, ``_escalate``: start at ``PRECISION``
 (128 bits), double until the decision is certified, and raise
 ``PrecisionExhausted`` past ``MEASURE_LAB_PRECISION_CAP``.
 Embeddings of both element types are one ``ball_horner`` evaluation: int
@@ -113,7 +114,7 @@ class FracPart(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PisotNumber:
     """A certified Pisot number given by its monic minimal polynomial.
 
@@ -126,11 +127,24 @@ class PisotNumber:
     unit circle and a root 0, and then no monic integer factor can avoid
     beta, because the other factor's constant term would be a nonzero
     integer of modulus below one.
+
+    Equality and hash read ``minpoly`` alone, so a memo keyed on the base
+    hashes a tuple of ints, not the mpf balls of its enclosures.  Equal
+    minimal polynomials have the same roots, so every memoised value built
+    from one certified enclosure holds for every other.
     """
 
     minpoly: tuple[int, ...]
     root_beta: Ball
     conjugates: tuple[CBall, ...]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PisotNumber):
+            return NotImplemented
+        return self.minpoly == other.minpoly
+
+    def __hash__(self) -> int:
+        return hash(self.minpoly)
 
     @property
     def degree(self) -> int:
@@ -388,6 +402,20 @@ def bint_mul_beta(x: tuple, minpoly: tuple[int, ...], add=0) -> tuple:
     return (add - top * minpoly[0],) + tuple(
         low - top * m for low, m in zip(x[:-1], minpoly[1:])
     )
+
+
+def bint_mul_beta_rows(x: np.ndarray, minpoly: tuple[int, ...]) -> np.ndarray:
+    """beta * x for every row of an (n x r) array of coordinates: the
+    companion step of ``bint_mul_beta`` on a whole array, in its dtype
+    (int64, or object for Python ints).  An int64 caller bounds the
+    result itself: each new coordinate is at most max|x| * (1 +
+    max|coefficient|) in magnitude."""
+    minpoly = np.array(minpoly[:-1], x.dtype)
+    top = x[:, -1:]
+    out = np.empty_like(x)
+    out[:, :1] = -top * minpoly[0]
+    out[:, 1:] = x[:, :-1] - top * minpoly[1:]
+    return out
 
 
 # ----------------------------------------------------------------------

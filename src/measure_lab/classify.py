@@ -8,6 +8,14 @@ Otherwise the image is perfect and the measure is continuous, and the
 verdict carries singularity evidence: a dimension bound when beta exceeds
 the entropy growth rate lambda, or a nonvanishing limit Fourier
 coefficient found by the lattice scan.
+
+Every cycle value is an integer numerator over one common denominator.
+The finite-image test walks the numerators on an integer array, one
+companion step per BFS level and one for every edge at once, in int64
+when a bound on the walk allows and on Python ints otherwise.  Atoms keep
+the numerators, their masses come from one ``bincount``, and the reports
+write each coordinate from its numerator and the denominator, as
+``str(Fraction)`` would, without building a Fraction.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .algebraic import (
     PisotNumber,
     bint_mul,
     bint_mul_beta,
+    bint_mul_beta_rows,
     format_coords,
     qbeta_div,
     qbeta_nearest_floats,
@@ -33,6 +42,7 @@ from .parry import PerronData, perron, start_distribution
 
 DEFAULT_SCAN_HEIGHT = 3
 EVIDENCE_FLOOR = 1e-4
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -58,10 +68,19 @@ class FiniteImageResult:
 
 @dataclass(frozen=True)
 class Atom:
-    value: tuple[Fraction, ...]
+    """One atom: the value numerators / denominator in Q(beta), its mass,
+    the double nearest the value and the states whose cycle value it is."""
+
+    numerators: tuple[int, ...]
+    denominator: int
     mass: float
     value_decimal: float
     states: tuple[str, ...]
+
+    @property
+    def value(self) -> tuple[Fraction, ...]:
+        """The value on Fraction coordinates, built on each access."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
 
 @dataclass(frozen=True)
@@ -73,6 +92,24 @@ class Verdict:
     diagnostics: dict
 
 
+def _numerator_dtype(
+    root: tuple[int, ...], minpoly: tuple[int, ...], letters: tuple[int, ...], d: int, levels: int
+):
+    """int64 when no coordinate of the walk can leave it, else object.
+
+    A companion step beta*x - letter*d takes max|x| to at most max|x| *
+    (1 + max|coefficient|) + max|letter|*d, so ``levels`` tree steps and
+    the edge check stay within that growth applied levels + 1 times to
+    the root's largest coordinate.  The coefficients and d enter the
+    arrays themselves, so they must fit as well."""
+    grow = 1 + max(map(abs, minpoly))
+    shift = max(map(abs, letters)) * d
+    bound = max(map(abs, root))
+    for _ in range(levels + 1):
+        bound = bound * grow + shift
+    return np.int64 if max(bound, grow, d) <= _INT64_MAX else object
+
+
 def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     """Decide whether the digit map has finite image over the automaton.
 
@@ -81,53 +118,74 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     meets, by (BFS rank of the source, edge index), closes a cycle whose
     value is num/den with num and den = beta^n - 1 in Z[beta].
     den^-1 = adj/D, with adj in Z[beta] and D a positive integer, is found
-    once.  Every candidate value c(w) = beta*c(u) - label is then N_w/D
-    with N_w = beta*N_u - label*D in Z[beta], propagated along the tree
-    from N_root = num*adj; every edge is checked as that identity in
-    integers, in document order.  Success returns every N_w over D, by
-    state name in BFS order; failure returns the first violated edge.
+    once, in Python ints.  Every candidate value c(w) = beta*c(u) - label
+    is then N_w/D with N_w = beta*N_u - label*D in Z[beta], propagated
+    from N_root = num*adj one BFS level at a time, as one array companion
+    step (``bint_mul_beta_rows``) per level; one more step checks that
+    identity on every edge at once.  The array is int64 when a bound on
+    every coordinate of the walk fits (``_numerator_dtype``), and object,
+    on the same code and Python ints, otherwise.  Success returns every
+    N_w over D, by state name in BFS order; failure returns the first
+    violated edge in document order.
     """
     if not a.edges:
         raise NotStronglyConnected("automaton has no edges")
     if not primitivity_check(a)["strongly_connected"]:
         raise NotStronglyConnected("automaton is not strongly connected")
 
-    order, _, tree = a.forward_walk
+    order, level, tree = a.forward_walk
     src, dst, label = a.edge_arrays()
     rank = np.empty(a.n_states, np.intp)
     rank[order] = np.arange(a.n_states)
     into_root = np.flatnonzero(dst == 0)
     closing = int(into_root[np.argmin(rank[src[into_root]])])
-    src, dst = src.tolist(), dst.tolist()
-    letters = list(map(a.alphabet.__getitem__, label.tolist()))  # Python ints
 
     minpoly = p.minpoly
     labels, e = [], closing
     while e >= 0:  # back along the tree to the root, whose tree edge is -1
-        labels.append(letters[e])
+        labels.append(a.alphabet[label[e]])
         e = tree[src[e]]
     one = (1,) + (0,) * (p.degree - 1)
     num = (0,) * p.degree
     power = one
-    for label in reversed(labels):
-        num = bint_mul_beta(num, minpoly, label)
+    for letter in reversed(labels):
+        num = bint_mul_beta(num, minpoly, letter)
         power = bint_mul_beta(power, minpoly)
     den = (power[0] - 1,) + power[1:]  # beta^n - 1
     inverse = qbeta_div(one, den, p)
     d = math.lcm(*(c.denominator for c in inverse))
     adj = tuple(c.numerator * (d // c.denominator) for c in inverse)
+    root = bint_mul(num, adj, minpoly)
 
-    # Python ints: the coordinates grow like beta^n, past int64.
-    numer = [None] * a.n_states
-    numer[0] = bint_mul(num, adj, minpoly)
-    for w in order[1:]:
-        numer[w] = bint_mul_beta(numer[src[tree[w]]], minpoly, -letters[tree[w]] * d)
-    for u, w, label in zip(src, dst, letters):
-        if bint_mul_beta(numer[u], minpoly, -label * d) != numer[w]:
-            witness = (a.states[u], label, a.states[w])
-            return FiniteImageResult(ok=False, numerators=None, denominator=d, witness=witness)
-    numerators = {a.states[w]: numer[w] for w in order}
+    order = np.array(order, np.intp)  # levels run in BFS order
+    ends = np.searchsorted(np.array(level)[order], np.arange(level[order[-1]] + 1), "right")
+    dtype = _numerator_dtype(root, minpoly, a.alphabet, d, len(ends) - 1)
+    add = np.array(a.alphabet, dtype)[label] * -d  # -label*D per edge
+    numer = np.empty((a.n_states, p.degree), dtype)
+    numer[0] = root
+    tree = np.array(tree, np.intp)
+    for begin, end in zip(ends[:-1], ends[1:]):
+        states = order[begin:end]
+        edges = tree[states]
+        step = bint_mul_beta_rows(numer[src[edges]], minpoly)
+        step[:, 0] += add[edges]
+        numer[states] = step
+    check = bint_mul_beta_rows(numer[src], minpoly)
+    check[:, 0] += add
+    bad = np.flatnonzero((check != numer[dst]).any(axis=1))
+    if len(bad):
+        e = bad[0]
+        witness = (a.states[src[e]], a.alphabet[label[e]], a.states[dst[e]])
+        return FiniteImageResult(ok=False, numerators=None, denominator=d, witness=witness)
+    names = map(a.states.__getitem__, order.tolist())
+    numerators = dict(zip(names, map(tuple, numer[order].tolist())))
     return FiniteImageResult(ok=True, numerators=numerators, denominator=d, witness=None)
+
+
+def _coordinate_text(n: int, d: int) -> str:
+    """The text ``str(Fraction(n, d))`` gives for d > 0, from one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def atoms(
@@ -139,27 +197,32 @@ def atoms(
     """Atom values and masses; requires a successful finite-image test.
 
     ``image`` is that test's result when the caller already ran it on
-    (a, p); otherwise the test runs here.  ``value_decimal`` is the double
-    nearest the exact value (``qbeta_nearest_floats``).
+    (a, p); otherwise the test runs here.  States group on their
+    numerators, and one ``bincount`` over the states in BFS order sums
+    each atom's start probabilities left to right from 0.0.
+    ``value_decimal`` is the double nearest the exact value
+    (``qbeta_nearest_floats``).
     """
     result = image if image is not None else finite_image_test(a, p)
     if not result.ok:
         raise ValueError("image is not finite; no atoms to compute")
-    pi = start_distribution(pd)
     idx = a.state_index()
     # One denominator d > 0 for every value, so numerators order as values.
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for state, numer in result.numerators.items():
-        groups.setdefault(numer, []).append(state)
+    groups: dict[tuple[int, ...], int] = {}
+    group = [groups.setdefault(numer, len(groups)) for numer in result.numerators.values()]
+    members: list[list[str]] = [[] for _ in groups]
+    for state, g in zip(result.numerators, group):
+        members[g].append(state)
+    weights = start_distribution(pd)[[idx[s] for s in result.numerators]]
+    masses = np.bincount(group, weights=weights, minlength=len(groups)).tolist()
     d = result.denominator
-    collected = []
-    for (numer, states), decimal in zip(groups.items(), qbeta_nearest_floats(list(groups), d, p)):
-        mass = float(sum(pi[idx[s]] for s in states))
-        value = tuple(Fraction(n, d) for n in numer)
-        atom = Atom(value=value, mass=mass, value_decimal=decimal, states=tuple(sorted(states)))
-        collected.append((decimal, numer, atom))
-    collected.sort(key=lambda entry: entry[:2])
-    return tuple(atom for _, _, atom in collected)
+    decimals = qbeta_nearest_floats(list(groups), d, p)
+    collected = sorted(zip(decimals, groups, masses, members), key=lambda entry: entry[:2])
+    return tuple(
+        Atom(numerators=numer, denominator=d, mass=mass, value_decimal=decimal,
+             states=tuple(sorted(states)))
+        for decimal, numer, mass, states in collected
+    )
 
 
 def classify(
@@ -190,7 +253,10 @@ def classify(
             kind="atomic",
             atoms=atom_list,
             evidence=None,
-            witness={"c_map": {s: format_coords(v) for s, v in fi.c_map.items()}},
+            witness={"c_map": {
+                s: format_coords([_coordinate_text(n, fi.denominator) for n in x])
+                for s, x in fi.numerators.items()
+            }},
             diagnostics={"lambda": pd.lam},
         )
 
@@ -244,7 +310,7 @@ def atoms_to_dicts(atom_list) -> list[dict]:
     """The report form of atoms, shared by the classify and atoms reports."""
     return [
         {
-            "value_coords": [str(c) for c in at.value],
+            "value_coords": [_coordinate_text(n, at.denominator) for n in at.numerators],
             "value_decimal": at.value_decimal,
             "mass": at.mass,
             "states": list(at.states),

@@ -32,7 +32,7 @@ from .errors import MeasureLabError, PrecisionExhausted, SchemaError, Validation
 from .fixtures import run_all
 from .fourier import DEFAULT_TOL, check_z_coords, nu_hat_grid, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
-from .zero_automaton import beta_int_from_name, build_zero_automaton, verify_zero_language
+from .zero_automaton import build_zero_automaton, verify_zero_language
 
 
 def _int_list(text: str) -> list[int]:
@@ -185,19 +185,27 @@ def _cmd_validate(args) -> dict:
     return report
 
 
+def _state_decimals(names, beta: float) -> list[float]:
+    """sum(c_i * beta**i) for each state name "(c0,...,c(r-1))": every
+    coordinate parsed once, as the double nearest it (what c * beta**i
+    converts c to), then one column product per power and the columns
+    added left to right, the same bits on every Python version (sum is
+    compensated from 3.12 on)."""
+    text = ",".join(name[1:-1] for name in names).split(",")
+    coords = np.array(list(map(float, text))).reshape(len(names), -1)
+    return functools.reduce(operator.add, [c * beta**i for i, c in enumerate(coords.T)]).tolist()
+
+
 def _cmd_zero_automaton(args) -> dict:
     p = make_pisot(_int_list(args.minpoly))
     a = build_zero_automaton(p, _int_list(args.alphabet), trim=args.trim)
     if args.document:
         with open(args.document, "w", encoding="utf-8") as handle:
             handle.write(automaton_to_json(a))
-    beta = p.beta_float
-    state_table = []
-    for name in a.states:
-        coords = beta_int_from_name(name, p)
-        # Left to right on every Python version (sum is compensated from 3.12).
-        decimal = functools.reduce(operator.add, [c * beta**i for i, c in enumerate(coords)])
-        state_table.append({"state": name, "decimal": decimal})
+    state_table = [
+        {"state": name, "decimal": decimal}
+        for name, decimal in zip(a.states, _state_decimals(a.states, p.beta_float))
+    ]
     report = {
         "minpoly": list(p.minpoly),
         "alphabet": list(a.alphabet),

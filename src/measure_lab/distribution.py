@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebraic import PisotNumber
+from .algebraic import PisotNumber, bint_mul_beta_rows
 from .automaton import LabeledAutomaton, check_dense_cap, transition_matrices
 from .errors import CapExceeded, DeadState, ValidationError
 from .parry import PerronData
@@ -178,7 +178,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
         keys = np.zeros((1, p.degree), np.int64)
 
     values, rows = np.zeros(1), np.array([pd.v_L])
-    trail = []  # per level: flat (parent, label) index of every kept child
+    trail = []  # per level: the parent and the label index of every kept child
     for k in range(1, depth + 1):
         # A level has at most |alphabet| times as many buckets as the one
         # before, so this is the level's largest allocation.
@@ -210,7 +210,8 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
             if len(kept) > CLOUD_CAP:
                 raise CapExceeded(f"refinement exceeds {CLOUD_CAP} buckets at depth {k}")
             values, rows = child_values, children
-            trail.append(kept)
+            parent = kept // len(labels)
+            trail.append((parent, kept - parent * len(labels)))
         del children  # free this level's children before the next level's
 
     words = None if merge else _label_indices(trail, len(a.alphabet), len(rows))
@@ -239,14 +240,9 @@ def _key_limit(letters: tuple[int, ...], minpoly: tuple[int, ...]) -> int:
 
 def _mul_beta_add(keys: np.ndarray, minpoly: tuple[int, ...], letters: tuple[int, ...]):
     """beta * key + letter for every (key, letter) pair, key-major and
-    letter-minor, on int64 rows of Z[beta] coordinates: the companion step
-    of ``algebraic.bint_mul_beta`` on whole arrays."""
-    minpoly = np.array(minpoly, np.int64)
-    top = keys[:, -1:]
-    shifted = np.empty_like(keys)
-    shifted[:, :1] = -top * minpoly[0]
-    shifted[:, 1:] = keys[:, :-1] - top * minpoly[1:-1]
-    out = np.repeat(shifted[:, None], len(letters), axis=1)
+    letter-minor, on int64 rows of Z[beta] coordinates: one array
+    companion step, ``algebraic.bint_mul_beta_rows``."""
+    out = np.repeat(bint_mul_beta_rows(keys, minpoly)[:, None], len(letters), axis=1)
     out[:, :, 0] += np.array(letters, np.int64)
     return out.reshape(-1, keys.shape[1])
 
@@ -280,13 +276,16 @@ def _first_seen_groups(keys: np.ndarray, support: np.ndarray) -> tuple[np.ndarra
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[leader]
 
 
-def _label_indices(trail: list[np.ndarray], n_labels: int, n_rows: int) -> np.ndarray:
+def _label_indices(trail: list[tuple[np.ndarray, np.ndarray]], n_labels: int, n_rows: int) -> np.ndarray:
     """Label words of the last level's rows as alphabet indices, read back
-    from each level's kept (parent, label) indices, last level first."""
+    from each level's (parent, label) arrays, last level first: two
+    gathers per level."""
     words = np.empty((n_rows, len(trail)), np.min_scalar_type(n_labels - 1))
     rows = np.arange(n_rows)
     for k in range(len(trail) - 1, -1, -1):
-        rows, words[:, k] = np.divmod(trail[k][rows], n_labels)
+        parent, label = trail[k]
+        words[:, k] = label[rows]
+        rows = parent[rows]
     return words
 
 

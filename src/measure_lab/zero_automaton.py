@@ -18,8 +18,9 @@ per base, not once per BFS level.
 Bound membership is decided in two tiers, and both are certified, so the
 automaton does not depend on which tier decided a state.
 
-1. ``float_tier`` evaluates a whole array of candidates in float64 and
-   calls each IN, OUT or UNDECIDED.  It tests |y(beta)|*(beta-1) <= M and
+1. ``float_tier`` evaluates a whole array of candidates in float64, at
+   every embedding in one Horner pass (``_tier_bounds``), and calls each
+   IN, OUT or UNDECIDED.  It tests |y(beta)|*(beta-1) <= M and
    |y(beta_q)|*(1-|beta_q|) <= M with the float copies x of beta and of
    every conjugate (Horner over the coordinates c_i, d = r-1 the
    polynomial's degree), each within delta of its root, and with float
@@ -84,13 +85,6 @@ _U = 2.0**-53
 _EXACT = 2**53  # integers below this modulus are floats exactly
 
 
-def beta_int_from_name(name: str, p: PisotNumber) -> tuple[int, ...]:
-    coords = tuple(int(c) for c in name.strip("()").split(","))
-    if len(coords) != p.degree:
-        raise ValueError(f"state name {name!r} has wrong arity for degree {p.degree}")
-    return coords
-
-
 def zero_state_name(p: PisotNumber) -> str:
     return format_coords((0,) * p.degree)
 
@@ -138,15 +132,20 @@ def state_within_bounds(y: tuple[int, ...], p: PisotNumber, m_abs: int) -> bool:
 @_serialized
 @lru_cache(maxsize=None)
 def _float_constants(p: PisotNumber):
-    """Float copies, each with an error bound: (beta, beta - 1) and, per
-    conjugate, (beta_q, 1 - |beta_q|), from the enclosures ``make_pisot``
-    certified.  Taken once per base."""
+    """Float copies of every embedding's point and factor, each with an
+    error bound, as arrays over the embeddings: beta (a complex with zero
+    imaginary part) with beta - 1, then each conjugate beta_q with
+    1 - |beta_q|, from the enclosures ``make_pisot`` certified, and
+    X = |x| + dx, the largest modulus within dx of x.  X takes Python's
+    abs, whose hypot numpy's complex abs does not always match to the
+    last bit.  Returns (x, dx, X, f, df).  Taken once per base."""
     with mp.workprec(PRECISION + 64):
-        return [
-            (float_with_error(root), float_with_error(factor))
-            for root, factor in [(p.root_beta, p.root_beta.add_int(-1))]
-            + [(c, (-c.abs_ball()).add_int(1)) for c in p.conjugates]
-        ]
+        x, dx = zip(*map(float_with_error, [p.root_beta, *p.conjugates]))
+        f, df = zip(*map(float_with_error, [p.root_beta.add_int(-1)] + [
+            (-c.abs_ball()).add_int(1) for c in p.conjugates
+        ]))
+    big_x = [abs(z) + dz for z, dz in zip(x, dx)]
+    return np.array(x, complex), np.array(dx), np.array(big_x), np.array(f), np.array(df)
 
 
 def _padded(err):
@@ -154,42 +153,46 @@ def _padded(err):
     return err * (1 + 2.0**-20) + 2.0**-1000
 
 
-def _horner(c: np.ndarray, size: np.ndarray, x, dx: float):
-    """Values of the coordinate rows c at the float x, and bounds on their
-    distance from the values at every point within dx of x."""
-    big_x = abs(x) + dx
-    acc = c[:, -1] + 0 * x  # float or complex, as x
-    mag, deriv = size[:, -1], np.zeros(len(c))
+def _tier_bounds(c: np.ndarray, p: PisotNumber) -> tuple[np.ndarray, np.ndarray]:
+    """The bound each row of the float coordinates c takes at each
+    embedding, |y(beta)|*(beta - 1) and |y(beta_q)|*(1 - |beta_q|), and
+    its certified error, as (rows x embeddings) arrays from one Horner
+    pass over every embedding at once.
+
+    Horner runs on the complex points.  At beta, whose imaginary part is
+    zero, every imaginary part stays a zero, so the real parts are the
+    real Horner's bits, and the modulus (hypot with a zero) is exact."""
+    x, dx, big_x, f, df = _float_constants(p)
+    size = np.abs(c)
+    y = c[:, -1:] + 0 * x
+    mag, deriv = size[:, -1:], np.zeros((len(c), 1))
     for i in range(c.shape[1] - 2, -1, -1):
-        acc = acc * x + c[:, i]
+        y = y * x + c[:, i:i + 1]
         deriv = deriv * big_x + mag  # sum i |c_i| X^(i-1)
-        mag = mag * big_x + size[:, i]  # sum |c_i| X^i
-    return acc, _padded(8 * c.shape[1] * _U * mag + dx * deriv)
+        mag = mag * big_x + size[:, i:i + 1]  # sum |c_i| X^i
+    err = _padded(8 * c.shape[1] * _U * mag + dx * deriv)
+    y = np.abs(y)
+    # A conjugate's bound is on the modulus, which hypot rounds.
+    err[:, 1:] = _padded(err[:, 1:] + 2 * _U * y[:, 1:])
+    value = np.abs(y * f)
+    err = _padded(err * np.abs(f) + (y + err) * df + _U * value)
+    return value, err
 
 
 def float_tier(coords: np.ndarray, p: PisotNumber, m_abs: int) -> np.ndarray:
     """IN, OUT or UNDECIDED for each row of an (n x r) integer array of
     coordinates, decided in float64 with the certified error bound that
-    the module docstring derives."""
+    the module docstring derives, at every embedding at once
+    (``_tier_bounds``)."""
     coords = np.asarray(coords)
     decision = np.full(len(coords), UNDECIDED, dtype=np.int8)
     if m_abs >= _EXACT or not len(coords):
         return decision
     exact = (np.abs(coords) < _EXACT).all(axis=1)
     c = np.where(exact[:, None], coords, 0).astype(np.float64)
-    size = np.abs(c)
-    inside, outside = exact.copy(), np.zeros(len(c), dtype=bool)
-    for q, ((x, dx), (f, df)) in enumerate(_float_constants(p)):
-        y, err = _horner(c, size, x, dx)
-        if q:  # a conjugate: the bound is on the modulus
-            y = np.abs(y)
-            err = _padded(err + 2 * _U * y)
-        value = np.abs(y * f)
-        err = _padded(err * abs(f) + (np.abs(y) + err) * df + _U * value)
-        inside &= value + err < m_abs
-        outside |= value - err > m_abs
-    decision[inside] = IN
-    decision[exact & outside] = OUT
+    value, err = _tier_bounds(c, p)
+    decision[exact & (value + err < m_abs).all(axis=1)] = IN
+    decision[exact & (value - err > m_abs).any(axis=1)] = OUT
     return decision
 
 

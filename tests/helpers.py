@@ -20,6 +20,7 @@ from measure_lab.algebraic import (
     PRECISION,
     PisotNumber,
     bint_mul_beta,
+    float_with_error,
     format_coords,
     make_pisot,
     qbeta_div,
@@ -45,6 +46,7 @@ from measure_lab.parry import PerronData
 from measure_lab.zero_automaton import (
     _BOX_CAP,
     IN,
+    OUT,
     UNDECIDED,
     build_zero_automaton,
     float_tier,
@@ -112,6 +114,14 @@ def signed_automata(draw):
 # ---------------------------------------------------------------- Q(beta)
 # Reference field arithmetic on Fraction coordinates, and the finite-image
 # test written with it, as the oracle for the package's integer version.
+
+
+def beta_int_from_name(name: str, p: PisotNumber) -> tuple[int, ...]:
+    """The coordinates of a zero-automaton state from its name "(c0,...)"."""
+    coords = tuple(int(c) for c in name.strip("()").split(","))
+    if len(coords) != p.degree:
+        raise ValueError(f"state name {name!r} has wrong arity for degree {p.degree}")
+    return coords
 
 
 def bint_from_int(n: int, p: PisotNumber) -> tuple[int, ...]:
@@ -415,6 +425,56 @@ def _reference_accept(decision: np.ndarray, state, p: PisotNumber, m_abs: int) -
     for i in np.flatnonzero(decision == UNDECIDED):
         keep[i] = state_within_bounds(state(i), p, m_abs)
     return keep
+
+
+_U = 2.0**-53
+
+
+def _reference_padded(err):
+    return err * (1 + 2.0**-20) + 2.0**-1000
+
+
+def reference_float_tier(coords: np.ndarray, p: PisotNumber, m_abs: int):
+    """The float tier one embedding at a time, as it ran before it took
+    every embedding in one Horner pass: a real pass at the float beta, a
+    complex one at each conjugate, each bound decided on its own.
+    Returns the decisions and (rows x embeddings) arrays of the bounds
+    and their errors, on the float coordinates the tier reads (rows with
+    a coordinate of modulus >= 2^53 as zeros)."""
+    exact = (np.abs(coords) < 2**53).all(axis=1)
+    c = np.where(exact[:, None], coords, 0).astype(np.float64)
+    with mp.workprec(PRECISION + 64):
+        constants = [
+            (float_with_error(root), float_with_error(factor))
+            for root, factor in [(p.root_beta, p.root_beta.add_int(-1))]
+            + [(z, (-z.abs_ball()).add_int(1)) for z in p.conjugates]
+        ]
+    size = np.abs(c)
+    values, errors = [], []
+    for q, ((x, dx), (f, df)) in enumerate(constants):
+        big_x = abs(x) + dx
+        y = c[:, -1] + 0 * x
+        mag, deriv = size[:, -1], np.zeros(len(c))
+        for i in range(c.shape[1] - 2, -1, -1):
+            y = y * x + c[:, i]
+            deriv = deriv * big_x + mag
+            mag = mag * big_x + size[:, i]
+        err = _reference_padded(8 * c.shape[1] * _U * mag + dx * deriv)
+        if q:
+            y = np.abs(y)
+            err = _reference_padded(err + 2 * _U * y)
+        value = np.abs(y * f)
+        errors.append(_reference_padded(err * abs(f) + (np.abs(y) + err) * df + _U * value))
+        values.append(value)
+    inside, outside = exact.copy(), np.zeros(len(c), dtype=bool)
+    for value, err in zip(values, errors):
+        inside &= value + err < m_abs
+        outside |= value - err > m_abs
+    decision = np.full(len(c), UNDECIDED, dtype=np.int8)
+    if m_abs < 2**53:
+        decision[inside] = IN
+        decision[exact & outside] = OUT
+    return decision, np.stack(values, axis=1), np.stack(errors, axis=1)
 
 
 def _reference_candidate_box(p: PisotNumber, m_abs: int) -> list[tuple[int, ...]]:

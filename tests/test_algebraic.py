@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -467,3 +468,16 @@ def test_certification_memo_keyed_by_cap(monkeypatch):
         # Entries certified through the stub are sharper than the real
         # ones; drop them so later tests see the usual enclosures.
         algebraic._classified_disks_capped.cache_clear()
+
+
+def test_pisot_numbers_compare_and_hash_by_minimal_polynomial():
+    # Memos keyed on the base hash its minimal polynomial, not the mpf
+    # balls of its enclosures: two certifications of one polynomial share
+    # every entry, whatever enclosures they hold.
+    golden, again = make_pisot([-1, -1, 1]), make_pisot((-1, -1, 1))
+    other_enclosures = dataclasses.replace(golden, conjugates=())
+    for other in (again, other_enclosures):
+        assert golden == other and hash(golden) == hash(other)
+        assert {golden: "memo"}[other] == "memo"
+    assert golden != make_pisot([-1, -1, -1, 1])
+    assert golden != golden.minpoly

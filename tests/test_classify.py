@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import random
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import measure_lab.classify as classify_module
@@ -21,16 +22,18 @@ from measure_lab.classify import (
 )
 from measure_lab.errors import NotPrimitive, NotStronglyConnected, PrecisionExhausted
 from measure_lab.fourier import ScanEntry, ScanResult, rajchman_scan
-from measure_lab.parry import perron
-from measure_lab.zero_automaton import beta_int_from_name, build_zero_automaton
+from measure_lab.parry import perron, start_distribution
+from measure_lab.zero_automaton import build_zero_automaton
 
 from helpers import (
     PISOT_BASES,
+    beta_int_from_name,
     nearest_double_reference,
     pisot,
     ref_finite_image_test,
     reference_sample_many,
     strongly_connected_automata,
+    zero_automaton,
     zero_subautomata,
 )
 
@@ -382,3 +385,97 @@ def test_zero_automaton_atoms_golden(minpoly):
     for i, (coords, decimal) in samples.items():
         assert rows[i] == [coords, repr(decimal)]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+# ------------------------------------------------ the walk on integer arrays
+
+def golden_cycle(n=200, changed=None):
+    """n states on a cycle s0 -> s1 -> ... -> s0 labelled 1, and a loop
+    labelled 1 on every state but s0.  On the golden base every cycle
+    value is 1/(beta - 1) = beta, and the closing cycle's beta^n - 1 puts
+    the denominator near beta^(n/2): past 2^63 at n = 200 (at n = 120 it
+    is 7,740,043,779,600).  ``changed`` relabels that state's loop 0."""
+    states = [f"s{i}" for i in range(n)]
+    edges = [{"from": states[i], "to": states[(i + 1) % n], "label": 1} for i in range(n)]
+    edges += [{"from": s, "to": s, "label": int(i != changed)} for i, s in enumerate(states) if i]
+    return parse_automaton({"alphabet": [0, 1], "states": states, "edges": edges})
+
+
+def walk_dtypes(monkeypatch) -> list:
+    """The array dtype each later finite-image test chooses, in call order."""
+    chosen, real = [], classify_module._numerator_dtype
+
+    def recorded(*args):
+        chosen.append(real(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(classify_module, "_numerator_dtype", recorded)
+    return chosen
+
+
+def test_cycle_past_int64_walks_python_ints(golden, monkeypatch):
+    chosen = walk_dtypes(monkeypatch)
+    result = finite_image_test(golden_cycle(), golden)
+    assert chosen == [object] and result.denominator > 2**63
+    assert result.ok and set(result.c_map.values()) == {(Fraction(0), Fraction(1))}
+    # one loop labelled 0: beta*beta - 0 is not beta
+    variant = golden_cycle(changed=90)
+    got = finite_image_test(variant, golden)
+    assert (got.ok, got.c_map, got.witness) == ref_finite_image_test(variant, golden)
+    assert got.witness == ("s90", 0, "s90") and chosen == [object, object]
+
+
+def test_quartic_walk_runs_in_int64(monkeypatch):
+    chosen = walk_dtypes(monkeypatch)
+    minpoly = (-1, 0, 0, -1, 1)
+    assert finite_image_test(zero_automaton(minpoly, (-1, 0, 1)), pisot(minpoly)).ok
+    assert chosen == [np.int64]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(-(2**80), 2**80), d=st.integers(1, 2**70))
+@example(n=-6, d=4)
+@example(n=-3, d=1)
+@example(n=0, d=7)
+@example(n=12, d=1)
+def test_coordinate_text_is_the_fraction_text(n, d):
+    assert classify_module._coordinate_text(n, d) == str(Fraction(n, d))
+
+
+def two_atom_automaton():
+    """Twelve states whose cycle values on base 2 are 0 (even index) and 1
+    (odd index), on seeded random edges labelled 2*c(u) - c(w): two atoms
+    of six states each, with unequal start probabilities."""
+    rng = random.Random(5)
+    pairs = {(i, (i + 1) % 12) for i in range(12)} | {(0, 0)}
+    pairs |= {(rng.randrange(12), rng.randrange(12)) for _ in range(30)}
+    edges = [{"from": f"s{i}", "to": f"s{j}", "label": 2 * (i % 2) - j % 2} for i, j in sorted(pairs)]
+    return parse_automaton(
+        {"alphabet": [-1, 0, 1, 2], "states": [f"s{i}" for i in range(12)], "edges": edges}
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["example1-7edge", "example1-9edge", "two-atom", (-1, -1, 0, 1), (-1, 0, 0, -1, 1)]
+)
+def test_atom_masses_add_their_states_left_to_right(case, automata, pisots, perron_data, base_two):
+    # Each mass is the plain float sum, from 0.0, of its states' start
+    # probabilities in the BFS order of the numerators.  Each state of a
+    # zero automaton is an atom of its own; the fixtures' and the two-atom
+    # automaton's atoms hold several states.
+    if case == "two-atom":
+        a, p = two_atom_automaton(), base_two
+        pd = perron(a)
+    elif isinstance(case, str):
+        a, p, pd = automata[case], pisots[case], perron_data[case]
+    else:
+        a, p = zero_automaton(case, (-1, 0, 1)), pisot(case)
+        pd = perron(a)
+    image = finite_image_test(a, p)
+    pi, idx, expected = start_distribution(pd), a.state_index(), {}
+    for state, numer in image.numerators.items():
+        expected[numer] = expected.get(numer, 0.0) + pi[idx[state]]
+    atom_list = atoms(a, p, pd, image)
+    assert len(atom_list) == len(expected)
+    for at in atom_list:
+        assert at.mass.hex() == float(expected[at.numerators]).hex()

@@ -15,16 +15,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from measure_lab import automaton, cli, fourier
-from measure_lab.algebraic import make_pisot
+from measure_lab.algebraic import format_coords, make_pisot
 from measure_lab.automaton import parse_automaton
 from measure_lab.cli import _float_pieces, _load, _text_piece, _word_pieces, _write_csv, build_parser, main
 from measure_lab.distribution import depth_cloud
 from measure_lab.errors import CapExceeded
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
 from measure_lab.parry import perron
-from measure_lab.zero_automaton import beta_int_from_name
 
-from helpers import reference_cloud_csv, reference_cloud_report, reference_table_csv
+from helpers import (
+    PISOT_BASES,
+    beta_int_from_name,
+    pisot,
+    reference_cloud_csv,
+    reference_cloud_report,
+    reference_table_csv,
+)
 
 
 @pytest.fixture()
@@ -403,6 +409,28 @@ def test_report_sums_add_left_to_right(capsys, tmp_path):
     report = json.loads(out)
     assert code == 0 and len(report["atoms"]) == 1253
     assert report["mass_total"] == functools.reduce(operator.add, [at["mass"] for at in report["atoms"]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_state_decimals_match_the_per_state_products(data):
+    # The decimals of a zero-automaton report, one array pass over parsed
+    # coordinates, carry the bits of the per-state expression
+    # reduce(add, [c * beta**i ...]) they replaced, coordinates past 2^53
+    # (rounded to the nearest double either way) and digits of 2^70 included.
+    if data is None:  # the golden base over {-2^70, 0, 2^70}
+        minpoly, rows = (-1, -1, 1), [(0, 0), (2**70, 0), (-(2**70), 2**70), (2**70 + 1, -3)]
+    else:
+        minpoly = data.draw(st.sampled_from(PISOT_BASES))
+        r = len(minpoly) - 1
+        coordinate = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80),
+                               st.sampled_from([2**70, -(2**70), 3 * 2**70 + 1]))
+        rows = data.draw(st.lists(st.tuples(*[coordinate] * r), min_size=1, max_size=12))
+    beta = pisot(minpoly).beta_float
+    expected = [functools.reduce(operator.add, [c * beta**i for i, c in enumerate(x)]) for x in rows]
+    got = cli._state_decimals([format_coords(x) for x in rows], beta)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 TRIBONACCI_SHIFT = {

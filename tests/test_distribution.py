@@ -267,6 +267,30 @@ def test_refinement_matches_reference_bit_for_bit(automata, pisots, perron_data)
     assert cdf_bracket(a, p, pd, 12, points) == _reference_brackets(a, p, pd, 12, points)
 
 
+def _divmod_label_words(a, pd, depth):
+    """Cloud words as the refinement read them back before it kept each
+    level's parents and labels apart: one flat (parent, label) index per
+    kept child, split by one divmod per level over the last level's rows."""
+    stack = automaton.transition_matrices(a)
+    n_labels, rows, trail = len(a.alphabet), np.array([pd.v_L]), []
+    for _ in range(depth):
+        children = (rows @ stack).reshape(-1, a.n_states)
+        kept = np.flatnonzero((children > 0).any(axis=1))
+        rows = children[kept]
+        trail.append(kept)
+    words, index = np.empty((len(rows), depth), np.intp), np.arange(len(rows))
+    for k in range(depth - 1, -1, -1):
+        index, words[:, k] = np.divmod(trail[k][index], n_labels)
+    return words
+
+
+def test_cloud_words_match_the_divmod_reference():
+    for seed, a in enumerate(random_primitive_automata(20, seed=47, max_states=4)):
+        pd, depth = perron(a), 2 + seed % 5
+        labels = depth_cloud(a, pisot((-1, -1, 1)), pd, depth).labels
+        assert labels.tolist() == _divmod_label_words(a, pd, depth).tolist(), seed
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), width=st.sampled_from([1, 8, 63, 64, 65, 130]), dim=st.integers(1, 3))
 def test_first_seen_groups_match_dict_oracle(data, width, dim):

@@ -17,7 +17,6 @@ from measure_lab.zero_automaton import (
     IN,
     OUT,
     UNDECIDED,
-    beta_int_from_name,
     build_zero_automaton,
     float_tier,
     state_within_bounds,
@@ -25,7 +24,14 @@ from measure_lab.zero_automaton import (
     zero_state_name,
 )
 
-from helpers import count_words, pisot, reference_zero_automaton, zero_subautomata
+from helpers import (
+    beta_int_from_name,
+    count_words,
+    pisot,
+    reference_float_tier,
+    reference_zero_automaton,
+    zero_subautomata,
+)
 
 
 def value_of_word(word, minpoly):
@@ -369,6 +375,35 @@ def test_float_tier_agrees_with_certified_test(case):
     for row, decision in zip(rows, float_tier(np.array(rows), p, m_abs)):
         if decision != UNDECIDED:
             assert (decision == IN) == state_within_bounds(row, p, m_abs), row
+
+
+@st.composite
+def tier_cases(draw):
+    """Rows over the four bases above and the integer base 2, with small
+    coordinates, coordinates up to 2^60, and a row at 2^53, past the
+    floats that hold every integer exactly."""
+    minpoly = draw(st.sampled_from(sorted(BASES.values()) + [(-2, 1)]))
+    r = len(minpoly) - 1
+    coordinate = st.one_of(st.integers(-4, 4), st.integers(-(2**60), 2**60))
+    rows = draw(st.lists(st.lists(coordinate, min_size=r, max_size=r), min_size=1, max_size=12))
+    rows.append([2**53] + [0] * (r - 1))
+    m_abs = draw(st.sampled_from([1, 2, 3, 2**53]))
+    return minpoly, np.array(rows, np.int64), m_abs
+
+
+@settings(max_examples=80, deadline=None)
+@given(tier_cases())
+def test_float_tier_matches_the_per_embedding_reference(case):
+    # One Horner pass over every embedding gives each bound, each error
+    # term and each decision of the tier that took one embedding at a time.
+    minpoly, coords, m_abs = case
+    p = pisot(minpoly)
+    decision, value, err = reference_float_tier(coords, p, m_abs)
+    assert float_tier(coords, p, m_abs).tolist() == decision.tolist()
+    exact = (np.abs(coords) < 2**53).all(axis=1)
+    got_value, got_err = za._tier_bounds(np.where(exact[:, None], coords, 0).astype(float), p)
+    assert got_value.tobytes() == value.tobytes()
+    assert got_err.tobytes() == err.tobytes()
 
 
 @st.composite
