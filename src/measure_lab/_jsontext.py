@@ -14,6 +14,11 @@ together:
   as such a list of items, and one format template lays out every row;
 - anything else is written item by item.
 
+A ``Table`` holds such rows as columns and is written as their list, with
+no dict per row.  Its columns of scalars are encoded once and their texts
+kept, so another writer of the same table (a CSV) reads the same text
+for each cell.
+
 A dict recurses into its values.  Any other value (a dict with non-``str``
 keys, a subclass of a JSON type) is ``json.dumps`` at depth 0 with each
 "\\n" followed by its indent, which is the same text.
@@ -45,6 +50,11 @@ def _text(value, sort_keys: bool, nl: str) -> str:
             return "[]"
         inner = nl + "  "
         return "[" + inner + ("," + inner).join(_items(value, sort_keys, inner)) + nl + "]"
+    if kind is Table:
+        if not len(value):
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_row_texts(value, sort_keys, inner)) + nl + "]"
     if kind is dict and set(map(type, value)) <= {str}:
         if not value:
             return "{}"
@@ -77,17 +87,52 @@ def _items(values, sort_keys: bool, nl: str) -> list[str]:
 
 def _rows(rows, sort_keys: bool, nl: str) -> list[str] | None:
     """The texts of dicts that have the same ``str`` keys in the same order,
-    one column at a time; None for any other dicts."""
+    as a ``Table``; None for any other dicts."""
     shapes = set(map(tuple, rows))
     if len(shapes) != 1:
         return None
     keys = shapes.pop()
     if not keys or set(map(type, keys)) != {str}:
         return None
-    if sort_keys:
-        keys = sorted(keys)
+    return _row_texts(Table({k: list(map(itemgetter(k), rows)) for k in keys}), sort_keys, nl)
+
+
+class Table:
+    """Rows held as columns: ``dumps`` writes a table exactly as the list
+    of dicts {key: columns[key][i] for key in columns}, one for each i.
+
+    ``columns`` maps ``str`` keys to lists of equal length (at least one
+    key).  ``texts(key)`` is the JSON text of each cell of a column of
+    scalars; it is encoded on the first call, by one encoder call, and
+    every later reader, ``dumps`` included, shares it."""
+
+    __slots__ = ("columns", "_texts")
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+        self._texts: dict[str, list[str]] = {}
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def texts(self, key: str) -> list[str]:
+        if key not in self._texts:
+            column = self.columns[key]
+            self._texts[key] = _encode(column)[1:-1].split(",\n") if column else []
+        return self._texts[key]
+
+
+def _row_texts(table: Table, sort_keys: bool, nl: str) -> list[str]:
+    """The texts of a nonempty table's rows, each starting after ``nl``:
+    one list of texts per column, and one format template lays out every
+    row."""
+    keys = sorted(table.columns) if sort_keys else list(table.columns)
     field = nl + "  "
-    columns = [_items(list(map(itemgetter(k), rows)), sort_keys, field) for k in keys]
+    columns = [
+        table.texts(k) if set(map(type, table.columns[k])) <= _SCALARS
+        else _items(table.columns[k], sort_keys, field)
+        for k in keys
+    ]
     template = "{{" + ",".join(
         field + _encode(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys
     ) + nl + "}}"

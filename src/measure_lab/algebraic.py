@@ -5,7 +5,9 @@ An element of Z[beta] is the tuple of its coordinates in the power basis
 is a tuple of Fractions.  One multiplication (``bint_mul``) and one
 multiplication by beta (``bint_mul_beta``) serve both, and
 ``format_coords`` writes either as text; ``bint_mul_beta_rows`` is the
-same companion step on every row of an integer array.  Numeric values
+same companion step on every row of an integer array, and
+``int64_step_limit`` the largest coordinate from which that step, plus a
+letter, stays in int64.  Numeric values
 are only ever produced as certified enclosures (midpoint plus radius),
 so that boundary comparisons can never silently misclassify.  Every
 enclosure follows one precision policy, ``_escalate``: start at ``PRECISION``
@@ -421,6 +423,21 @@ def bint_mul_beta_rows(x: np.ndarray, minpoly: tuple[int, ...]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Embeddings and fractional parts
 # ----------------------------------------------------------------------
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def int64_step_limit(letters: Sequence[int], minpoly: tuple[int, ...]) -> int:
+    """Largest max|x| for which every beta*x + letter stays in int64 (on
+    ``bint_mul_beta_rows``' rows), or -1 when the letters or the
+    coefficients do not fit in int64 themselves.  Each new coordinate is at
+    most max|x| * (1 + max|coefficient|) + max|letter| in magnitude."""
+    most_letter = max(abs(x) for x in letters)
+    most_coeff = max(abs(c) for c in minpoly)
+    if max(most_letter, most_coeff) > _INT64_MAX:
+        return -1
+    return (_INT64_MAX - most_letter) // (1 + most_coeff)
 
 
 def _embed(x, q: int, p: PisotNumber):

@@ -12,7 +12,8 @@ coefficient found by the lattice scan.
 Every cycle value is an integer numerator over one common denominator.
 The finite-image test walks the numerators on an integer array, one
 companion step per BFS level and one for every edge at once, in int64
-when a bound on the walk allows and on Python ints otherwise.  Atoms keep
+while the largest coordinate so far keeps the next step there, and on
+Python ints from the first level that does not.  Atoms keep
 the numerators, their masses come from one ``bincount``, and the reports
 write each coordinate from its numerator and the denominator, as
 ``str(Fraction)`` would, without building a Fraction.
@@ -32,6 +33,7 @@ from .algebraic import (
     bint_mul_beta,
     bint_mul_beta_rows,
     format_coords,
+    int64_step_limit,
     qbeta_div,
     qbeta_nearest_floats,
 )
@@ -42,7 +44,6 @@ from .parry import PerronData, perron, start_distribution
 
 DEFAULT_SCAN_HEIGHT = 3
 EVIDENCE_FLOOR = 1e-4
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -92,24 +93,6 @@ class Verdict:
     diagnostics: dict
 
 
-def _numerator_dtype(
-    root: tuple[int, ...], minpoly: tuple[int, ...], letters: tuple[int, ...], d: int, levels: int
-):
-    """int64 when no coordinate of the walk can leave it, else object.
-
-    A companion step beta*x - letter*d takes max|x| to at most max|x| *
-    (1 + max|coefficient|) + max|letter|*d, so ``levels`` tree steps and
-    the edge check stay within that growth applied levels + 1 times to
-    the root's largest coordinate.  The coefficients and d enter the
-    arrays themselves, so they must fit as well."""
-    grow = 1 + max(map(abs, minpoly))
-    shift = max(map(abs, letters)) * d
-    bound = max(map(abs, root))
-    for _ in range(levels + 1):
-        bound = bound * grow + shift
-    return np.int64 if max(bound, grow, d) <= _INT64_MAX else object
-
-
 def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     """Decide whether the digit map has finite image over the automaton.
 
@@ -122,9 +105,10 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
     is then N_w/D with N_w = beta*N_u - label*D in Z[beta], propagated
     from N_root = num*adj one BFS level at a time, as one array companion
     step (``bint_mul_beta_rows``) per level; one more step checks that
-    identity on every edge at once.  The array is int64 when a bound on
-    every coordinate of the walk fits (``_numerator_dtype``), and object,
-    on the same code and Python ints, otherwise.  Success returns every
+    identity on every edge at once.  The array is int64 while the largest
+    coordinate written so far leaves the next step inside int64
+    (``int64_step_limit``, checked after every level), and object, on the
+    same code and Python ints, from then on.  Success returns every
     N_w over D, by state name in BFS order; failure returns the first
     violated edge in document order.
     """
@@ -159,7 +143,9 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
 
     order = np.array(order, np.intp)  # levels run in BFS order
     ends = np.searchsorted(np.array(level)[order], np.arange(level[order[-1]] + 1), "right")
-    dtype = _numerator_dtype(root, minpoly, a.alphabet, d, len(ends) - 1)
+    # label*D enters each step, and D itself the array of those products.
+    limit = int64_step_limit([x * d for x in a.alphabet] + [d], minpoly)
+    dtype = np.int64 if max(map(abs, root)) <= limit else object
     add = np.array(a.alphabet, dtype)[label] * -d  # -label*D per edge
     numer = np.empty((a.n_states, p.degree), dtype)
     numer[0] = root
@@ -170,6 +156,8 @@ def finite_image_test(a: LabeledAutomaton, p: PisotNumber) -> FiniteImageResult:
         step = bint_mul_beta_rows(numer[src[edges]], minpoly)
         step[:, 0] += add[edges]
         numer[states] = step
+        if numer.dtype != object and np.abs(step).max() > limit:
+            numer, add = numer.astype(object), add.astype(object)
     check = bint_mul_beta_rows(numer[src], minpoly)
     check[:, 0] += add
     bad = np.flatnonzero((check != numer[dst]).any(axis=1))

@@ -4,6 +4,14 @@ Every subcommand emits a JSON report (stdout or --out; zero-automaton's
 --out is its automaton document, and its report goes to stdout) and returns exit
 code 0 on success, 2 on validation errors, 3 when adaptive precision hit
 its cap.  Reports are byte-stable for identical inputs.
+
+``fourier``, ``scan`` and ``cloud`` also write a CSV (``--csv``) through
+one streamed writer, ``_write_csv``.  The ``fourier`` and ``scan`` tables
+go from the engine's arrays into a ``_jsontext.Table`` with no dict per
+row, and the CSV reads the texts the report's JSON encodes for its t
+and float columns, so every float is formatted once (repr, but nan and
+inf where JSON writes NaN and Infinity).  The ``cloud`` CSV writes its
+four float fields as one piece per run of equal rows.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import sys
 
 import numpy as np
 
-from ._jsontext import dumps
+from ._jsontext import Table, dumps
 from .algebraic import make_pisot
 from .automaton import (
     ambiguous_word_count,
@@ -30,7 +38,7 @@ from .classify import atoms, atoms_to_dicts, classify, finite_image_test, verdic
 from .distribution import cdf_bracket, depth_cloud
 from .errors import MeasureLabError, PrecisionExhausted, SchemaError, ValidationError
 from .fixtures import run_all
-from .fourier import DEFAULT_TOL, check_z_coords, nu_hat_grid, psi_hat, rajchman_scan
+from .fourier import DEFAULT_TOL, check_z_coords, nu_hat_columns, psi_hat, rajchman_scan
 from .parry import cylinder_measure, cylinder_measure_initial, perron, start_distribution
 from .zero_automaton import build_zero_automaton, verify_zero_language
 
@@ -84,54 +92,91 @@ _CSV_BLOCK = 4096
 _WORD_TABLE = 4096
 
 
-def _write_csv(path: str, header: str, pieces: list[tuple[np.ndarray, np.ndarray]]) -> None:
+def _write_csv(path: str, header: str, pieces: list) -> None:
     """The bytes ``csv.writer`` writes for the table whose rows ``pieces``
     spell: CRLF, no field needs quoting.
 
-    Each field of a row is one or more pieces, in row order.  A piece is a
-    pair (table, index): an object array of strings, and an index array
-    with one entry per row, so that the row's piece is table[index].  The
-    separators are in the tables (``_text_piece``, ``_float_pieces``,
-    ``_word_pieces``), so a row is its pieces side by side.  For each block
-    of ``_CSV_BLOCK`` rows the writer gathers every piece for the whole
-    block, interleaves the pieces by slice assignment and writes one join:
-    no Python code runs per row."""
-    width, rows = len(pieces), len(pieces[0][1])
+    A row is its pieces side by side, in order, and a piece is one of:
+
+    - a string, the same on every row (a separator);
+    - a list of strings, one per row;
+    - a pair (table, index): an object array of strings, and an index
+      array with one entry per row, so that the row's piece is
+      table[index].
+
+    For each block of ``_CSV_BLOCK`` rows the writer repeats the row of
+    separators, gathers every other piece for the whole block, puts the
+    pieces in place by slice assignment and writes one join: no Python
+    code runs per row."""
+    width = len(pieces)
+    rows = next(len(p) if isinstance(p, list) else len(p[1]) for p in pieces if not isinstance(p, str))
+    separators = [p if isinstance(p, str) else "" for p in pieces]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(header + "\r\n")
         for start in range(0, rows, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, rows)
-            flat = [""] * ((stop - start) * width)
-            for j, (table, index) in enumerate(pieces):
-                flat[j::width] = table[index[start:stop]].tolist()
+            flat = separators * (stop - start)
+            for j, piece in enumerate(pieces):
+                if isinstance(piece, list):
+                    flat[j::width] = piece[start:stop]
+                elif isinstance(piece, tuple):
+                    table, index = piece
+                    flat[j::width] = table[index[start:stop]].tolist()
             handle.write("".join(flat))
 
 
-def _text_piece(texts) -> tuple[np.ndarray, np.ndarray]:
-    """A first field given as one string per row (a t or a z), with its
-    separator."""
-    table = np.array([text + "," for text in texts], dtype=object)
-    return table, np.arange(len(table))
+# The JSON text of a float is its repr, but for these three.
+_REPR = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
-def _float_pieces(*columns) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The last fields, one piece per float64 array or sequence of floats,
-    written by repr: "," follows each field but the last, "\r\n" the last.
+def _repr_texts(table: Table, key: str) -> list[str]:
+    """The repr of every float of a table column, from the column's JSON
+    texts, which the report then shares."""
+    texts = table.texts(key)
+    if np.isfinite(table.columns[key]).all():
+        return texts
+    return [_REPR.get(text, text) for text in texts]
 
-    Columns repeat heavily (the four float columns of fullshift4's depth-8
-    cloud hold 2,299 distinct values among 262,144 floats), so each table
-    holds the repr of each distinct value once, separator included, and the
-    index is the inverse index.  Tables are keyed on the float64 bit
-    patterns, never on float equality: -0.0 and 0.0 compare equal but print
-    differently, and a NaN equals nothing."""
-    pieces = []
-    for j, column in enumerate(columns):
-        separator = "\r\n" if j == len(columns) - 1 else ","
-        bits = np.asarray(column, dtype=np.float64).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        table = [repr(x) + separator for x in distinct.view(np.float64).tolist()]
-        pieces.append((np.array(table, dtype=object), inverse))
-    return pieces
+
+def _transform_table(key: dict, values: np.ndarray, bounds: np.ndarray) -> Table:
+    """The rows of a ``fourier`` or ``scan`` table: the key column, then re,
+    im, abs and bound of each complex value.  abs is Python's (hypot):
+    numpy's abs of a complex array can round differently (numpy 2.4 on
+    x86-64 did on 35% of a million random values)."""
+    return Table({**key, "re": values.real.tolist(), "im": values.imag.tolist(),
+                  "abs": list(map(abs, values.tolist())), "bound": bounds.tolist()})
+
+
+def _table_pieces(keys: list[str], table: Table) -> list:
+    """The pieces of a ``fourier`` or ``scan`` row: its t or z text, then
+    the repr of re, im, abs and bound."""
+    pieces = [keys]
+    for key in _TABLE_COLUMNS:
+        pieces += [",", _repr_texts(table, key)]
+    return pieces + ["\r\n"]
+
+
+def _run_piece(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The float fields of the sorted cloud, "value,mass,lo,hi" and the
+    line end, as one piece: one string per run of rows whose four float64
+    bit patterns are equal (rows sorted on (value, mass) hold equal rows
+    side by side; fullshift4's depth-8 cloud has 766 runs in 65,536 rows),
+    and each row's run.
+
+    Each column of the run leaders is written by repr once per distinct
+    value.  Values are keyed on their float64 bit patterns, never on float
+    equality: -0.0 and 0.0 compare equal but print differently, and a NaN
+    equals nothing."""
+    bits = np.stack([np.asarray(c, dtype=np.float64).view(np.uint64) for c in columns], axis=1)
+    starts = np.ones(len(bits), dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    fields = []
+    for column in bits[starts].T:
+        distinct, inverse = np.unique(column, return_inverse=True)
+        texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        fields.append(texts[inverse].tolist())
+    runs = np.array(list(map("{},{},{},{}\r\n".format, *fields)), dtype=object)
+    return runs, np.cumsum(starts) - 1
 
 
 def _word_pieces(labels: np.ndarray, alphabet) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -142,12 +187,12 @@ def _word_pieces(labels: np.ndarray, alphabet) -> list[tuple[np.ndarray, np.ndar
     strings of a group fit in ``_WORD_TABLE`` and do not outnumber the
     rows (at least one position).  A group's table holds every string of
     its letters in ``itertools.product`` order, with ";" before it unless
-    the group is first and "," after it if the group is last; its index is
-    the group's mixed-radix code, code * |alphabet| + label per position.
-    The empty word of depth 0 is the one string ","."""
+    the group is first; its index is the group's mixed-radix code, code *
+    |alphabet| + label per position.  The empty word of depth 0 is the
+    one string ""."""
     rows, depth = labels.shape
     if not depth:
-        return [(np.array([","], dtype=object), np.zeros(rows, np.intp))]
+        return [(np.array([""], dtype=object), np.zeros(rows, np.intp))]
     letters = [str(x) for x in alphabet]
     n, group = len(letters), 1
     while group < depth and n ** (group + 1) <= min(_WORD_TABLE, rows):
@@ -155,8 +200,8 @@ def _word_pieces(labels: np.ndarray, alphabet) -> list[tuple[np.ndarray, np.ndar
     pieces = []
     for start in range(0, depth, group):
         stop = min(start + group, depth)
-        prefix, suffix = ";" if start else "", "," if stop == depth else ""
-        table = [prefix + ";".join(w) + suffix for w in itertools.product(letters, repeat=stop - start)]
+        prefix = ";" if start else ""
+        table = [prefix + ";".join(w) for w in itertools.product(letters, repeat=stop - start)]
         code = np.zeros(rows, np.intp)
         for column in labels[:, start:stop].T:
             code = code * n + column
@@ -270,14 +315,11 @@ def _cmd_fourier(args) -> dict:
     p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     ts = _float_list(args.t)
-    rows = [
-        {"t": t, "re": value.real, "im": value.imag, "abs": abs(value), "bound": bound}
-        for t, (value, bound) in zip(ts, nu_hat_grid(a, p, pd, ts, args.tol, initial=args.initial))
-    ]
+    values, bounds = nu_hat_columns(a, p, pd, ts, args.tol, initial=args.initial)
+    table = _transform_table({"t": ts}, values, bounds)
     if args.csv:
-        columns = ([r[k] for r in rows] for k in _TABLE_COLUMNS)
-        _write_csv(args.csv, _TABLE_HEADER, [_text_piece(map(str, ts)), *_float_pieces(*columns)])
-    return {"file": args.automaton, "tol": args.tol, "values": rows}
+        _write_csv(args.csv, _TABLE_HEADER, _table_pieces(_repr_texts(table, "t"), table))
+    return {"file": args.automaton, "tol": args.tol, "values": table}
 
 
 def _cmd_limit(args) -> dict:
@@ -307,26 +349,21 @@ def _cmd_scan(args) -> dict:
     p = make_pisot(a.beta_minpoly)
     pd = perron(a)
     result = rajchman_scan(a, p, pd, height=args.height, tol=args.tol)
-    rows = [
-        {
-            "z": list(e.z_coords),
-            "re": e.value.real,
-            "im": e.value.imag,
-            "abs": abs(e.value),
-            "bound": e.bound,
-        }
-        for e in result.entries
-    ]
+    zs = [e.z_coords for e in result.entries]
+    table = _transform_table(
+        {"z": list(map(list, zs))},
+        np.array([e.value for e in result.entries], dtype=complex),
+        np.array([e.bound for e in result.entries], dtype=float),
+    )
     if args.csv:
-        keys = _text_piece(";".join(map(str, r["z"])) for r in rows)
-        columns = ([r[k] for r in rows] for k in _TABLE_COLUMNS)
-        _write_csv(args.csv, _TABLE_HEADER, [keys, *_float_pieces(*columns)])
+        keys = [";".join(map(str, z)) for z in zs]
+        _write_csv(args.csv, _TABLE_HEADER, _table_pieces(keys, table))
     return {
         "file": args.automaton,
         "height": args.height,
         "max_abs": result.max_abs,
         "argmax": list(result.argmax),
-        "table": rows,
+        "table": table,
     }
 
 
@@ -362,7 +399,7 @@ def _cmd_cloud(args) -> dict:
     }
     if args.csv:
         words = _word_pieces(cloud.labels[order], cloud.alphabet)
-        _write_csv(args.csv, "word,value,mass,lo,hi", words + _float_pieces(*columns))
+        _write_csv(args.csv, "word,value,mass,lo,hi", words + [",", _run_piece(columns)])
         report["written"] = args.csv
     else:
         report["cloud"] = [

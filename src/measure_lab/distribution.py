@@ -30,14 +30,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebraic import PisotNumber, bint_mul_beta_rows
+from .algebraic import PisotNumber, bint_mul_beta_rows, int64_step_limit
 from .automaton import LabeledAutomaton, check_dense_cap, transition_matrices
 from .errors import CapExceeded, DeadState, ValidationError
 from .parry import PerronData
 
 CLOUD_CAP = 1_000_000
 _BOUND_TOL = 1e-12  # fixed-point gap and outward inflation of value_bounds
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     beta = p.beta_float
     n = a.n_states
     if merge:
-        key_limit = _key_limit(a.alphabet, p.minpoly)
+        key_limit = int64_step_limit(a.alphabet, p.minpoly)
         keys = np.zeros((1, p.degree), np.int64)
 
     values, rows = np.zeros(1), np.array([pd.v_L])
@@ -224,18 +223,6 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
         np.minimum(low, bounds[s][0], out=low, where=support)
         np.maximum(high, bounds[s][1], out=high, where=support)
     return words, values, mass, values + tail * low, values + tail * high
-
-
-def _key_limit(letters: tuple[int, ...], minpoly: tuple[int, ...]) -> int:
-    """Largest max|key| for which ``_mul_beta_add`` stays in int64, or -1
-    when the letters or the coefficients do not fit in int64 themselves.
-    Each new coordinate is at most max|key| * (1 + max|coefficient|) +
-    max|letter| in magnitude."""
-    most_letter = max(abs(x) for x in letters)
-    most_coeff = max(abs(c) for c in minpoly)
-    if max(most_letter, most_coeff) > _INT64_MAX:
-        return -1
-    return (_INT64_MAX - most_letter) // (1 + most_coeff)
 
 
 def _mul_beta_add(keys: np.ndarray, minpoly: tuple[int, ...], letters: tuple[int, ...]):

@@ -38,9 +38,9 @@ A value's bound adds up these terms:
   floats of z and of its conjugates z_q, with their errors and
   magnitudes, come from one fixed-point pass over every z of a grid
   (``float_embeddings``, integer arithmetic only).  A row whose float
-  head pushes its bound past tol, where exact head arguments would bring
-  it back within tol (the tail taken at its best), or whose head errors
-  are not finite, takes the exact head (``frac_beta_powers``) instead;
+  head pushes its bound past tol takes the exact head
+  (``frac_beta_powers``) instead wherever that gives a lower bound (the
+  tail taken at its best in both);
 - psi-hat's discarded head, bounded through the conjugate decay of z
   beta^j (Pisot property): the head length J is the least j whose bound
   on the discarded terms fits in tol / 2, found from a closed-form guess
@@ -136,13 +136,26 @@ def _tail_constant(cache: WeightMatrixCache, k_row: float) -> float:
     )
 
 
-def _tail_length(c: float, t_abs: float, beta: float, tol: float) -> int:
-    # c * |t| * beta^-N / (1 - 1/beta) <= tol, solved in logarithms so that
-    # no product overflows: every finite t gets a finite N.
-    if t_abs == 0 or c == 0:
-        return 1
-    n = (math.log(c) + math.log(t_abs) - math.log(tol * (1 - 1 / beta))) / math.log(beta)
-    return max(1, math.ceil(n))
+def _tail_lengths(c: float, s_abs: np.ndarray, beta: float, tol) -> np.ndarray:
+    """The least N >= 1 with c |s| beta^-N / (1 - 1/beta) <= tol for each
+    |s| of an array (tol a float or an array of the same shape), solved in
+    logarithms so that no product overflows: every finite s gets a finite
+    N.  Each logarithm is ``math.log``'s, so N is the one the same
+    arithmetic on Python floats gives; s = 0 (or c = 0) gets N = 1."""
+    s_abs = np.asarray(s_abs, dtype=float)
+    n = np.ones(s_abs.shape, dtype=np.int64)
+    live = np.flatnonzero(s_abs != 0) if c != 0 else np.empty(0, np.intp)
+    if not len(live):
+        return n
+    scaled = np.asarray(tol, dtype=float) * (1 - 1 / beta)
+    log_tol = math.log(scaled) if scaled.ndim == 0 else _logs(scaled[live])
+    x = (math.log(c) + _logs(s_abs[live]) - log_tol) / math.log(beta)
+    n[live] = np.maximum(np.ceil(x), 1)
+    return n
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=len(x))
 
 
 def _eig_slack(pd: PerronData, k_row: float, n_factors):
@@ -150,18 +163,23 @@ def _eig_slack(pd: PerronData, k_row: float, n_factors):
 
 
 @dataclass(frozen=True)
-class _Product:
-    """One row of a batch: row0 W(frac(s beta^(n_head-1))) ... W(frac(s))
-    W(s/beta) ... W(s/beta^n_tail) v_R."""
+class _Batch:
+    """The rows of one batch, as columns: row i is row0
+    W(frac(s beta^(n_head-1))) ... W(frac(s)) W(s/beta) ... W(s/beta^n_tail)
+    v_R with s = scale[i]."""
 
-    scale: float | tuple[int, ...]  # s, exact
-    s_hat: float  # the float nearest s
-    s_err: float  # bound on |s_hat - s|
-    n_tail: int
-    n_head: int = 0
-    conj: tuple[complex, ...] = ()  # float conjugate embeddings of s, for the head
-    conj_err: tuple[float, ...] = ()  # bounds on their errors
-    fixed: float = 0.0  # bound terms settled before the product
+    scale: list  # s, exact: floats, or Z[beta] coordinate tuples
+    s_hat: np.ndarray  # the float nearest s
+    s_err: np.ndarray  # bound on |s_hat - s|
+    n_tail: np.ndarray
+    n_head: np.ndarray
+    conj: np.ndarray  # (rows, degree - 1) float conjugate embeddings of s, for the head
+    conj_err: np.ndarray  # bounds on their errors
+    fixed: np.ndarray  # bound terms settled before the product
+
+    def take(self, idx: np.ndarray) -> "_Batch":
+        arrays = (self.s_hat, self.s_err, self.n_tail, self.n_head, self.conj, self.conj_err, self.fixed)
+        return _Batch([self.scale[i] for i in idx.tolist()], *(x[idx] for x in arrays))
 
 
 def _float_powers(p: PisotNumber, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,31 +206,27 @@ def _arguments(
     p: PisotNumber,
     k_row: float,
     tol: float,
-    block: Sequence[_Product],
+    block: _Batch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Arguments of a block of rows (head, then tail, reduced mod 1, zero
     padded), their errors e_k, the rows' lengths and bounds.
 
     Head arguments are the float tier's; a row whose bound they push past
-    tol while exact ones would not (or whose head errors are not finite)
-    takes the exact head.  Tail arguments are floats.  A row whose bound
+    tol takes the exact head wherever that gives it a lower bound (or its
+    float head's bound is NaN).  Tail arguments are floats.  A row whose bound
     they push past tol first gets the longer tail that leaves them their
     share of tol; where no share is left (large |s|), its tail arguments
     come from the certified beta enclosure instead.
     """
     c = _tail_constant(cache, k_row)
     beta = p.beta_float
-    s_hat = np.array([q.s_hat for q in block])
-    s_err = np.array([q.s_err for q in block])
+    s_hat, s_err, fixed, j = block.s_hat, block.s_err, block.fixed, block.n_head
     s_abs = np.abs(s_hat) + s_err
-    fixed = np.array([q.fixed for q in block])
-    j = np.array([q.n_head for q in block])
-    n = np.array([q.n_tail for q in block])
-    head_args = head_errs = np.zeros((len(block), 0))
+    n = block.n_tail.copy()
+    head_args = head_errs = np.zeros((len(j), 0))
     if j.any():  # in power order: column i holds frac(s beta^i)
         head_args, head_errs = frac_beta_powers_float(
-            [q.scale for q in block], [q.conj for q in block], [q.conj_err for q in block],
-            int(j.max()) - 1, p,
+            block.scale, block.conj, block.conj_err, int(j.max()) - 1, p
         )
 
     def truncation(n):
@@ -248,28 +262,31 @@ def _arguments(
     args, errs, tail = assemble(n)
     # The tail taken at its best: its errors are the longer or ball tail's job.
     float_head = bound(n, np.where(tail, 0.0, errs))
-    exact_args = bound(n, np.zeros_like(errs))
-    exact_head = np.flatnonzero(
-        (j > 0) & ~(float_head <= tol) & ((exact_args <= tol) | ~np.isfinite(float_head))
-    )
-    for r in exact_head:
-        fracs = frac_beta_powers(block[r].scale, int(j[r]) - 1, p)
-        head_args[r, : j[r]] = [fr.value for fr in fracs]
-        head_errs[r, : j[r]] = [fr.bound for fr in fracs]
+    exact_head = np.flatnonzero((j > 0) & ~(float_head <= tol))
     if len(exact_head):
+        float_args, float_errs = head_args[exact_head], head_errs[exact_head]
+        for r in exact_head.tolist():
+            fracs = frac_beta_powers(block.scale[r], int(j[r]) - 1, p)
+            head_args[r, : j[r]] = [fr.value for fr in fracs]
+            head_errs[r, : j[r]] = [fr.bound for fr in fracs]
         args, errs, tail = assemble(n)
+        exact = bound(n, np.where(tail, 0.0, errs))[exact_head]
+        worse = ~((exact < float_head[exact_head]) | np.isnan(float_head[exact_head]))
+        if worse.any():
+            rows = exact_head[worse]
+            head_args[rows], head_errs[rows] = float_args[worse], float_errs[worse]
+            args, errs, tail = assemble(n)
     bounds = bound(n, errs)
     share = tol - (bounds - truncation(n))
     longer = np.flatnonzero((bounds > tol) & (share > 0))
-    for r in longer:
-        n[r] = max(n[r], _tail_length(c, s_abs[r], beta, share[r]))
     if len(longer):
+        n[longer] = np.maximum(n[longer], _tail_lengths(c, s_abs[longer], beta, share[longer]))
         args, errs, tail = assemble(n)
         bounds = bound(n, errs)
     exact_tail = bound(n, np.where(tail, 0.0, errs))
     ball = np.flatnonzero((bounds > tol) & ((exact_tail <= tol) | ~np.isfinite(bounds)))
-    for r in ball:
-        fracs = frac_inverse_beta_powers(block[r].scale, int(n[r]), p)
+    for r in ball.tolist():
+        fracs = frac_inverse_beta_powers(block.scale[r], int(n[r]), p)
         args[r, j[r] : j[r] + n[r]] = [fr.value for fr in fracs]
         errs[r, j[r] : j[r] + n[r]] = [fr.bound for fr in fracs]
     if len(ball):
@@ -311,21 +328,22 @@ def _transform_batch(
     row0: np.ndarray,
     k_row: float,
     tol: float,
-    products: Sequence[_Product],
+    batch: _Batch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, bounds and tail lengths of a batch of products that share
     row0, in blocks of _BLOCK rows of similar length.  k_row bounds the l1
     norm of every partial row started at row0."""
-    values = np.empty(len(products), dtype=complex)
-    bounds = np.empty(len(products))
-    n_tail = np.empty(len(products), dtype=int)
-    order = np.argsort([-(q.n_head + q.n_tail) for q in products], kind="stable")
-    for start in range(0, len(order), _BLOCK):
+    rows = len(batch.scale)
+    values = np.empty(rows, dtype=complex)
+    bounds = np.empty(rows)
+    n_tail = np.empty(rows, dtype=int)
+    order = np.argsort(-(batch.n_head + batch.n_tail), kind="stable")
+    for start in range(0, rows, _BLOCK):
         idx = order[start : start + _BLOCK]
-        block = [products[i] for i in idx]
+        block = batch.take(idx)
         args, _, lengths, block_bounds = _arguments(cache, pd, p, k_row, tol, block)
         bounds[idx] = block_bounds
-        n_tail[idx] = lengths - [q.n_head for q in block]
+        n_tail[idx] = lengths - block.n_head
         by_length = np.argsort(-lengths, kind="stable")
         values[idx[by_length]] = _products(cache, row0, args[by_length], lengths[by_length])
     return values, bounds, n_tail
@@ -341,22 +359,41 @@ def nu_hat_grid(
 ) -> list[tuple[complex, float]]:
     """Transform (of the initial-state measure if initial) with its
     certified bound at every t of a grid, from one batched product."""
+    values, bounds = nu_hat_columns(a, p, pd, ts, tol, initial)
+    return list(zip(values.tolist(), bounds.tolist()))
+
+
+def nu_hat_columns(
+    a: LabeledAutomaton,
+    p: PisotNumber,
+    pd: PerronData,
+    ts: Sequence[float],
+    tol: float = DEFAULT_TOL,
+    initial: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``nu_hat_grid`` as two arrays: the values (complex) and the bounds,
+    one entry per t."""
     cache = build_weight_cache(a, pd)
     if initial:
         v_i, denom = initial_row(pd, a)
         row0 = v_i / denom
         # row0 <= c v_L entrywise, so every partial row stays below c ||v_L||_1.
         k_row = float((row0 / pd.v_L).max()) * cache.k_left
-        at_zero = 1.0 + 0j, 1e-15
+        at_zero = 1e-15
     else:
         row0, k_row = cache.v_l, cache.k_left
-        at_zero = 1.0 + 0j, abs(float(pd.v_L @ pd.v_R) - 1.0) + 1e-15
-    c = _tail_constant(cache, k_row)
-    beta = p.beta_float
-    products = [_Product(t, t, 0.0, _tail_length(c, abs(t), beta, tol)) for t in ts if t != 0]
-    values, bounds, _ = _transform_batch(cache, pd, p, row0, k_row, tol, products)
-    rest = iter(zip(values.tolist(), bounds.tolist()))
-    return [at_zero if t == 0 else next(rest) for t in ts]
+        at_zero = abs(float(pd.v_L @ pd.v_R) - 1.0) + 1e-15
+    ts = np.asarray(ts, dtype=float)
+    live = np.flatnonzero(ts != 0)
+    s, rows = ts[live], len(live)
+    n_tail = _tail_lengths(_tail_constant(cache, k_row), np.abs(s), p.beta_float, tol)
+    batch = _Batch(
+        s.tolist(), s, np.zeros(rows), n_tail, np.zeros(rows, np.int64),
+        np.zeros((rows, 0), complex), np.zeros((rows, 0)), np.zeros(rows),
+    )
+    values, bounds = np.full(len(ts), 1.0 + 0j), np.full(len(ts), at_zero)
+    values[live], bounds[live], _ = _transform_batch(cache, pd, p, row0, k_row, tol, batch)
+    return values, bounds
 
 
 def nu_hat(
@@ -430,27 +467,30 @@ def _psi_grid(
     nonzero = [z for z in zints if any(z)]
 
     if p.degree == 1:
-        limits = [
-            PsiValue(value, bound, 0, 0)
-            for value, bound in nu_hat_grid(
-                a, p, pd, [float(z[0]) for z in nonzero], tol
-            )
-        ]
+        values, bounds = nu_hat_columns(a, p, pd, [float(z[0]) for z in nonzero], tol)
+        limits = [PsiValue(value, bound, 0, 0) for value, bound in zip(values.tolist(), bounds.tolist())]
     else:
         embedded = float_embeddings(nonzero, p)
         check_z_floats(embedded)
         cache = build_weight_cache(a, pd)
         c = _tail_constant(cache, cache.k_left)
-        products = [
-            _psi_product(z, p, c, tol, head_terms, tail_terms, e) for z, e in zip(nonzero, embedded)
-        ]
-        values, bounds, n_tail = _transform_batch(
-            cache, pd, p, cache.v_l, cache.k_left, tol, products
+        rows = len(nonzero)
+        heads = [_psi_head(z, p, c, tol, head_terms, e) for z, e in zip(nonzero, embedded)]
+        z_hat = np.array([e.values[0] for e in embedded], dtype=float)
+        if tail_terms is None:
+            n_tail = _tail_lengths(c, np.abs(z_hat), root_floats(p).values[0], tol / 2)
+        else:
+            n_tail = np.full(rows, tail_terms, np.int64)
+        n_head = np.array([j for j, _ in heads], np.int64) + 1
+        batch = _Batch(
+            nonzero, z_hat, np.array([e.errors[0] for e in embedded], dtype=float), n_tail, n_head,
+            np.array([e.values[1:] for e in embedded], dtype=complex).reshape(rows, p.degree - 1),
+            np.array([e.errors[1:] for e in embedded], dtype=float).reshape(rows, p.degree - 1),
+            np.array([fixed for _, fixed in heads], dtype=float),
         )
-        limits = [
-            PsiValue(value, bound, q.n_head - 1, n)
-            for value, bound, q, n in zip(values.tolist(), bounds.tolist(), products, n_tail.tolist())
-        ]
+        values, bounds, n_tail = _transform_batch(cache, pd, p, cache.v_l, cache.k_left, tol, batch)
+        columns = values.tolist(), bounds.tolist(), (n_head - 1).tolist(), n_tail.tolist()
+        limits = list(map(PsiValue, *columns))
     rest = iter(limits)
     return [next(rest) if any(z) else PsiValue(1.0 + 0j, 1e-15, 0, 0) for z in zints]
 
@@ -458,18 +498,17 @@ def _psi_grid(
 _HEAD_CAP = 100_000  # longest head psi_hat sizes
 
 
-def _psi_product(
+def _psi_head(
     z: tuple[int, ...],
     p: PisotNumber,
     c: float,
     tol: float,
     head_terms: int | None,
-    tail_terms: int | None,
     embedded: FloatEmbedding | None = None,
-) -> _Product:
-    """The batch row of psi-hat(z): head length J and tail length N as
-    psi_hat describes, unless given.  embedded holds z's floats
-    (``float_embeddings``), computed here if not given.
+) -> tuple[int, float]:
+    """The head length J of psi-hat(z), as psi_hat describes unless given,
+    and the bound c * head_residual(J) on the discarded head.  embedded
+    holds z's floats (``float_embeddings``), computed here if not given.
 
     J is the least j >= 0 (at most _HEAD_CAP) whose head_residual is at
     most tol / (2c).  The closed form brackets it: with m_q = |z_q| and
@@ -480,9 +519,7 @@ def _psi_product(
     """
     if embedded is None:
         embedded = float_embeddings([z], p)[0]
-    roots = root_floats(p)
-    (z_hat, *conj), (z_err, *conj_err) = embedded.values, embedded.errors
-    conj_mags = list(zip(embedded.mags[1:], roots.mags[1:]))
+    conj_mags = list(zip(embedded.mags[1:], root_floats(p).mags[1:]))
 
     def head_residual(j: int) -> float:
         # sum_{i > j} dist(z beta^i, Z) <= sum_q |z_q| |beta_q|^(i) ...
@@ -514,12 +551,7 @@ def _psi_product(
             else:
                 hi = mid
         head_terms = lo
-    if tail_terms is None:
-        tail_terms = _tail_length(c, abs(z_hat), roots.values[0], tol / 2)
-    return _Product(
-        z, z_hat, z_err, tail_terms, head_terms + 1, tuple(conj), tuple(conj_err),
-        c * head_residual(head_terms),
-    )
+    return head_terms, c * head_residual(head_terms)
 
 
 @dataclass(frozen=True)

@@ -870,3 +870,13 @@ def reference_sample_many(pd: PerronData, a: LabeledAutomaton, n_runs: int, leng
         states[:, step + 1] = to_state[current, pick]
         labels[:, step] = to_label[current, pick]
     return states, labels
+
+
+def reference_tail_length(c: float, t_abs: float, beta: float, tol: float) -> int:
+    """The least N >= 1 with c |t| beta^-N / (1 - 1/beta) <= tol, one t at a
+    time in logarithms on Python floats: the tail length a transform grid
+    gives each of its points."""
+    if t_abs == 0 or c == 0:
+        return 1
+    n = (math.log(c) + math.log(t_abs) - math.log(tol * (1 - 1 / beta))) / math.log(beta)
+    return max(1, math.ceil(n))

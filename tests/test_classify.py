@@ -12,7 +12,7 @@ from mpmath import mp
 
 import measure_lab.classify as classify_module
 from measure_lab.algebraic import make_pisot, qbeta_nearest_floats
-from measure_lab.automaton import LabeledAutomaton, parse_automaton
+from measure_lab.automaton import LabeledAutomaton, parse_automaton, serialize_automaton
 from measure_lab.classify import (
     FiniteImageResult,
     atoms,
@@ -402,34 +402,80 @@ def golden_cycle(n=200, changed=None):
 
 
 def walk_dtypes(monkeypatch) -> list:
-    """The array dtype each later finite-image test chooses, in call order."""
-    chosen, real = [], classify_module._numerator_dtype
+    """The array dtype of every companion step the later finite-image tests
+    take, in call order: one per BFS level, then the edge check."""
+    chosen, real = [], classify_module.bint_mul_beta_rows
 
-    def recorded(*args):
-        chosen.append(real(*args))
-        return chosen[-1]
+    def recorded(x, minpoly):
+        chosen.append(x.dtype)
+        return real(x, minpoly)
 
-    monkeypatch.setattr(classify_module, "_numerator_dtype", recorded)
+    monkeypatch.setattr(classify_module, "bint_mul_beta_rows", recorded)
     return chosen
+
+
+def object_walk(a, p, monkeypatch):
+    """The finite-image test with every step on Python ints (object arrays)."""
+    with monkeypatch.context() as m:
+        m.setattr(classify_module, "int64_step_limit", lambda letters, minpoly: -1)
+        return finite_image_test(a, p)
 
 
 def test_cycle_past_int64_walks_python_ints(golden, monkeypatch):
     chosen = walk_dtypes(monkeypatch)
     result = finite_image_test(golden_cycle(), golden)
-    assert chosen == [object] and result.denominator > 2**63
+    assert set(chosen) == {np.dtype(object)} and result.denominator > 2**63
     assert result.ok and set(result.c_map.values()) == {(Fraction(0), Fraction(1))}
     # one loop labelled 0: beta*beta - 0 is not beta
     variant = golden_cycle(changed=90)
     got = finite_image_test(variant, golden)
     assert (got.ok, got.c_map, got.witness) == ref_finite_image_test(variant, golden)
-    assert got.witness == ("s90", 0, "s90") and chosen == [object, object]
+    assert got.witness == ("s90", 0, "s90") and set(chosen) == {np.dtype(object)}
 
 
 def test_quartic_walk_runs_in_int64(monkeypatch):
     chosen = walk_dtypes(monkeypatch)
     minpoly = (-1, 0, 0, -1, 1)
     assert finite_image_test(zero_automaton(minpoly, (-1, 0, 1)), pisot(minpoly)).ok
-    assert chosen == [np.int64]
+    assert set(chosen) == {np.dtype(np.int64)}
+
+
+def test_deep_cycle_inside_int64_walks_in_int64(golden, monkeypatch):
+    # 120 levels deep, with numerators up to 7,740,043,779,600: a bound by
+    # growth per level would leave int64 here, the coordinates never do.
+    a = golden_cycle(120)
+    expected = object_walk(a, golden, monkeypatch)
+    chosen = walk_dtypes(monkeypatch)
+    result = finite_image_test(a, golden)
+    assert set(chosen) == {np.dtype(np.int64)} and len(chosen) == 120  # 119 levels, one check
+    assert result.ok and result.denominator == 7_740_043_779_600
+    assert max(abs(c) for n in result.numerators.values() for c in n) == 7_740_043_779_600
+    assert (result.numerators, result.denominator) == (expected.numerators, expected.denominator)
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_walk_leaves_int64_where_its_coordinates_do(monkeypatch, relabel):
+    # The quartic zero automaton's numerators run from 0 at the root up to
+    # 6.  A limit of 2 sends its walk from int64 to Python ints part way
+    # down; every numerator, the witness (after one edge is relabelled)
+    # and the denominator are the all-object walk's.
+    minpoly = (-1, 0, 0, -1, 1)
+    a, p = zero_automaton(minpoly, (-1, 0, 1)), pisot(minpoly)
+    if relabel:
+        document = serialize_automaton(a)
+        edge = document["edges"][-1]
+        edge["label"] = 1 if edge["label"] != 1 else 0
+        a = parse_automaton(document)
+    expected = object_walk(a, p, monkeypatch)
+    chosen = walk_dtypes(monkeypatch)
+    monkeypatch.setattr(classify_module, "int64_step_limit", lambda letters, minpoly: 2)
+    result = finite_image_test(a, p)
+    switch = chosen.index(np.dtype(object))
+    assert 0 < switch and set(chosen[:switch]) == {np.dtype(np.int64)}
+    assert set(chosen[switch:]) == {np.dtype(object)}
+    assert result.ok is not relabel
+    assert (result.ok, result.numerators, result.denominator, result.witness) == \
+        (expected.ok, expected.numerators, expected.denominator, expected.witness)
 
 
 @settings(max_examples=200, deadline=None)

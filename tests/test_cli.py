@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from measure_lab import automaton, cli, fourier
 from measure_lab.algebraic import format_coords, make_pisot
 from measure_lab.automaton import parse_automaton
-from measure_lab.cli import _float_pieces, _load, _text_piece, _word_pieces, _write_csv, build_parser, main
+from measure_lab._jsontext import Table
+from measure_lab.cli import _load, _repr_texts, _run_piece, _word_pieces, _write_csv, build_parser, main
 from measure_lab.distribution import depth_cloud
 from measure_lab.errors import CapExceeded
 from measure_lab.fixtures import FIXTURE_NAMES, materialize
@@ -326,16 +327,21 @@ _FLOAT_POOL = [
 )
 @example(rows=[("", *_FLOAT_POOL[:4]), ("0", *_FLOAT_POOL[1:5]), ("1;2", *_FLOAT_POOL[:4])], as_arrays=False)
 def test_write_csv_matches_csv_writer(rows, as_arrays):
+    # The float fields as the repr texts of a Table's columns (fourier and
+    # scan), or as one piece of runs over float64 arrays (cloud).
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(["key", "a", "b", "c", "d"])
     writer.writerows(rows)
-    keys, *columns = zip(*rows) if rows else [()] * 5
+    keys, *columns = (list(c) for c in zip(*rows)) if rows else [[]] * 5
     if as_arrays:
-        columns = [np.array(c, dtype=np.float64) for c in columns]
+        floats = [",", _run_piece([np.array(c, dtype=np.float64) for c in columns])]
+    else:
+        table = Table(dict(zip("abcd", columns)))
+        floats = [piece for key in "abcd" for piece in (",", _repr_texts(table, key))] + ["\r\n"]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
-        _write_csv(path, "key,a,b,c,d", [_text_piece(keys), *_float_pieces(*columns)])
+        _write_csv(path, "key,a,b,c,d", [keys, *floats])
         with open(path, "rb") as handle:
             assert handle.read() == buffer.getvalue().encode("utf-8")
 
@@ -371,7 +377,7 @@ def test_word_pieces_match_csv_writer(case):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "_CSV_BLOCK", block), mock.patch.object(cli, "_WORD_TABLE", table):
         path = os.path.join(tmp, "words.csv")
-        _write_csv(path, "word,x", _word_pieces(labels, alphabet) + _float_pieces(np.full(len(labels), 0.5)))
+        _write_csv(path, "word,x", _word_pieces(labels, alphabet) + [",0.5\r\n"])
         with open(path, "rb") as handle:
             assert handle.read() == buffer.getvalue().encode("utf-8")
 
@@ -724,3 +730,66 @@ def test_odd_documents_exit_cleanly(text, command):
             report = json.load(handle)
     assert code in (0, 2, 3)
     assert ("error" in report) == (code != 0)
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+# Values and bounds whose texts differ between JSON (NaN, Infinity) and repr
+# (nan, inf), with signed zeros, subnormals and the largest float.
+_ODD_VALUES = [complex(math.nan, 0.5), complex(-0.0, math.inf), complex(1e-320, -math.inf),
+               complex(0.25, -0.0), complex(1.7976931348623157e308, 5e-324), complex(-1.5, 2.0)]
+_ODD_BOUNDS = [math.inf, math.nan, 5e-324, 0.0, -0.0, 1e-8]
+
+
+def test_tables_write_repr_texts(capsys, tmp_path, monkeypatch, fixture_dir):
+    # fourier, scan and cloud CSVs are csv.writer rows of repr texts, with
+    # nan, inf and -inf cells where the JSON report writes NaN and Infinity;
+    # each report is json.dumps of its rows.
+    from measure_lab.distribution import DepthCloud
+    from measure_lab.fourier import ScanEntry, ScanResult
+
+    doc = str(fixture_dir / "fig3.json")
+    ts = [0.5, -3.25, 1e300, 5e-324, -0.0, 7.0]
+    values, bounds = np.array(_ODD_VALUES), np.array(_ODD_BOUNDS)
+    monkeypatch.setattr(cli, "nu_hat_columns", lambda *args, **kwargs: (values, bounds))
+    csv_path = str(tmp_path / "fourier.csv")
+    code, out = run(capsys, "fourier", doc, "--t", ",".join(map(repr, ts)), "--csv", csv_path)
+    rows = [[t, v.real, v.imag, abs(v), b] for t, v, b in zip(ts, _ODD_VALUES, _ODD_BOUNDS)]
+    assert code == 0
+    assert open(csv_path, "rb").read() == _csv_bytes(["t_or_z", "re", "im", "abs", "bound"], [list(map(repr, row)) for row in rows])
+    assert out == json.dumps({"file": doc, "tol": fourier.DEFAULT_TOL, "values": [
+        dict(zip(["t", "re", "im", "abs", "bound"], row)) for row in rows]}, indent=2, sort_keys=True) + "\n"
+
+    zs = [(1, 0), (0, 1), (2, -1), (1, 2), (2**60, -3), (3, 3)]
+    entries = tuple(map(ScanEntry, zs, _ODD_VALUES, _ODD_BOUNDS))
+    monkeypatch.setattr(cli, "rajchman_scan", lambda *args, **kwargs: ScanResult(2, entries, 1.5, (1, 0)))
+    csv_path = str(tmp_path / "scan.csv")
+    code, out = run(capsys, "scan", doc, "--height", "2", "--csv", csv_path)
+    rows = [[list(z), v.real, v.imag, abs(v), b] for z, v, b in zip(zs, _ODD_VALUES, _ODD_BOUNDS)]
+    assert code == 0
+    assert open(csv_path, "rb").read() == _csv_bytes(
+        ["t_or_z", "re", "im", "abs", "bound"], [[";".join(map(str, r[0])), *map(repr, r[1:])] for r in rows])
+    assert out == json.dumps({"file": doc, "height": 2, "max_abs": 1.5, "argmax": [1, 0], "table": [
+        dict(zip(["z", "re", "im", "abs", "bound"], row)) for row in rows]}, indent=2, sort_keys=True) + "\n"
+
+    # Rows already in (value, mass) order: 0.0 and -0.0 compare equal but
+    # head runs of their own, rows 2 and 3 and rows 4 and 5 are runs of two.
+    inf, nan = math.inf, math.nan
+    columns = [[-inf, -0.0, 0.0, 0.0, 0.5, 0.5, inf, nan],  # value
+               [0.1, 0.2, 0.2, 0.2, 5e-324, 5e-324, 0.3, 0.0],  # mass
+               [-inf, -0.0, -0.0, -0.0, 0.25, 0.25, 1.0, nan],  # lo
+               [0.0, 0.0, 0.0, 0.0, inf, inf, inf, 1.7976931348623157e308]]  # hi
+    labels = np.array([[i // 2 % 2, i % 2] for i in range(8)], np.uint8)
+    cloud = DepthCloud(2, (-1, 1), labels, *(np.array(c) for c in columns))
+    monkeypatch.setattr(cli, "depth_cloud", lambda *args, **kwargs: cloud)
+    csv_path = str(tmp_path / "cloud.csv")
+    assert run(capsys, "cloud", doc, "--depth", "2", "--csv", csv_path)[0] == 0
+    words = [";".join(str((-1, 1)[x]) for x in word) for word in labels.tolist()]
+    assert open(csv_path, "rb").read() == _csv_bytes(
+        ["word", "value", "mass", "lo", "hi"], [[w, *map(repr, row)] for w, *row in zip(words, *columns)])

@@ -391,6 +391,21 @@ def test_limit_head_falls_back_to_exact_head(automata, pisots, perron_data, monk
     assert psi_hat(a, p, pd, z, 1e-8) == res
 
 
+def test_limit_takes_the_exact_head_where_it_lowers_the_bound(automata, pisots, perron_data, monkeypatch):
+    # At z = 10^308 (1 - beta) no head meets tol = 1e-200.  The float head's
+    # errors, near |z_2| 2^-53 ~ 2e292, left a bound of 1.04e295; the exact
+    # head's bound is lower, so the row takes the exact head and gives the
+    # value and bound of the engine with the float tier ruled out.
+    from measure_lab import fourier
+
+    a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
+    z = (10**308, -(10**308))
+    res = psi_hat(a, p, pd, z, 1e-200)
+    assert res.bound <= 1e-8
+    monkeypatch.setattr(fourier, "frac_beta_powers_float", no_float_head(fourier))
+    assert psi_hat(a, p, pd, z, 1e-200) == res
+
+
 def test_erdos_full_shift_nonvanishing(golden):
     a = parse_automaton(
         {"alphabet": [0, 1], "states": ["s"],
@@ -461,9 +476,8 @@ def test_psi_head_residual_adds_left_to_right():
         def residual(j):
             return functools.reduce(operator.add, [zq * bq ** (j + 1) / (1 - bq) for zq, bq in mags])
 
-        q = fourier._psi_product(z, p, c, tol, None, None)
-        head = q.n_head - 1
-        assert q.fixed == c * residual(head)
+        head, fixed = fourier._psi_head(z, p, c, tol, None)
+        assert fixed == c * residual(head)
         assert residual(head) <= target and (head == 0 or residual(head - 1) > target)
 
 
@@ -502,9 +516,9 @@ def test_psi_head_length_is_the_least_j_of_the_loop(name):
             loop = 0
             while residual(loop) > target and loop < 100_000:
                 loop += 1
-            q = fourier._psi_product(z, p, c, tol, None, None, embedded)
-            assert q.n_head - 1 == loop, (z, c, tol)
-            assert q.fixed == c * residual(loop)
+            head, fixed = fourier._psi_head(z, p, c, tol, None, embedded)
+            assert head == loop, (z, c, tol)
+            assert fixed == c * residual(loop)
             heads.append(loop)
     if p.degree == 4:
         assert max(heads) > 400
@@ -568,3 +582,89 @@ def test_scan_runs_without_ball_embeddings(automata, pisots, perron_data):
             assert psi_hat(a, p, pd, (3,) + (-2,) * (p.degree - 1)).bound <= 1e-8
         verdict = classify(automata["fig3"], pisots["fig3"], scan_height=2)
         assert verdict.evidence["type"] == "singular_by_fourier"
+
+
+# ---------------------------------------------------------------- tail lengths
+
+def recorded_batches(monkeypatch) -> list:
+    """The batches later grids hand the engine, which evaluates nothing."""
+    from measure_lab import fourier
+
+    seen = []
+
+    def recording(cache, pd, p, row0, k_row, tol, batch):
+        seen.append((cache, k_row, batch))
+        rows = len(batch.scale)
+        return np.zeros(rows, complex), np.zeros(rows), batch.n_tail
+
+    monkeypatch.setattr(fourier, "_transform_batch", recording)
+    return seen
+
+
+@pytest.mark.parametrize("initial", [False, True])
+def test_grid_tail_lengths_are_the_per_point_ones(automata, pisots, perron_data, monkeypatch, initial):
+    # Every point of a transform grid starts with the tail length the
+    # scalar formula gives it, across the float range: tiny, huge and
+    # negative t, and t = 0 (which is no row).
+    from measure_lab import fourier
+    from helpers import reference_tail_length
+
+    a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
+    rng = random.Random(5)
+    ts = [rng.uniform(-64, 64) for _ in range(300)] + [0.0, -0.0, 5e-324, -1e-300, 1e300, -1.7976931348623157e308]
+    ts += [rng.choice([-1, 1]) * 10.0 ** rng.uniform(-300, 300) for _ in range(100)]
+    seen = recorded_batches(monkeypatch)
+    for tol in (1e-8, 1e-200, 0.5):
+        seen.clear()
+        fourier.nu_hat_columns(a, p, pd, ts, tol, initial=initial)
+        (cache, k_row, batch), = seen
+        c = fourier._tail_constant(cache, k_row)
+        nonzero = [t for t in ts if t != 0]
+        assert batch.scale == nonzero
+        assert batch.n_tail.tolist() == [reference_tail_length(c, abs(t), p.beta_float, tol) for t in nonzero]
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci"])
+def test_psi_grid_tail_lengths_are_the_per_point_ones(name, monkeypatch):
+    # Every z of a psi-hat grid starts with the tail length of its float
+    # value at tol / 2, as the scalar formula gives it.
+    from measure_lab import fourier
+    from measure_lab.algebraic import float_embeddings, make_pisot, root_floats
+    from helpers import reference_tail_length
+
+    p = make_pisot(list(HEAD_BASES[name]))
+    a = parse_automaton({"alphabet": [0, 1], "states": ["s"],
+                         "edges": [{"from": "s", "to": "s", "label": 0}, {"from": "s", "to": "s", "label": 1}]})
+    pd = perron(a)
+    rng = random.Random(11)
+    zs = [tuple(rng.randint(-50, 50) for _ in range(p.degree)) for _ in range(40)]
+    zs += [(10**300,) + (0,) * (p.degree - 1), (1,) + (0,) * (p.degree - 1)]
+    zs = [z for z in zs if any(z)]
+    seen = recorded_batches(monkeypatch)
+    tol = 1e-9
+    fourier._psi_grid(a, p, pd, zs, tol)
+    (cache, k_row, batch), = seen
+    c = fourier._tail_constant(cache, k_row)
+    beta = root_floats(p).values[0]
+    expected = [reference_tail_length(c, abs(e.values[0]), beta, tol / 2) for e in float_embeddings(zs, p)]
+    assert batch.scale == zs and batch.n_tail.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=st.lists(st.floats(0, 1.7976931348623157e308), min_size=1, max_size=8),
+    tol=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=8),
+    c=st.sampled_from([0.0, 1e-300, 0.37, 6.2, 1e300]),
+    beta=st.sampled_from([1.618033988749895, 1.3247179572447458, 2.0, 4.0]),
+)
+def test_tail_lengths_match_the_scalar_formula(s, tol, c, beta):
+    # The array form, with one tol or one tol per row (the longer tails of
+    # _arguments), gives every row the scalar formula's length.
+    from measure_lab import fourier
+    from helpers import reference_tail_length
+
+    tol = (tol * len(s))[: len(s)]
+    assert fourier._tail_lengths(c, np.array(s), beta, tol[0]).tolist() == \
+        [reference_tail_length(c, x, beta, tol[0]) for x in s]
+    assert fourier._tail_lengths(c, np.array(s), beta, np.array(tol)).tolist() == \
+        [reference_tail_length(c, x, beta, t) for x, t in zip(s, tol)]

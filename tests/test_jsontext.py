@@ -5,7 +5,7 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from measure_lab._jsontext import dumps
+from measure_lab._jsontext import Table, dumps
 
 
 class Count(int):
@@ -84,3 +84,50 @@ def test_dumps_fails_as_json_does():
         except TypeError as exc:
             got = str(exc)
         assert got == expected
+
+
+TABLE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]),
+)
+TABLE_CELLS = {
+    "float": TABLE_FLOATS,
+    "int": st.one_of(st.integers(), st.just(10**30)),
+    "str": texts,
+    "z": st.lists(st.integers(-(2**70), 2**70), max_size=3),
+    "mixed": st.one_of(TABLE_FLOATS, st.integers(), texts, st.none(), st.booleans()),
+}
+
+
+@st.composite
+def tables(draw):
+    """Columns of one kind of cell each, under distinct keys (odd ones
+    included), as a Table and as the list of row dicts it stands for."""
+    keys = draw(st.lists(st.one_of(st.sampled_from(["t", "z", "re", "im", "abs", "bound"]), texts),
+                         unique=True, min_size=1, max_size=5))
+    n = draw(st.integers(0, 6))
+    columns = {k: draw(st.lists(TABLE_CELLS[draw(st.sampled_from(sorted(TABLE_CELLS)))],
+                                min_size=n, max_size=n)) for k in keys}
+    rows = [{k: columns[k][i] for k in keys} for i in range(n)]
+    return Table(columns), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tables(), sort_keys=st.booleans(), read_texts=st.booleans())
+@example(case=(Table({"t": [-0.0, math.inf, 5e-324], "re": [math.nan, -math.inf, 1.7976931348623157e308],
+                      "z": [[1, -2], [], [10**30]]}),
+               [{"t": -0.0, "re": math.nan, "z": [1, -2]}, {"t": math.inf, "re": -math.inf, "z": []},
+                {"t": 5e-324, "re": 1.7976931348623157e308, "z": [10**30]}]),
+         sort_keys=True, read_texts=True)
+def test_table_matches_json_indent_2(case, sort_keys, read_texts):
+    # A Table is written as its list of row dicts, alone or inside a
+    # report, whether or not its texts were read first; each text of a
+    # column of scalars is json's text of that cell.
+    table, rows = case
+    if read_texts:
+        for key, column in table.columns.items():
+            if all(type(x) in (float, int, str, bool, type(None)) for x in column):
+                assert table.texts(key) == [json.dumps(x) for x in column]
+    assert dumps(table, sort_keys) == json.dumps(rows, indent=2, sort_keys=sort_keys)
+    report = {"values": table, "file": "a.json"}
+    assert dumps(report, sort_keys) == json.dumps({"values": rows, "file": "a.json"}, indent=2, sort_keys=sort_keys)
