@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, tol=True)
     sp.set_defaults(fn=_cmd_scan)
 
-    sp = sub.add_parser("cdf", help="certified CDF brackets")
+    sp = sub.add_parser("cdf", help="CDF brackets: float sums, exact only at (0, 0) and (1, 1)")
     sp.add_argument("--depth", type=int, default=12)
     sp.add_argument("--points", required=True, help="e.g. 0.5,1.0,1.5")
     common(sp)

@@ -1,7 +1,7 @@
 """Depth-n discretisations of the push-forward measure.
 
 One level-synchronous refinement builds both views.  Level 0 is a single
-bucket holding v_L; each level expands all its buckets at once, one
+bucket holding v_L; each level expands its live buckets at once, one
 product with the automaton's label stack (every label matrix side by
 side, ``transition_matrices``), and either keeps every nonzero child or
 merges the children.  ``depth_cloud`` merges nothing, so each admissible
@@ -10,8 +10,10 @@ beta^-k), its cylinder mass, and bounds [lo, hi] on the full digit-map
 value over the cylinder, obtained from per-state value ranges (a Bellman
 fixed point with contraction 1/beta).  ``cdf_bracket`` merges children of
 equal exact value, compared on int64 Z[beta] coordinates, and equal
-reachable-state support, which keeps fig3 feasible at depth 24.  Every
-mass is one stacked product ``rows @ v_R``.  CDF brackets sum the masses
+reachable-state support, and retires at each level every bucket whose
+range no query point straddles, with the mass of all its descendants:
+only the few buckets around the points go deeper, so fig3 at depth 24
+and fibonacci at depth 40 take milliseconds.  CDF brackets sum the masses
 of buckets entirely below (lower) or not entirely above (upper) the query
 point; beyond every bucket they are exactly 1, below every bucket exactly
 0.
@@ -139,46 +141,79 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, 
     }
 
 
-def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, merge: bool):
+def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, merge: bool,
+            points=None):
     """Level-synchronous depth-``depth`` refinement shared by clouds and brackets.
 
-    Level 0 is one bucket holding v_L.  Level k expands the whole level in
-    one product with the label stack (``rows @ stack``), each row of which
-    holds a parent's children in label order, and drops children whose
-    row is zero.  Without ``merge`` every child is a bucket, named by its
-    label word.  With it, each bucket also carries the exact Z[beta]
-    coordinates of its words' common value beta^k * sum(eps_i beta^-i),
-    walked as key_k = beta * key_(k-1) + eps_k in int64, and children of
-    equal key and equal support share a bucket.  Buckets keep first-seen
-    order, take their float value from their first-seen child and sum
-    their children's rows in child order (one ``bincount`` per state
-    column).  ``CLOUD_CAP``, read on each call, is checked once per level,
-    on its bucket count after the merge, so a level of CLOUD_CAP + 1
-    buckets raises at that depth; so does a key step that could leave
-    int64, and a level whose product would hold more than
-    ``automaton.DENSE_CAP`` cells, checked before it is allocated.  The
-    last level's masses are one stacked product ``rows @ v_R``.  Every
-    pass runs along the long bucket axis, one call per state column where
-    needed, never reducing across the few states of a row.
+    Level 0 is one bucket holding v_L.  Level k expands the live buckets
+    of level k - 1 in one product with the label stack (``rows @ stack``),
+    each row of which holds a parent's children in label order, and drops
+    children whose row is zero.  Without ``merge`` every child is a bucket,
+    named by its label word.  With it, each bucket also carries the exact
+    Z[beta] coordinates of its words' common value beta^k * sum(eps_i
+    beta^-i), walked as key_k = beta * key_(k-1) + eps_k in int64, and
+    children of equal key and equal support share a bucket.  Buckets keep
+    first-seen order, take their float value from their first-seen child
+    and sum their children's rows in child order (one ``bincount`` per
+    state column).
+
+    Given query ``points`` (with ``merge`` only), every level k < depth
+    retires each bucket whose range [lo, hi) holds no point, where
+    [lo, hi] = value + beta^-k * [min low(s), max high(s)] over the
+    bucket's support, (low, high) being ``value_bounds``.  A retired
+    bucket's mass is lambda^-depth * (row . M^(depth-k) v_R), M^j v_R
+    taken by j steps on the edge index: the sum of its depth-``depth``
+    descendants' masses, scaled as they are.  Each descendant's range
+    nests in the bucket's, since low(s) <= (a + low(t)) / beta and
+    high(s) >= (a + high(t)) / beta on every edge s -> t with label a:
+    ``value_bounds`` stops once its last step moves no value by more than
+    _BOUND_TOL * (1 - 1/beta) and widens by _BOUND_TOL, and
+    _BOUND_TOL * (1 - 1/beta) / beta + _BOUND_TOL / beta <= _BOUND_TOL.
+    So, up to float rounding, the descendants count in both bracket sums
+    at each point x >= hi and in neither at each point x < lo, as the
+    retired bucket does on its own.  Only the buckets a point straddles
+    expand to the next level, and the loop ends early once none is left.
+
+    ``CLOUD_CAP``, read on each call, is checked once per level, on the
+    count of buckets the level forms, after the merge and before any
+    retire, so a level of CLOUD_CAP + 1 buckets raises at that depth; so
+    does a key step that could leave int64, and a level whose product
+    would hold more than ``automaton.DENSE_CAP`` cells, checked before it
+    is allocated.  The last level's masses are one stacked product
+    ``rows @ v_R``.  Every pass runs along the long bucket axis, one call
+    per state column where needed, never reducing across the few states
+    of a row.
     Returns the last level's words as an (entries x depth) array of
-    alphabet indices (None when merging) and arrays of its truncated
-    values, masses and [lo, hi] (``value_bounds`` ranges scaled by
-    beta^-depth).
+    alphabet indices (None when merging) and arrays of truncated values,
+    masses and [lo, hi]: the retired buckets', level by level, then the
+    last level's, whose ranges are ``value_bounds`` scaled by beta^-depth.
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
     stack = transition_matrices(a)
     labels = np.array(a.alphabet, dtype=float)
     bounds = value_bounds(a, p)
+    low_bound, high_bound = np.array([bounds[s] for s in a.states]).T
     beta = p.beta_float
     n = a.n_states
+    scale = pd.lam ** -depth
     if merge:
         key_limit = int64_step_limit(a.alphabet, p.minpoly)
         keys = np.zeros((1, p.degree), np.int64)
+    retired = []  # per level: values, masses, lo and hi of its retired buckets
+    if points is not None:
+        points = np.sort(np.asarray(points, dtype=float))
+        # M^j v_R for j < depth: (M w)_s sums w over the out-edges of s
+        src, dst, _ = a.edge_arrays()
+        columns = [pd.v_R]
+        for _ in range(depth - 1):
+            columns.append(np.bincount(src, weights=columns[-1][dst], minlength=n))
 
     values, rows = np.zeros(1), np.array([pd.v_L])
     trail = []  # per level: the parent and the label index of every kept child
     for k in range(1, depth + 1):
+        if not len(rows):
+            break  # every bucket has retired
         # A level has at most |alphabet| times as many buckets as the one
         # before, so this is the level's largest allocation.
         check_dense_cap(len(rows) * stack.shape[1], f"refinement level {k}")
@@ -204,6 +239,15 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
             # bincount adds each group's children in child order from 0.0
             for j in range(n):
                 rows[:, j] = np.bincount(group, weights=children[:, j], minlength=len(first))
+            if points is not None and k < depth:
+                lo, hi = _ranges(values, rows, low_bound, high_bound, beta ** -k)
+                # a point lies in [lo, hi) when fewer points lie below lo than below hi
+                straddled = np.searchsorted(points, lo) < np.searchsorted(points, hi)
+                done, live = np.flatnonzero(~straddled), np.flatnonzero(straddled)
+                mass = scale * (np.take(rows, done, axis=0) @ columns[depth - k])
+                retired.append((values[done], mass, lo[done], hi[done]))
+                values, keys = values[live], np.take(keys, live, axis=0)
+                rows = np.take(rows, live, axis=0)
         else:
             del positive
             if len(kept) > CLOUD_CAP:
@@ -214,15 +258,22 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
         del children  # free this level's children before the next level's
 
     words = None if merge else _label_indices(trail, len(a.alphabet), len(rows))
-    tail = beta ** -depth
-    mass = pd.lam ** -depth * (rows @ pd.v_R)
-    # Each bucket's value range: min lo and max hi over its support states
-    low, high = np.full(len(rows), np.inf), np.full(len(rows), -np.inf)
-    for j, s in enumerate(a.states):
-        support = rows[:, j] > 0
-        np.minimum(low, bounds[s][0], out=low, where=support)
-        np.maximum(high, bounds[s][1], out=high, where=support)
-    return words, values, mass, values + tail * low, values + tail * high
+    lo, hi = _ranges(values, rows, low_bound, high_bound, beta ** -depth)
+    last = values, scale * (rows @ pd.v_R), lo, hi
+    if retired:
+        last = map(np.concatenate, zip(*retired, last))
+    return (words, *last)
+
+
+def _ranges(values, rows, low_bound, high_bound, tail):
+    """Each bucket's value range: its value plus ``tail`` times the least
+    ``low_bound`` and the largest ``high_bound`` over its support states.
+    The reductions run over the states of a state-major support array,
+    each step one elementwise pass along the bucket axis."""
+    support = np.ascontiguousarray((rows > 0).T)
+    low = np.where(support, low_bound[:, None], np.inf).min(axis=0)
+    high = np.where(support, high_bound[:, None], -np.inf).max(axis=0)
+    return values + tail * low, values + tail * high
 
 
 def _mul_beta_add(keys: np.ndarray, minpoly: tuple[int, ...], letters: tuple[int, ...]):
@@ -293,11 +344,22 @@ def cdf_bracket(
     """CDF brackets at the given points from a depth-``depth`` refinement
     whose buckets merge words of equal exact value and equal support.
 
-    Since 0 <= F <= 1, the ends are exact: every bucket lies at or below a
-    point x >= max(hi), so F(x) = 1 there, and none at or below a point
-    x < min(lo), so F(x) = 0.  Elsewhere both sums are clamped to at most
-    1; masses are nonnegative, so the sums are already at least 0."""
-    _, _, mass, lo, hi = _refine(a, p, pd, depth, merge=True)
+    The refinement retires, level by level, every bucket whose range
+    [lo, hi) holds none of the points (see ``_refine``); its mass
+    lambda^-depth * (row . M^(depth-k) v_R) is that of its depth-``depth``
+    descendants.  At each point a retired bucket has lo <= x exactly when
+    hi <= x, so one rule serves retired and last-level buckets alike: the
+    lower sum takes the buckets with hi <= x, the upper those with lo <= x,
+    left to right, retired buckets first.  A point far from the others
+    sums a few retired masses, not every last-level bucket below it.
+
+    Since 0 <= F <= 1, the ends are exact: every bucket, retired or last,
+    lies at or below a point x >= max(hi), so F(x) = 1 there, and none at
+    or below a point x < min(lo), so F(x) = 0.  Elsewhere both sums are
+    clamped to at most 1; masses are nonnegative, so the sums are already
+    at least 0.  Values, ranges and masses are float64, so nothing between
+    those ends is certified."""
+    _, _, mass, lo, hi = _refine(a, p, pd, depth, merge=True, points=points)
     top, bottom = hi.max(), lo.min()
     brackets = []
     for x in points:

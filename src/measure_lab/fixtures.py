@@ -232,8 +232,9 @@ def _mass_comparison(atoms, reference: dict[str, float], beta: float) -> dict:
 
 
 def _cdf_comparison(a: LabeledAutomaton, p, pd, depth: int, ref: dict, note: str | None) -> dict:
-    """Reference CDF values against certified brackets (1e-9 slack);
-    ``note`` is reported when some point disagrees."""
+    """Reference CDF values against ``cdf_bracket``'s brackets, with 1e-9
+    slack.  The brackets are float sums of masses; only their ends (0, 0)
+    and (1, 1) are exact.  ``note`` is reported when some point disagrees."""
     points = ref["cdf_points"]
     brackets = cdf_bracket(a, p, pd, depth, points)
     rows = []

@@ -164,7 +164,8 @@ def test_cloud_atomic_values_cluster(automata, pisots, perron_data):
 
 @pytest.mark.parametrize("refine", [
     lambda a, p, pd: depth_cloud(a, p, pd, 12),
-    lambda a, p, pd: cdf_bracket(a, p, pd, 12, [1.5]),
+    # 201 points 0.015 apart keep up to 1,614 buckets at a level
+    lambda a, p, pd: cdf_bracket(a, p, pd, 12, np.linspace(0, 3, 201)),
 ], ids=["depth_cloud", "cdf_bracket"])
 def test_cloud_cap(automata, pisots, perron_data, refine, monkeypatch):
     monkeypatch.setattr(distribution, "CLOUD_CAP", 1000)
@@ -229,6 +230,59 @@ def _reference_buckets(a, p, pd, depth):
     return buckets
 
 
+def _reference_retiring_buckets(a, p, pd, depth, points):
+    """The bucket loop of ``_reference_buckets`` with the refinement's
+    retire step: at each level k < depth, a bucket whose range [lo, hi)
+    holds no point leaves with mass lambda^-depth * row . M^(depth-k) v_R,
+    M^j v_R walked edge by edge in document order.  Returns (lo, hi, mass)
+    per bucket, the retired ones level by level and then the last level's,
+    each in first-seen order, and per level the number of buckets it
+    expands and the number it forms."""
+    per_label = label_blocks(a)
+    bounds = value_bounds(a, p)
+    beta = p.beta_float
+    index = a.state_index()
+    columns = [pd.v_R]
+    for _ in range(depth - 1):
+        column = [0.0] * a.n_states
+        for s, t, _ in a.edges:
+            column[index[s]] += columns[-1][index[t]]
+        columns.append(np.array(column))
+
+    def ranges(value, support, k):
+        states = [s for s, on in zip(a.states, support) if on]
+        return (value + beta ** -k * min(bounds[s][0] for s in states),
+                value + beta ** -k * max(bounds[s][1] for s in states))
+
+    level = {((0,) * p.degree, ()): (0.0, pd.v_L.copy())}
+    retired, sizes = [], []
+    for k in range(1, depth + 1):
+        if not level:
+            break
+        nxt = {}
+        for (coords, _), (value, row) in level.items():
+            for label in a.alphabet:
+                new_row = row @ per_label[label]
+                if new_row.max() > 0:
+                    key = (bint_mul_beta(coords, p.minpoly, label), tuple(new_row > 0))
+                    if key in nxt:
+                        nxt[key][1][:] += new_row
+                    else:
+                        nxt[key] = (value + label * beta ** -k, new_row)
+        sizes.append((len(level), len(nxt)))
+        level = nxt
+        if k < depth:
+            for key, (value, row) in list(level.items()):
+                lo, hi = ranges(value, key[1], k)
+                if not any(lo <= x < hi for x in points):
+                    mass = pd.lam ** -depth * float(row @ columns[depth - k])
+                    retired.append((lo, hi, mass))
+                    del level[key]
+    final = [(*ranges(value, support, depth), pd.lam ** -depth * float(row @ pd.v_R))
+             for (_, support), (value, row) in level.items()]
+    return retired + final, sizes
+
+
 def _reference_brackets(a, p, pd, depth, points):
     return _bracket_sums(_reference_buckets(a, p, pd, depth), points)
 
@@ -260,11 +314,22 @@ def test_refinement_matches_reference_bit_for_bit(automata, pisots, perron_data)
         assert [(e.word, e.value, e.mass, e.lo, e.hi) for e in cloud.entries] == \
             _reference_cloud(a, p, pd, 6), name
         points = [-0.5, 0.2, 0.7, 1.4, 2.6]
-        assert cdf_bracket(a, p, pd, 9, points) == _reference_brackets(a, p, pd, 9, points), name
-    # fig3 at depth 12 merges its 3^12 words into 6,984 buckets
+        _assert_brackets_match(a, p, pd, 9, points, name)
+    # fig3 at depth 12: the brackets sum 251 buckets, retired or last,
+    # where the refinement without retiring keeps 2,685
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
-    points = [0.1, 0.5, 1.0, 1.5, 2.2, 3.0]
-    assert cdf_bracket(a, p, pd, 12, points) == _reference_brackets(a, p, pd, 12, points)
+    _assert_brackets_match(a, p, pd, 12, [0.1, 0.5, 1.0, 1.5, 2.2, 3.0], "fig3")
+
+
+def _assert_brackets_match(a, p, pd, depth, points, name):
+    """Brackets equal the retiring bucket loop's bit for bit, and the sums
+    over every depth-``depth`` bucket up to summation order."""
+    brackets = cdf_bracket(a, p, pd, depth, points)
+    retiring, _ = _reference_retiring_buckets(a, p, pd, depth, points)
+    assert brackets == _bracket_sums(retiring, points), name
+    buckets = _reference_buckets(a, p, pd, depth)
+    np.testing.assert_allclose(brackets, _bracket_sums(buckets, points),
+                               rtol=_bracket_rtol(a, depth, len(buckets)), atol=0, err_msg=name)
 
 
 def _divmod_label_words(a, pd, depth):
@@ -319,35 +384,40 @@ def test_first_seen_groups_match_dict_oracle(data, width, dim):
     assert got_group.tolist() == [groups[row] for row in rows]
 
 
-@pytest.mark.parametrize("refine, buckets", [
-    (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**5),
-    (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), 3 * 2**5 - 2),
+# fullshift4 at depth 5: 4^5 words.  A bracket at 1.5 keeps live, from
+# level 1 on, the four buckets m / 2^k with 1.5 - 3 / 2^k <= m / 2^k <= 1.5,
+# whose ranges [m / 2^k, (m + 3) / 2^k] widened by 1e-12 / 2^k hold 1.5; the
+# next level forms their 16 children into 10 buckets of distinct value.
+# These are the counts of _reference_retiring_buckets.
+@pytest.mark.parametrize("refine, buckets, depth", [
+    (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**5, 5),
+    (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), 10, 2),
 ], ids=["depth_cloud", "cdf_bracket"])
-def test_cap_boundary(automata, pisots, perron_data, refine, buckets, monkeypatch):
-    # fullshift4 at depth 5: 4^5 words, and 3 * 2^5 - 2 distinct values m / 2^5
+def test_cap_boundary(automata, pisots, perron_data, refine, buckets, depth, monkeypatch):
     args = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
     monkeypatch.setattr(distribution, "CLOUD_CAP", buckets)
     refine(*args)
     monkeypatch.setattr(distribution, "CLOUD_CAP", buckets - 1)
     with pytest.raises(CapExceeded) as info:
         refine(*args)
-    assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth 5"
+    assert str(info.value) == f"refinement exceeds {buckets - 1} buckets at depth {depth}"
 
 
-@pytest.mark.parametrize("refine, cells", [
-    (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**4 * 4),
-    (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), (3 * 2**4 - 2) * 4),
+@pytest.mark.parametrize("refine, cells, level", [
+    (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**4 * 4, 5),
+    (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), 4 * 4, 2),
 ], ids=["depth_cloud", "cdf_bracket"])
-def test_dense_cap_boundary(automata, pisots, perron_data, refine, cells, monkeypatch):
-    # fullshift4's stack is 1 x 4; level 5 multiplies the 4^4 words, or the
-    # 3 * 2^4 - 2 buckets, of level 4 with it, the largest product of the run
+def test_dense_cap_boundary(automata, pisots, perron_data, refine, cells, level, monkeypatch):
+    # fullshift4's stack is 1 x 4; level 5 multiplies the 4^4 words of level
+    # 4 with it, and every level from 2 on the four live buckets around 1.5:
+    # the largest products of each run
     args = automata["fullshift4"], pisots["fullshift4"], perron_data["fullshift4"]
     monkeypatch.setattr(automaton, "DENSE_CAP", cells)
     refine(*args)
     monkeypatch.setattr(automaton, "DENSE_CAP", cells - 1)
     with pytest.raises(CapExceeded) as info:
         refine(*args)
-    assert str(info.value) == f"refinement level 5 of {cells} cells exceeds {cells - 1}"
+    assert str(info.value) == f"refinement level {level} of {cells} cells exceeds {cells - 1}"
 
 
 def test_refinement_level_allocates_one_stack(monkeypatch):
@@ -394,10 +464,26 @@ def test_refinement_matches_reference_on_random_automata(golden, base_two, tribo
     np.testing.assert_allclose([e.mass for e in cloud.entries],
                                [entry[2] for entry in reference],
                                rtol=_bracket_rtol(a, depth, 0), atol=0)
-    points = [-1.0, 0.2, 0.7, 1.5]
-    np.testing.assert_allclose(cdf_bracket(a, p, pd, depth, points),
-                               _reference_brackets(a, p, pd, depth, points),
+    # unsorted, one point twice, and points below and above every value
+    points = [0.7, -1.0, 1.5, 0.2, 0.7, -50.0, 50.0]
+    brackets = cdf_bracket(a, p, pd, depth, points)
+    np.testing.assert_allclose(brackets, _reference_brackets(a, p, pd, depth, points),
                                rtol=_bracket_rtol(a, depth, len(reference)), atol=0)
+    assert brackets[0] == brackets[4]
+    assert brackets[5:] == [(0.0, 0.0), (1.0, 1.0)]
+
+
+def test_fibonacci_brackets_sum_few_masses(automata, pisots, perron_data):
+    # At depth 21 the brackets at 0.9956 sum a few retired masses, not the
+    # 28,657 bucket masses below it left to right, so the lower one lies
+    # within (terms summed) * eps of the exactly rounded sum of those.
+    a, p, pd = automata["fibonacci"], pisots["fibonacci"], perron_data["fibonacci"]
+    x = 0.9956
+    lower, _ = cdf_bracket(a, p, pd, 21, [x])[0]
+    exact = math.fsum(mass for _, hi, mass in _reference_buckets(a, p, pd, 21) if hi <= x)
+    retiring, _ = _reference_retiring_buckets(a, p, pd, 21, [x])
+    terms = sum(hi <= x for _, hi, _ in retiring)
+    assert abs(lower - exact) <= terms * np.finfo(float).eps, (lower - exact, terms)
 
 
 @pytest.mark.parametrize("minpoly, alphabet", [
@@ -422,28 +508,39 @@ def test_refinement_matches_reference_on_multi_word_supports(minpoly, alphabet):
 
 
 def test_fig3_buckets_merge_on_exact_values(automata, pisots, perron_data, monkeypatch):
-    # 3^16 words of fig3 take 18,643 distinct (exact value, support) pairs;
-    # float keys split equal values into 61,652 buckets
+    # Around these points the levels of fig3 at depth 16 form at most 69
+    # buckets of distinct (exact value, support), first at level 13, as the
+    # bucket loop on Python-int keys counts; keyed on the float beta * key +
+    # eps instead, the same levels split into up to 223, and past 68 at level 8.
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
-    monkeypatch.setattr(distribution, "CLOUD_CAP", 18_643)
-    cdf_bracket(a, p, pd, 16, [1.5])
-    monkeypatch.setattr(distribution, "CLOUD_CAP", 18_642)
-    with pytest.raises(CapExceeded, match="^refinement exceeds 18642 buckets at depth 16$"):
-        cdf_bracket(a, p, pd, 16, [1.5])
+    points = [0.1, 0.5, 1.0, 1.5, 2.2, 3.0]
+    _, sizes = _reference_retiring_buckets(a, p, pd, 16, points)
+    assert max(formed for _, formed in sizes) == 69
+    monkeypatch.setattr(distribution, "CLOUD_CAP", 69)
+    cdf_bracket(a, p, pd, 16, points)
+    monkeypatch.setattr(distribution, "CLOUD_CAP", 68)
+    with pytest.raises(CapExceeded, match="^refinement exceeds 68 buckets at depth 13$"):
+        cdf_bracket(a, p, pd, 16, points)
 
 
 def test_bucket_keys_stop_before_int64_overflow():
-    # x^2 - 2^40 x - 1 is Pisot.  The key of the word 1,0,0 is beta^2 =
-    # 2^40 beta + 1, so depth 3 keys reach 2^40, past the depth-4 step's
-    # bound (2^63 - 2) / (1 + 2^40).
+    # x^2 - 2^40 x - 1 is Pisot, and over the letters {0, 2^24} the depth-4
+    # step's bound is (2^63 - 1 - 2^24) // (1 + 2^40) < 2^23.  At the point
+    # x = 2^24 beta^-3, the value of the word 0,0,2^24, the buckets 0 and
+    # 0,0 stay live with key 0, and that word's bucket with key 2^24, past
+    # the bound.  Every other bucket retires: a word starting with a nonzero
+    # letter lies above x.  (A key of beta^2 = 2^40 beta + 1 never stays
+    # live: its range is far narrower than an ulp of its value.)
     p = make_pisot([-1, -(2**40), 1])
-    shift = parse_automaton({"alphabet": [0, 1], "states": ["s"],
+    shift = parse_automaton({"alphabet": [0, 2**24], "states": ["s"],
                              "edges": [{"from": "s", "to": "s", "label": 0},
-                                       {"from": "s", "to": "s", "label": 1}]})
+                                       {"from": "s", "to": "s", "label": 2**24}]})
     pd = perron(shift)
+    x = 2**24 * p.beta_float ** -3
     assert cdf_bracket(shift, p, pd, 3, [-1.0, 2.0]) == [(0.0, 0.0), (1.0, 1.0)]
+    cdf_bracket(shift, p, pd, 3, [x])
     with pytest.raises(CapExceeded, match="^refinement keys leave int64 at depth 4$"):
-        cdf_bracket(shift, p, pd, 4, [0.5])
+        cdf_bracket(shift, p, pd, 4, [x])
     # letters and coefficients outside int64 stop the first step
     wide = parse_automaton({"alphabet": [0, 2**63], "states": ["s"],
                             "edges": [{"from": "s", "to": "s", "label": 0},
