@@ -141,52 +141,39 @@ def value_bounds(a: LabeledAutomaton, p: PisotNumber) -> dict[str, tuple[float, 
     }
 
 
-def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, merge: bool,
-            points=None):
+def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, points=None):
     """Level-synchronous depth-``depth`` refinement shared by clouds and brackets.
 
     Level 0 is one bucket holding v_L.  Level k expands the live buckets
     of level k - 1 in one product with the label stack (``rows @ stack``),
     each row of which holds a parent's children in label order, and drops
-    children whose row is zero.  Without ``merge`` every child is a bucket,
-    named by its label word.  With it, each bucket also carries the exact
-    Z[beta] coordinates of its words' common value beta^k * sum(eps_i
-    beta^-i), walked as key_k = beta * key_(k-1) + eps_k in int64, and
-    children of equal key and equal support share a bucket.  Buckets keep
-    first-seen order, take their float value from their first-seen child
-    and sum their children's rows in child order (one ``bincount`` per
-    state column).
+    children whose row is zero.  Without ``points`` every child is a
+    bucket, named by its label word.  With them, each bucket also carries
+    the exact Z[beta] coordinates of its words' common value beta^k *
+    sum(eps_i beta^-i), walked as key_k = beta * key_(k-1) + eps_k in
+    int64, and children of equal key and equal support share a bucket,
+    which keeps its first-seen child's float value and sums its children's
+    rows in child order (one ``bincount`` per state column).
 
-    Given query ``points`` (with ``merge`` only), every level k < depth
-    retires each bucket whose range [lo, hi) holds no point, where
-    [lo, hi] = value + beta^-k * [min low(s), max high(s)] over the
-    bucket's support, (low, high) being ``value_bounds``.  A retired
-    bucket's mass is lambda^-depth * (row . M^(depth-k) v_R), M^j v_R
-    taken by j steps on the edge index: the sum of its depth-``depth``
-    descendants' masses, scaled as they are.  Each descendant's range
-    nests in the bucket's, since low(s) <= (a + low(t)) / beta and
-    high(s) >= (a + high(t)) / beta on every edge s -> t with label a:
-    ``value_bounds`` stops once its last step moves no value by more than
-    _BOUND_TOL * (1 - 1/beta) and widens by _BOUND_TOL, and
-    _BOUND_TOL * (1 - 1/beta) / beta + _BOUND_TOL / beta <= _BOUND_TOL.
-    So, up to float rounding, the descendants count in both bracket sums
-    at each point x >= hi and in neither at each point x < lo, as the
-    retired bucket does on its own.  Only the buckets a point straddles
-    expand to the next level, and the loop ends early once none is left.
+    Each merged level k < depth then retires every bucket whose range
+    [lo, hi) = value + beta^-k * [min low(s), max high(s)] over its
+    support holds no point, with mass lambda^-depth * (row . M^(depth-k)
+    v_R), the sum of its depth-``depth`` descendants' masses (M^j v_R by
+    j steps on the edge index).  A descendant's range nests in its
+    parent's up to float rounding: ``value_bounds`` stops within
+    _BOUND_TOL * (1 - 1/beta) of its fixed point and widens by _BOUND_TOL,
+    and _BOUND_TOL * ((1 - 1/beta) / beta + 1/beta) <= _BOUND_TOL, so
+    low(s) <= (a + low(t)) / beta and high(s) >= (a + high(t)) / beta on
+    every edge s -> t labelled a.  Only the buckets a point straddles
+    go deeper.
 
-    ``CLOUD_CAP``, read on each call, is checked once per level, on the
-    count of buckets the level forms, after the merge and before any
-    retire, so a level of CLOUD_CAP + 1 buckets raises at that depth; so
-    does a key step that could leave int64, and a level whose product
-    would hold more than ``automaton.DENSE_CAP`` cells, checked before it
-    is allocated.  The last level's masses are one stacked product
-    ``rows @ v_R``.  Every pass runs along the long bucket axis, one call
-    per state column where needed, never reducing across the few states
-    of a row.
-    Returns the last level's words as an (entries x depth) array of
-    alphabet indices (None when merging) and arrays of truncated values,
-    masses and [lo, hi]: the retired buckets', level by level, then the
-    last level's, whose ranges are ``value_bounds`` scaled by beta^-depth.
+    ``CLOUD_CAP``, read on each call, bounds the buckets a level forms,
+    before it retires any; a key step that could leave int64 and a level
+    product of more than ``automaton.DENSE_CAP`` cells raise as well, all
+    before allocating.  Returns the last level's words as an (entries x
+    depth) array of alphabet indices (None when merging) and arrays of
+    truncated values, masses and [lo, hi]: the retired buckets' level by
+    level, then the last level's.
     """
     if depth < 0:
         raise ValidationError(f"refinement depth must be >= 0, got {depth}")
@@ -197,11 +184,11 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
     beta = p.beta_float
     n = a.n_states
     scale = pd.lam ** -depth
+    merge = points is not None
+    retired = []  # per level: values, masses, lo and hi of its retired buckets
     if merge:
         key_limit = int64_step_limit(a.alphabet, p.minpoly)
         keys = np.zeros((1, p.degree), np.int64)
-    retired = []  # per level: values, masses, lo and hi of its retired buckets
-    if points is not None:
         points = np.sort(np.asarray(points, dtype=float))
         # M^j v_R for j < depth: (M w)_s sums w over the out-edges of s
         src, dst, _ = a.edge_arrays()
@@ -239,7 +226,7 @@ def _refine(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, depth: int, mer
             # bincount adds each group's children in child order from 0.0
             for j in range(n):
                 rows[:, j] = np.bincount(group, weights=children[:, j], minlength=len(first))
-            if points is not None and k < depth:
+            if k < depth:
                 lo, hi = _ranges(values, rows, low_bound, high_bound, beta ** -k)
                 # a point lies in [lo, hi) when fewer points lie below lo than below hi
                 straddled = np.searchsorted(points, lo) < np.searchsorted(points, hi)
@@ -331,7 +318,7 @@ def depth_cloud(a: LabeledAutomaton, p: PisotNumber, pd: PerronData, n: int) -> 
     """One entry per admissible word of length n, in lexicographic order
     (words deduplicated; the matrix product already accounts for multiple
     runs)."""
-    return DepthCloud(n, a.alphabet, *_refine(a, p, pd, n, merge=False))
+    return DepthCloud(n, a.alphabet, *_refine(a, p, pd, n))
 
 
 def cdf_bracket(
@@ -342,24 +329,16 @@ def cdf_bracket(
     points,
 ) -> list[tuple[float, float]]:
     """CDF brackets at the given points from a depth-``depth`` refinement
-    whose buckets merge words of equal exact value and equal support.
+    whose buckets merge words of equal exact value and equal support and
+    retire once no point lies in their range (see ``_refine``).
 
-    The refinement retires, level by level, every bucket whose range
-    [lo, hi) holds none of the points (see ``_refine``); its mass
-    lambda^-depth * (row . M^(depth-k) v_R) is that of its depth-``depth``
-    descendants.  At each point a retired bucket has lo <= x exactly when
-    hi <= x, so one rule serves retired and last-level buckets alike: the
-    lower sum takes the buckets with hi <= x, the upper those with lo <= x,
-    left to right, retired buckets first.  A point far from the others
-    sums a few retired masses, not every last-level bucket below it.
-
-    Since 0 <= F <= 1, the ends are exact: every bucket, retired or last,
-    lies at or below a point x >= max(hi), so F(x) = 1 there, and none at
-    or below a point x < min(lo), so F(x) = 0.  Elsewhere both sums are
-    clamped to at most 1; masses are nonnegative, so the sums are already
-    at least 0.  Values, ranges and masses are float64, so nothing between
-    those ends is certified."""
-    _, _, mass, lo, hi = _refine(a, p, pd, depth, merge=True, points=points)
+    A retired bucket has lo <= x exactly when hi <= x at every point, so
+    one rule serves all buckets: the lower sum takes those with hi <= x,
+    the upper those with lo <= x.  Since 0 <= F <= 1, the ends are exact:
+    every bucket lies at or below a point x >= max(hi), so F(x) = 1 there,
+    and none at or below a point x < min(lo), so F(x) = 0.  Elsewhere both
+    sums are float, clamped to at most 1."""
+    _, _, mass, lo, hi = _refine(a, p, pd, depth, points)
     top, bottom = hi.max(), lo.min()
     brackets = []
     for x in points:

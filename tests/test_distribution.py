@@ -199,45 +199,19 @@ def _reference_cloud(a, p, pd, n):
     return entries
 
 
-def _reference_buckets(a, p, pd, depth):
+def _reference_buckets(a, p, pd, depth, points=None):
     """Bucket loop the refinement engine replaced: merges prefixes of equal
     exact Z[beta] value (Python-int coordinates, walked by
     ``bint_mul_beta``) and equal support, keeps each bucket's first-seen
     float value and sums masses bucket by bucket.  Returns (lo, hi, mass)
-    per bucket, in first-seen order."""
-    per_label = label_blocks(a)
-    bounds = value_bounds(a, p)
-    beta = p.beta_float
-    level = {((0,) * p.degree, ()): (0.0, pd.v_L.copy())}
-    for k in range(1, depth + 1):
-        nxt = {}
-        for (coords, _), (value, row) in level.items():
-            for label in a.alphabet:
-                new_row = row @ per_label[label]
-                if new_row.max() > 0:
-                    key = (bint_mul_beta(coords, p.minpoly, label), tuple(new_row > 0))
-                    if key in nxt:
-                        nxt[key][1][:] += new_row
-                    else:
-                        nxt[key] = (value + label * beta ** -k, new_row)
-        level = nxt
-    buckets = []
-    for (_, support), (value, row) in level.items():
-        states = [s for s, on in zip(a.states, support) if on]
-        lo = value + beta ** -depth * min(bounds[s][0] for s in states)
-        hi = value + beta ** -depth * max(bounds[s][1] for s in states)
-        buckets.append((lo, hi, pd.lam ** -depth * float(row @ pd.v_R)))
-    return buckets
+    per bucket, in first-seen order.
 
-
-def _reference_retiring_buckets(a, p, pd, depth, points):
-    """The bucket loop of ``_reference_buckets`` with the refinement's
-    retire step: at each level k < depth, a bucket whose range [lo, hi)
-    holds no point leaves with mass lambda^-depth * row . M^(depth-k) v_R,
-    M^j v_R walked edge by edge in document order.  Returns (lo, hi, mass)
-    per bucket, the retired ones level by level and then the last level's,
-    each in first-seen order, and per level the number of buckets it
-    expands and the number it forms."""
+    Given ``points``, it runs the refinement's retire step too: at each
+    level k < depth, a bucket whose range [lo, hi) holds no point leaves
+    with mass lambda^-depth * row . M^(depth-k) v_R, M^j v_R walked edge by
+    edge in document order.  The retired buckets then come level by level
+    before the last level's, and the number of buckets each level forms
+    is returned with them."""
     per_label = label_blocks(a)
     bounds = value_bounds(a, p)
     beta = p.beta_float
@@ -255,10 +229,8 @@ def _reference_retiring_buckets(a, p, pd, depth, points):
                 value + beta ** -k * max(bounds[s][1] for s in states))
 
     level = {((0,) * p.degree, ()): (0.0, pd.v_L.copy())}
-    retired, sizes = [], []
+    buckets, sizes = [], []
     for k in range(1, depth + 1):
-        if not level:
-            break
         nxt = {}
         for (coords, _), (value, row) in level.items():
             for label in a.alphabet:
@@ -269,18 +241,17 @@ def _reference_retiring_buckets(a, p, pd, depth, points):
                         nxt[key][1][:] += new_row
                     else:
                         nxt[key] = (value + label * beta ** -k, new_row)
-        sizes.append((len(level), len(nxt)))
+        sizes.append(len(nxt))
         level = nxt
-        if k < depth:
+        if points is not None and k < depth:
             for key, (value, row) in list(level.items()):
                 lo, hi = ranges(value, key[1], k)
                 if not any(lo <= x < hi for x in points):
-                    mass = pd.lam ** -depth * float(row @ columns[depth - k])
-                    retired.append((lo, hi, mass))
+                    buckets.append((lo, hi, pd.lam ** -depth * float(row @ columns[depth - k])))
                     del level[key]
-    final = [(*ranges(value, support, depth), pd.lam ** -depth * float(row @ pd.v_R))
-             for (_, support), (value, row) in level.items()]
-    return retired + final, sizes
+    buckets += [(*ranges(value, support, depth), pd.lam ** -depth * float(row @ pd.v_R))
+                for (_, support), (value, row) in level.items()]
+    return buckets if points is None else (buckets, sizes)
 
 
 def _reference_brackets(a, p, pd, depth, points):
@@ -325,7 +296,7 @@ def _assert_brackets_match(a, p, pd, depth, points, name):
     """Brackets equal the retiring bucket loop's bit for bit, and the sums
     over every depth-``depth`` bucket up to summation order."""
     brackets = cdf_bracket(a, p, pd, depth, points)
-    retiring, _ = _reference_retiring_buckets(a, p, pd, depth, points)
+    retiring, _ = _reference_buckets(a, p, pd, depth, points)
     assert brackets == _bracket_sums(retiring, points), name
     buckets = _reference_buckets(a, p, pd, depth)
     np.testing.assert_allclose(brackets, _bracket_sums(buckets, points),
@@ -388,7 +359,7 @@ def test_first_seen_groups_match_dict_oracle(data, width, dim):
 # level 1 on, the four buckets m / 2^k with 1.5 - 3 / 2^k <= m / 2^k <= 1.5,
 # whose ranges [m / 2^k, (m + 3) / 2^k] widened by 1e-12 / 2^k hold 1.5; the
 # next level forms their 16 children into 10 buckets of distinct value.
-# These are the counts of _reference_retiring_buckets.
+# These are the counts of _reference_buckets at that point.
 @pytest.mark.parametrize("refine, buckets, depth", [
     (lambda a, p, pd: depth_cloud(a, p, pd, 5), 4**5, 5),
     (lambda a, p, pd: cdf_bracket(a, p, pd, 5, [1.5]), 10, 2),
@@ -429,10 +400,10 @@ def test_refinement_level_allocates_one_stack(monkeypatch):
 
     a, p = zero_automaton((-1, -1, 0, 1), (-1, 0, 1)), pisot((-1, -1, 0, 1))
     pd = perron(a)
-    distribution._refine(a, p, pd, 1, merge=False)
+    distribution._refine(a, p, pd, 1)
     tracemalloc.start()
     try:
-        distribution._refine(a, p, pd, 1, merge=False)
+        distribution._refine(a, p, pd, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -481,7 +452,7 @@ def test_fibonacci_brackets_sum_few_masses(automata, pisots, perron_data):
     x = 0.9956
     lower, _ = cdf_bracket(a, p, pd, 21, [x])[0]
     exact = math.fsum(mass for _, hi, mass in _reference_buckets(a, p, pd, 21) if hi <= x)
-    retiring, _ = _reference_retiring_buckets(a, p, pd, 21, [x])
+    retiring, _ = _reference_buckets(a, p, pd, 21, [x])
     terms = sum(hi <= x for _, hi, _ in retiring)
     assert abs(lower - exact) <= terms * np.finfo(float).eps, (lower - exact, terms)
 
@@ -492,15 +463,19 @@ def test_fibonacci_brackets_sum_few_masses(automata, pisots, perron_data):
 ], ids=["golden-65", "plastic-179"])
 def test_refinement_matches_reference_on_multi_word_supports(minpoly, alphabet):
     # Supports wider than 64 states pack into several uint64 words.  Bucket
-    # counts match exactly; brackets only within rounding, since the
-    # stacked product rows @ m may sum in another order than one product
-    # per row (up to two ulps apart on these automata at some depths).
+    # counts, retired or last, match exactly; the points keep buckets live
+    # down to the last level.  Brackets match only within rounding, since
+    # the stacked product rows @ m may sum in another order than one
+    # product per row (up to two ulps apart on these automata at some
+    # depths).
     a, p = zero_automaton(minpoly, alphabet), pisot(minpoly)
     pd = perron(a)
     points = [-2.0, -0.6, -0.1, 0.0, 0.3, 0.9, 2.0, 50.0]
     for depth in range(3, 7):
+        retiring, sizes = _reference_buckets(a, p, pd, depth, points)
+        assert sizes[-1] > 0, depth
+        assert len(distribution._refine(a, p, pd, depth, points)[2]) == len(retiring), depth
         buckets = _reference_buckets(a, p, pd, depth)
-        assert len(distribution._refine(a, p, pd, depth, merge=True)[2]) == len(buckets), depth
         words = len(depth_cloud(a, p, pd, depth).masses)
         np.testing.assert_allclose(cdf_bracket(a, p, pd, depth, points),
                                    _bracket_sums(buckets, points),
@@ -514,8 +489,8 @@ def test_fig3_buckets_merge_on_exact_values(automata, pisots, perron_data, monke
     # eps instead, the same levels split into up to 223, and past 68 at level 8.
     a, p, pd = automata["fig3"], pisots["fig3"], perron_data["fig3"]
     points = [0.1, 0.5, 1.0, 1.5, 2.2, 3.0]
-    _, sizes = _reference_retiring_buckets(a, p, pd, 16, points)
-    assert max(formed for _, formed in sizes) == 69
+    _, sizes = _reference_buckets(a, p, pd, 16, points)
+    assert max(sizes) == 69
     monkeypatch.setattr(distribution, "CLOUD_CAP", 69)
     cdf_bracket(a, p, pd, 16, points)
     monkeypatch.setattr(distribution, "CLOUD_CAP", 68)
